@@ -91,11 +91,6 @@ int main(int argc, char** argv) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  // Every sweep below runs a 600 s horizon with a small steady-state pending
-  // set; the hints let the event core pre-size its slot arena and far heap
-  // so no run grows tables mid-measurement.
-  base.sim_horizon_hint = Duration::s(600);
-  base.expected_pending_events = 128;
   const Duration c_bh_eff = c_bh_eff_of(base);
   const auto lambda = Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
 
@@ -464,7 +459,6 @@ int main(int argc, char** argv) {
       cfg.mode = hv::TopHandlerMode::kInterposing;
       cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
       cfg.sources[0].d_min = lambda;
-      cfg.sim_horizon_hint = horizon;  // campaign horizon from the fault plan
       core::HypervisorSystem system(cfg);
       system.enable_tracing();
       workload::ExponentialTraceGenerator gen(lambda, 700 + i, lambda);

@@ -66,13 +66,9 @@ Fig6Result run_fig6(const Fig6Config& config) {
   }
   std::vector<fault::OracleReport> oracle_reports(config.load_percent.size());
 
-  // Pre-size the event core from the sweep plan: all runs share one horizon
-  // (the fault plan's when set), and the steady-state pending set of a
-  // single-source system stays small.
+  // All runs share one horizon: the fault plan's when set.
   const Duration horizon =
       !plan.empty() && plan.horizon.is_positive() ? plan.horizon : Duration::s(1000);
-  base.sim_horizon_hint = horizon;
-  base.expected_pending_events = 128;
 
   // One independent run per load step. Each run's seed depends only on its
   // index (config.seed + i, the original sequential seed sequence), so the

@@ -327,8 +327,6 @@ core::SystemConfig batch_campaign_config() {
   cfg.mode = hv::TopHandlerMode::kInterposing;
   cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
   cfg.sources[0].d_min = Duration::us(444);
-  cfg.sim_horizon_hint = Duration::s(1000);
-  cfg.expected_pending_events = 128;
   return cfg;
 }
 

@@ -48,17 +48,10 @@ std::unique_ptr<mon::ActivationMonitor> build_monitor(const IrqSourceSpec& spec)
   throw std::logic_error("unknown MonitorKind");
 }
 
-sim::EventQueue::Config queue_config(const SystemConfig& config) {
-  sim::EventQueue::Config qc;
-  qc.expected_events = config.expected_pending_events;
-  qc.horizon = config.sim_horizon_hint;
-  return qc;
-}
-
 }  // namespace
 
 HypervisorSystem::HypervisorSystem(const SystemConfig& config)
-    : config_(config), sim_(queue_config(config_)) {
+    : config_(config) {
   if (config_.partitions.empty()) {
     throw std::invalid_argument("SystemConfig needs at least one partition");
   }
@@ -218,17 +211,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   snap.add_counter("intc.lost_raises", platform_->intc().lost_raises());
   snap.add_counter("sim.executed_events", sim_.executed_events());
   snap.set_gauge("sim.now_ns", sim_.now().count_ns());
-
-  // Timer-wheel internals: cascade work and far-heap population expose the
-  // event core's behavior under dense campaigns without touching the trace
-  // format (counters sum across sweep runs; gauges merge last-write-wins in
-  // run-index order, so --jobs output stays bit-identical).
-  const auto qs = sim_.queue_stats();
-  snap.add_counter("sim/cascades", qs.cascades);
-  snap.add_counter("sim/far_pulls", qs.far_pulls);
-  snap.add_counter("sim/buckets_opened", qs.buckets_opened);
-  snap.set_gauge("sim/far_heap_size", static_cast<std::int64_t>(qs.far_heap_size));
-  snap.set_gauge("sim/far_heap_peak", static_cast<std::int64_t>(qs.far_heap_peak));
   return snap;
 }
 

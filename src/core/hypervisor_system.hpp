@@ -79,7 +79,7 @@ class HypervisorSystem {
   // --- checkpoint / restore --------------------------------------------------
 
   /// Full-state checkpoint of the assembled system: the simulator core
-  /// (timer wheel, callbacks, clock), platform devices, guest kernels,
+  /// (event queue, callbacks, clock), platform devices, guest kernels,
   /// trace-driver cursors, the entire hypervisor (including monitor
   /// tracebuffers and the trace ring), metrics, latency records and the
   /// attached checkpoint client, if any. Move-only (owns cloned callbacks).

@@ -69,8 +69,6 @@ MulticoreSystem::MulticoreSystem(const SystemConfig& config) : config_(config) {
     cc.background_quantum = config_.background_quantum;
     cc.irq_queue_capacity = config_.irq_queue_capacity;
     cc.batched_top_half = config_.batched_top_half;
-    cc.expected_pending_events = config_.expected_pending_events;
-    cc.sim_horizon_hint = config_.sim_horizon_hint;
     // The per-core configs stay single-core: the shared interconnect is
     // owned here and attached to the platforms, never rebuilt per core.
   }
@@ -190,9 +188,9 @@ bool MulticoreSystem::idle() const {
   return true;
 }
 
-TimePoint MulticoreSystem::next_event_time() {
+TimePoint MulticoreSystem::next_event_time() const {
   TimePoint best = TimePoint::max();
-  for (auto& c : cores_) {
+  for (const auto& c : cores_) {
     if (c->simulator().idle()) continue;
     best = std::min(best, c->simulator().next_event_time());
   }

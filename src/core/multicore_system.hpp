@@ -164,7 +164,7 @@ class MulticoreSystem {
 
   /// Earliest pending event time over all cores (the merged "now" frontier);
   /// TimePoint::max() when every core is idle.
-  [[nodiscard]] sim::TimePoint next_event_time();
+  [[nodiscard]] sim::TimePoint next_event_time() const;
 
   [[nodiscard]] bool idle() const;
 

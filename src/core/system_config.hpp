@@ -100,12 +100,6 @@ struct SystemConfig {
   /// pass (off = one line per entry, as the unbatched hypervisor behaved).
   bool batched_top_half = true;
 
-  /// Pre-sizing hints for the simulator's timer-wheel event core. Zero
-  /// means "grow lazily"; experiment drivers set these from the sweep plan
-  /// so deep runs never reallocate queue tables mid-simulation.
-  std::size_t expected_pending_events = 0;
-  sim::Duration sim_horizon_hint = sim::Duration::zero();
-
   /// Shared-interconnect model (multi-core only). num_cores == 1 keeps the
   /// single-core HypervisorSystem semantics: no interconnect is built and
   /// no contention is charged anywhere. num_cores > 1 systems are

@@ -20,7 +20,7 @@ using Reason = Hypervisor::ContextChange::Reason;
 Hypervisor::Hypervisor(hw::Platform& platform, const OverheadConfig& overheads)
     : platform_(platform), overheads_(platform.cpu(), platform.memory(), overheads) {
   lines_.resize(platform_.intc().num_lines());
-  health_.set_trace(&trace_.ring());
+  health_.set_trace(&trace_);
 }
 
 PartitionId Hypervisor::add_partition(std::string name, std::size_t irq_queue_capacity) {
@@ -528,7 +528,7 @@ void Hypervisor::emit_batch_records(TimePoint ta) {
   // tracing is off, except the overflow health reports, which are
   // simulation state and must not depend on tracing.
   std::optional<obs::TraceRing::BatchEmitter> burst;
-  burst.emplace(trace_.ring());
+  burst.emplace(trace_);
   const std::int64_t ta_ns = ta.count_ns();
   for (std::size_t i = 0; i < batch_.count; ++i) {
     const BatchItem& item = batch_.items[i];
@@ -559,7 +559,7 @@ void Hypervisor::emit_batch_records(TimePoint ta) {
       // (rare) overflow report so record order matches the scalar path.
       burst->commit();
       health_.report(HealthEvent{ta, HealthEventKind::kIrqQueueOverflow, sub, sid});
-      burst.emplace(trace_.ring());
+      burst.emplace(trace_);
     } else {
       burst->emit(ta_ns, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
                   item.queue_stat);
@@ -821,7 +821,7 @@ void Hypervisor::dispatch_partition_work() {
     // Cap open-ended guest chunks at the current slot boundary: the TDMA
     // tick preempts there anyway (its timer event was inserted earlier, so
     // it wins the same-instant FIFO order), and a far-future completion
-    // would churn the event core's far heap on every preemption.
+    // would only be scheduled to be cancelled again at every preemption.
     const TimePoint boundary = scheduler_->current_boundary();
     if (boundary > now() && boundary - now() < slice) {
       slice = boundary - now();
@@ -1008,7 +1008,7 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
     snap.bh_in_progress.push_back(p.bh_in_progress);
     snap.saved_guest_work.push_back(p.saved_guest_work);
   }
-  snap.trace_ring = trace_.ring();
+  snap.trace_ring = trace_;
   return snap;
 }
 
@@ -1067,9 +1067,9 @@ void Hypervisor::restore(const Snapshot& snap) {
     partitions_[i].bh_in_progress = snap.bh_in_progress[i];
     partitions_[i].saved_guest_work = snap.saved_guest_work[i];
   }
-  trace_.ring() = snap.trace_ring;
+  trace_ = snap.trace_ring;
   // The health monitor traces into the ring we just copy-assigned over; its
-  // pointer still targets trace_.ring() itself, so no rewiring is needed.
+  // pointer still targets trace_ itself, so no rewiring is needed.
 }
 
 obs::TraceMeta Hypervisor::trace_meta() const {

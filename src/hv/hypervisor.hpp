@@ -70,7 +70,6 @@
 #include "mon/monitor.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
-#include "sim/trace_log.hpp"
 #include "stats/latency_recorder.hpp"
 
 namespace rthv::hv {
@@ -290,12 +289,10 @@ class Hypervisor {
   [[nodiscard]] const IrqPathStats& irq_stats() const { return irq_path_stats_; }
   [[nodiscard]] const IpcRouter& ipc() const { return *ipc_; }
 
-  [[nodiscard]] sim::TraceLog& trace_log() { return trace_; }
-
-  /// Typed trace ring behind the log; every hypervisor hot path emits here
-  /// when tracing is enabled (set_enabled on either facade or ring).
-  [[nodiscard]] obs::TraceRing& trace_ring() { return trace_.ring(); }
-  [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_.ring(); }
+  /// Typed trace ring; every hypervisor hot path emits here when tracing is
+  /// enabled.
+  [[nodiscard]] obs::TraceRing& trace_ring() { return trace_; }
+  [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_; }
 
   /// Partition / source names for rendering trace snapshots.
   [[nodiscard]] obs::TraceMeta trace_meta() const;
@@ -402,7 +399,7 @@ class Hypervisor {
   void trace(obs::TracePoint point, obs::TraceCategory category,
              std::uint32_t partition = obs::kNoId, std::uint32_t source = obs::kNoId,
              std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
-    trace_.ring().emit(now().count_ns(), point, category, partition, source, arg0, arg1);
+    trace_.emit(now().count_ns(), point, category, partition, source, arg0, arg1);
   }
   /// Same, with an explicit timestamp: fused hot-path chains emit the
   /// intermediate instants of the steps they collapsed.
@@ -410,12 +407,12 @@ class Hypervisor {
                 std::uint32_t partition = obs::kNoId,
                 std::uint32_t source = obs::kNoId, std::uint64_t arg0 = 0,
                 std::uint64_t arg1 = 0) {
-    trace_.ring().emit(t.count_ns(), point, category, partition, source, arg0, arg1);
+    trace_.emit(t.count_ns(), point, category, partition, source, arg0, arg1);
   }
 
   hw::Platform& platform_;
   OverheadModel overheads_;  // lint: transient(cost-model config fixed before start)
-  sim::TraceLog trace_;
+  obs::TraceRing trace_;
 
   std::vector<Partition> partitions_;
   std::unique_ptr<TdmaScheduler> scheduler_;

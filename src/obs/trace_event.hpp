@@ -1,9 +1,9 @@
 // Typed binary trace records (the observability substrate's vocabulary).
 //
 // A TraceEvent is a fixed-size POD: timestamp, an instrumentation point, a
-// coarse category (1:1 with the legacy sim::TraceCategory values), the
-// affected partition / IRQ source and two payload words whose meaning is
-// per-point (documented at each TracePoint enumerator). Keeping the record
+// coarse category, the affected partition / IRQ source and two payload
+// words whose meaning is per-point (documented at each TracePoint
+// enumerator). Keeping the record
 // POD and self-contained lets the ring buffer store events by value with no
 // allocation and lets exporters run entirely offline from a snapshot.
 //
@@ -28,8 +28,7 @@ inline constexpr std::uint32_t kNoId = UINT32_MAX;
 /// (e.g. the monitor's observed distance before two activations exist).
 inline constexpr std::uint64_t kNoValue = UINT64_MAX;
 
-/// Coarse event category. Values map 1:1 onto the legacy string TraceLog's
-/// categories; sim::TraceCategory is an alias of this enum.
+/// Coarse event category.
 enum class TraceCategory : std::uint8_t {
   kIrq,         // hardware IRQ queue traffic (push/pop/drop)
   kTopHandler,  // hypervisor top-handler activity
@@ -38,14 +37,14 @@ enum class TraceCategory : std::uint8_t {
   kInterpose,   // interposed bottom-handler execution
   kBottom,      // bottom-handler execution
   kGuest,       // guest OS activity
-  kOther,       // health events, legacy string records
+  kOther,       // health events and uncategorized records
   kFault,       // fault-injection engine activity (src/fault)
   kCount_,
 };
 
 /// Precise instrumentation point. arg0/arg1 meanings are noted per point.
 enum class TracePoint : std::uint8_t {
-  kLegacy,            // routed through the deprecated string TraceLog API
+  kLegacy,            // default-constructed point; value 0 keeps committed goldens' numbering
   kStart,             // hypervisor start(); partition = initial slot owner
   kSlotSwitch,        // TDMA switch; arg0 = new slot index, arg1 = cycles done
   kSlotDeferred,      // boundary deferred by a running bottom handler

@@ -4,7 +4,7 @@
 // are always retained) and counts what it overwrote, so
 //     dropped() == emitted() - size()
 // holds at all times. Per-category emit counters are O(1) and survive
-// wraparound, which keeps TraceLog::count() cheap even on long runs.
+// wraparound, which keeps category_count() cheap even on long runs.
 //
 // Emission cost: instrumentation sites guard with `enabled()` (one load and
 // a predictable branch -- see the RTHV_TRACE macro), so compiled-in but

@@ -1,73 +1,36 @@
 // Pending-event set of the discrete-event simulator.
 //
-// A hierarchical timer wheel (calendar-queue style) replacing the previous
-// single binary min-heap (kept as tests/sim/reference_heap_queue.hpp, the
-// reference model for the differential test):
+// One doubly-linked list of pending events, sorted by (time, sequence).
+// Inserts append at the tail when the new event is the latest (the common
+// case: timers armed in the future), push at the head when it is the
+// earliest, and otherwise walk from whichever end is nearer in time. Pops,
+// dispatch and cancel are O(1) list unlinks.
 //
-//  * Time is quantised into ticks of 2^kGranuleShift ns (8.192 us). Level 0
-//    is a 64-bucket wheel of single-tick buckets covering the next 64 ticks
-//    past the frontier; each higher level covers 64x the span of the one
-//    below (level L buckets span 2^(kBucketBits*L) ticks). With 6 levels the
-//    wheels cover 2^36 ticks = 2^49 ns (~6.5 days) past the frontier;
-//    events beyond that go to a small far-future binary heap.
-//  * schedule / cancel are O(1): an event links into the tail of exactly one
-//    bucket (a doubly-linked intrusive list through the slot table), and
-//    cancel unlinks it directly -- no sifting.
-//  * pop / dispatch_due are amortised O(1): due events are drained from a
-//    sorted singly-threaded "due list"; when it runs dry, advance() opens
-//    the next occupied bucket (found via per-level 64-bit occupancy bitmaps
-//    and std::countr_zero) and sorts just that bucket's events.
+// The design relies on the pending set staying small: an interior insert
+// costs O(pending). Measured peak pending events are 3 for every shipped
+// config, the fig6/fig7 runs and the multicore sweep, 4 for the ablations
+// and fault_adversary.plan, 23 for the hunt smoke and 83 for
+// fault_storm.plan. A workload that keeps thousands of events pending with
+// random insert times would pay a long walk per insert.
 //
 // Determinism: pop order is strictly (time, sequence) -- identical to the
-// reference heap, bit-for-bit. Buckets are unordered bags; an opened bucket
-// is sorted by the full (time, seq) key before it becomes the due list
-// (time alone would not be enough: a bucket can mix directly-scheduled
-// events, seq-ordered, with far-heap refills, time-ordered). Events
-// scheduled below the frontier (e.g. zero-delay events from a running
-// callback) insert into the sorted due list directly; the walk conditions
-// alone preserve FIFO among equal times because a new event always carries
-// the largest sequence number.
-//
-// Sparse regime: while the wheels and far heap are empty and fewer than
-// kSparseLimit events are pending, schedule() files everything straight
-// into the due list and keeps the frontier past the newest event. A small
-// steady-state pending set (the hypervisor's common case: a handful of
-// timers spaced several granules apart) then never touches the bucket
-// machinery at all -- pops are plain list-head removals, exactly like the
-// empty-queue fast path but for any sub-threshold population.
-//
-// Invariants maintained by advance()/shift_to():
-//  I1  frontier only moves forward, and never past the earliest event still
-//      filed in a wheel bucket or the far heap (due-list events may lie
-//      behind it -- see I2).
-//  I2  every event with time < frontier*granule is in the due list; wheel
-//      and far events all have time >= frontier*granule.
-//  I3  a freshly inserted event never lands in the bucket containing the
-//      frontier at level >= 1 (it would qualify for a lower level first);
-//      when the frontier enters such a bucket's span, shift_to() cascades
-//      it, and the cascade re-inserts strictly below its level -- so
-//      cascades terminate and due extraction only ever opens level 0.
-//  I4  all far-heap events lie beyond the frontier's aligned top-level
-//      window (the XOR-prefix range insert_tick levels by); refill_far()
-//      pulls newly covered events whenever the frontier's window prefix
-//      changes -- in shift_to() and when an opened bucket's tick + 1 lands
-//      in the next window.
+// indexed binary heap kept as tests/sim/reference_heap_queue.hpp (the
+// reference model for the differential test). No sequence number is
+// stored: a new event always carries the largest one, so the walk
+// conditions alone (it goes after every entry with an equal time) keep FIFO
+// among equal times.
 //
 // Slot storage is a bump-pointer arena with freelist reuse: trivially
 // copyable Node records in one flat vector (relocated by memcpy on growth),
-// callbacks in chunked stable storage (SmallCallback, 48-byte inline capture
-// budget) so a running callback's captures never move even if scheduling
-// from inside it grows the tables. No per-event allocation in steady state;
-// EventId keeps the (slot, generation) encoding, so stale ids (already run
-// or cancelled) are rejected in O(1).
+// callbacks in chunked stable storage (SmallCallback) so a running
+// callback's captures never move even if scheduling from inside it grows
+// the tables. No per-event allocation in steady state; EventId keeps the
+// (slot, generation) encoding, so stale ids (already run or cancelled) are
+// rejected in O(1).
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -104,34 +67,6 @@ class EventQueue {
  public:
   using Callback = SmallCallback;
 
-  /// Pre-sizing hints, typically derived from the experiment plan so deep
-  /// sweeps never grow tables mid-run.
-  struct Config {
-    /// Expected peak number of concurrently pending events (0 = grow lazily).
-    std::size_t expected_events = 0;
-    /// Expected simulation horizon. The wheels' fixed 2^49 ns span covers
-    /// every experiment in this project; a horizon beyond it pre-sizes the
-    /// far-future heap.
-    Duration horizon = Duration::zero();
-  };
-
-  /// Wheel-internals counters, exported as sim/* metrics by the system layer.
-  struct Stats {
-    std::uint64_t cascades = 0;        // higher-level buckets redistributed
-    std::uint64_t far_pulls = 0;       // events refilled from the far heap
-    std::uint64_t buckets_opened = 0;  // level-0 buckets turned into due lists
-    std::size_t far_heap_size = 0;     // current far-heap population
-    std::size_t far_heap_peak = 0;     // high-water far-heap population
-  };
-
-  EventQueue() = default;
-  explicit EventQueue(const Config& cfg) {
-    if (cfg.expected_events > 0) reserve(cfg.expected_events);
-    if (cfg.horizon.count_ns() > (kSpanTicks << kGranuleShift)) {
-      far_.reserve(kBucketsPerLevel);
-    }
-  }
-
   /// Schedules `fn` to run at absolute time `t`. Events with equal time run
   /// in scheduling order. The callable is constructed directly in its arena
   /// cell (one move out of `fn`, no intermediate Callback).
@@ -146,60 +81,24 @@ class EventQueue {
     }
     Node& n = nodes_[s];
     n.time_ns = t.count_ns();
-    n.seq = next_seq_++;
-    const std::uint32_t generation = n.generation;
-    const std::int64_t tick = n.time_ns >> kGranuleShift;
-    if (size_ == 0) {
-      // Empty queue: rebase the frontier past the event and make it the
-      // sole due entry -- no wheel structure is touched, and the following
-      // pop() is a plain list head removal.
-      if (tick >= frontier_tick_) frontier_tick_ = tick + 1;
-      due_insert(s);
-    } else if (tick < frontier_tick_) {
-      // Flood guard: the sparse regime below can leave the frontier far
-      // ahead of a big, growing due list (one distant timer followed by a
-      // stream of earlier events). Once an insert would land anywhere but
-      // the tail of a due list at the population limit, refile the list
-      // into the wheels with the frontier lowered to the new event -- each
-      // later event then files in O(1) instead of walking an ever-longer
-      // list. Pure tail appends (zero-delay scheduling from a draining
-      // bucket, monotone streams) never demote, and after a demotion the
-      // wheels are non-empty, so this cannot thrash.
-      if (size_ >= kSparseLimit && wheels_and_far_empty() &&
-          tick < (nodes_[due_tail_].time_ns >> kGranuleShift)) {
-        demote_due_to_wheel(tick);
-        insert_tick(s, tick);
-      } else {
-        due_insert(s);
-      }
-    } else if (size_ < kSparseLimit && wheels_and_far_empty()) {
-      // Sparse regime: every live event already sits in the due list, so
-      // filing this one there too (and keeping the frontier past it) makes
-      // pops plain list-head removals -- advance()/open_bucket() never run.
-      // A small steady-state pending set with multi-granule spacing is the
-      // hypervisor's common case, and per-bucket machinery would dominate
-      // there; the wheel takes over automatically once the population grows.
-      frontier_tick_ = tick + 1;
-      due_insert(s);
-    } else {
-      insert_tick(s, tick);
-    }
+    insert(s);
     ++size_;
-    return EventId{s, generation};
+    return EventId{s, n.generation};
   }
 
   /// Cancels a previously scheduled event. Returns true if the event was
   /// still pending (i.e. it will now never run). The entry and its callback
-  /// are reclaimed immediately -- O(1), no sifting.
+  /// are reclaimed immediately.
   bool cancel(EventId id) {
     if (!id.valid()) return false;
     const std::uint32_t s = id.slot();
     if (s >= nodes_.size()) return false;
-    Node& n = nodes_[s];
+    const Node& n = nodes_[s];
     if (n.generation != id.generation()) {
       return false;  // already ran or cancelled (release bumped the generation)
     }
-    unlink_live(s);
+    if (n.prev != kNpos) nodes_[n.prev].next = n.next; else head_ = n.next;
+    if (n.next != kNpos) nodes_[n.next].prev = n.prev; else tail_ = n.prev;
     release_slot(s);
     --size_;
     return true;
@@ -210,11 +109,9 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Time of the earliest live event. Must not be called on an empty queue.
-  /// Non-const: may need to advance the frontier and open a bucket.
-  [[nodiscard]] TimePoint next_time() {
+  [[nodiscard]] TimePoint next_time() const {
     assert(size_ > 0 && "next_time() on empty EventQueue");
-    if (due_head_ == kNpos) advance();
-    return TimePoint::at_ns(nodes_[due_head_].time_ns);
+    return TimePoint::at_ns(nodes_[head_].time_ns);
   }
 
   /// Removes and returns the earliest live event. Must not be called on an
@@ -225,18 +122,9 @@ class EventQueue {
   };
   Popped pop() {
     assert(size_ > 0 && "pop() on empty EventQueue");
-    if (due_head_ == kNpos) advance();
-    const std::uint32_t s = due_head_;
-    Node& n = nodes_[s];
-    due_head_ = n.next;
-    if (due_head_ != kNpos) {
-      nodes_[due_head_].prev = kNpos;
-    } else {
-      due_tail_ = kNpos;
-    }
-    Popped out{TimePoint::at_ns(n.time_ns), std::move(callback_of(s))};
+    const std::uint32_t s = unlink_head();
+    Popped out{TimePoint::at_ns(nodes_[s].time_ns), std::move(callback_of(s))};
     release_slot(s);
-    --size_;
     return out;
   }
 
@@ -253,24 +141,15 @@ class EventQueue {
     const std::int64_t h = horizon.count_ns();
     std::uint64_t dispatched = 0;
     while (dispatched < budget && size_ > 0) {
-      if (due_head_ == kNpos) advance();
-      const std::uint32_t s = due_head_;
+      if (nodes_[head_].time_ns > h) break;
+      const std::uint32_t s = unlink_head();
       {
-        Node& n = nodes_[s];
-        if (n.time_ns > h) break;
-        due_head_ = n.next;
-        if (due_head_ != kNpos) {
-          nodes_[due_head_].prev = kNpos;
-        } else {
-          due_tail_ = kNpos;
-        }
-        --size_;
         // Invalidate the id before the callback runs (cancel-own-id returns
         // false, matching pop()), but keep the slot off the freelist until
         // after it returns so inner schedules cannot reuse the cell whose
         // captures are executing.
+        Node& n = nodes_[s];
         if (++n.generation == 0) n.generation = 1;
-        n.state = NodeState::kFree;
         on_event(TimePoint::at_ns(n.time_ns));
       }
       ++dispatched;
@@ -292,7 +171,6 @@ class EventQueue {
     while (arena_.size() < chunks) {
       arena_.push_back(std::make_unique<Callback[]>(kArenaChunkSize));
     }
-    scratch_.reserve(std::min<std::size_t>(n, kScratchReserveCap));
   }
 
   /// Slot-table footprint: high-water mark of concurrently pending events.
@@ -301,28 +179,21 @@ class EventQueue {
   /// number of events ever scheduled.
   [[nodiscard]] std::size_t allocated_slots() const { return nodes_.size(); }
 
-  [[nodiscard]] Stats stats() const {
-    return Stats{cascades_, far_pulls_, buckets_opened_, far_.size(), far_peak_};
-  }
-
   // -- checkpoint/restore -------------------------------------------------
   //
   // A Snapshot captures the queue's complete observable state: the node
-  // table (times, seqs, generations, links, tier membership), the wheel
-  // buckets and occupancy masks, the far heap, the due list, the freelist,
-  // the frontier cursor, (size, next_seq), the stats counters, and a clone
-  // of every live callback cell. restore() puts all of it back in place on
-  // the SAME queue object -- callbacks routinely capture `this` pointers
-  // into the surrounding object graph, so a snapshot is only meaningful for
-  // the queue (and system) that produced it. Restoring is repeatable: the
-  // snapshot is not consumed, so fork-and-mutate drivers can restore the
-  // same checkpoint arbitrarily often.
+  // table (times, generations, links), the list ends, the freelist, the
+  // size, and a clone of every live callback cell. restore() puts all of it
+  // back in place on the SAME queue object -- callbacks routinely capture
+  // `this` pointers into the surrounding object graph, so a snapshot is
+  // only meaningful for the queue (and system) that produced it. Restoring
+  // is repeatable: the snapshot is not consumed, so fork-and-mutate drivers
+  // can restore the same checkpoint arbitrarily often.
   //
   // Must not be called from inside a dispatched callback: mid-dispatch the
   // popped slot is in a transient state (generation already bumped, slot not
-  // yet on the freelist) that the invariants below do not cover. Between
-  // events every slot is either free or fully linked, which is what makes
-  // the round trip exact.
+  // yet on the freelist). Between events every slot is either free or
+  // linked into the list, which is what makes the round trip exact.
   class Snapshot;
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);
@@ -330,63 +201,19 @@ class EventQueue {
  private:
   static constexpr std::uint32_t kNpos = 0xffff'ffffU;
 
-  // Wheel geometry. Granule 2^13 ns = 8.192 us -- coarse enough that the
-  // hypervisor's microsecond-spaced events land at level 0 (no cascades on
-  // the steady-state path), fine enough that a due bucket stays small under
-  // dense storms; 6 levels of 64 buckets: level L buckets span 2^(6L)
-  // ticks, the whole wheel spans 2^36 ticks (2^49 ns, ~6.5 days).
-  static constexpr unsigned kGranuleShift = 13;
-  static constexpr unsigned kBucketBits = 6;
-  static constexpr int kLevels = 6;
-  static constexpr std::size_t kBucketsPerLevel = std::size_t{1} << kBucketBits;
-  static constexpr std::uint64_t kBucketMask = kBucketsPerLevel - 1;
-  static constexpr unsigned kTopShift = kBucketBits * (kLevels - 1);
-  static constexpr unsigned kWindowShift = kBucketBits * kLevels;
-  static constexpr std::int64_t kSpanTicks = std::int64_t{1} << kWindowShift;
-
-  /// Below this population (with empty wheels) scheduling bypasses the
-  /// wheel entirely; bounds the due-list insertion walk.
-  static constexpr std::size_t kSparseLimit = 32;
-
   static constexpr std::size_t kArenaChunkShift = 10;  // 1024 callbacks per chunk
   static constexpr std::size_t kArenaChunkSize = std::size_t{1} << kArenaChunkShift;
-  static constexpr std::size_t kScratchReserveCap = 4096;
-
-  enum class NodeState : std::uint8_t { kFree = 0, kWheel, kDue, kFar };
 
   // Trivially copyable (the node vector relocates by memcpy); the callback
   // lives in the stable arena, never here. `next` doubles as the freelist
   // link while the slot is free.
   struct Node {
     std::int64_t time_ns;
-    std::uint64_t seq;
     std::uint32_t generation;
     std::uint32_t prev;
     std::uint32_t next;
-    std::uint32_t far_pos;  // back-reference into far_ while state == kFar
-    std::uint16_t bucket;   // level * 64 + index while state == kWheel
-    NodeState state;
   };
   static_assert(std::is_trivially_copyable_v<Node>);
-
-  struct Bucket {
-    std::uint32_t head = kNpos;
-    std::uint32_t tail = kNpos;
-  };
-
-  struct FarEntry {
-    std::int64_t time_ns;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-
-  // Sort key snapshot for an opened bucket; sorting these flat 24-byte
-  // records beats an indirect sort through the node table.
-  struct DueKey {
-    std::int64_t time_ns;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
 
   [[nodiscard]] Callback& callback_of(std::uint32_t s) {
     return arena_[s >> kArenaChunkShift][s & (kArenaChunkSize - 1)];
@@ -406,7 +233,7 @@ class EventQueue {
     if ((s >> kArenaChunkShift) == arena_.size()) {
       arena_.push_back(std::make_unique<Callback[]>(kArenaChunkSize));
     }
-    nodes_.push_back(Node{0, 0, 1, kNpos, kNpos, kNpos, 0, NodeState::kFree});
+    nodes_.push_back(Node{0, 1, kNpos, kNpos});
     return static_cast<std::uint32_t>(s);
   }
 
@@ -417,102 +244,44 @@ class EventQueue {
     Node& n = nodes_[s];
     callback_of(s).reset();
     if (++n.generation == 0) n.generation = 1;  // keep ids nonzero on wrap
-    n.state = NodeState::kFree;
     n.next = free_head_;
     free_head_ = s;
   }
 
-  // -- insertion ----------------------------------------------------------
-
-  // Level from the highest bit where tick and frontier differ: d differing
-  // bits -> level ceil((d - 6) / 6) (i.e. (d-1)/6 clamped at 0). The chosen
-  // bucket position shares all bits above 6*(level+1) with the frontier
-  // cursor, so it lies in the cursor's 64-bucket window, and for level >= 1
-  // it differs from the cursor itself (invariant I3). Events in a cursor
-  // bucket share that bucket's span with the frontier (d <= 6*level), so a
-  // cascade re-insert always lands strictly below its level.
-  static constexpr std::array<std::uint8_t, 65> kLevelForXorBits = [] {
-    std::array<std::uint8_t, 65> t{};
-    for (int d = 0; d <= 64; ++d) {
-      t[static_cast<std::size_t>(d)] =
-          static_cast<std::uint8_t>(d <= 6 ? 0 : (d - 1) / 6);
-    }
-    return t;
-  }();
-
-  /// Files a live node under `tick` (>= frontier) into a wheel bucket, or
-  /// the far heap when the tick lies beyond the top level's window.
-  void insert_tick(std::uint32_t s, std::int64_t tick) {
-    assert(tick >= frontier_tick_);
-    const auto d = static_cast<std::size_t>(
-        std::bit_width(static_cast<std::uint64_t>(tick ^ frontier_tick_)));
-    const int level = kLevelForXorBits[d];
-    if (level >= kLevels) {
-      far_push(s);
-      return;
-    }
-    link_bucket(s, level, tick >> (kBucketBits * static_cast<unsigned>(level)));
-  }
-
-  void link_bucket(std::uint32_t s, int level, std::int64_t pos) {
-    const unsigned idx = static_cast<unsigned>(pos) & kBucketMask;
-    const std::size_t bid = static_cast<std::size_t>(level) * kBucketsPerLevel + idx;
-    Bucket& b = wheel_[bid];
-    Node& n = nodes_[s];
-    n.state = NodeState::kWheel;
-    n.bucket = static_cast<std::uint16_t>(bid);
-    n.prev = b.tail;
-    n.next = kNpos;
-    if (b.tail == kNpos) {
-      b.head = s;
-      occ_[static_cast<std::size_t>(level)] |= std::uint64_t{1} << idx;
-    } else {
-      nodes_[b.tail].next = s;
-    }
-    b.tail = s;
-  }
-
-  [[nodiscard]] bool wheels_and_far_empty() const {
-    return (occ_[0] | occ_[1] | occ_[2] | occ_[3] | occ_[4] | occ_[5]) == 0 &&
-           far_.empty();
-  }
-
-  /// Inserts a node into the sorted due list. FIFO among equal times falls
-  /// out of the walk conditions alone: the new event carries the largest
+  /// Links node `s` into the sorted list. The new event carries the largest
   /// sequence number, so it must land after every equal-time entry, which
-  /// both directions guarantee. The ends are checked first (append at the
-  /// tail is the dominant case); an interior insert walks from whichever
-  /// end is closer in time -- in the sparse regime the pending set mixes
+  /// the walk conditions in both directions guarantee. The ends are checked
+  /// first (append at the tail is the dominant case); an interior insert
+  /// walks from whichever end is closer in time -- the pending set mixes
   /// near deadlines with far timers, and a short-delay insert from the tail
   /// would traverse everything.
-  void due_insert(std::uint32_t s) {
+  void insert(std::uint32_t s) {
     Node& n = nodes_[s];
-    n.state = NodeState::kDue;
-    if (due_head_ == kNpos) {
+    if (head_ == kNpos) {
       n.prev = n.next = kNpos;
-      due_head_ = due_tail_ = s;
+      head_ = tail_ = s;
       return;
     }
     const std::int64_t t = n.time_ns;
-    const std::int64_t head_t = nodes_[due_head_].time_ns;
-    const std::int64_t tail_t = nodes_[due_tail_].time_ns;
+    const std::int64_t head_t = nodes_[head_].time_ns;
+    const std::int64_t tail_t = nodes_[tail_].time_ns;
     if (tail_t <= t) {  // append after the tail (covers equal times)
-      n.prev = due_tail_;
+      n.prev = tail_;
       n.next = kNpos;
-      nodes_[due_tail_].next = s;
-      due_tail_ = s;
+      nodes_[tail_].next = s;
+      tail_ = s;
       return;
     }
     if (t < head_t) {  // new minimum: push front
       n.prev = kNpos;
-      n.next = due_head_;
-      nodes_[due_head_].prev = s;
-      due_head_ = s;
+      n.next = head_;
+      nodes_[head_].prev = s;
+      head_ = s;
       return;
     }
     if (t - head_t <= tail_t - t) {
       // Forward from the head: first entry with time > t goes after us.
-      std::uint32_t before = nodes_[due_head_].next;
+      std::uint32_t before = nodes_[head_].next;
       while (nodes_[before].time_ns <= t) before = nodes_[before].next;
       n.next = before;
       n.prev = nodes_[before].prev;
@@ -520,7 +289,7 @@ class EventQueue {
       nodes_[before].prev = s;
     } else {
       // Backward from the tail: last entry with time <= t goes before us.
-      std::uint32_t after = nodes_[due_tail_].prev;
+      std::uint32_t after = nodes_[tail_].prev;
       while (nodes_[after].time_ns > t) after = nodes_[after].prev;
       n.prev = after;
       n.next = nodes_[after].next;
@@ -529,289 +298,30 @@ class EventQueue {
     }
   }
 
-  /// Lowers the frontier to `tick` and refiles every due event at or beyond
-  /// it into the wheels (legal because the wheels and far heap are empty:
-  /// the frontier is unconstrained by I1). Events still below `tick` stay
-  /// due; iterating the sorted list keeps their relative order and re-adds
-  /// them by O(1) tail appends.
-  void demote_due_to_wheel(std::int64_t tick) {
-    assert(wheels_and_far_empty());
-    frontier_tick_ = tick;
-    std::uint32_t s = due_head_;
-    due_head_ = due_tail_ = kNpos;
-    while (s != kNpos) {
-      const std::uint32_t next = nodes_[s].next;
-      const std::int64_t t = nodes_[s].time_ns >> kGranuleShift;
-      if (t < frontier_tick_) {
-        due_insert(s);
-      } else {
-        insert_tick(s, t);
-      }
-      s = next;
-    }
-  }
-
-  void unlink_live(std::uint32_t s) {
-    Node& n = nodes_[s];
-    switch (n.state) {
-      case NodeState::kWheel: {
-        Bucket& b = wheel_[n.bucket];
-        if (n.prev != kNpos) nodes_[n.prev].next = n.next; else b.head = n.next;
-        if (n.next != kNpos) nodes_[n.next].prev = n.prev; else b.tail = n.prev;
-        if (b.head == kNpos) {
-          occ_[n.bucket >> kBucketBits] &= ~(std::uint64_t{1} << (n.bucket & kBucketMask));
-        }
-        break;
-      }
-      case NodeState::kDue: {
-        if (n.prev != kNpos) nodes_[n.prev].next = n.next; else due_head_ = n.next;
-        if (n.next != kNpos) nodes_[n.next].prev = n.prev; else due_tail_ = n.prev;
-        break;
-      }
-      case NodeState::kFar:
-        far_remove(n.far_pos);
-        break;
-      case NodeState::kFree:
-        assert(false && "unlink_live() on a free slot");
-        break;
-    }
-  }
-
-  // -- frontier advance ---------------------------------------------------
-
-  /// Refills the due list from the earliest occupied bucket. Called only
-  /// when the due list is empty and size_ > 0.
-  void advance() {
-    assert(due_head_ == kNpos && size_ > 0);
-    for (;;) {
-      if ((occ_[0] | occ_[1] | occ_[2] | occ_[3] | occ_[4] | occ_[5]) == 0) {
-        // All wheels empty: every live event is in the far heap. Rebase the
-        // frontier directly onto its minimum instead of stepping the top
-        // cursor through the gap (I1 holds: nothing lives in between).
-        assert(!far_.empty());
-        frontier_tick_ = far_[0].time_ns >> kGranuleShift;
-        refill_far();
-        continue;  // the far minimum itself landed at level 0
-      }
-      // Earliest occupied level-0 tick in [frontier, frontier + 64).
-      std::int64_t candidate = std::numeric_limits<std::int64_t>::max();
-      if (occ_[0] != 0) {
-        const int r = static_cast<int>(static_cast<std::uint64_t>(frontier_tick_) & kBucketMask);
-        candidate = frontier_tick_ + std::countr_zero(std::rotr(occ_[0], r));
-      }
-      // Earliest tick still hidden inside a higher-level bucket or behind
-      // the next far-heap refill boundary.
-      std::int64_t hidden = std::numeric_limits<std::int64_t>::max();
-      for (int level = 1; level < kLevels; ++level) {
-        if (occ_[static_cast<std::size_t>(level)] == 0) continue;
-        const unsigned shift = kBucketBits * static_cast<unsigned>(level);
-        const std::int64_t c = frontier_tick_ >> shift;
-        const int r = static_cast<int>(static_cast<std::uint64_t>(c) & kBucketMask);
-        const std::int64_t p =
-            c + std::countr_zero(std::rotr(occ_[static_cast<std::size_t>(level)], r));
-        hidden = std::min(hidden, p << shift);
-      }
-      if (!far_.empty()) {
-        hidden = std::min(hidden, ((frontier_tick_ >> kTopShift) + 1) << kTopShift);
-      }
-      if (candidate < hidden) {
-        open_bucket(candidate);
-        return;
-      }
-      shift_to(hidden);
-    }
-  }
-
-  /// Turns the level-0 bucket at `tick` into the due list (sorted by the
-  /// full (time, seq) key) and moves the frontier past it.
-  void open_bucket(std::int64_t tick) {
-    const unsigned idx = static_cast<unsigned>(tick) & kBucketMask;
-    Bucket& b = wheel_[idx];
-    if (b.head == b.tail) {  // single event: already sorted, skip scratch
-      const std::uint32_t s = b.head;
-      b.head = b.tail = kNpos;
-      occ_[0] &= ~(std::uint64_t{1} << idx);
-      Node& n = nodes_[s];
-      n.state = NodeState::kDue;
-      n.prev = n.next = kNpos;
-      due_head_ = due_tail_ = s;
-      frontier_past_bucket(tick);
-      ++buckets_opened_;
-      return;
-    }
-    scratch_.clear();
-    for (std::uint32_t s = b.head; s != kNpos; s = nodes_[s].next) {
-      scratch_.push_back(DueKey{nodes_[s].time_ns, nodes_[s].seq, s});
-    }
-    b.head = b.tail = kNpos;
-    occ_[0] &= ~(std::uint64_t{1} << idx);
-    if (scratch_.size() > 1) {
-      std::sort(scratch_.begin(), scratch_.end(), [](const DueKey& x, const DueKey& y) {
-        if (x.time_ns != y.time_ns) return x.time_ns < y.time_ns;
-        return x.seq < y.seq;
-      });
-    }
-    std::uint32_t prev = kNpos;
-    for (const DueKey& k : scratch_) {
-      Node& n = nodes_[k.slot];
-      n.state = NodeState::kDue;
-      n.prev = prev;
-      n.next = kNpos;
-      if (prev == kNpos) due_head_ = k.slot; else nodes_[prev].next = k.slot;
-      prev = k.slot;
-    }
-    due_tail_ = prev;
-    frontier_past_bucket(tick);
-    ++buckets_opened_;
-  }
-
-  /// Moves the frontier just past an opened bucket. Opening the last bucket
-  /// of an aligned top-level window lands the frontier in the next window,
-  /// which changes the XOR-prefix range the far heap is defined by (I4):
-  /// refill right here, or far events newly inside the wheel horizon would
-  /// hide behind a far boundary that advance() computes as still a whole
-  /// window away, and later wheel events would pop first.
-  void frontier_past_bucket(std::int64_t tick) {
-    const std::int64_t old_window = frontier_tick_ >> kWindowShift;
-    frontier_tick_ = tick + 1;
-    if (!far_.empty() && (frontier_tick_ >> kWindowShift) != old_window) refill_far();
-  }
-
-  /// Moves the frontier to `tick` (the start of the earliest hidden bucket)
-  /// and restores I3/I4: refill the far heap if the top-level cursor moved,
-  /// then cascade each level's cursor bucket top-down. Cascade re-insertion
-  /// lands strictly below its level (the cursor shares the bucket's span,
-  /// so the delta fits one level down), hence terminates.
-  void shift_to(std::int64_t tick) {
-    const std::int64_t old_top = frontier_tick_ >> kTopShift;
-    frontier_tick_ = tick;
-    if (!far_.empty() && (tick >> kTopShift) != old_top) refill_far();
-    for (int level = kLevels - 1; level >= 1; --level) {
-      const std::int64_t c = frontier_tick_ >> (kBucketBits * static_cast<unsigned>(level));
-      cascade_bucket(level, static_cast<unsigned>(c) & kBucketMask);
-    }
-  }
-
-  void cascade_bucket(int level, unsigned idx) {
-    const std::size_t bid = static_cast<std::size_t>(level) * kBucketsPerLevel + idx;
-    Bucket& b = wheel_[bid];
-    std::uint32_t s = b.head;
-    if (s == kNpos) return;
-    b.head = b.tail = kNpos;
-    occ_[static_cast<std::size_t>(level)] &= ~(std::uint64_t{1} << idx);
-    while (s != kNpos) {
-      const std::uint32_t next = nodes_[s].next;
-      insert_tick(s, nodes_[s].time_ns >> kGranuleShift);
-      s = next;
-    }
-    ++cascades_;
-  }
-
-  /// Pulls every far-heap event whose tick now falls inside the wheel
-  /// horizon (I4). The test must be the same XOR-prefix window insert_tick
-  /// levels by -- an arithmetic "within 64 top-level buckets" check would
-  /// pull events across an aligned window boundary that insert_tick files
-  /// right back into the far heap, and the pull/push cycle never ends. The
-  /// break is sound because the heap is time-ordered and the window is an
-  /// aligned prefix range: once the minimum lies beyond it, everything does.
-  void refill_far() {
-    while (!far_.empty()) {
-      const std::int64_t tick = far_[0].time_ns >> kGranuleShift;
-      const auto d = static_cast<std::size_t>(
-          std::bit_width(static_cast<std::uint64_t>(tick ^ frontier_tick_)));
-      if (kLevelForXorBits[d] >= kLevels) break;
-      const std::uint32_t s = far_[0].slot;
-      far_remove(0);
-      insert_tick(s, tick);
-      ++far_pulls_;
-    }
-  }
-
-  // -- far-future heap (indexed binary min-heap, like the old full queue) --
-
-  static bool far_before(const FarEntry& a, const FarEntry& b) {
-    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-    return a.seq < b.seq;
-  }
-
-  void far_place(std::size_t pos, const FarEntry& e) {
-    far_[pos] = e;
-    nodes_[e.slot].far_pos = static_cast<std::uint32_t>(pos);
-  }
-
-  void far_sift_up(std::size_t pos) {
-    const FarEntry moving = far_[pos];
-    while (pos > 0) {
-      const std::size_t parent = (pos - 1) / 2;
-      if (!far_before(moving, far_[parent])) break;
-      far_place(pos, far_[parent]);
-      pos = parent;
-    }
-    far_place(pos, moving);
-  }
-
-  void far_sift_down(std::size_t pos) {
-    const FarEntry moving = far_[pos];
-    const std::size_t n = far_.size();
-    while (true) {
-      std::size_t child = 2 * pos + 1;
-      if (child >= n) break;
-      if (child + 1 < n && far_before(far_[child + 1], far_[child])) ++child;
-      if (!far_before(far_[child], moving)) break;
-      far_place(pos, far_[child]);
-      pos = child;
-    }
-    far_place(pos, moving);
-  }
-
-  void far_push(std::uint32_t s) {
-    Node& n = nodes_[s];
-    n.state = NodeState::kFar;
-    far_.push_back(FarEntry{n.time_ns, n.seq, s});
-    far_sift_up(far_.size() - 1);
-    if (far_.size() > far_peak_) far_peak_ = far_.size();
-  }
-
-  void far_remove(std::size_t pos) {
-    const std::size_t last = far_.size() - 1;
-    if (pos == last) {
-      far_.pop_back();
-      return;
-    }
-    const FarEntry displaced = far_[last];
-    far_.pop_back();
-    far_place(pos, displaced);
-    if (pos > 0 && far_before(displaced, far_[(pos - 1) / 2])) {
-      far_sift_up(pos);
+  /// Unlinks the earliest event and returns its slot (still holding its
+  /// callback; the caller releases it).
+  std::uint32_t unlink_head() {
+    const std::uint32_t s = head_;
+    head_ = nodes_[s].next;
+    if (head_ != kNpos) {
+      nodes_[head_].prev = kNpos;
     } else {
-      far_sift_down(pos);
+      tail_ = kNpos;
     }
+    --size_;
+    return s;
   }
-
-  // -- state --------------------------------------------------------------
 
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<Callback[]>> arena_;  // stable chunked callback cells
-  std::array<Bucket, static_cast<std::size_t>(kLevels) * kBucketsPerLevel> wheel_{};
-  std::array<std::uint64_t, kLevels> occ_{};  // bit i of occ_[L]: bucket (pos & 63) nonempty
-  std::vector<FarEntry> far_;
-  std::vector<DueKey> scratch_;  // reused sort buffer for open_bucket
-
-  std::int64_t frontier_tick_ = 0;
-  std::uint32_t due_head_ = kNpos;
-  std::uint32_t due_tail_ = kNpos;
+  std::uint32_t head_ = kNpos;
+  std::uint32_t tail_ = kNpos;
   std::uint32_t free_head_ = kNpos;
   std::size_t size_ = 0;
-  std::uint64_t next_seq_ = 0;
-
-  std::uint64_t cascades_ = 0;
-  std::uint64_t far_pulls_ = 0;
-  std::uint64_t buckets_opened_ = 0;
-  std::size_t far_peak_ = 0;
 
  public:
-  // Defined down here so the private Node/Bucket/FarEntry types are
-  // complete; the name was declared in the public API block above.
+  // Defined down here so the private Node type is complete; the name was
+  // declared in the public API block above.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -827,20 +337,11 @@ class EventQueue {
     friend class EventQueue;
 
     std::vector<Node> nodes;
-    std::array<Bucket, static_cast<std::size_t>(kLevels) * kBucketsPerLevel> wheel{};
-    std::array<std::uint64_t, kLevels> occ{};
-    std::vector<FarEntry> far;
-    std::int64_t frontier_tick = 0;
-    std::uint32_t due_head = kNpos;
-    std::uint32_t due_tail = kNpos;
+    std::uint32_t head = kNpos;
+    std::uint32_t tail = kNpos;
     std::uint32_t free_head = kNpos;
     std::size_t size = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t cascades = 0;
-    std::uint64_t far_pulls = 0;
-    std::uint64_t buckets_opened = 0;
-    std::size_t far_peak = 0;
-    // (slot, callback clone) for every non-free slot, ascending slot order.
+    // (slot, callback clone) for every pending event, in list order.
     std::vector<std::pair<std::uint32_t, Callback>> callbacks;
   };
 };
@@ -848,49 +349,26 @@ class EventQueue {
 inline EventQueue::Snapshot EventQueue::snapshot() const {
   Snapshot s;
   s.nodes = nodes_;
-  s.wheel = wheel_;
-  s.occ = occ_;
-  s.far = far_;
-  s.frontier_tick = frontier_tick_;
-  s.due_head = due_head_;
-  s.due_tail = due_tail_;
+  s.head = head_;
+  s.tail = tail_;
   s.free_head = free_head_;
   s.size = size_;
-  s.next_seq = next_seq_;
-  s.cascades = cascades_;
-  s.far_pulls = far_pulls_;
-  s.buckets_opened = buckets_opened_;
-  s.far_peak = far_peak_;
   s.callbacks.reserve(size_);
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state != NodeState::kFree) {
-      s.callbacks.emplace_back(i, callback_of(i).clone());
-    }
+  for (std::uint32_t i = head_; i != kNpos; i = nodes_[i].next) {
+    s.callbacks.emplace_back(i, callback_of(i).clone());
   }
   return s;
 }
 
 inline void EventQueue::restore(const Snapshot& snap) {
-  // Drop the callbacks of the slots live right now; freelisted slots hold
-  // empty cells already (release_slot resets eagerly).
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].state != NodeState::kFree) callback_of(i).reset();
-  }
+  // Drop the callbacks of the events pending right now; freelisted slots
+  // hold empty cells already (release_slot resets eagerly).
+  for (std::uint32_t i = head_; i != kNpos; i = nodes_[i].next) callback_of(i).reset();
   nodes_ = snap.nodes;
-  wheel_ = snap.wheel;
-  occ_ = snap.occ;
-  far_ = snap.far;
-  scratch_.clear();  // transient sort buffer, meaningful only mid-open_bucket
-  frontier_tick_ = snap.frontier_tick;
-  due_head_ = snap.due_head;
-  due_tail_ = snap.due_tail;
+  head_ = snap.head;
+  tail_ = snap.tail;
   free_head_ = snap.free_head;
   size_ = snap.size;
-  next_seq_ = snap.next_seq;
-  cascades_ = snap.cascades;
-  far_pulls_ = snap.far_pulls;
-  buckets_opened_ = snap.buckets_opened;
-  far_peak_ = snap.far_peak;
   // The slot table never shrinks, so the arena normally already covers the
   // snapshot; the growth loop guards the general case.
   const std::size_t chunks = (nodes_.size() + kArenaChunkSize - 1) >> kArenaChunkShift;

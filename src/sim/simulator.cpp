@@ -6,8 +6,7 @@
 namespace rthv::sim {
 
 std::uint64_t Simulator::run_until(TimePoint horizon) {
-  // Batched dispatch: the queue drains whole due buckets in place, so the
-  // loop below touches the comparator only when a bucket is opened -- the
+  // Batched dispatch: the queue runs due callbacks in place, so the
   // per-event cost is an O(1) list pop plus the callback itself. The outer
   // loop exists solely to re-check the event limit between batches.
   std::uint64_t n = 0;

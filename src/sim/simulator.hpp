@@ -17,12 +17,6 @@ namespace rthv::sim {
 
 class Simulator {
  public:
-  Simulator() = default;
-
-  /// Pre-sizes the event queue from an experiment plan (expected pending
-  /// events, simulation horizon) so sweeps never grow tables mid-run.
-  explicit Simulator(const EventQueue::Config& cfg) : queue_(cfg) {}
-
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
@@ -67,17 +61,12 @@ class Simulator {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
   /// Time of the earliest pending event; must not be called when idle().
-  /// Non-const for the same reason as EventQueue::next_time(): peeking may
-  /// advance the wheel frontier (a pure representation change -- the event
-  /// set and pop order are unaffected). The multi-core merge loop uses this
-  /// to pick the core with the globally minimal next event.
-  [[nodiscard]] TimePoint next_event_time() { return queue_.next_time(); }
+  /// The multi-core merge loop uses this to pick the core with the globally
+  /// minimal next event.
+  [[nodiscard]] TimePoint next_event_time() const { return queue_.next_time(); }
 
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
-
-  /// Timer-wheel internals (cascades, far-heap population) for metrics.
-  [[nodiscard]] EventQueue::Stats queue_stats() const { return queue_.stats(); }
 
   // -- checkpoint/restore -------------------------------------------------
   //

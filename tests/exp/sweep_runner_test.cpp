@@ -17,6 +17,7 @@
 
 #include "core/hypervisor_system.hpp"
 #include "exp/seed.hpp"
+#include "obs/exporters.hpp"
 #include "workload/generators.hpp"
 
 namespace rthv::exp {
@@ -93,7 +94,7 @@ std::vector<std::string> run_system_sweep(std::size_t jobs) {
     cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
     cfg.sources[0].d_min = sim::Duration::us(1444);
     core::HypervisorSystem system(cfg);
-    system.hypervisor().trace_log().set_enabled(true);
+    system.hypervisor().trace_ring().set_enabled(true);
     workload::ExponentialTraceGenerator gen(
         sim::Duration::us(400 + 150 * static_cast<std::int64_t>(i)),
         derive_seed(42, i), sim::Duration::us(100));
@@ -101,7 +102,7 @@ std::vector<std::string> run_system_sweep(std::size_t jobs) {
     system.run(sim::Duration::s(10));
     std::ostringstream os;
     system.recorder().write_summary(os);
-    os << '\n' << system.hypervisor().trace_log().render();
+    os << '\n' << obs::render_text(system.hypervisor().trace_ring().snapshot());
     return os.str();
   });
 }

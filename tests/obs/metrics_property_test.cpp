@@ -96,6 +96,23 @@ TEST(TraceRingTest, ClearKeepsEnabledAndCapacity) {
   EXPECT_EQ(ring.category_count(TraceCategory::kOther), 0u);
 }
 
+TEST(TraceRingTest, CountsEachCategorySeparately) {
+  TraceRing ring(8);
+  ring.set_enabled(true);
+  ring.emit(0, TracePoint::kMonitorAdmit, TraceCategory::kMonitor);
+  ring.emit(0, TracePoint::kMonitorDeny, TraceCategory::kMonitor);
+  ring.emit(0, TracePoint::kLegacy, TraceCategory::kGuest);
+  EXPECT_EQ(ring.category_count(TraceCategory::kMonitor), 2u);
+  EXPECT_EQ(ring.category_count(TraceCategory::kGuest), 1u);
+  EXPECT_EQ(ring.category_count(TraceCategory::kIrq), 0u);
+}
+
+TEST(TraceRingTest, CategoryNamesAreDistinct) {
+  EXPECT_EQ(to_string(TraceCategory::kIrq), "irq");
+  EXPECT_EQ(to_string(TraceCategory::kInterpose), "interpose");
+  EXPECT_NE(to_string(TraceCategory::kTopHandler), to_string(TraceCategory::kBottom));
+}
+
 // --- metrics ----------------------------------------------------------------
 
 TEST(MetricsRegistryTest, HandlesAreStableAndO1) {

@@ -65,8 +65,9 @@ echo "== ASan + UBSan: rthv_hunt smoke =="
 echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 
-# Short benchmark runs under ASan/UBSan: the timer wheel's arena and bucket
-# links get exercised at benchmark-sized populations no unit test reaches.
+# Short benchmark runs under ASan/UBSan: the event queue's callback arena
+# and list links get exercised at benchmark-sized populations no unit test
+# reaches.
 echo "== ASan + UBSan: perf smoke (ctest -L perf-smoke) =="
 ctest --test-dir build-asan --output-on-failure -L perf-smoke -j "$jobs"
 

@@ -126,7 +126,7 @@ TEST(EventQueueTest, CancelledSlotIdsAreNotResurrectedByReuse) {
 }
 
 // Equal-time events must pop in schedule order even when cancellations
-// rearrange the heap in between (bit-reproducibility depends on this).
+// unlink entries in between (bit-reproducibility depends on this).
 TEST(EventQueueTest, EqualTimeFifoSurvivesInterleavedCancels) {
   EventQueue q;
   std::vector<int> order;
@@ -147,16 +147,14 @@ TEST(EventQueueTest, EqualTimeFifoSurvivesInterleavedCancels) {
   EXPECT_EQ(order.size(), 200u - cancelled.size());
 }
 
-// Wheel-era regression: a million events cycled through every storage tier
-// (due list, all wheel levels, far heap) with interleaved pops and cancels
-// must keep the slot table bounded by the live peak -- reclamation has to
-// work identically whether a slot dies in a bucket, the due list, or the
-// far heap.
+// A million events over four delta classes (microseconds to a week out)
+// with interleaved pops and cancels must keep the slot table bounded by the
+// live peak -- reclamation has to work identically whether a slot dies at
+// the head, the tail or in the interior of the list.
 TEST(EventQueueTest, MillionEventReclamationAcrossHorizons) {
   constexpr std::size_t kRounds = 500;
   constexpr std::size_t kBatch = 2000;
-  // Deltas per index class: sub-granule, level-0/1, mid-level, far-future
-  // (the wheels span ~2^49 ns; 6e14 ns lies beyond them).
+  // Deltas per index class: 1 us, 10 ms, ~17 min, ~7 days.
   constexpr std::int64_t kDeltas[4] = {1'000, 10'000'000, 1'000'000'000'000,
                                        600'000'000'000'000};
   EventQueue q;
@@ -170,8 +168,7 @@ TEST(EventQueueTest, MillionEventReclamationAcrossHorizons) {
     }
     ASSERT_EQ(q.size(), kBatch);
     // Cancel one class in place (a quarter of the batch dies unreaped) and
-    // pop the rest in order, so every surviving storage tier -- due list,
-    // cascading mid levels, far heap -- is drained through advance().
+    // pop the rest in order.
     for (std::size_t i = 1; i < ids.size(); i += 4) ASSERT_TRUE(q.cancel(ids[i]));
     TimePoint last = TimePoint::at_ns(now);
     for (std::size_t i = 0; i < kBatch - kBatch / 4; ++i) {
@@ -184,37 +181,27 @@ TEST(EventQueueTest, MillionEventReclamationAcrossHorizons) {
     ids.clear();
   }
   EXPECT_LE(q.allocated_slots(), kBatch);
-  const auto stats = q.stats();
-  EXPECT_GT(stats.cascades, 0u);       // mid-level events cascaded down
-  EXPECT_GT(stats.far_pulls, 0u);      // far events were refilled into wheels
-  EXPECT_GT(stats.buckets_opened, 0u);
-  EXPECT_EQ(stats.far_heap_size, 0u);  // fully drained
-  EXPECT_GT(stats.far_heap_peak, 0u);
 }
 
-// Cancelling inside the far heap must reclaim eagerly and keep the heap's
-// back-references intact; the stats gauges expose the population.
+// Cancelling far-future events behind a block of near ones must reclaim
+// eagerly and keep the list links intact.
 TEST(EventQueueTest, FarHeapCancelReclaimsEagerly) {
   EventQueue q;
-  // Occupy the wheel first so the far events take the insert_tick path
-  // (a sub-threshold pending set would park them in the sparse due list).
   std::vector<EventId> near;
   for (int i = 0; i < 40; ++i) {
     near.push_back(q.schedule(TimePoint::at_us(10 + i), [] {}));
   }
   std::vector<EventId> far;
   for (int i = 0; i < 100; ++i) {
-    // Each beyond the wheels' span, spaced wider than the top-level window
-    // so every refill pulls exactly one event.
+    // Weeks out, each spaced ~11 days apart.
     far.push_back(q.schedule(
         TimePoint::at_ns(600'000'000'000'000 +
                          static_cast<std::int64_t>(i) * 1'000'000'000'000'000),
         [] {}));
   }
-  EXPECT_EQ(q.stats().far_heap_size, 100u);
-  EXPECT_GE(q.stats().far_heap_peak, 100u);
+  EXPECT_EQ(q.size(), 140u);
   for (std::size_t i = 0; i < far.size(); i += 2) ASSERT_TRUE(q.cancel(far[i]));
-  EXPECT_EQ(q.stats().far_heap_size, 50u);
+  EXPECT_EQ(q.size(), 90u);
   // Drain everything; order must stay nondecreasing across the near/far gap.
   TimePoint last = TimePoint::origin();
   std::size_t drained = 0;
@@ -225,17 +212,14 @@ TEST(EventQueueTest, FarHeapCancelReclaimsEagerly) {
     ++drained;
   }
   EXPECT_EQ(drained, 40u + 50u);
-  EXPECT_EQ(q.stats().far_heap_size, 0u);
-  EXPECT_EQ(q.stats().far_pulls, 50u);  // spacing exceeds the top-level window
 }
 
-// Pre-sizing via Config must make the arena big enough that a burst up to
-// the hint never grows the slot table afterwards.
-TEST(EventQueueTest, ConfigPreSizesSlotArena) {
-  EventQueue::Config cfg;
-  cfg.expected_events = 4096;
-  cfg.horizon = Duration::s(7 * 24 * 3600);  // a week: beyond the wheel span
-  EventQueue q(cfg);
+// reserve() pre-sizes capacity only: the slot table's high-water mark still
+// tracks the live peak, and a burst up to the reservation fits in it.
+TEST(EventQueueTest, ReservePreSizesSlotArena) {
+  EventQueue q;
+  q.reserve(4096);
+  EXPECT_EQ(q.allocated_slots(), 0u);
   std::vector<EventId> ids;
   for (int i = 0; i < 4096; ++i) {
     ids.push_back(q.schedule(TimePoint::at_us(i), [] {}));
@@ -245,19 +229,19 @@ TEST(EventQueueTest, ConfigPreSizesSlotArena) {
   EXPECT_LE(q.allocated_slots(), 4096u);
 }
 
-// Flood guard: one distant timer parks the frontier far ahead (sparse
-// regime), then a dense burst of earlier events arrives. The burst must be
-// absorbed by the wheels (demotion), not degrade into quadratic due-list
-// walks -- and order must still come out exactly (time, seq).
+// One distant timer and a block of mid-range events, then a dense burst of
+// earlier events in scrambled order: every burst insert lands in the
+// interior of a long list, and order must still come out exactly
+// (time, seq).
 TEST(EventQueueTest, BurstBelowSparseFrontierStaysOrdered) {
   EventQueue q;
   const TimePoint distant = TimePoint::at_ns(3'600'000'000'000);  // one hour
-  q.schedule(distant, [] {});  // distant timer raises the frontier
+  q.schedule(distant, [] {});
   std::vector<EventId> more;
-  for (int i = 0; i < 40; ++i) {  // cross kSparseLimit while wheels are empty
+  for (int i = 0; i < 40; ++i) {
     more.push_back(q.schedule(TimePoint::at_us(500'000 + i), [] {}));
   }
-  // Dense burst far below the due minimum.
+  // Dense burst far below the mid-range block.
   for (int i = 0; i < 5000; ++i) {
     q.schedule(TimePoint::at_us(100 + (i * 37) % 4096), [] {});
   }
@@ -274,29 +258,20 @@ TEST(EventQueueTest, BurstBelowSparseFrontierStaysOrdered) {
   EXPECT_EQ(last, distant);
 }
 
-// Regression: opening a level-0 bucket at the last tick of an aligned
-// top-level (2^36-tick) window moves the frontier into the next window,
-// which changes the XOR-prefix range the far heap is defined by (I4). The
-// far heap must be refilled right there: without it, an event just past
-// the boundary stays in the heap while advance()'s far boundary lies a
-// whole window beyond it, so later wheel events pop first.
+// Pop order across the 2^49 ns mark (a former timer-wheel window boundary
+// where far-future events once had to be refilled): B, scheduled before the
+// crossing, must still beat C, scheduled after it at a later time.
 TEST(EventQueueTest, FarRefillWhenOpenedBucketCrossesTopWindow) {
-  constexpr std::int64_t kGranuleNs = 8192;  // 2^13 ns per tick
+  constexpr std::int64_t kGranuleNs = 8192;
   constexpr std::int64_t kWindowTicks = std::int64_t{1} << 36;
   EventQueue q;
-  // Populate past the sparse threshold so the boundary events take the
-  // wheel/far path instead of the due list.
   for (int i = 0; i < 40; ++i) q.schedule(TimePoint::at_us(10 + i), [] {});
-  // A sits on the last tick of the first top-level window; opening its
-  // bucket lands the frontier exactly on the window boundary. B lies just
-  // past the boundary: far heap at schedule time, inside the wheel horizon
-  // once the frontier crosses.
+  // A sits just below the mark, B just past it.
   const TimePoint a = TimePoint::at_ns((kWindowTicks - 1) * kGranuleNs);
   const TimePoint b = TimePoint::at_ns((kWindowTicks + 1) * kGranuleNs);
   q.schedule(a, [] {});
   q.schedule(b, [] {});
-  ASSERT_EQ(q.stats().far_heap_size, 1u);
-  // Drain the near events and A; opening A's bucket crosses the window.
+  // Drain the near events and A.
   TimePoint last = TimePoint::origin();
   for (int i = 0; i < 41; ++i) {
     auto p = q.pop();
@@ -304,10 +279,10 @@ TEST(EventQueueTest, FarRefillWhenOpenedBucketCrossesTopWindow) {
     last = p.time;
   }
   ASSERT_EQ(last, a);
-  // C arrives after the crossing, later than B, and lands in the wheels.
+  // C arrives after the crossing, later than B.
   const TimePoint c = TimePoint::at_ns((kWindowTicks + 100) * kGranuleNs);
   q.schedule(c, [] {});
-  EXPECT_EQ(q.pop().time, b);  // the far event beats the later wheel event
+  EXPECT_EQ(q.pop().time, b);
   EXPECT_EQ(q.pop().time, c);
   EXPECT_TRUE(q.empty());
 }

@@ -1,12 +1,12 @@
-// Reference model for the timer-wheel differential test.
+// Reference model for the event-queue differential test.
 //
 // This is the project's original pending-event set -- a single contiguous
 // indexed binary min-heap ordered by (time, sequence number) -- preserved
-// verbatim (namespace aside) when src/sim/event_queue.hpp was rewritten as
-// a hierarchical timer wheel. The heap's pop order is the specification:
-// strictly (time, seq), FIFO among equal times. The differential test
-// drives both implementations with identical random operation streams and
-// asserts identical observable behavior at every step.
+// verbatim (namespace aside) when src/sim/event_queue.hpp was rewritten.
+// The heap's pop order is the specification: strictly (time, seq), FIFO
+// among equal times. The differential test drives both implementations
+// with identical random operation streams and asserts identical observable
+// behavior at every step.
 //
 // Test-only code: not built into any library, never included from src/.
 #pragma once

@@ -4,10 +4,9 @@
 // EventQueue::Snapshot): a snapshot taken at any instant, restored onto the
 // SAME simulator object, replays the remaining schedule bit-identically --
 // same firing times, same FIFO order among equal times, same IDs honoured
-// by cancel(). The randomized differential drives events through every
-// queue tier (sparse due list, all wheel levels, the far-future heap) and
-// across the top-level 2^36-tick window boundary where far-heap refills
-// kick in.
+// by cancel(). The randomized differential mixes near (microseconds), mid
+// (milliseconds to minutes) and far-future (beyond 2^49 ns) events, and a
+// second test straddles the 2^49 ns mark.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -31,11 +30,10 @@ struct Fired {
   bool operator==(const Fired&) const = default;
 };
 
-// The wheels cover 2^36 ticks of 2^13 ns = 2^49 ns past the frontier;
-// anything scheduled beyond that from t=0 lands in the far heap.
-constexpr std::int64_t kWheelSpanNs = std::int64_t{1} << 49;
+// ~6.5 days: the far-future event class starts here.
+constexpr std::int64_t kFarFutureNs = std::int64_t{1} << 49;
 
-/// Schedules a randomized event population across all queue tiers and
+/// Schedules a randomized event population over all time classes and
 /// returns the ids. Every callback appends (now, marker) to `log`; every
 /// fourth one also chains a follow-up event (exercises scheduling from
 /// inside a restored callback clone).
@@ -47,17 +45,17 @@ std::vector<EventId> populate(Simulator& s, std::vector<Fired>& log,
     const std::uint64_t marker = rng.next();
     TimePoint t;
     switch (i % 4) {
-      case 0:  // near: level-0 buckets / sparse due list
+      case 0:  // near
         t = TimePoint::at_us(
             static_cast<std::int64_t>(rng.uniform_int(1, 2'000)));
         break;
-      case 1:  // mid: upper wheel levels (milliseconds to minutes)
+      case 1:  // mid: milliseconds to minutes
         t = TimePoint::at_us(
             static_cast<std::int64_t>(rng.uniform_int(2'000, 60'000'000)));
         break;
-      case 2:  // far: beyond the wheels' 2^49 ns span
+      case 2:  // far: beyond 2^49 ns
         t = TimePoint::at_ns(
-            kWheelSpanNs +
+            kFarFutureNs +
             static_cast<std::int64_t>(rng.uniform_int(0, std::uint64_t{1} << 48)));
         break;
       default: {  // near, and chains a follow-up when it fires
@@ -127,12 +125,11 @@ TEST(SimulatorSnapshotTest, RandomizedDifferentialAcrossAllTiers) {
 }
 
 TEST(SimulatorSnapshotTest, RoundTripAcrossTopLevelWindowBoundary) {
-  // Events straddling the frontier's aligned 2^36-tick window: the ones
-  // beyond it sit in the far heap at snapshot time and must be refilled
-  // into the wheels identically on every replay.
+  // Events straddling the 2^49 ns mark must replay identically from a
+  // snapshot taken well before it.
   Simulator s;
   std::vector<Fired> log;
-  const std::int64_t boundary = kWheelSpanNs;
+  const std::int64_t boundary = kFarFutureNs;
   const std::array<std::int64_t, 6> times = {
       boundary - 10'000'000, boundary - 8'192,     boundary,
       boundary + 8'192,      boundary + 10'000'000, 2 * boundary + 12'345,
@@ -145,7 +142,7 @@ TEST(SimulatorSnapshotTest, RoundTripAcrossTopLevelWindowBoundary) {
     });
   }
 
-  // Snapshot while the frontier is still far below the boundary.
+  // Snapshot while the clock is still far below the boundary.
   s.run_until(TimePoint::at_us(100));
   const auto snap = s.snapshot();
 

@@ -266,8 +266,6 @@ int main(int argc, char** argv) {
       throw std::runtime_error("unknown mode \"" + spec.mode + "\"");
     }
     const auto horizon = Duration::ms(spec.horizon_ms);
-    config.sim_horizon_hint = horizon;
-    config.expected_pending_events = 128;
 
     // Run i's inputs are a pure function of i; merged results are
     // bit-identical for any jobs/chunk value and for --classic.
