@@ -112,7 +112,9 @@ class BatchRunner {
     std::atomic<std::uint64_t> stolen_chunks{0};
 
     auto worker_body = [&](std::size_t me) {
-      SystemPool::Lease lease = pool.acquire();
+      // Acquired on the first chunk: a worker that finds the campaign
+      // already drained constructs no system.
+      SystemPool::Lease lease;
       for (;;) {
         std::optional<RunRange> range;
         bool stolen = false;
@@ -135,6 +137,7 @@ class BatchRunner {
           }
         }
         if (!range) break;  // every deque empty: the campaign is drained
+        if (!lease.valid()) lease = pool.acquire();
         executed_chunks.fetch_add(1, std::memory_order_relaxed);
         if (stolen) stolen_chunks.fetch_add(1, std::memory_order_relaxed);
         for (std::size_t i = range->begin; i < range->end; ++i) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 
@@ -111,6 +112,51 @@ TEST(TraceRingTest, CategoryNamesAreDistinct) {
   EXPECT_EQ(to_string(TraceCategory::kIrq), "irq");
   EXPECT_EQ(to_string(TraceCategory::kInterpose), "interpose");
   EXPECT_NE(to_string(TraceCategory::kTopHandler), to_string(TraceCategory::kBottom));
+}
+
+// --- trace log --------------------------------------------------------------
+// The hypervisor's trace log is a default-capacity TraceRing (see
+// hv::Hypervisor::trace_ring()). These cases pin the log-level contract:
+// off by default, records kept in emission order, clear() keeps it on, and
+// the offline text form carries category tags and times.
+
+TEST(TraceLogTest, DisabledByDefaultAndDropsRecords) {
+  TraceRing log;
+  EXPECT_FALSE(log.enabled());
+  log.emit(1000, TracePoint::kLegacy, TraceCategory::kIrq);
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.emitted(), 0u);
+}
+
+TEST(TraceLogTest, EnabledRecordsInOrder) {
+  TraceRing log;
+  log.set_enabled(true);
+  log.emit(1000, TracePoint::kLegacy, TraceCategory::kIrq);
+  log.emit(2000, TracePoint::kLegacy, TraceCategory::kBottom);
+  const auto events = log.snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].time_ns, 1000);
+  EXPECT_EQ(events[0].category, TraceCategory::kIrq);
+  EXPECT_EQ(events[1].category, TraceCategory::kBottom);
+  EXPECT_EQ(events[1].point, TracePoint::kLegacy);
+}
+
+TEST(TraceLogTest, RenderContainsCategoryAndTime) {
+  TraceRing log;
+  log.set_enabled(true);
+  log.emit(5000, TracePoint::kLegacy, TraceCategory::kScheduler);
+  const auto text = render_text(log.snapshot());
+  EXPECT_NE(text.find("[sched]"), std::string::npos);
+  EXPECT_NE(text.find("t=5000"), std::string::npos);
+}
+
+TEST(TraceLogTest, ClearEmptiesRecords) {
+  TraceRing log;
+  log.set_enabled(true);
+  log.emit(0, TracePoint::kLegacy, TraceCategory::kOther);
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_TRUE(log.enabled()) << "clear() keeps the log enabled";
 }
 
 // --- metrics ----------------------------------------------------------------
