@@ -17,14 +17,12 @@
 // at several campaign seeds and checks every run with the interference
 // oracle (non-zero exit on any violation).
 //
-// With `--batch` an extra seed-robustness sweep replicates the monitored
-// baseline across 64 independent seeds on the batched campaign engine
-// (SystemPool + BatchRunner): every row above reports one seed; this sweep
-// shows how stable those numbers are across seeds, at a per-run cost the
-// classic construct-per-run path would not amortize.
+// A seed-robustness sweep (Ablation 7) replicates the monitored baseline
+// across 64 independent seeds on pooled systems (SystemPool): every row
+// above reports one seed; this sweep shows how stable those numbers are
+// across seeds.
 //
-// usage: ablation_sweeps [--jobs N] [--fault-plan PATH] [--batch]
-//        [--no-warm-start] [--chunk N]
+// usage: ablation_sweeps [--jobs N] [--fault-plan PATH]
 #include <iostream>
 #include <vector>
 
@@ -35,7 +33,6 @@
 #include "exp/batch_runner.hpp"
 #include "exp/cli.hpp"
 #include "exp/seed.hpp"
-#include "exp/sweep_runner.hpp"
 #include "exp/system_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
@@ -82,7 +79,7 @@ using Row = std::vector<std::string>;
 
 int main(int argc, char** argv) {
   const auto cli = exp::parse_cli(argc, argv);
-  exp::SweepRunner runner(cli.jobs);
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = cli.jobs, .chunk = 1});
 
   constexpr std::size_t kIrqs = 2000;
   auto base = core::SystemConfig::paper_baseline();
@@ -378,12 +375,11 @@ int main(int argc, char** argv) {
                "split factor but multiplies context switches; interposing reaches a "
                "far lower latency at a lower switch rate\n";
 
-  // --- 7. seed robustness (with --batch) --------------------------------------
+  // --- 7. seed robustness ----------------------------------------------------
   // Every table above quotes a single seed per row. This sweep replicates the
-  // monitored baseline over 64 independent seeds on the batched campaign
-  // engine -- pooled systems recycled by snapshot warm-start, chunks executed
-  // by the work-stealing BatchRunner -- and reports how tight the spread is.
-  if (cli.batch) {
+  // monitored baseline over 64 independent seeds on pooled systems recycled
+  // by snapshot warm-start, and reports how tight the spread is.
+  {
     std::cout << "=== Ablation 7: seed robustness of the monitored baseline "
                  "(batched engine) ===\n";
     auto cfg = base;
@@ -391,13 +387,10 @@ int main(int argc, char** argv) {
     cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
     cfg.sources[0].d_min = lambda;
 
-    exp::SystemPool::Options pool_options;
-    pool_options.warm_start = cli.warm_start;
-    exp::SystemPool pool(cfg, pool_options);
-    exp::BatchRunner batch(exp::BatchOptions{.jobs = cli.jobs, .chunk = cli.chunk});
+    exp::SystemPool pool(cfg);
     constexpr std::size_t kReps = 64;
     const auto reps =
-        batch.map(pool, kReps, [&](std::size_t i, core::HypervisorSystem& system) {
+        runner.map(pool, kReps, [&](std::size_t i, core::HypervisorSystem& system) {
           workload::ExponentialTraceGenerator gen(lambda, 900 + i, lambda);
           system.attach_trace(0, gen.generate(kIrqs));
           system.run(Duration::s(600));
@@ -426,17 +419,14 @@ int main(int argc, char** argv) {
     t7b.add_row({"max latency [us]", stats::Table::num(lo.max.as_us()), "-",
                  stats::Table::num(hi.max.as_us())});
     t7b.write(std::cout);
-    const auto& bs = batch.stats();
     std::cout << "interposed fraction, mean over seeds: "
               << stats::Table::num(frac_sum * 100 / static_cast<double>(kReps))
               << "%\n";
-    // Engine diagnostics go to stderr: chunk/steal counts depend on --jobs,
-    // and stdout must stay bit-identical for any job count.
-    std::cerr << "batch engine: " << bs.runs << " runs in " << bs.chunks
-              << " chunks on " << bs.pool.constructed << " pooled systems ("
-              << bs.pool.warm_recycles << " warm recycles, " << bs.pool.cold_rebuilds
-              << " cold rebuilds, steal ratio "
-              << stats::Table::num(bs.steal_ratio() * 100) << "%)\n";
+    // Engine diagnostics go to stderr: the pool size depends on --jobs, and
+    // stdout must stay bit-identical for any job count.
+    const auto ps = pool.stats();
+    std::cerr << "batch engine: " << kReps << " runs on " << ps.constructed
+              << " pooled systems (" << ps.warm_recycles << " warm recycles)\n";
     std::cout << "expectation: the per-row numbers above are representative -- the "
                  "seed-to-seed spread of the average stays within a few percent\n\n";
   }

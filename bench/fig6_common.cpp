@@ -5,8 +5,6 @@
 #include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
 #include "exp/seed.hpp"
-#include "exp/sweep_runner.hpp"
-#include "exp/system_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
 #include "hv/overhead_model.hpp"
@@ -72,57 +70,30 @@ Fig6Result run_fig6(const Fig6Config& config) {
 
   // One independent run per load step. Each run's seed depends only on its
   // index (config.seed + i, the original sequential seed sequence), so the
-  // merged result is bit-identical for any job count.
-  std::vector<exp::RunResult> runs;
-  if (config.batch && plan.empty() && !config.trace) {
-    // Batched path: pooled systems recycled by snapshot warm-start and
-    // executed by the work-stealing BatchRunner. Fault plans install
-    // per-system deadline transforms that would dangle across a recycle,
-    // and tracing makes every warm restore pay an O(ring) copy, so those
-    // configurations keep the classic per-run construction below (the two
-    // paths produce bit-identical results either way; see test_batch).
-    exp::SystemPool::Options pool_options;
-    pool_options.warm_start = config.warm_start;
-    pool_options.keep_completions = true;
-    exp::SystemPool pool(base, pool_options);
-    exp::BatchRunner runner(exp::BatchOptions{.jobs = config.jobs, .chunk = config.chunk});
-    runs = runner.map(pool, config.load_percent.size(),
-                      [&](std::size_t i, core::HypervisorSystem& system) {
-                        const int load = config.load_percent[i];
-                        const auto lambda = Duration::ns(c_bh_eff.count_ns() * 100 / load);
-                        workload::ExponentialTraceGenerator gen(
-                            lambda, config.seed + i,
-                            config.enforce_floor ? d_min : Duration::zero());
-                        system.attach_trace(0, gen.generate(config.irqs_per_load));
-                        system.run(horizon);
-                        auto out = exp::RunResult::capture(system);
-                        out.fill_histogram(hist_lo, hist_hi, hist_bin);
-                        return out;
-                      });
-  } else {
-    exp::SweepRunner runner(config.jobs);
-    runs = runner.map(config.load_percent.size(), [&](std::size_t i) {
-      core::HypervisorSystem system(base);
-      if ((config.trace && i == 0) || !plan.empty()) system.enable_tracing();
-      const int load = config.load_percent[i];
-      const auto lambda = Duration::ns(c_bh_eff.count_ns() * 100 / load);
-      workload::ExponentialTraceGenerator gen(
-          lambda, config.seed + i, config.enforce_floor ? d_min : Duration::zero());
-      system.attach_trace(0, gen.generate(config.irqs_per_load));
-      system.keep_completions(true);
-      fault::FaultEngine engine(system, plan, exp::derive_seed(config.seed, i));
-      if (!plan.empty()) engine.arm();
-      system.run(horizon);
-      if (!plan.empty()) {
-        const fault::InterferenceOracle oracle(
-            fault::InterferenceOracle::params_from(system));
-        oracle_reports[i] = oracle.verify(system.trace());
-      }
-      auto out = exp::RunResult::capture(system);
-      out.fill_histogram(hist_lo, hist_hi, hist_bin);
-      return out;
-    });
-  }
+  // merged result is bit-identical for any job count. Every run constructs
+  // its own system: fault plans install per-system deadline transforms, and
+  // three runs leave nothing for a pool to amortize.
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = config.jobs, .chunk = 1});
+  auto runs = runner.map(config.load_percent.size(), [&](std::size_t i) {
+    core::HypervisorSystem system(base);
+    if ((config.trace && i == 0) || !plan.empty()) system.enable_tracing();
+    const int load = config.load_percent[i];
+    const auto lambda = Duration::ns(c_bh_eff.count_ns() * 100 / load);
+    workload::ExponentialTraceGenerator gen(
+        lambda, config.seed + i, config.enforce_floor ? d_min : Duration::zero());
+    system.attach_trace(0, gen.generate(config.irqs_per_load));
+    system.keep_completions(true);
+    fault::FaultEngine engine(system, plan, exp::derive_seed(config.seed, i));
+    if (!plan.empty()) engine.arm();
+    system.run(horizon);
+    if (!plan.empty()) {
+      const fault::InterferenceOracle oracle(fault::InterferenceOracle::params_from(system));
+      oracle_reports[i] = oracle.verify(system.trace());
+    }
+    auto out = exp::RunResult::capture(system);
+    out.fill_histogram(hist_lo, hist_hi, hist_bin);
+    return out;
+  });
 
   Fig6Result result{.recorder = {},
                     .histogram = stats::Histogram(hist_lo, hist_hi, hist_bin),

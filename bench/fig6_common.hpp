@@ -32,12 +32,6 @@ struct Fig6Config {
   std::uint64_t seed = 2014;     // DAC'14
   std::size_t jobs = 1;          // worker threads; results identical for any value
   bool trace = false;            // record a typed trace of the first load step
-  /// Route the sweep through the batched campaign engine (SystemPool +
-  /// BatchRunner). Results are bit-identical to the classic path; tracing
-  /// and fault-plan configurations fall back to it (see run_fig6).
-  bool batch = false;
-  bool warm_start = true;        // batch only: snapshot-restore vs rebuild
-  std::size_t chunk = 16;        // batch only: run indices per steal chunk
   /// Fault-injection plan file (empty = none). Each load step runs the plan
   /// with its own derived seed and is replayed through the interference
   /// oracle; violations are merged into the result.

@@ -11,8 +11,7 @@
 // to the hardware delivery cost -- the "sub-microsecond IRQ" claim in
 // numbers.
 //
-// usage: fig6_direct_compare [--jobs N] [--batch] [--no-warm-start] [--chunk N]
-//        [export-dir]
+// usage: fig6_direct_compare [--jobs N] [export-dir]
 #include <iostream>
 
 #include "exp/cli.hpp"
@@ -42,9 +41,6 @@ int main(int argc, char** argv) {
   rthv::bench::Fig6Config interpose;
   interpose.monitored = true;
   interpose.jobs = cli.jobs;
-  interpose.batch = cli.batch;
-  interpose.warm_start = cli.warm_start;
-  interpose.chunk = cli.chunk;
 
   rthv::bench::Fig6Config direct = interpose;
   direct.direct = true;

@@ -6,7 +6,7 @@
 // (identical to the unmonitored case) because violating IRQs are delayed.
 //
 // usage: fig6b_monitored [--jobs N] [--trace-out f.json] [--metrics-out f.json]
-//        [--batch] [--no-warm-start] [--chunk N] [export-dir]
+//        [--fault-plan PATH] [export-dir]
 #include <iostream>
 
 #include "exp/cli.hpp"
@@ -20,9 +20,6 @@ int main(int argc, char** argv) {
   config.jobs = cli.jobs;
   config.trace = !cli.trace_out.empty();
   config.fault_plan = cli.fault_plan;
-  config.batch = cli.batch;
-  config.warm_start = cli.warm_start;
-  config.chunk = cli.chunk;
   const auto result = rthv::bench::run_fig6(config);
   rthv::bench::print_fig6_report(std::cout, "Fig. 6b -- monitoring enabled", config,
                                  result);

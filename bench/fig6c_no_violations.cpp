@@ -6,7 +6,7 @@
 // longer defined by the TDMA cycle length.
 //
 // usage: fig6c_no_violations [--jobs N] [--trace-out f.json] [--metrics-out f.json]
-//        [--batch] [--no-warm-start] [--chunk N] [export-dir]
+//        [--fault-plan PATH] [export-dir]
 #include <iostream>
 
 #include "exp/cli.hpp"
@@ -21,9 +21,6 @@ int main(int argc, char** argv) {
   config.jobs = cli.jobs;
   config.trace = !cli.trace_out.empty();
   config.fault_plan = cli.fault_plan;
-  config.batch = cli.batch;
-  config.warm_start = cli.warm_start;
-  config.chunk = cli.chunk;
   const auto result = rthv::bench::run_fig6(config);
   rthv::bench::print_fig6_report(std::cout, "Fig. 6c -- monitoring enabled, no violations",
                                  config, result);

@@ -31,8 +31,8 @@
 
 #include "core/multicore_system.hpp"
 #include "core/system_config.hpp"
+#include "exp/batch_runner.hpp"
 #include "exp/cli.hpp"
-#include "exp/sweep_runner.hpp"
 #include "fault/oracle.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -147,7 +147,7 @@ std::vector<std::string> row(const std::string& label, const RowOut& r) {
 
 int main(int argc, char** argv) {
   const auto cli = exp::parse_cli(argc, argv);
-  exp::SweepRunner runner(cli.jobs);
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = cli.jobs, .chunk = 1});
   std::uint64_t violations = 0;
   const std::vector<std::string> header = {"config",   "avg [us]",  "p99 [us]",
                                            "max [us]", "stall [us]",

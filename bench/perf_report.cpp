@@ -31,7 +31,6 @@
 #include "core/hypervisor_system.hpp"
 #include "core/multicore_system.hpp"
 #include "exp/batch_runner.hpp"
-#include "exp/sweep_runner.hpp"
 #include "exp/system_pool.hpp"
 #include "mon/monitor.hpp"
 #include "obs/trace_ring.hpp"
@@ -368,15 +367,15 @@ void batch_runs_per_sec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
 
-// The same campaign on the classic construct-per-run SweepRunner: the
-// reference the batched engine is gated against (see compare_against).
+// The same campaign constructing a system per run (map(count, fn)): the
+// reference the pooled engine is gated against (see compare_against).
 void sweep_runs_per_sec(benchmark::State& state) {
   constexpr std::size_t kRuns = 1000;
   const auto cfg = batch_campaign_config();
   std::uint64_t irqs = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    exp::SweepRunner runner(1);
+    exp::BatchRunner runner(exp::BatchOptions{.jobs = 1});
     const auto done = runner.map(kRuns, [&cfg](std::size_t i) {
       core::HypervisorSystem system(cfg);
       return batch_campaign_run(i, system);
@@ -388,15 +387,13 @@ void sweep_runs_per_sec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
 
-// Work-stealing under deliberate imbalance: two workers, contiguous shard
-// deal, and a run cost that is 20x heavier in worker 0's half -- worker 1
-// drains its light half and steals from the back of worker 0's deque. The
-// JSON records the measured steal ratio alongside the campaign time.
-void batch_steal_ratio(benchmark::State& state) {
+// Scheduling under deliberate imbalance: two workers claiming 4-run chunks
+// from the shared counter, with runs in the first half of the index range
+// 20x heavier than in the second half.
+void batch_imbalanced_campaign(benchmark::State& state) {
   constexpr std::size_t kRuns = 128;
   const auto cfg = batch_campaign_config();
   std::uint64_t irqs = 0;
-  double ratio_sum = 0.0;
   for (auto _ : state) {
     exp::SystemPool pool(cfg);
     exp::BatchRunner runner(exp::BatchOptions{.jobs = 2, .chunk = 4});
@@ -408,11 +405,8 @@ void batch_steal_ratio(benchmark::State& state) {
           return system.run(Duration::s(1000));
         });
     for (const auto d : done) irqs += d;
-    ratio_sum += runner.stats().steal_ratio();
   }
   benchmark::DoNotOptimize(irqs);
-  state.counters["steal_ratio"] =
-      ratio_sum / static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kRuns));
 }
 
@@ -472,7 +466,6 @@ void delta_vector_admit_batch(benchmark::State& state) {
 struct Measurement {
   double ns_per_op = 0.0;
   double events_per_sec = 0.0;
-  double steal_ratio = -1.0;  // < 0 = benchmark reports no such counter
 };
 
 class CollectingReporter : public benchmark::BenchmarkReporter {
@@ -487,8 +480,6 @@ class CollectingReporter : public benchmark::BenchmarkReporter {
                     static_cast<double>(run.iterations) * 1e9;
       const auto it = run.counters.find("items_per_second");
       if (it != run.counters.end()) m.events_per_sec = it->second;
-      const auto steal = run.counters.find("steal_ratio");
-      if (steal != run.counters.end()) m.steal_ratio = steal->second;
       results_[run.benchmark_name()] = m;
     }
   }
@@ -537,9 +528,8 @@ void write_json(const std::string& path,
   std::size_t i = 0;
   for (const auto& [name, m] : results) {
     os << "    \"" << name << "\": { \"ns_per_op\": " << m.ns_per_op
-       << ", \"events_per_sec\": " << m.events_per_sec;
-    if (m.steal_ratio >= 0.0) os << ", \"steal_ratio\": " << m.steal_ratio;
-    os << " }" << (++i < results.size() ? "," : "") << "\n";
+       << ", \"events_per_sec\": " << m.events_per_sec << " }"
+       << (++i < results.size() ? "," : "") << "\n";
   }
   os << "  }\n";
   os << "}\n";
@@ -671,15 +661,15 @@ int compare_against(const std::string& baseline_path,
     }
   }
 
-  // The batched-campaign acceptance gate: pooled warm-start + work stealing
-  // must keep a >= 5x runs/sec advantage over the construct-per-run sweep.
+  // The batched-campaign acceptance gate: pooled warm-start must keep a >= 5x
+  // runs/sec advantage over the construct-per-run sweep.
   const auto batch_it = results.find("batch/runs_per_sec");
   const auto sweep_it = results.find("sweep/runs_per_sec");
   if (batch_it != results.end() && sweep_it != results.end() &&
       batch_it->second.ns_per_op > 0.0) {
     const double speedup = sweep_it->second.ns_per_op / batch_it->second.ns_per_op;
     const bool ok = speedup >= 5.0;
-    std::printf("batched campaign speedup over SweepRunner: %.2fx%s\n", speedup,
+    std::printf("batched campaign speedup over construct-per-run: %.2fx%s\n", speedup,
                 ok ? "" : "  FAIL (< 5x)");
     if (!ok) ++failures;
   }
@@ -740,7 +730,9 @@ int main(int argc, char** argv) {
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("sweep/runs_per_sec", sweep_runs_per_sec)
       ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("batch/steal_ratio", batch_steal_ratio)
+  // Registered under its historical name so the committed baseline keeps
+  // gating the imbalanced campaign.
+  benchmark::RegisterBenchmark("batch/steal_ratio", batch_imbalanced_campaign)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("full_system/events", full_system_events)
       ->Unit(benchmark::kMillisecond);

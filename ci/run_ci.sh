@@ -44,9 +44,11 @@ ctest --test-dir build-ci --output-on-failure -L multicore -j "$jobs"
 echo "== adversarial hunt (ctest -L hunt) =="
 ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 
-# Batched campaign engine: the warm-start differential (pooled recycle vs
-# cold construction must be bit-identical), jobs/chunk identity under work
-# stealing, and the batched trace-ring reservation accounting.
+# Campaign engine: both BatchRunner entry points (index order, every index
+# exactly once, lowest-index rethrow), the warm-start differential (pooled
+# recycle vs construct-per-run must be bit-identical), jobs/chunk identity
+# under the shared-counter scheduler, the batched trace-ring reservation
+# accounting, and the rthv_batch rejection of malformed campaigns.
 echo "== batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
 

@@ -2,9 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
-#include "exp/thread_pool.hpp"
+#include "exp/batch_runner.hpp"
 
 namespace rthv::exp {
 
@@ -13,34 +14,31 @@ namespace {
 [[noreturn]] void usage_error(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--jobs N|auto] [--trace-out PATH] [--metrics-out PATH] "
-               "[--fault-plan PATH] [--batch] [--no-warm-start] [--chunk N] "
-               "[positional args...]\n",
+               "[--fault-plan PATH] [positional args...]\n",
                argv0);
   std::exit(2);
 }
 
 std::size_t parse_jobs_value(std::string_view value, const char* argv0) {
-  if (value == "auto") return ThreadPool::hardware_jobs();
-  std::size_t jobs = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') usage_error(argv0);
-    jobs = jobs * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value.empty() || jobs == 0) usage_error(argv0);
-  return jobs;
-}
-
-std::size_t parse_count_value(std::string_view value, const char* argv0) {
-  std::size_t n = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') usage_error(argv0);
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value.empty() || n == 0) usage_error(argv0);
-  return n;
+  const auto jobs = parse_jobs(value);
+  if (!jobs) usage_error(argv0);
+  return *jobs;
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_jobs(std::string_view value) {
+  if (value == "auto") return hardware_jobs();
+  std::size_t jobs = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (jobs > (std::numeric_limits<std::size_t>::max() - digit) / 10) return std::nullopt;
+    jobs = jobs * 10 + digit;
+  }
+  if (jobs == 0) return std::nullopt;  // also rejects the empty string
+  return jobs;
+}
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
@@ -66,16 +64,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.fault_plan = argv[++i];
     } else if (arg.starts_with("--fault-plan=")) {
       options.fault_plan = arg.substr(13);
-    } else if (arg == "--batch") {
-      options.batch = true;
-    } else if (arg == "--no-warm-start") {
-      options.batch = true;
-      options.warm_start = false;
-    } else if (arg == "--chunk") {
-      if (i + 1 >= argc) usage_error(argv[0]);
-      options.chunk = parse_count_value(argv[++i], argv[0]);
-    } else if (arg.starts_with("--chunk=")) {
-      options.chunk = parse_count_value(arg.substr(8), argv[0]);
     } else {
       options.positional.emplace_back(arg);
     }

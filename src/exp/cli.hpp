@@ -4,16 +4,15 @@
 // concurrency), `--trace-out PATH` (Chrome trace-event JSON, Perfetto
 // loadable), `--metrics-out PATH` (metrics JSON; `.txt` suffix selects the
 // text dump), `--fault-plan PATH` (fault-injection plan, see
-// src/fault/fault_plan.hpp), and the batched-campaign switches `--batch`
-// (run the sweep through BatchRunner/SystemPool), `--no-warm-start`
-// (pool rebuilds instead of snapshot-restoring; implies --batch) and
-// `--chunk N` (run indices per work-stealing chunk); everything else is
-// returned as positional arguments in order. Keeps the drivers' existing
-// positional interfaces (e.g. an export directory) intact.
+// src/fault/fault_plan.hpp); everything else is returned as positional
+// arguments in order. Keeps the drivers' existing positional interfaces
+// (e.g. an export directory) intact.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rthv::exp {
@@ -23,11 +22,12 @@ struct CliOptions {
   std::string trace_out;    // empty = tracing off
   std::string metrics_out;  // empty = no metrics dump
   std::string fault_plan;   // empty = no fault injection
-  bool batch = false;       // route the sweep through BatchRunner/SystemPool
-  bool warm_start = true;   // --no-warm-start: pool rebuilds per run
-  std::size_t chunk = 16;   // work-stealing chunk size (run indices)
   std::vector<std::string> positional;
 };
+
+/// Parses a --jobs value: "auto" (hardware_jobs()) or a positive decimal
+/// integer that fits in std::size_t; nullopt for anything else.
+[[nodiscard]] std::optional<std::size_t> parse_jobs(std::string_view value);
 
 /// Parses argv (past argv[0]). Exits with code 2 and a usage message on
 /// stderr for a malformed --jobs value.

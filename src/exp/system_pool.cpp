@@ -4,19 +4,7 @@
 
 namespace rthv::exp {
 
-SystemPool::SystemPool(core::SystemConfig config)
-    : SystemPool(std::move(config), Options{}) {}
-
-SystemPool::SystemPool(core::SystemConfig config, Options options)
-    : config_(std::move(config)), options_(options) {}
-
-std::unique_ptr<core::HypervisorSystem> SystemPool::build() const {
-  auto system = std::make_unique<core::HypervisorSystem>(config_);
-  system->keep_completions(options_.keep_completions);
-  system->set_run_to_horizon(options_.run_to_horizon);
-  if (options_.trace_capacity > 0) system->enable_tracing(options_.trace_capacity);
-  return system;
-}
+SystemPool::SystemPool(core::SystemConfig config) : config_(std::move(config)) {}
 
 SystemPool::Lease SystemPool::acquire() {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -26,11 +14,9 @@ SystemPool::Lease SystemPool::acquire() {
     return Lease(this, index, slots_[index].get());
   }
   auto slot = std::make_unique<Slot>();
-  slot->system = build();
-  if (options_.warm_start) {
-    slot->pristine = std::make_unique<core::HypervisorSystem::SystemSnapshot>(
-        slot->system->snapshot());
-  }
+  slot->system = std::make_unique<core::HypervisorSystem>(config_);
+  slot->pristine =
+      std::make_unique<core::HypervisorSystem::SystemSnapshot>(slot->system->snapshot());
   ++constructed_;
   slots_.push_back(std::move(slot));
   return Lease(this, slots_.size() - 1, slots_.back().get());
@@ -43,15 +29,9 @@ core::HypervisorSystem& SystemPool::slot_begin_run(Slot& slot) {
     slot.fresh = false;
     return *slot.system;
   }
-  if (options_.warm_start) {
-    slot.system->clear_traces();
-    slot.system->restore(*slot.pristine);
-    slot.warm_recycles.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    slot.system.reset();  // free before rebuilding: peak memory stays O(pool)
-    slot.system = build();
-    slot.cold_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  }
+  slot.system->clear_traces();
+  slot.system->restore(*slot.pristine);
+  slot.warm_recycles.fetch_add(1, std::memory_order_relaxed);
   return *slot.system;
 }
 
@@ -61,7 +41,7 @@ void SystemPool::release_slot(std::size_t index) {
 }
 
 core::HypervisorSystem& SystemPool::Lease::begin_run() {
-  return pool_->slot_begin_run(*slot_);
+  return slot_begin_run(*slot_);
 }
 
 void SystemPool::Lease::release() {
@@ -78,7 +58,6 @@ SystemPool::Stats SystemPool::stats() const {
   s.constructed = constructed_;
   for (const auto& slot : slots_) {
     s.warm_recycles += slot->warm_recycles.load(std::memory_order_relaxed);
-    s.cold_rebuilds += slot->cold_rebuilds.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -16,7 +16,9 @@
 // the snapshot/restore round-trip is proven bit-identical by the batch
 // differential tests. Recycling clears per-run trace drivers first
 // (HypervisorSystem::clear_traces()) so the zero-driver pristine snapshot
-// restores cleanly.
+// restores cleanly. Pooled systems are built from the config alone; a run
+// that wants per-run switches (keep_completions, run-to-horizon) sets them
+// after begin_run(), and the next restore resets them.
 #pragma once
 
 #include <atomic>
@@ -35,35 +37,18 @@ class SystemPool {
   struct Slot;  // defined below; leases cache a stable pointer to one
 
  public:
-  struct Options {
-    /// Recycle instances by pristine-snapshot restore. When false the pool
-    /// reconstructs the system for every run (the cold baseline; results
-    /// must be bit-identical either way).
-    bool warm_start = true;
-    /// Applied to every pooled instance before its pristine snapshot, so
-    /// the settings survive recycling.
-    bool keep_completions = false;
-    bool run_to_horizon = false;
-    /// Non-zero enables the typed trace ring at this capacity on every
-    /// instance. Note: warm-start then pays an O(capacity) ring copy per
-    /// recycle; leave it off for throughput campaigns.
-    std::size_t trace_capacity = 0;
-  };
-
   struct Stats {
     std::uint64_t constructed = 0;    // full system constructions
     std::uint64_t warm_recycles = 0;  // pristine-snapshot restores
-    std::uint64_t cold_rebuilds = 0;  // tear-down + reconstruct (warm_start off)
   };
 
   explicit SystemPool(core::SystemConfig config);
-  SystemPool(core::SystemConfig config, Options options);
 
   SystemPool(const SystemPool&) = delete;
   SystemPool& operator=(const SystemPool&) = delete;
 
   /// RAII handle on one pooled instance. A worker holds its lease for a
-  /// whole campaign shard; the slot returns to the free list on destruction.
+  /// whole campaign; the slot returns to the free list on destruction.
   class Lease {
    public:
     Lease() = default;
@@ -113,28 +98,24 @@ class SystemPool {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] const core::SystemConfig& config() const { return config_; }
-  [[nodiscard]] bool warm_start() const { return options_.warm_start; }
 
  private:
   struct Slot {
     std::unique_ptr<core::HypervisorSystem> system;
     // Pristine pre-start snapshot of THIS instance (see warm-start contract
-    // above); unset when warm_start is off.
+    // above).
     std::unique_ptr<core::HypervisorSystem::SystemSnapshot> pristine;
     bool fresh = true;  // constructed but never handed to a run
     // Relaxed: the counters are statistics, each written only by the worker
     // holding the slot's lease; atomics keep stats() data-race-free even
     // mid-campaign.
     std::atomic<std::uint64_t> warm_recycles{0};
-    std::atomic<std::uint64_t> cold_rebuilds{0};
   };
 
-  [[nodiscard]] std::unique_ptr<core::HypervisorSystem> build() const;
-  core::HypervisorSystem& slot_begin_run(Slot& slot);
+  static core::HypervisorSystem& slot_begin_run(Slot& slot);
   void release_slot(std::size_t index);
 
   core::SystemConfig config_;
-  Options options_;
 
   mutable std::mutex mutex_;  // guards slots_ growth, free_, constructed_
   std::vector<std::unique_ptr<Slot>> slots_;

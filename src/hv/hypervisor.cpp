@@ -257,12 +257,11 @@ void Hypervisor::service_batch() {
   Duration total_top;
   // Collect latched device lines in priority order (lowest line first),
   // acknowledging each -- the batched top half runs all their top handlers
-  // back-to-back in this one IRQ-context entry. A batch limit of 1
-  // reproduces the unbatched hypervisor exactly: remaining latches are
-  // re-delivered by the controller when interrupts re-enable.
-  for (std::size_t w = 0; w < intc.num_words() && batch_.count < batch_limit_; ++w) {
+  // back-to-back in this one IRQ-context entry. Latches beyond the batch
+  // capacity are re-delivered by the controller when interrupts re-enable.
+  for (std::size_t w = 0; w < intc.num_words() && batch_.count < IrqBatch::kCapacity; ++w) {
     std::uint64_t m = intc.pending_word(w);
-    while (m != 0 && batch_.count < batch_limit_) {
+    while (m != 0 && batch_.count < IrqBatch::kCapacity) {
       const auto line = static_cast<hw::IrqLine>(
           w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
       m &= m - 1;

@@ -160,15 +160,6 @@ class Hypervisor {
   void set_top_handler_mode(TopHandlerMode mode) { mode_ = mode; }
   [[nodiscard]] TopHandlerMode top_handler_mode() const { return mode_; }
 
-  /// Batched top-half draining: when enabled (default), one IRQ entry
-  /// services *every* latched line in a single top-half pass; when
-  /// disabled, lines are serviced one per entry exactly as the unbatched
-  /// hypervisor did (the controller re-delivers remaining latches).
-  void set_batched_top_half(bool on) {
-    batch_limit_ = on ? IrqBatch::kCapacity : 1;
-  }
-  [[nodiscard]] bool batched_top_half() const { return batch_limit_ > 1; }
-
   /// UINTC-style direct delivery for a source: its line bypasses the
   /// hypervisor (fixed hardware cost, no interposition, no slot wait); the
   /// source's monitor still observes every activation via a shadow channel
@@ -426,7 +417,6 @@ class Hypervisor {
   SourceTable srcs_;
   LineTable lines_;  // lint: transient(line-to-source mapping built by add_irq_source before start)
   IrqBatch batch_;
-  std::size_t batch_limit_ = IrqBatch::kCapacity;  // lint: transient(tuning knob set before start)
 
   std::unique_ptr<IpcRouter> ipc_;
   SamplingPortBus ports_;

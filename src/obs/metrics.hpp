@@ -4,8 +4,8 @@
 // Registration (string lookup) happens once at setup; hot paths hold a
 // handle and touch a single vector slot. A MetricsSnapshot is plain data:
 // per-run snapshots captured by exp::RunResult are folded in run-index
-// order by SweepRunner consumers, so the aggregate is bit-identical for
-// any --jobs value (the PR 1 determinism contract).
+// order by exp::BatchRunner consumers, so the aggregate is bit-identical
+// for any --jobs value.
 //
 // Merge semantics (by metric name):
 //   counters    -- summed

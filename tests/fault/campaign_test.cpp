@@ -18,10 +18,9 @@
 #include <string>
 
 #include "core/hypervisor_system.hpp"
+#include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
 #include "exp/seed.hpp"
-#include "exp/sweep_runner.hpp"
-#include "exp/thread_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/oracle.hpp"
@@ -192,7 +191,7 @@ TEST(FaultCampaignTest, CampaignIsAPureFunctionOfSeed) {
 // metrics in plan order, and no injector touches shared state.
 exp::RunResult run_fault_sweep(std::size_t jobs, const FaultPlan& plan) {
   constexpr std::size_t kRuns = 6;
-  exp::SweepRunner runner(jobs);
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = jobs, .chunk = 1});
   auto runs = runner.map(kRuns, [&plan](std::size_t i) {
     core::HypervisorSystem system(monitored_baseline());
     system.enable_tracing();
@@ -211,7 +210,7 @@ exp::RunResult run_fault_sweep(std::size_t jobs, const FaultPlan& plan) {
 TEST(FaultCampaignTest, SweepIsJobCountIndependent) {
   const auto plan = load_fault_plan_file(config_path("fault_storm.plan"));
   const auto sequential = run_fault_sweep(1, plan);
-  const auto parallel = run_fault_sweep(exp::ThreadPool::hardware_jobs(), plan);
+  const auto parallel = run_fault_sweep(exp::hardware_jobs(), plan);
 
   std::ostringstream js, jp;
   sequential.metrics.write_json(js);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/config_loader.hpp"
-#include "exp/sweep_runner.hpp"
+#include "exp/batch_runner.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
 #include "workload/generators.hpp"
@@ -226,8 +226,8 @@ TEST(MulticoreSystemTest, RunIsIdenticalForAnyJobsCount) {
     mc.run(Duration::s(30));
     return fingerprint(mc);
   };
-  exp::SweepRunner serial(1);
-  exp::SweepRunner parallel(4);
+  exp::BatchRunner serial(exp::BatchOptions{.jobs = 1});
+  exp::BatchRunner parallel(exp::BatchOptions{.jobs = 4, .chunk = 1});
   const auto a = serial.map(4, run_one);
   const auto b = parallel.map(4, run_one);
   ASSERT_EQ(a.size(), b.size());

@@ -18,9 +18,8 @@
 #include <string>
 
 #include "core/hypervisor_system.hpp"
+#include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
-#include "exp/sweep_runner.hpp"
-#include "exp/thread_pool.hpp"
 #include "obs/exporters.hpp"
 #include "workload/generators.hpp"
 
@@ -121,7 +120,7 @@ TEST(ObserverEffectTest, RepeatedRunsAreBitIdentical) {
 // Merged metrics (and traces) from a sweep are identical for any job count.
 exp::RunResult run_sweep(std::size_t jobs) {
   constexpr std::size_t kRuns = 6;
-  exp::SweepRunner runner(jobs);
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = jobs, .chunk = 1});
   auto runs = runner.map(kRuns, [](std::size_t i) {
     core::HypervisorSystem system(monitored_baseline());
     system.enable_tracing();
@@ -137,7 +136,7 @@ exp::RunResult run_sweep(std::size_t jobs) {
 
 TEST(ObserverEffectTest, MetricsMergeIsJobCountIndependent) {
   const auto sequential = run_sweep(1);
-  const auto parallel = run_sweep(exp::ThreadPool::hardware_jobs());
+  const auto parallel = run_sweep(exp::hardware_jobs());
 
   std::ostringstream js, jp;
   sequential.metrics.write_json(js);

@@ -5,7 +5,7 @@
 //    zero-observer-effect guarantee rests on this);
 //  * merging per-shard MetricsSnapshots in shard order is bit-identical to
 //    observing the same sample stream in one registry, for any shard split
-//    (the SweepRunner jobs-independence contract).
+//    (the BatchRunner jobs-independence contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -49,7 +49,9 @@ ctest --test-dir build-asan --output-on-failure -L hunt -j "$jobs"
 
 # Pool recycling restores snapshots onto live object graphs and re-leases
 # the same HypervisorSystem across runs; ASan/UBSan over the batch suite
-# catches stale-pointer bugs in clear_traces()/restore() recycling.
+# catches stale-pointer bugs in clear_traces()/restore() recycling, and the
+# rthv_batch rejection tests in the same label prove malformed campaigns exit
+# cleanly instead of reading an empty recorder.
 echo "== ASan + UBSan: batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
 
@@ -84,15 +86,16 @@ if [[ "$run_tsan" == 1 ]]; then
   ctest --test-dir build-tsan --output-on-failure -L fault -j "$jobs"
 
   # The multicore suite's RunIsIdenticalForAnyJobsCount shards whole
-  # MulticoreSystem runs over SweepRunner workers: TSan proves the merged
+  # MulticoreSystem runs over BatchRunner workers: TSan proves the merged
   # per-core simulators and the shared interconnect never leak mutable
   # state across those workers.
   echo "== TSan: multi-core platform (ctest -L multicore) =="
   ctest --test-dir build-tsan --output-on-failure -L multicore -j "$jobs"
 
-  # The batch runner's work-stealing deques are lock-per-deque by design;
-  # TSan over the batch suite (jobs up to 16, deliberate imbalance) proves
-  # owner pops, thief steals, and SystemPool leasing are race-free.
+  # BatchRunner workers claim index chunks from one shared atomic counter
+  # and write per-index result slots; TSan over the batch suite (jobs up to
+  # 16, deliberate imbalance) proves the claims, the result slots, the
+  # lowest-index error record and SystemPool leasing are race-free.
   echo "== TSan: batched campaign engine (ctest -L batch) =="
   ctest --test-dir build-tsan --output-on-failure -L batch -j "$jobs"
 fi

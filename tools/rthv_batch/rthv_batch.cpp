@@ -3,21 +3,16 @@
 //
 // Reads a JSON campaign spec, expands it into `runs` independent
 // simulations whose per-run inputs depend only on the run index
-// (seed + i), executes them on the batched engine -- a SystemPool of
-// recycled systems warm-started by snapshot restore, driven by the
-// work-stealing BatchRunner -- and writes the merged metrics snapshot.
-// Results are bit-identical for any --jobs/--chunk value, with or without
-// warm start, and identical to the classic construct-per-run sweep
-// (`--classic`), which is kept around as the throughput reference.
+// (seed + i), executes them on the campaign engine -- a SystemPool of
+// recycled systems warm-started by snapshot restore, driven by
+// BatchRunner -- and writes the merged metrics snapshot. Results are
+// bit-identical for any --jobs value.
 //
 // Usage:
 //   rthv_batch campaign.json [options]
 // Options:
 //   --out FILE        write the merged metrics JSON (default: stdout summary only)
 //   --jobs N|auto     override the spec's worker count
-//   --chunk N         override the spec's steal-chunk size
-//   --no-warm-start   pool rebuilds systems instead of snapshot-restoring
-//   --classic         run the same campaign on SweepRunner (reference/AB)
 //
 // Campaign spec: one flat JSON object; unknown keys are rejected so typos
 // fail loudly. All keys are optional:
@@ -27,19 +22,18 @@
 //     "lambda_us":  1444,      // mean exponential interarrival
 //     "d_min_us":   0,         // monitoring distance; 0 = lambda
 //     "floor":      false,     // floor interarrivals at d_min (fig6c-style)
-//     "irqs":       10,        // IRQs per run
-//     "runs":       1000,      // independent runs in the campaign
+//     "irqs":       10,        // IRQs per run, > 0
+//     "runs":       1000,      // independent runs in the campaign, > 0
 //     "seed":       2014,      // run i uses seed + i
 //     "horizon_ms": 1000000,   // per-run simulation horizon
-//     "jobs":       1,
-//     "chunk":      16,
-//     "warm_start": true
+//     "jobs":       1
 //   }
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -49,10 +43,9 @@
 #include "core/config_loader.hpp"
 #include "core/hypervisor_system.hpp"
 #include "exp/batch_runner.hpp"
+#include "exp/cli.hpp"
 #include "exp/run_result.hpp"
-#include "exp/sweep_runner.hpp"
 #include "exp/system_pool.hpp"
-#include "exp/thread_pool.hpp"
 #include "stats/export.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -73,8 +66,6 @@ struct CampaignSpec {
   std::uint64_t seed = 2014;
   std::int64_t horizon_ms = 1'000'000;
   std::size_t jobs = 1;
-  std::size_t chunk = 16;
-  bool warm_start = true;
 };
 
 /// Minimal parser for the flat campaign-spec object above: string, integer
@@ -123,27 +114,23 @@ class SpecParser {
     } else if (key == "floor") {
       spec.floor = parse_bool();
     } else if (key == "irqs") {
-      spec.irqs = parse_size();
+      spec.irqs = parse_positive();
     } else if (key == "runs") {
-      spec.runs = parse_size();
+      spec.runs = parse_positive();
     } else if (key == "seed") {
       spec.seed = static_cast<std::uint64_t>(parse_int());
     } else if (key == "horizon_ms") {
       spec.horizon_ms = parse_int();
     } else if (key == "jobs") {
       spec.jobs = parse_size();
-    } else if (key == "chunk") {
-      spec.chunk = parse_size();
-    } else if (key == "warm_start") {
-      spec.warm_start = parse_bool();
     } else {
       fail("unknown campaign key \"" + key + "\"");
     }
   }
 
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("campaign spec, byte " + std::to_string(pos_) + ": " +
-                             what);
+  [[noreturn]] void fail(const std::string& what) const { fail_at(pos_, what); }
+  [[noreturn]] static void fail_at(std::size_t pos, const std::string& what) {
+    throw std::runtime_error("campaign spec, byte " + std::to_string(pos) + ": " + what);
   }
   void skip_ws() {
     while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
@@ -170,19 +157,31 @@ class SpecParser {
     }
   }
   std::int64_t parse_int() {
+    const std::size_t start = pos_;
     const bool negative = peek() == '-';
     if (negative) ++pos_;
     if (peek() < '0' || peek() > '9') fail("expected an integer");
     std::int64_t value = 0;
     while (peek() >= '0' && peek() <= '9') {
-      value = value * 10 + (next() - '0');
+      const int digit = next() - '0';
+      if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+        fail_at(start, "integer out of range");
+      }
+      value = value * 10 + digit;
     }
     return negative ? -value : value;
   }
   std::size_t parse_size() {
+    const std::size_t start = pos_;
     const std::int64_t value = parse_int();
-    if (value < 0) fail("expected a non-negative integer");
+    if (value < 0) fail_at(start, "expected a non-negative integer");
     return static_cast<std::size_t>(value);
+  }
+  std::size_t parse_positive() {
+    const std::size_t start = pos_;
+    const std::size_t value = parse_size();
+    if (value == 0) fail_at(start, "expected a positive integer");
+    return value;
   }
   bool parse_bool() {
     if (text_.compare(pos_, 4, "true") == 0) {
@@ -209,8 +208,7 @@ CampaignSpec load_spec(const std::string& path) {
 }
 
 void usage() {
-  std::cerr << "usage: rthv_batch campaign.json [--out FILE] [--jobs N|auto]\n"
-               "  [--chunk N] [--no-warm-start] [--classic]\n";
+  std::cerr << "usage: rthv_batch campaign.json [--out FILE] [--jobs N|auto]\n";
 }
 
 }  // namespace
@@ -223,7 +221,6 @@ int main(int argc, char** argv) {
     }
     CampaignSpec spec = load_spec(argv[1]);
     std::string out_path;
-    bool classic = false;
     for (int i = 2; i < argc; ++i) {
       const auto need = [&] {
         if (i + 1 >= argc) {
@@ -236,17 +233,13 @@ int main(int argc, char** argv) {
         out_path = argv[++i];
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         need();
-        ++i;
-        spec.jobs = std::strcmp(argv[i], "auto") == 0
-                        ? exp::ThreadPool::hardware_jobs()
-                        : static_cast<std::size_t>(std::stoull(argv[i]));
-      } else if (std::strcmp(argv[i], "--chunk") == 0) {
-        need();
-        spec.chunk = static_cast<std::size_t>(std::stoull(argv[++i]));
-      } else if (std::strcmp(argv[i], "--no-warm-start") == 0) {
-        spec.warm_start = false;
-      } else if (std::strcmp(argv[i], "--classic") == 0) {
-        classic = true;
+        const auto jobs = exp::parse_jobs(argv[++i]);
+        if (!jobs) {
+          std::cerr << "error: invalid --jobs value \"" << argv[i] << "\"\n";
+          usage();
+          return 2;
+        }
+        spec.jobs = *jobs;
       } else {
         usage();
         return 2;
@@ -268,7 +261,7 @@ int main(int argc, char** argv) {
     const auto horizon = Duration::ms(spec.horizon_ms);
 
     // Run i's inputs are a pure function of i; merged results are
-    // bit-identical for any jobs/chunk value and for --classic.
+    // bit-identical for any jobs value.
     const auto run_one = [&](std::size_t i, core::HypervisorSystem& system) {
       workload::ExponentialTraceGenerator gen(
           lambda, spec.seed + i, spec.floor ? d_min : Duration::zero());
@@ -278,23 +271,9 @@ int main(int argc, char** argv) {
     };
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<exp::RunResult> runs;
-    exp::BatchStats batch_stats;
-    if (classic) {
-      exp::SweepRunner runner(spec.jobs);
-      runs = runner.map(spec.runs, [&](std::size_t i) {
-        core::HypervisorSystem system(config);
-        return run_one(i, system);
-      });
-    } else {
-      exp::SystemPool::Options pool_options;
-      pool_options.warm_start = spec.warm_start;
-      exp::SystemPool pool(config, pool_options);
-      exp::BatchRunner runner(
-          exp::BatchOptions{.jobs = spec.jobs, .chunk = spec.chunk});
-      runs = runner.map(pool, spec.runs, run_one);
-      batch_stats = runner.stats();
-    }
+    exp::SystemPool pool(config);
+    exp::BatchRunner runner(exp::BatchOptions{.jobs = spec.jobs});
+    auto runs = runner.map(pool, spec.runs, run_one);
     const auto t1 = std::chrono::steady_clock::now();
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
@@ -305,32 +284,26 @@ int main(int argc, char** argv) {
     std::cout << "=== rthv_batch: " << spec.runs << " runs x " << spec.irqs
               << " IRQs (" << spec.mode << ", lambda " << spec.lambda_us
               << "us, d_min " << d_min.as_us() << "us) ===\n";
-    std::cout << "engine:      "
-              << (classic ? "classic sweep (construct per run)"
-                  : spec.warm_start ? "batched, snapshot warm-start"
-                                    : "batched, cold rebuild per run")
-              << ", jobs " << spec.jobs << ", chunk " << spec.chunk << "\n";
+    std::cout << "engine:      batched, snapshot warm-start, jobs " << spec.jobs << "\n";
     std::cout << "wall time:   " << stats::Table::num(wall_s * 1e3) << " ms ("
               << stats::Table::num(static_cast<double>(spec.runs) / wall_s, 0)
               << " runs/s)\n";
-    std::cout << "latency:     " << merged.recorder.total() << " IRQs, avg "
-              << stats::Table::num(all.mean().as_us()) << " us, p99 "
-              << stats::Table::num(all.percentile(99).as_us()) << " us, max "
-              << stats::Table::num(all.max().as_us()) << " us\n";
+    if (all.empty()) {
+      std::cout << "latency:     no completions\n";
+    } else {
+      std::cout << "latency:     " << merged.recorder.total() << " IRQs, avg "
+                << stats::Table::num(all.mean().as_us()) << " us, p99 "
+                << stats::Table::num(all.percentile(99).as_us()) << " us, max "
+                << stats::Table::num(all.max().as_us()) << " us\n";
+    }
     std::cout << "admission:   denied " << merged.denied_by_monitor << ", lost "
               << merged.lost_raises << ", switches "
               << merged.tdma_switches + merged.interpose_switches +
                      merged.deferred_switches
               << "\n";
-    if (!classic) {
-      std::cout << "pool:        " << batch_stats.pool.constructed
-                << " systems constructed, " << batch_stats.pool.warm_recycles
-                << " warm recycles, " << batch_stats.pool.cold_rebuilds
-                << " cold rebuilds\n";
-      std::cout << "stealing:    " << batch_stats.steals << "/" << batch_stats.chunks
-                << " chunks stolen ("
-                << stats::Table::num(batch_stats.steal_ratio() * 100) << "%)\n";
-    }
+    const auto pool_stats = pool.stats();
+    std::cout << "pool:        " << pool_stats.constructed << " systems constructed, "
+              << pool_stats.warm_recycles << " warm recycles\n";
     if (!out_path.empty()) {
       stats::write_metrics_json_file(out_path, merged.metrics);
       std::cout << "merged metrics written to " << out_path << "\n";

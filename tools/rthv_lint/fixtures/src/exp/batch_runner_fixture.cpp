@@ -1,6 +1,6 @@
 // Fixture: raw heap allocation in the batch engine. Warm recycling exists
-// to keep 10k-run campaigns at O(pool) allocations, so the work-stealing
-// runner must not mint heap cells per lease or per steal chunk -- that
+// to keep 10k-run campaigns at O(pool) allocations, so the campaign runner
+// must not mint heap cells per lease or per claimed chunk -- that
 // would quietly rebuild the per-run malloc traffic SystemPool removed.
 #include <cstdint>
 #include <cstdlib>

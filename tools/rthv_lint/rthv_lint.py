@@ -1025,7 +1025,7 @@ def check_hot_alloc(src: SourceFile, ctx: LintContext):
     # The batch engine (src/exp/batch_runner*, src/exp/system_pool*) is
     # included because warm recycling exists precisely to keep 10k-run
     # campaigns at O(pool) allocations: a raw heap cell per lease or per
-    # steal chunk would silently rebuild the per-run malloc traffic the
+    # claimed chunk would silently rebuild the per-run malloc traffic the
     # pool removed. The rest of src/exp/ (drivers, sweep glue) stays out
     # of scope.
     if not _in(src.relpath, "src/sim/", "src/hv/", "src/mon/", "src/fault/",
