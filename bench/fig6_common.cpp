@@ -1,6 +1,7 @@
 #include "fig6_common.hpp"
 
 #include <ostream>
+#include <stdexcept>
 
 #include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
@@ -24,6 +25,19 @@ Duration effective_bottom(const core::SystemConfig& cfg) {
                              cfg.platform.ctx_writeback_cycles);
   const hv::OverheadModel oh(cpu, mem, cfg.overheads);
   return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
+}
+
+const obs::MetricsSnapshot::Histogram& latency_histogram(const Fig6Result& result) {
+  const auto* h = result.metrics.find_histogram("irq.latency.all");
+  if (h == nullptr) throw std::logic_error("fig6: metrics carry no irq.latency.all");
+  return *h;
+}
+
+/// Latency table cells (avg, p99, max) of one recorder; "-" when empty.
+std::vector<std::string> latency_cells(const stats::Summary& s) {
+  if (s.empty()) return {"-", "-", "-"};
+  return {stats::Table::num(s.mean().as_us()), stats::Table::num(s.percentile(99).as_us()),
+          stats::Table::num(s.max().as_us())};
 }
 
 }  // namespace
@@ -52,10 +66,6 @@ Fig6Result run_fig6(const Fig6Config& config) {
   // admission statistics stay comparable with the interposing run.
   if (config.direct) base.sources[0].direct_delivery = true;
 
-  const Duration hist_lo = Duration::zero();
-  const Duration hist_hi = Duration::us(8500);
-  const Duration hist_bin = Duration::us(100);
-
   // A fault plan is parsed once and shared (read-only) by all runs; each
   // run arms its own engine with a seed derived from the run index.
   fault::FaultPlan plan;
@@ -82,7 +92,6 @@ Fig6Result run_fig6(const Fig6Config& config) {
     workload::ExponentialTraceGenerator gen(
         lambda, config.seed + i, config.enforce_floor ? d_min : Duration::zero());
     system.attach_trace(0, gen.generate(config.irqs_per_load));
-    system.keep_completions(true);
     fault::FaultEngine engine(system, plan, exp::derive_seed(config.seed, i));
     if (!plan.empty()) engine.arm();
     system.run(horizon);
@@ -90,13 +99,10 @@ Fig6Result run_fig6(const Fig6Config& config) {
       const fault::InterferenceOracle oracle(fault::InterferenceOracle::params_from(system));
       oracle_reports[i] = oracle.verify(system.trace());
     }
-    auto out = exp::RunResult::capture(system);
-    out.fill_histogram(hist_lo, hist_hi, hist_bin);
-    return out;
+    return exp::RunResult::capture(system);
   });
 
   Fig6Result result{.recorder = {},
-                    .histogram = stats::Histogram(hist_lo, hist_hi, hist_bin),
                     .per_load = {},
                     .d_min = d_min,
                     .c_bh_eff = c_bh_eff,
@@ -108,7 +114,6 @@ Fig6Result run_fig6(const Fig6Config& config) {
   // Merge in load order: cumulative statistics match the sequential run.
   for (auto& run : runs) {
     result.per_load.push_back(run.recorder);
-    result.histogram.merge(*run.histogram);
     result.recorder.merge(run.recorder);
     result.tdma_switches += run.tdma_switches;
     result.interpose_switches += run.interpose_switches;
@@ -146,24 +151,19 @@ void print_fig6_report(std::ostream& os, const char* title, const Fig6Config& co
 
   stats::Table table({"U_IRQ", "direct", "interposed", "delayed", "avg [us]",
                       "p99 [us]", "max [us]"});
+  const auto add_row = [&table](std::string label, const stats::LatencyRecorder& r) {
+    std::vector<std::string> row{std::move(label)};
+    for (const auto cls : {stats::HandlingClass::kDirect, stats::HandlingClass::kInterposed,
+                           stats::HandlingClass::kDelayed}) {
+      row.push_back(stats::Table::num(r.fraction(cls) * 100) + "%");
+    }
+    for (auto& cell : latency_cells(r.all())) row.push_back(std::move(cell));
+    table.add_row(std::move(row));
+  };
   for (std::size_t i = 0; i < result.per_load.size(); ++i) {
-    const auto& r = result.per_load[i];
-    table.add_row({std::to_string(config.load_percent[i]) + "%",
-                   stats::Table::num(r.fraction(stats::HandlingClass::kDirect) * 100) + "%",
-                   stats::Table::num(r.fraction(stats::HandlingClass::kInterposed) * 100) + "%",
-                   stats::Table::num(r.fraction(stats::HandlingClass::kDelayed) * 100) + "%",
-                   stats::Table::num(r.all().mean().as_us()),
-                   stats::Table::num(r.all().percentile(99).as_us()),
-                   stats::Table::num(r.all().max().as_us())});
+    add_row(std::to_string(config.load_percent[i]) + "%", result.per_load[i]);
   }
-  const auto& all = result.recorder;
-  table.add_row({"cumulative",
-                 stats::Table::num(all.fraction(stats::HandlingClass::kDirect) * 100) + "%",
-                 stats::Table::num(all.fraction(stats::HandlingClass::kInterposed) * 100) + "%",
-                 stats::Table::num(all.fraction(stats::HandlingClass::kDelayed) * 100) + "%",
-                 stats::Table::num(all.all().mean().as_us()),
-                 stats::Table::num(all.all().percentile(99).as_us()),
-                 stats::Table::num(all.all().max().as_us())});
+  add_row("cumulative", result.recorder);
   table.write(os);
 
   os << "\ncontext switches: tdma " << result.tdma_switches << ", interpose "
@@ -175,15 +175,19 @@ void print_fig6_report(std::ostream& os, const char* title, const Fig6Config& co
        << " actions; interference oracle checked " << result.oracle_windows
        << " windows, " << result.oracle_violations << " violations\n";
   }
+  if (result.recorder.total() == 0) {
+    os << "\nlatency histogram: no completions\n\n";
+    return;
+  }
   os << "\nlatency histogram over " << result.recorder.total() << " IRQs (100us bins):\n";
-  result.histogram.write_ascii(os);
+  stats::write_histogram_ascii(os, latency_histogram(result));
   os << "\n";
 }
 
 void export_fig6(const std::string& dir, const std::string& name, const char* title,
                  const Fig6Result& result) {
   const std::string csv = dir + "/" + name + ".csv";
-  stats::write_histogram_csv(csv, result.histogram);
+  stats::write_histogram_csv(csv, latency_histogram(result));
   stats::write_histogram_gnuplot(dir + "/" + name + ".gp", csv, title);
 }
 

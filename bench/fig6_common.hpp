@@ -19,7 +19,6 @@
 #include "core/hypervisor_system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
-#include "stats/histogram.hpp"
 
 namespace rthv::bench {
 
@@ -40,7 +39,6 @@ struct Fig6Config {
 
 struct Fig6Result {
   stats::LatencyRecorder recorder;                // cumulative over all loads
-  stats::Histogram histogram;                     // latency histogram
   std::vector<stats::LatencyRecorder> per_load;   // one per load step
   std::uint64_t tdma_switches = 0;
   std::uint64_t interpose_switches = 0;
@@ -49,7 +47,9 @@ struct Fig6Result {
   std::uint64_t lost_raises = 0;
   sim::Duration d_min;
   sim::Duration c_bh_eff;
-  obs::MetricsSnapshot metrics;        // merged over all loads, in load order
+  /// Merged over all loads, in load order; its irq.latency.all histogram
+  /// (100 us bins) is the Fig. 6 panel.
+  obs::MetricsSnapshot metrics;
   std::vector<obs::TraceEvent> trace;  // first load step (if Fig6Config::trace)
   obs::TraceMeta trace_meta;
   std::uint64_t trace_dropped = 0;
@@ -62,7 +62,8 @@ struct Fig6Result {
 [[nodiscard]] Fig6Result run_fig6(const Fig6Config& config);
 
 /// Prints the paper-style report: per-load table, cumulative class split,
-/// averages and the latency histogram.
+/// averages and the latency histogram. Latency cells of a step without a
+/// completed IRQ print "-".
 void print_fig6_report(std::ostream& os, const char* title, const Fig6Config& config,
                        const Fig6Result& result);
 

@@ -12,6 +12,7 @@
 // numbers.
 //
 // usage: fig6_direct_compare [--jobs N] [export-dir]
+#include <exception>
 #include <iostream>
 
 #include "exp/cli.hpp"
@@ -35,7 +36,9 @@ void append_rows(Table& table, const char* label, const rthv::bench::Fig6Result&
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Any failure after argument parsing (an unreadable fault plan, an export
+// path that cannot be written) is reported as "error: ..." with exit 1.
+int main(int argc, char** argv) try {
   const auto cli = rthv::exp::parse_cli(argc, argv);
 
   rthv::bench::Fig6Config interpose;
@@ -65,8 +68,8 @@ int main(int argc, char** argv) {
 
   // The headline number: what the hardware path does to the latency of the
   // IRQs that interposition would have admitted into a foreign slot.
-  const auto& hw = r_direct.recorder.of(HandlingClass::kDirectHw);
-  const auto& inter = r_interpose.recorder.of(HandlingClass::kInterposed);
+  const auto hw = r_direct.recorder.of(HandlingClass::kDirectHw);
+  const auto inter = r_interpose.recorder.of(HandlingClass::kInterposed);
   if (hw.count() > 0 && inter.count() > 0) {
     std::cout << "\ndirect-delivery latency (hw path):   avg "
               << Table::num(us(hw.mean())) << " us, max " << Table::num(us(hw.max()))
@@ -88,4 +91,7 @@ int main(int argc, char** argv) {
                              "UINTC-style direct delivery", r_direct);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

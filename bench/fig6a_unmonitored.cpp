@@ -6,12 +6,15 @@
 //
 // usage: fig6a_unmonitored [--jobs N] [--trace-out f.json] [--metrics-out f.json]
 //        [--fault-plan PATH] [export-dir]
+#include <exception>
 #include <iostream>
 
 #include "exp/cli.hpp"
 #include "fig6_common.hpp"
 
-int main(int argc, char** argv) {
+// Any failure after argument parsing (an unreadable fault plan, an export
+// path that cannot be written) is reported as "error: ..." with exit 1.
+int main(int argc, char** argv) try {
   const auto cli = rthv::exp::parse_cli(argc, argv);
   rthv::bench::Fig6Config config;
   config.monitored = false;
@@ -30,4 +33,7 @@ int main(int argc, char** argv) {
   std::cout << "paper reference: direct ~40% (<=50us), delayed ~60% (uniform up to "
                "8000us), average ~2500us\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

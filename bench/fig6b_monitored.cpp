@@ -7,12 +7,15 @@
 //
 // usage: fig6b_monitored [--jobs N] [--trace-out f.json] [--metrics-out f.json]
 //        [--fault-plan PATH] [export-dir]
+#include <exception>
 #include <iostream>
 
 #include "exp/cli.hpp"
 #include "fig6_common.hpp"
 
-int main(int argc, char** argv) {
+// Any failure after argument parsing (an unreadable fault plan, an export
+// path that cannot be written) is reported as "error: ..." with exit 1.
+int main(int argc, char** argv) try {
   const auto cli = rthv::exp::parse_cli(argc, argv);
   rthv::bench::Fig6Config config;
   config.monitored = true;
@@ -31,4 +34,7 @@ int main(int argc, char** argv) {
   std::cout << "paper reference: direct ~40%, interposed ~40%, delayed ~20%, average "
                "~1200us, worst case still TDMA-bound\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

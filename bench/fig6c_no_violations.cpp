@@ -7,13 +7,16 @@
 //
 // usage: fig6c_no_violations [--jobs N] [--trace-out f.json] [--metrics-out f.json]
 //        [--fault-plan PATH] [export-dir]
+#include <exception>
 #include <iostream>
 
 #include "exp/cli.hpp"
 #include "fig6_common.hpp"
 #include "stats/table.hpp"
 
-int main(int argc, char** argv) {
+// Any failure after argument parsing (an unreadable fault plan, an export
+// path that cannot be written) is reported as "error: ..." with exit 1.
+int main(int argc, char** argv) try {
   const auto cli = rthv::exp::parse_cli(argc, argv);
   rthv::bench::Fig6Config config;
   config.monitored = true;
@@ -35,11 +38,16 @@ int main(int argc, char** argv) {
   unmon.monitored = false;
   unmon.enforce_floor = false;
   const auto baseline = rthv::bench::run_fig6(unmon);
-  const double factor = static_cast<double>(baseline.recorder.all().mean().count_ns()) /
-                        static_cast<double>(result.recorder.all().mean().count_ns());
-  std::cout << "average-latency improvement over the unmonitored case: "
-            << rthv::stats::Table::num(factor) << "x (paper: ~16x)\n";
+  if (!baseline.recorder.all().empty() && !result.recorder.all().empty()) {
+    const double factor = static_cast<double>(baseline.recorder.all().mean().count_ns()) /
+                          static_cast<double>(result.recorder.all().mean().count_ns());
+    std::cout << "average-latency improvement over the unmonitored case: "
+              << rthv::stats::Table::num(factor) << "x (paper: ~16x)\n";
+  }
   std::cout << "paper reference: direct ~40%, interposed ~60%, delayed 0%, average "
                "~150us, worst case TDMA-independent\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -133,7 +133,10 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   }
 
   // Latency histograms: 100 us buckets from 0 to 8.5 ms (the span of the
-  // paper's Fig. 6 panels); the tail lands in the overflow bucket.
+  // paper's Fig. 6 panels); the tail lands in the overflow bucket. These
+  // and the completion counters are registered here only to fix their
+  // names, binning and output position: metrics_snapshot() derives their
+  // values from recorder_.
   constexpr std::int64_t kBucketWidthNs = 100'000;
   constexpr std::uint32_t kNumBuckets = 85;
   latency_all_ = metrics_.histogram("irq.latency.all", 0, kBucketWidthNs, kNumBuckets);
@@ -153,14 +156,7 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   hv_->finalize_structure();
 
   hv_->set_completion_hook([this](const hv::CompletedIrq& rec) {
-    ++completed_;
     recorder_.record(rec.handling, rec.latency());
-    const auto cls = static_cast<std::size_t>(rec.handling);
-    const std::int64_t latency_ns = rec.latency().count_ns();
-    metrics_.add(completed_counter_);
-    metrics_.add(completed_by_class_[cls]);
-    metrics_.observe(latency_all_, latency_ns);
-    metrics_.observe(latency_by_class_[cls], latency_ns);
     if (keep_completions_) completions_.push_back(rec);
   });
 }
@@ -173,6 +169,24 @@ void HypervisorSystem::enable_tracing(std::size_t capacity) {
 
 obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   obs::MetricsSnapshot snap = metrics_.snapshot();
+
+  // Registry handles index the snapshot's vectors (snapshot() copies them
+  // in registration order), so the derived values land in the slots the
+  // constructor registered.
+  snap.counters[completed_counter_.index].value += recorder_.total();
+  for (std::size_t c = 0; c < completed_by_class_.size(); ++c) {
+    snap.counters[completed_by_class_[c].index].value +=
+        recorder_.count(static_cast<stats::HandlingClass>(c));
+  }
+  const auto& samples = recorder_.all().samples();
+  const auto& classes = recorder_.classes();
+  auto& latency_all = snap.histograms[latency_all_.index];
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::int64_t latency_ns = samples[i].count_ns();
+    latency_all.observe(latency_ns);
+    snap.histograms[latency_by_class_[static_cast<std::size_t>(classes[i])].index]
+        .observe(latency_ns);
+  }
 
   const auto& irq = hv_->irq_stats();
   snap.add_counter("irq.serviced", irq.serviced);
@@ -270,12 +284,12 @@ std::uint64_t HypervisorSystem::run_continue(sim::TimePoint until) {
   // completed + global losses stay below expected the run certainly isn't
   // done and the per-line scan is skipped entirely.
   while ((run_to_horizon_ || expected_ == 0 ||
-          completed_ + platform_->intc().lost_raises() < expected_ ||
-          completed_ + lost_on_sources() < expected_) &&
+          completed_bottom_handlers() + platform_->intc().lost_raises() < expected_ ||
+          completed_bottom_handlers() + lost_on_sources() < expected_) &&
          !sim_.idle() && sim_.now() < until) {
     sim_.step();
   }
-  return completed_;
+  return completed_bottom_handlers();
 }
 
 void HypervisorSystem::attach_checkpoint_client(CheckpointClient* client) {
@@ -301,7 +315,6 @@ HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   w.u64(drivers_.size());
   for (const auto& d : drivers_) d->snapshot_state(w);
   w.u64(expected_);
-  w.u64(completed_);
   w.boolean(keep_completions_);
   w.boolean(run_to_horizon_);
   w.boolean(started_);
@@ -339,7 +352,6 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   }
   for (auto& d : drivers_) d->restore_state(r);
   expected_ = r.u64();
-  completed_ = r.u64();
   keep_completions_ = r.boolean();
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();

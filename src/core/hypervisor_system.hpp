@@ -130,7 +130,7 @@ class HypervisorSystem {
   [[nodiscard]] const std::vector<hv::CompletedIrq>& completions() const {
     return completions_;
   }
-  [[nodiscard]] std::uint64_t completed_bottom_handlers() const { return completed_; }
+  [[nodiscard]] std::uint64_t completed_bottom_handlers() const { return recorder_.total(); }
   [[nodiscard]] const SystemConfig& config() const { return config_; }
 
   // --- observability --------------------------------------------------------
@@ -144,12 +144,15 @@ class HypervisorSystem {
     return hv_->trace_ring().dropped();
   }
 
-  /// Always-on metrics registry (latency histograms + completion counters
-  /// are registered by the constructor; callers may add their own).
+  /// Always-on metrics registry (callers may add their own). The
+  /// constructor registers the latency histograms and completion counters
+  /// so they keep their output position, but they stay zero here: only
+  /// metrics_snapshot() fills them, from the recorder.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Registry snapshot augmented with derived counters/gauges (IRQ path
-  /// stats, context switches, health counts, queue drops, sim event count).
+  /// Registry snapshot augmented with derived metrics: irq.latency.* and
+  /// irq.completed* from the recorder's sample log, plus IRQ path stats,
+  /// context switches, health counts, queue drops and the sim event count.
   /// Derived purely from simulation state, never from trace counters, so the
   /// snapshot is identical with tracing on or off.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
@@ -162,25 +165,25 @@ class HypervisorSystem {
   std::vector<std::unique_ptr<guest::GuestKernel>> guests_;  // index = partition
   std::vector<std::unique_ptr<TraceIrqDriver>> drivers_;
   std::uint64_t expected_ = 0;  // total trace activations attached
-  std::uint64_t completed_ = 0;
   bool keep_completions_ = false;
   bool run_to_horizon_ = false;
   bool started_ = false;
   // lint: transient(external wiring; the client's state rides in client_words)
   CheckpointClient* client_ = nullptr;
-  stats::LatencyRecorder recorder_;
+  stats::LatencyRecorder recorder_;  // the one per-IRQ latency store
   std::vector<hv::CompletedIrq> completions_;
   obs::MetricsRegistry metrics_;
-  // The handles below are constructor-registered indices into metrics_,
-  // whose snapshot carries the data they point at.
-  obs::MetricsRegistry::HistogramHandle latency_all_;  // lint: transient(registry handle; data lives in metrics_)
+  // The handles below are constructor-registered indices into metrics_.
+  // The latency/completion slots stay zero in the registry; metrics_snapshot()
+  // fills them from recorder_.
+  obs::MetricsRegistry::HistogramHandle latency_all_;  // lint: transient(registry handle; data derives from recorder_)
   std::array<obs::MetricsRegistry::HistogramHandle,
              static_cast<std::size_t>(stats::HandlingClass::kCount_)>
-      latency_by_class_{};  // lint: transient(registry handle; data lives in metrics_)
-  obs::MetricsRegistry::CounterHandle completed_counter_;  // lint: transient(registry handle; data lives in metrics_)
+      latency_by_class_{};  // lint: transient(registry handle; data derives from recorder_)
+  obs::MetricsRegistry::CounterHandle completed_counter_;  // lint: transient(registry handle; data derives from recorder_)
   std::array<obs::MetricsRegistry::CounterHandle,
              static_cast<std::size_t>(stats::HandlingClass::kCount_)>
-      completed_by_class_{};  // lint: transient(registry handle; data lives in metrics_)
+      completed_by_class_{};  // lint: transient(registry handle; data derives from recorder_)
   obs::MetricsRegistry::CounterHandle queue_dropped_counter_;  // lint: transient(registry handle; data lives in metrics_)
   std::vector<obs::MetricsRegistry::CounterHandle> queue_dropped_by_partition_;  // lint: transient(registry handle; data lives in metrics_)
 };

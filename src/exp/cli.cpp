@@ -64,6 +64,9 @@ CliOptions parse_cli(int argc, char** argv) {
       options.fault_plan = argv[++i];
     } else if (arg.starts_with("--fault-plan=")) {
       options.fault_plan = arg.substr(13);
+    } else if (arg.starts_with("--")) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[i]);
+      usage_error(argv[0]);
     } else {
       options.positional.emplace_back(arg);
     }

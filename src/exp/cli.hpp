@@ -4,9 +4,9 @@
 // concurrency), `--trace-out PATH` (Chrome trace-event JSON, Perfetto
 // loadable), `--metrics-out PATH` (metrics JSON; `.txt` suffix selects the
 // text dump), `--fault-plan PATH` (fault-injection plan, see
-// src/fault/fault_plan.hpp); everything else is returned as positional
-// arguments in order. Keeps the drivers' existing positional interfaces
-// (e.g. an export directory) intact.
+// src/fault/fault_plan.hpp); any other `--` argument is rejected, and the
+// rest are returned as positional arguments in order. Keeps the drivers'
+// existing positional interfaces (e.g. an export directory) intact.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,8 @@ struct CliOptions {
 [[nodiscard]] std::optional<std::size_t> parse_jobs(std::string_view value);
 
 /// Parses argv (past argv[0]). Exits with code 2 and a usage message on
-/// stderr for a malformed --jobs value.
+/// stderr for a malformed --jobs value, a flag missing its value, or an
+/// unknown `--` flag.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv);
 
 }  // namespace rthv::exp

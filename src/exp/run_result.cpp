@@ -9,7 +9,6 @@ namespace rthv::exp {
 RunResult RunResult::capture(const core::HypervisorSystem& system) {
   RunResult out;
   out.recorder = system.recorder();
-  out.completions = system.completions();
   out.completed = system.completed_bottom_handlers();
   const auto& ctx = system.hypervisor().context_switches();
   out.tdma_switches = ctx.tdma;
@@ -25,24 +24,8 @@ RunResult RunResult::capture(const core::HypervisorSystem& system) {
   return out;
 }
 
-void RunResult::fill_histogram(sim::Duration lo, sim::Duration hi,
-                               sim::Duration bin_width) {
-  histogram.emplace(lo, hi, bin_width);
-  for (const auto& rec : completions) histogram->add(rec.latency());
-}
-
 void RunResult::merge(RunResult&& other) {
   recorder.merge(other.recorder);
-  if (other.histogram) {
-    if (histogram) {
-      histogram->merge(*other.histogram);
-    } else {
-      histogram = std::move(other.histogram);
-    }
-  }
-  completions.insert(completions.end(),
-                     std::make_move_iterator(other.completions.begin()),
-                     std::make_move_iterator(other.completions.end()));
   completed += other.completed;
   tdma_switches += other.tdma_switches;
   interpose_switches += other.interpose_switches;

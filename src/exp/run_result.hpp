@@ -5,13 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "hv/hypervisor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
-#include "stats/histogram.hpp"
 #include "stats/latency_recorder.hpp"
 
 namespace rthv::core {
@@ -22,8 +19,6 @@ namespace rthv::exp {
 
 struct RunResult {
   stats::LatencyRecorder recorder;
-  std::optional<stats::Histogram> histogram;  // set by fill_histogram()
-  std::vector<hv::CompletedIrq> completions;  // only if keep_completions was on
   std::uint64_t completed = 0;
   std::uint64_t tdma_switches = 0;
   std::uint64_t interpose_switches = 0;
@@ -38,16 +33,12 @@ struct RunResult {
   obs::TraceMeta trace_meta;
   std::uint64_t trace_dropped = 0;
 
-  /// Snapshots recorder, counters and (if kept) completion records from a
-  /// finished run.
+  /// Snapshots recorder, counters, metrics and trace from a finished run.
   [[nodiscard]] static RunResult capture(const core::HypervisorSystem& system);
 
-  /// Builds `histogram` with the given binning from the kept completions.
-  void fill_histogram(sim::Duration lo, sim::Duration hi, sim::Duration bin_width);
-
   /// Folds `other` into this result. Call in run-index order: recorder
-  /// samples and completion records are appended, so the merged sample
-  /// order equals the sequential run's order.
+  /// samples are appended, so the merged sample order equals the
+  /// sequential run's order.
   void merge(RunResult&& other);
 };
 

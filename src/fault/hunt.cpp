@@ -181,11 +181,9 @@ EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
   out.coverage.mark_oracle(!out.report.violations.empty(),
                            !out.report.cost_violations.empty(),
                            out.report.worst_ratio);
-  const auto metrics = w.system->metrics_snapshot();
-  if (const auto* h = metrics.find_histogram("irq.latency.all");
-      h != nullptr && h->count > 0) {
-    out.max_latency_ns = h->max_ns;
-    out.coverage.mark_max_latency(h->max_ns);
+  if (const auto& latencies = w.system->recorder().all(); !latencies.empty()) {
+    out.max_latency_ns = latencies.max().count_ns();
+    out.coverage.mark_max_latency(out.max_latency_ns);
   }
 
   out.finding = !out.report.ok() ||
@@ -380,12 +378,8 @@ OracleReport replay_reproducer(const HuntConfig& cfg, const HuntReproducer& repr
   const InterferenceOracle oracle(InterferenceOracle::params_from(*system));
   auto report = oracle.verify(system->trace());
   if (max_latency_ns != nullptr) {
-    *max_latency_ns = 0;
-    const auto metrics = system->metrics_snapshot();
-    if (const auto* h = metrics.find_histogram("irq.latency.all");
-        h != nullptr && h->count > 0) {
-      *max_latency_ns = h->max_ns;
-    }
+    const auto& latencies = system->recorder().all();
+    *max_latency_ns = latencies.empty() ? 0 : latencies.max().count_ns();
   }
   return report;
 }

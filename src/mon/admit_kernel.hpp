@@ -8,10 +8,11 @@
 //
 // Two implementations share the exact same arithmetic on the exact same
 // operands, so their verdicts are bit-identical by construction:
-//   - admit_full_vector: branch-free AND-reduction (the SIMD-friendly form)
-//   - admit_full_scalar: early-exit reference loop (Algorithm 1 as written)
-// A process-wide knob selects which one the monitors use; the randomized
-// differential test drives both over the same activation patterns.
+//   - admit_full_vector: branch-free AND-reduction (the SIMD-friendly form),
+//     which the monitors' full-window hot path runs
+//   - admit_full_scalar: early-exit reference loop (Algorithm 1 as written),
+//     which the monitors' warm-up path runs on a partial window
+// The randomized differential test drives both over the same inputs.
 //
 // Hot-path rules (enforced by tools/rthv_lint): no allocation, no iostream,
 // callers pass raw pointers into preexisting storage.
@@ -20,34 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 
-// The build stays at the portable x86-64 baseline (no -march flags), which
-// has no 64-bit SIMD compare, so the AND-reduction loop compiles to tight
-// scalar code there. Where the toolchain supports per-function targets we
-// additionally emit an AVX2 instantiation of the same predicate and select
-// it at runtime; non-AVX2 hosts and other toolchains take the portable loop.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RTHV_ADMIT_KERNEL_AVX2 1
-#include <immintrin.h>
-#else
-#define RTHV_ADMIT_KERNEL_AVX2 0
-#endif
-
 namespace rthv::mon {
-
-/// Which admission kernel the delta-vector monitors run. kVector is the
-/// default; kScalar exists as the bit-identical reference for differential
-/// tests and as a debugging fallback.
-enum class AdmitKernel : std::uint8_t { kVector, kScalar };
-
-namespace detail {
-inline AdmitKernel& admit_kernel_knob() {
-  static AdmitKernel k = AdmitKernel::kVector;
-  return k;
-}
-}  // namespace detail
-
-inline AdmitKernel admit_kernel() { return detail::admit_kernel_knob(); }
-inline void set_admit_kernel(AdmitKernel k) { detail::admit_kernel_knob() = k; }
 
 /// Branch-free full-window conformance check: 1 iff the activation at
 /// `now_ns` keeps every spanned distance, i.e. for all i in [0, l):
@@ -64,8 +38,7 @@ inline bool admit_full_vector(const std::int64_t* win_ns, const std::int64_t* de
 }
 
 /// Early-exit reference implementation of the same predicate, evaluating
-/// the same comparisons in the same order (Algorithm 1's loop shape). Kept
-/// as the differential-test oracle for admit_full_vector.
+/// the same comparisons in the same order (Algorithm 1's loop shape).
 inline bool admit_full_scalar(const std::int64_t* win_ns, const std::int64_t* delta_ns,
                               std::size_t l, std::int64_t now_ns) {
   for (std::size_t i = 0; i < l; ++i) {
@@ -74,48 +47,7 @@ inline bool admit_full_scalar(const std::int64_t* win_ns, const std::int64_t* de
   return true;
 }
 
-#if RTHV_ADMIT_KERNEL_AVX2
-namespace detail {
-inline const bool kHaveAvx2 = [] {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") != 0;
-}();
-}  // namespace detail
-
-/// AVX2 instantiation of the identical predicate: four lanes of
-/// (now - win[i]) >= delta[i] per 256-bit step, violations OR-accumulated,
-/// scalar tail for l % 4. Signed 64-bit subtract and compare match the
-/// portable loop operand-for-operand, so verdicts stay bit-identical.
-/// Only called after detail::kHaveAvx2 confirms hardware support.
-[[gnu::target("avx2")]] inline bool admit_full_vector_avx2(
-    const std::int64_t* win_ns, const std::int64_t* delta_ns, std::size_t l,
-    std::int64_t now_ns) {
-  const __m256i vnow = _mm256_set1_epi64x(now_ns);
-  __m256i violation = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= l; i += 4) {
-    const __m256i win =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(win_ns + i));
-    const __m256i delta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(delta_ns + i));
-    violation = _mm256_or_si256(
-        violation, _mm256_cmpgt_epi64(delta, _mm256_sub_epi64(vnow, win)));
-  }
-  std::int64_t ok = _mm256_testz_si256(violation, violation);
-  for (; i < l; ++i) {
-    ok &= static_cast<std::int64_t>((now_ns - win_ns[i]) >= delta_ns[i]);
-  }
-  return ok != 0;
-}
-#endif  // RTHV_ADMIT_KERNEL_AVX2
-
-/// Below this window depth the inlined AND-reduction beats the AVX2 clone:
-/// the clone is a mandatory out-of-line call (per-function targets cannot
-/// inline into baseline callers) plus a vzeroupper on return, which costs
-/// more than ~16 lanes of scalar compare-and-accumulate.
-inline constexpr std::size_t kAvx2MinDepth = 16;
-
-/// Knob-dispatched full-window check used by the monitors' hot path.
+/// Full-window check used by the monitors' hot path.
 ///
 /// Lane 0 (the consecutive-event distance d_min) is the tightest constraint
 /// relative to typical gaps, so a violating activation almost always fails
@@ -126,15 +58,7 @@ inline constexpr std::size_t kAvx2MinDepth = 16;
 inline bool admit_full(const std::int64_t* win_ns, const std::int64_t* delta_ns,
                        std::size_t l, std::int64_t now_ns) {
   if ((now_ns - win_ns[0]) < delta_ns[0]) return false;
-  // Lane 0 is known conforming; the kernels reduce the remaining lanes.
-  if (admit_kernel() == AdmitKernel::kScalar) {
-    return admit_full_scalar(win_ns + 1, delta_ns + 1, l - 1, now_ns);
-  }
-#if RTHV_ADMIT_KERNEL_AVX2
-  if (l >= kAvx2MinDepth && detail::kHaveAvx2) {
-    return admit_full_vector_avx2(win_ns + 1, delta_ns + 1, l - 1, now_ns);
-  }
-#endif
+  // Lane 0 is known conforming; the AND-reduction covers the rest.
   return admit_full_vector(win_ns + 1, delta_ns + 1, l - 1, now_ns);
 }
 

@@ -201,7 +201,7 @@ class DeltaVectorMonitor final : public ActivationMonitor {
  private:
   /// Admission check against the current window (no recording). The warm-up
   /// phase (fewer than l recorded activations) walks the partial window
-  /// scalar-wise; a full window dispatches on the process-wide kernel knob.
+  /// scalar-wise; a full window runs the branch-free admit_full.
   [[nodiscard]] bool conforms(std::int64_t now_ns) const {
     const std::int64_t* win = win_ns_.data() + head_;
     if (count_ == deltas_.size()) {

@@ -1,9 +1,13 @@
 #include "stats/export.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 
 #include "obs/exporters.hpp"
+#include "sim/time.hpp"
 
 namespace rthv::stats {
 
@@ -13,6 +17,11 @@ std::ofstream open_or_throw(const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("cannot write file: " + path);
   return os;
+}
+
+/// Lower edge of bucket `i`, in microseconds.
+double bucket_lo_us(const obs::MetricsSnapshot::Histogram& h, std::size_t i) {
+  return sim::Duration::ns(h.lo_ns + static_cast<std::int64_t>(i) * h.width_ns).as_us();
 }
 
 }  // namespace
@@ -30,9 +39,40 @@ void write_csv_file(const std::string& path, const std::string& header,
   }
 }
 
-void write_histogram_csv(const std::string& path, const Histogram& histogram) {
+void write_histogram_csv(std::ostream& os, const obs::MetricsSnapshot::Histogram& histogram) {
+  os << "bin_lo_us,bin_hi_us,count\n";
+  for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
+    os << bucket_lo_us(histogram, i) << "," << bucket_lo_us(histogram, i + 1) << ","
+       << histogram.buckets[i] << "\n";
+  }
+}
+
+void write_histogram_csv(const std::string& path,
+                         const obs::MetricsSnapshot::Histogram& histogram) {
   auto os = open_or_throw(path);
-  histogram.write_csv(os);
+  write_histogram_csv(os, histogram);
+}
+
+void write_histogram_ascii(std::ostream& os, const obs::MetricsSnapshot::Histogram& histogram,
+                           std::size_t max_width) {
+  const auto& buckets = histogram.buckets;
+  const std::uint64_t peak =
+      buckets.empty() ? 0 : *std::max_element(buckets.begin(), buckets.end());
+  if (peak == 0) {
+    os << "(empty histogram)\n";
+    return;
+  }
+  const double log_peak = std::log1p(static_cast<double>(peak));
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    const auto bar_len = static_cast<std::size_t>(
+        std::log1p(static_cast<double>(buckets[i])) / log_peak *
+        static_cast<double>(max_width));
+    os << "[" << bucket_lo_us(histogram, i) << ", " << bucket_lo_us(histogram, i + 1) << ") "
+       << std::string(std::max<std::size_t>(bar_len, 1), '#') << " " << buckets[i] << "\n";
+  }
+  if (histogram.underflow > 0) os << "underflow: " << histogram.underflow << "\n";
+  if (histogram.overflow > 0) os << "overflow: " << histogram.overflow << "\n";
 }
 
 void write_histogram_gnuplot(const std::string& script_path, const std::string& csv_path,

@@ -1,14 +1,16 @@
 // File export helpers for experiment artefacts: CSV series and gnuplot
-// scripts that regenerate the paper's figures from the bench outputs.
+// scripts that regenerate the paper's figures from the bench outputs, and
+// renderings of the metrics' latency histograms (the paper's Fig. 6 panels
+// are histograms of IRQ latencies with a broken y-axis).
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace_event.hpp"
-#include "stats/histogram.hpp"
 
 namespace rthv::stats {
 
@@ -17,8 +19,19 @@ namespace rthv::stats {
 void write_csv_file(const std::string& path, const std::string& header,
                     const std::vector<std::vector<std::string>>& rows);
 
-/// Writes a histogram as CSV (bin_lo_us, bin_hi_us, count).
-void write_histogram_csv(const std::string& path, const Histogram& histogram);
+/// Writes "bin_lo_us,bin_hi_us,count" rows, one per bucket (under- and
+/// overflow are not rows).
+void write_histogram_csv(std::ostream& os, const obs::MetricsSnapshot::Histogram& histogram);
+
+/// Writes a histogram as CSV to a file (see the stream overload).
+void write_histogram_csv(const std::string& path,
+                         const obs::MetricsSnapshot::Histogram& histogram);
+
+/// Coarse ASCII bar rendering (log-ish scaling, mirrors the paper's broken
+/// y-axis readability trick), skipping empty buckets; under- and overflow
+/// counts follow as their own lines when non-zero.
+void write_histogram_ascii(std::ostream& os, const obs::MetricsSnapshot::Histogram& histogram,
+                           std::size_t max_width = 60);
 
 /// Emits a gnuplot script that renders a latency histogram CSV in the style
 /// of the paper's Fig. 6 panels (latency on x, counts on log-y to emulate

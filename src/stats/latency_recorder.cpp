@@ -18,20 +18,25 @@ std::string_view to_string(HandlingClass c) {
 
 void LatencyRecorder::record(HandlingClass cls, sim::Duration latency) {
   assert(cls != HandlingClass::kCount_);
-  per_class_[static_cast<std::size_t>(cls)].add(latency);
   all_.add(latency);
+  classes_.push_back(cls);
+  ++counts_[static_cast<std::size_t>(cls)];
 }
 
 void LatencyRecorder::merge(const LatencyRecorder& other) {
-  for (std::size_t i = 0; i < per_class_.size(); ++i) {
-    per_class_[i].merge(other.per_class_[i]);
-  }
   all_.merge(other.all_);
+  classes_.insert(classes_.end(), other.classes_.begin(), other.classes_.end());
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
 }
 
-const Summary& LatencyRecorder::of(HandlingClass cls) const {
+Summary LatencyRecorder::of(HandlingClass cls) const {
   assert(cls != HandlingClass::kCount_);
-  return per_class_[static_cast<std::size_t>(cls)];
+  Summary out;
+  const auto& samples = all_.samples();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (classes_[i] == cls) out.add(samples[i]);
+  }
+  return out;
 }
 
 double LatencyRecorder::fraction(HandlingClass cls) const {

@@ -6,12 +6,18 @@
 // path) or *delayed* (waited for the subscriber's next slot). A fourth
 // class, *direct-hw*, covers the UINTC-style direct-delivery variant where
 // hardware vectors the IRQ past the hypervisor entirely.
+//
+// The recorder is the system's one per-IRQ latency store: a single
+// in-order sample log with a one-byte class tag per sample. Per-class
+// views, and the irq.latency.* / irq.completed* metrics, are derived from
+// that log on demand.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
+#include <vector>
 
 #include "stats/summary.hpp"
 
@@ -31,13 +37,19 @@ class LatencyRecorder {
  public:
   void record(HandlingClass cls, sim::Duration latency);
 
-  /// Folds another recorder's samples into this one, per class and overall.
+  /// Appends another recorder's samples (in their recorded order).
   void merge(const LatencyRecorder& other);
 
-  [[nodiscard]] const Summary& of(HandlingClass cls) const;
+  /// The class's samples, in recorded order, filtered out of the log.
+  [[nodiscard]] Summary of(HandlingClass cls) const;
   [[nodiscard]] const Summary& all() const { return all_; }
 
-  [[nodiscard]] std::uint64_t count(HandlingClass cls) const { return of(cls).count(); }
+  /// Class tag of each sample of all(), index for index.
+  [[nodiscard]] const std::vector<HandlingClass>& classes() const { return classes_; }
+
+  [[nodiscard]] std::uint64_t count(HandlingClass cls) const {
+    return counts_[static_cast<std::size_t>(cls)];
+  }
   [[nodiscard]] std::uint64_t total() const { return all_.count(); }
 
   /// Fraction of events in the class (0 if nothing recorded).
@@ -48,8 +60,9 @@ class LatencyRecorder {
   void write_summary(std::ostream& os) const;
 
  private:
-  std::array<Summary, static_cast<std::size_t>(HandlingClass::kCount_)> per_class_;
   Summary all_;
+  std::vector<HandlingClass> classes_;
+  std::array<std::uint64_t, static_cast<std::size_t>(HandlingClass::kCount_)> counts_{};
 };
 
 }  // namespace rthv::stats

@@ -6,21 +6,10 @@
 
 namespace rthv::stats {
 
-void Summary::add(sim::Duration sample) {
-  samples_.push_back(sample);
-  sorted_valid_ = false;
-}
+void Summary::add(sim::Duration sample) { samples_.push_back(sample); }
 
 void Summary::merge(const Summary& other) {
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-  sorted_valid_ = false;
-}
-
-void Summary::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = samples_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
 }
 
 sim::Duration Summary::mean() const {
@@ -41,14 +30,12 @@ sim::Duration Summary::mean() const {
 
 sim::Duration Summary::min() const {
   assert(!empty());
-  ensure_sorted();
-  return sorted_.front();
+  return *std::min_element(samples_.begin(), samples_.end());
 }
 
 sim::Duration Summary::max() const {
   assert(!empty());
-  ensure_sorted();
-  return sorted_.back();
+  return *std::max_element(samples_.begin(), samples_.end());
 }
 
 sim::Duration Summary::stddev() const {
@@ -66,11 +53,14 @@ sim::Duration Summary::stddev() const {
 sim::Duration Summary::percentile(double p) const {
   assert(!empty());
   assert(p >= 0.0 && p <= 100.0);
-  ensure_sorted();
-  if (p == 0.0) return sorted_.front();
+  if (p == 0.0) return min();
   const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted_.size())));
-  return sorted_[std::min(rank, sorted_.size()) - 1];
+      std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
+  // Nearest rank: the rank-th smallest sample, selected on a copy.
+  std::vector<sim::Duration> copy = samples_;
+  const auto nth = copy.begin() + static_cast<std::ptrdiff_t>(std::min(rank, copy.size()) - 1);
+  std::nth_element(copy.begin(), nth, copy.end());
+  return *nth;
 }
 
 SlidingAverage::SlidingAverage(std::size_t window) : window_(window) {

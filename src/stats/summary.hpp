@@ -1,4 +1,7 @@
 // Order statistics and moments over duration samples.
+//
+// A Summary is just its sample log: nothing is cached, so min/max are
+// linear scans and percentile() selects on a local copy.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +35,7 @@ class Summary {
   [[nodiscard]] const std::vector<sim::Duration>& samples() const { return samples_; }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<sim::Duration> samples_;
-  mutable std::vector<sim::Duration> sorted_;
-  mutable bool sorted_valid_ = false;
 };
 
 /// Running mean over a sliding window of the last `window` samples; used to

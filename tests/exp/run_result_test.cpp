@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/hypervisor_system.hpp"
-#include "stats/histogram.hpp"
+#include "obs/metrics.hpp"
 #include "stats/latency_recorder.hpp"
 #include "stats/summary.hpp"
 #include "workload/generators.hpp"
@@ -38,11 +38,12 @@ TEST(SummaryMergeTest, AppendsSamplesInOrder) {
 TEST(SummaryMergeTest, MergeAfterStatsQueryStaysCorrect) {
   stats::Summary a;
   a.add(Duration::us(50));
-  EXPECT_EQ(a.median(), Duration::us(50));  // forces the sorted cache
+  EXPECT_EQ(a.median(), Duration::us(50));
   stats::Summary b;
   b.add(Duration::us(10));
   a.merge(b);
-  EXPECT_EQ(a.min(), Duration::us(10));  // cache must have been invalidated
+  EXPECT_EQ(a.min(), Duration::us(10));  // queries see samples merged later
+  EXPECT_EQ(a.median(), Duration::us(10));
 }
 
 TEST(LatencyRecorderMergeTest, PerClassAndOverallCountsAdd) {
@@ -59,31 +60,48 @@ TEST(LatencyRecorderMergeTest, PerClassAndOverallCountsAdd) {
   EXPECT_EQ(a.count(HandlingClass::kDelayed), 1u);
   EXPECT_EQ(a.total(), 4u);
   EXPECT_EQ(a.all().max(), Duration::us(500));
+  // Per-class views filter the merged log in recorded order.
+  const auto direct = a.of(HandlingClass::kDirect);
+  ASSERT_EQ(direct.count(), 2u);
+  EXPECT_EQ(direct.samples()[0], Duration::us(5));
+  EXPECT_EQ(direct.samples()[1], Duration::us(7));
+  EXPECT_EQ(a.of(HandlingClass::kDirectHw).count(), 0u);
+}
+
+/// Snapshot holding one latency histogram with the given binning.
+obs::MetricsSnapshot histogram_snapshot(std::int64_t lo_us, std::int64_t width_us,
+                                        std::uint32_t buckets) {
+  obs::MetricsRegistry reg;
+  (void)reg.histogram("lat", lo_us * 1000, width_us * 1000, buckets);
+  return reg.snapshot();
+}
+
+void observe_us(obs::MetricsSnapshot& snap, std::int64_t us) {
+  snap.histograms[0].observe(us * 1000);
 }
 
 TEST(HistogramMergeTest, BinCountsAdd) {
-  stats::Histogram a(Duration::us(0), Duration::us(100), Duration::us(10));
-  a.add(Duration::us(15));
-  a.add(Duration::us(200));  // overflow
-  stats::Histogram b(Duration::us(0), Duration::us(100), Duration::us(10));
-  b.add(Duration::us(15));
-  b.add(Duration::us(25));
-  b.add(Duration::us(-5));  // underflow
+  auto a = histogram_snapshot(0, 10, 10);
+  observe_us(a, 15);
+  observe_us(a, 200);  // overflow
+  auto b = histogram_snapshot(0, 10, 10);
+  observe_us(b, 15);
+  observe_us(b, 25);
+  observe_us(b, -5);  // underflow
 
   a.merge(b);
-  EXPECT_EQ(a.bin_count(1), 2u);
-  EXPECT_EQ(a.bin_count(2), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.total(), 5u);
+  const auto& h = a.histograms[0];
+  EXPECT_EQ(h.buckets[1], 2u);
+  EXPECT_EQ(h.buckets[2], 1u);
+  EXPECT_EQ(h.overflow, 1u);
+  EXPECT_EQ(h.underflow, 1u);
+  EXPECT_EQ(h.count, 5u);
 }
 
 TEST(HistogramMergeTest, MismatchedBinningThrows) {
-  stats::Histogram a(Duration::us(0), Duration::us(100), Duration::us(10));
-  stats::Histogram coarser(Duration::us(0), Duration::us(100), Duration::us(20));
-  stats::Histogram shifted(Duration::us(10), Duration::us(110), Duration::us(10));
-  EXPECT_THROW(a.merge(coarser), std::invalid_argument);
-  EXPECT_THROW(a.merge(shifted), std::invalid_argument);
+  auto a = histogram_snapshot(0, 10, 10);
+  EXPECT_THROW(a.merge(histogram_snapshot(0, 20, 10)), std::invalid_argument);  // coarser
+  EXPECT_THROW(a.merge(histogram_snapshot(10, 10, 10)), std::invalid_argument);  // shifted
 }
 
 RunResult run_once(std::uint64_t seed, std::size_t irqs) {
@@ -92,7 +110,6 @@ RunResult run_once(std::uint64_t seed, std::size_t irqs) {
   cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
   cfg.sources[0].d_min = Duration::us(1444);
   core::HypervisorSystem system(cfg);
-  system.keep_completions(true);
   workload::ExponentialTraceGenerator gen(Duration::us(1444), seed,
                                           Duration::us(1444));
   system.attach_trace(0, gen.generate(irqs));
@@ -104,45 +121,34 @@ TEST(RunResultTest, CaptureSnapshotsARealRun) {
   const RunResult r = run_once(7, 100);
   EXPECT_GT(r.completed, 0u);
   EXPECT_EQ(r.recorder.total(), r.completed);
-  EXPECT_EQ(r.completions.size(), r.completed);
   EXPECT_GT(r.tdma_switches, 0u);
-}
-
-TEST(RunResultTest, FillHistogramCoversEveryCompletion) {
-  RunResult r = run_once(7, 100);
-  r.fill_histogram(Duration::us(0), Duration::us(8500), Duration::us(100));
-  ASSERT_TRUE(r.histogram.has_value());
-  EXPECT_EQ(r.histogram->total(), r.completions.size());
+  // The latency metrics are derived from the recorder's sample log.
+  EXPECT_EQ(r.metrics.counter_value("irq.completed"), r.completed);
+  const auto* all = r.metrics.find_histogram("irq.latency.all");
+  ASSERT_NE(all, nullptr);
+  EXPECT_EQ(all->count, r.completed);
+  EXPECT_EQ(all->max_ns, r.recorder.all().max().count_ns());
+  for (const auto cls : {HandlingClass::kDirect, HandlingClass::kInterposed,
+                         HandlingClass::kDelayed, HandlingClass::kDirectHw}) {
+    const std::string suffix(stats::to_string(cls));
+    EXPECT_EQ(r.metrics.counter_value("irq.completed." + suffix), r.recorder.count(cls));
+    EXPECT_EQ(r.metrics.find_histogram("irq.latency." + suffix)->count,
+              r.recorder.count(cls));
+  }
 }
 
 TEST(RunResultTest, MergeEqualsSequentialAggregation) {
   RunResult a = run_once(1, 80);
   RunResult b = run_once(2, 80);
   const std::uint64_t total = a.completed + b.completed;
-  const std::size_t samples = a.completions.size() + b.completions.size();
   const std::uint64_t tdma = a.tdma_switches + b.tdma_switches;
-
-  a.fill_histogram(Duration::us(0), Duration::us(8500), Duration::us(100));
-  b.fill_histogram(Duration::us(0), Duration::us(8500), Duration::us(100));
-  const std::uint64_t hist_total = a.histogram->total() + b.histogram->total();
 
   a.merge(std::move(b));
   EXPECT_EQ(a.completed, total);
   EXPECT_EQ(a.recorder.total(), total);
-  EXPECT_EQ(a.completions.size(), samples);
   EXPECT_EQ(a.tdma_switches, tdma);
-  EXPECT_EQ(a.histogram->total(), hist_total);
-}
-
-TEST(RunResultTest, MergeAdoptsHistogramFromOther) {
-  RunResult a = run_once(1, 40);
-  RunResult b = run_once(2, 40);
-  b.fill_histogram(Duration::us(0), Duration::us(8500), Duration::us(100));
-  const std::uint64_t b_total = b.histogram->total();
-  ASSERT_FALSE(a.histogram.has_value());
-  a.merge(std::move(b));
-  ASSERT_TRUE(a.histogram.has_value());
-  EXPECT_EQ(a.histogram->total(), b_total);
+  EXPECT_EQ(a.metrics.find_histogram("irq.latency.all")->count, total);
+  EXPECT_EQ(a.metrics.counter_value("irq.completed"), total);
 }
 
 TEST(RunResultTest, WriteSummaryIsDeterministicForSameSeed) {

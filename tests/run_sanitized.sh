@@ -60,10 +60,10 @@ echo "== ASan + UBSan: rthv_hunt smoke =="
   --generations 10 --population 8 --horizon-ms 100 --fork-ms 10 --seed 7 \
   --jobs 2 --expect-finding > /dev/null
 
-# The randomized batched-vs-scalar admission differential is the designated
-# sanitizer workout for the SIMD admit kernels: random windows and random
-# batch splits under ASan/UBSan probe every load the AND-reduction and the
-# AVX2 clone perform.
+# The randomized admission differential is the designated sanitizer workout
+# for the admit kernels: random windows, Algorithm 1 reference runs and
+# random batch splits under ASan/UBSan probe every load the AND-reduction
+# and the early-exit loop perform.
 echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 

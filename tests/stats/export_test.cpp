@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "sim/time.hpp"
+
 namespace rthv::stats {
 namespace {
 
@@ -29,8 +31,10 @@ TEST(ExportTest, WriteCsvFileFailsOnBadPath) {
 }
 
 TEST(ExportTest, HistogramCsvRoundTrip) {
-  Histogram h(Duration::zero(), Duration::us(20), Duration::us(10));
-  h.add(Duration::us(5));
+  obs::MetricsSnapshot::Histogram h;
+  h.width_ns = Duration::us(10).count_ns();
+  h.buckets.assign(2, 0);
+  h.observe(Duration::us(5).count_ns());
   const std::string path = ::testing::TempDir() + "/export_hist.csv";
   write_histogram_csv(path, h);
   EXPECT_EQ(slurp(path), "bin_lo_us,bin_hi_us,count\n0,10,1\n10,20,0\n");

@@ -48,7 +48,7 @@ TEST(SummaryTest, PercentileAfterLaterAdds) {
   EXPECT_EQ(s.median(), Duration::us(10));
   s.add(Duration::us(2));
   s.add(Duration::us(4));
-  EXPECT_EQ(s.median(), Duration::us(4));  // sorted cache must refresh
+  EXPECT_EQ(s.median(), Duration::us(4));  // later samples count
 }
 
 TEST(SummaryTest, StddevOfConstantIsZero) {
