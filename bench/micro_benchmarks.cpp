@@ -1,13 +1,15 @@
 // Host-side micro-benchmarks (google-benchmark) of the building blocks on
 // the hot paths: monitor admission checks, IRQ queue operations, the
-// discrete-event queue, busy-window solving and full-system simulation
-// throughput.
+// discrete-event queue, trace-site cost, busy-window solving and
+// full-system simulation throughput. Supporting evidence only: performance
+// claims are end-to-end medians measured by e2ebench/.
 #include <benchmark/benchmark.h>
 
 #include "analysis/irq_latency.hpp"
 #include "core/hypervisor_system.hpp"
 #include "mon/learning_monitor.hpp"
 #include "mon/monitor.hpp"
+#include "obs/trace_ring.hpp"
 #include "sim/event_queue.hpp"
 #include "workload/generators.hpp"
 
@@ -25,8 +27,8 @@ void BM_DeltaMinMonitorCheck(benchmark::State& state) {
     benchmark::DoNotOptimize(monitor.record_and_check(TimePoint::at_ns(t)));
   }
 }
-// Registered under the mon/ names the perf baseline uses, so the admission
-// cost reads the same here and in BENCH_sim_throughput.json.
+// Registered under mon/ names: the δ⁻ admission check sits on the IRQ hot
+// path between queue pop and guest injection.
 BENCHMARK(BM_DeltaMinMonitorCheck)->Name("mon/delta_min_admit");
 
 void BM_DeltaVectorMonitorCheck(benchmark::State& state) {
@@ -43,6 +45,31 @@ void BM_DeltaVectorMonitorCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaVectorMonitorCheck)->Name("mon/delta_vector_admit")->Arg(1)->Arg(5)->Arg(16);
+
+// Batched admission: 16 activations judged per call through the
+// record_and_check_batch API. Time is per *batch*; items_per_second is the
+// per-activation rate comparable with mon/delta_vector_admit/5.
+void delta_vector_admit_batch(benchmark::State& state) {
+  constexpr std::size_t kBatch = 16;
+  mon::DeltaVector deltas;
+  for (std::size_t i = 0; i < 5; ++i) {
+    deltas.push_back(Duration::us(100 * static_cast<std::int64_t>(i + 1)));
+  }
+  mon::DeltaVectorMonitor monitor(deltas);
+  TimePoint times[kBatch];
+  std::uint8_t verdicts[kBatch];
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      t += 73'000;
+      times[i] = TimePoint::at_ns(t);
+    }
+    monitor.record_and_check_batch(times, kBatch, verdicts);
+    benchmark::DoNotOptimize(verdicts);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(delta_vector_admit_batch)->Name("mon/delta_vector_admit_batch16");
 
 void BM_LearningMonitorLearnStep(benchmark::State& state) {
   mon::LearningDeltaMonitor monitor(5, UINT64_MAX);  // stays in learning mode
@@ -75,8 +102,10 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop);
 
-// Steady-state schedule+pop with a large pending set (heap depth log n).
-// Arg = number of events already pending.
+// Steady-state schedule+pop with a large pending set. The queue is a
+// (time, seq)-sorted list, so this append-at-the-tail pattern stays cheap
+// while an out-of-order insert costs O(pending). Arg = number of events
+// already pending.
 void BM_EventQueueScheduleAndPopPending(benchmark::State& state) {
   const auto pending = static_cast<std::size_t>(state.range(0));
   sim::EventQueue queue;
@@ -140,6 +169,65 @@ void BM_EventQueueMixedHvPattern(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EventQueueMixedHvPattern);
+
+// Cost of an RTHV_TRACE site with the ring disabled: this is what every
+// instrumented hot path pays when nobody asked for a trace; README and
+// ARCHITECTURE §8 state it stays < 1 ns/event. ClobberMemory keeps the
+// compiler from proving the ring stays disabled and deleting the loop body.
+void trace_overhead_disabled(benchmark::State& state) {
+  obs::TraceRing ring;  // never enabled; no buffer is ever allocated
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    ++t;
+    RTHV_TRACE(ring, t, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq, 1u, 2u,
+               static_cast<std::uint64_t>(t), 0);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(ring.emitted());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(trace_overhead_disabled)->Name("obs/trace_overhead_ns");
+
+// The enabled-path cost for comparison (one 40-byte store + counter bumps).
+void trace_overhead_enabled(benchmark::State& state) {
+  obs::TraceRing ring;
+  ring.set_enabled(true);
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    ++t;
+    RTHV_TRACE(ring, t, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq, 1u, 2u,
+               static_cast<std::uint64_t>(t), 0);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(ring.emitted());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(trace_overhead_enabled)->Name("obs/trace_overhead_enabled_ns");
+
+// Burst emission through TraceRing::BatchEmitter (the batched ring-slot
+// reservation the hypervisor's fused batch-exit records use): one enabled
+// check and one counter commit amortized over 16 events. Time is per
+// *burst*; items_per_second is the per-event rate comparable with
+// obs/trace_overhead_enabled_ns.
+void trace_overhead_enabled_batch(benchmark::State& state) {
+  constexpr int kBurst = 16;
+  obs::TraceRing ring;
+  ring.set_enabled(true);
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    obs::TraceRing::BatchEmitter burst(ring);
+    for (int k = 0; k < kBurst; ++k) {
+      ++t;
+      burst.emit(t, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq, 1u, 2u,
+                 static_cast<std::uint64_t>(t), 0);
+    }
+    burst.commit();
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(ring.emitted());
+  state.SetItemsProcessed(state.iterations() * kBurst);
+}
+BENCHMARK(trace_overhead_enabled_batch)->Name("obs/trace_overhead_enabled_batch16_ns");
 
 void BM_BusyWindowSolve(benchmark::State& state) {
   analysis::BusyWindowProblem problem;

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable locally:
 #   1. configure + build with warnings-as-errors (RTHV_WERROR=ON)
-#   2. tier-1 test suite (ctest), then the fault-injection campaigns as an
-#      explicit stage (ctest -L fault)
-#   3. static analysis: rthv_lint parser tests, the self-test regression
+#   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch and
+#      perf-smoke labels as explicit stages
+#   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
+#      must report "correct": true
+#   4. static analysis: rthv_lint parser tests, the self-test regression
 #      gate (fixture findings must match the committed EXPECTED_FINDINGS
 #      count exactly), the full-tree scan with a JSON report archived under
 #      artifacts/lint/, and -- when installed -- clang-tidy via the
@@ -52,39 +54,31 @@ ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 echo "== batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
 
-# Benchmarks must at least run: second-scale smoke invocations of both
-# google-benchmark binaries (crashes/asserts, not numbers).
+# The micro-benchmark binary must at least run: a second-scale smoke
+# invocation (crashes/asserts, not numbers).
 echo "== perf smoke (ctest -L perf-smoke) =="
 ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
 
-# The perf gate proper: re-run the suite at real min_time and fail on >10%
-# ns/op regression of any benchmark in the committed baseline. Serial on
-# purpose -- benchmark numbers taken next to a parallel build are garbage.
-# One retry: shared hosts have multi-minute slow windows that shift every
-# benchmark at once; a real regression fails both runs.
-echo "== perf gate (perf_report --compare) =="
-if ! ./build-ci/bench/perf_report build-ci/bench/ci_perf.json \
-    --compare BENCH_sim_throughput.json \
-    --summary-out build-ci/bench/ci_perf_summary.txt; then
-  echo "perf gate failed; retrying once to rule out a noisy-host window"
-  ./build-ci/bench/perf_report build-ci/bench/ci_perf.json \
-    --compare BENCH_sim_throughput.json \
-    --summary-out build-ci/bench/ci_perf_summary.txt
-fi
-
-# Archive the gate's measurements: one JSON per run, stamped with the git
-# revision and UTC date (both also recorded inside the JSON by perf_report),
-# so perf history survives CI workspaces being recycled and a regression can
-# be bisected against real past numbers instead of the single committed
-# baseline. The ratio-sorted delta summary rides along as a text file so a
-# human scanning artifacts/perf sees best/worst movers without re-diffing
-# the JSONs.
-mkdir -p artifacts/perf
-stamp="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)_$(date -u +%Y%m%dT%H%M%SZ)"
-archive="artifacts/perf/perf_${stamp}.json"
-cp build-ci/bench/ci_perf.json "$archive"
-cp build-ci/bench/ci_perf_summary.txt "artifacts/perf/perf_${stamp}_summary.txt"
-echo "perf report archived: $archive"
+# End-to-end benchmark correctness, not speed: the selftest shows that a
+# wrong digest and a non-conserving count are caught, then every workload
+# runs briefly on seeds 1 and 2. A run passes only if the last line of its
+# report says "correct": true -- its digest matches e2ebench/refs.json,
+# event conservation holds and the oracle is clean. Timings from a CI host
+# gate nothing; performance is compared with `run.py steady` medians.
+echo "== e2ebench correctness (python3 e2ebench/run.py) =="
+python3 e2ebench/run.py selftest
+for workload in paper_suite campaign_10irq hunt_storm multicore_4core; do
+  for seed in 1 2; do
+    report="$(python3 e2ebench/run.py --workload "$workload" --seed "$seed" \
+                --seconds 1 --trace 0 | tail -n 1)"
+    if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+        "$report"; then
+      echo "e2ebench: $workload seed $seed is not correct: $report"
+      exit 1
+    fi
+    echo "e2ebench: $workload seed $seed correct"
+  done
+done
 
 echo "== static analysis =="
 # Parser unit tests first: the semantic rules stand on the declaration
@@ -97,10 +91,9 @@ python3 tools/rthv_lint/parser_test.py
 # both a silently-dead rule and an over-eager one trip it.
 python3 tools/rthv_lint/rthv_lint.py --self-test
 
-# Full-tree scan (compile-DB union from the CI build), archived as JSON the
-# same way the perf gate archives its measurements: one report per run,
-# stamped with revision and UTC date, so waiver counts and rule inventory
-# can be compared across history.
+# Full-tree scan (compile-DB union from the CI build), archived as JSON: one
+# report per run under artifacts/lint/, stamped with revision and UTC date,
+# so waiver counts and rule inventory can be compared across history.
 mkdir -p artifacts/lint
 lint_archive="artifacts/lint/lint_$(git rev-parse --short HEAD 2>/dev/null || echo unknown)_$(date -u +%Y%m%dT%H%M%SZ).json"
 python3 tools/rthv_lint/rthv_lint.py \

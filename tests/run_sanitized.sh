@@ -67,9 +67,9 @@ echo "== ASan + UBSan: rthv_hunt smoke =="
 echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 
-# Short benchmark runs under ASan/UBSan: the event queue's callback arena
-# and list links get exercised at benchmark-sized populations no unit test
-# reaches.
+# A short micro_benchmarks run under ASan/UBSan (perf_smoke_micro): its
+# 1000- and 100000-pending event-queue rows exercise the callback arena and
+# list links at populations no unit test reaches.
 echo "== ASan + UBSan: perf smoke (ctest -L perf-smoke) =="
 ctest --test-dir build-asan --output-on-failure -L perf-smoke -j "$jobs"
 

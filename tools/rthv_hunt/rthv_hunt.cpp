@@ -28,13 +28,21 @@
 //   --expect-finding       exit 1 when the hunt comes up empty (CI smoke)
 //   --repro-out FILE       write the minimized reproducer plan
 //
+// Every integer value is parsed whole and range-checked: a malformed,
+// negative (for counts) or zero (for --jobs, --generations, --population)
+// value prints an error and exits 2 before any system is built.
+//
 // Every finding is replayed standalone (fresh system, reproducer armed at
 // t=0) before it is reported; a finding that fails to replay is a bug in
-// the snapshot layer and aborts with exit 3.
+// the snapshot layer and aborts with exit 3. A reproducer plan that cannot
+// be written to --repro-out prints an error and exits 1.
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,14 +69,25 @@ void usage() {
                "  [--expect-finding] [--repro-out FILE]\n";
 }
 
-std::int64_t parse_int(const char* flag, const char* value) {
-  try {
-    return std::stoll(value);
-  } catch (const std::exception&) {
-    std::cerr << "error: " << flag << " needs an integer, got '" << value << "'\n";
+// Parses the whole of `value` as a base-10 integer in [lo, hi]. A sign the
+// type cannot hold, trailing characters and out-of-range values are errors.
+template <typename T>
+T parse_int(const char* flag, const char* value, T lo = std::numeric_limits<T>::min(),
+            T hi = std::numeric_limits<T>::max()) {
+  T parsed{};
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc{} || ptr != end || parsed < lo || parsed > hi) {
+    std::cerr << "error: " << flag << " needs an integer in [" << lo << ", " << hi
+              << "], got '" << value << "'\n";
     std::exit(2);
   }
+  return parsed;
 }
+
+// Upper bounds that keep the unit conversions below from overflowing.
+constexpr std::int64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+constexpr std::int64_t kMaxUs = std::numeric_limits<std::int64_t>::max() / 1'000;
 
 }  // namespace
 
@@ -112,40 +131,37 @@ int main(int argc, char** argv) {
       };
       if (std::strcmp(argv[i], "--seed") == 0) {
         need(1);
-        hunt.seed = static_cast<std::uint64_t>(parse_int("--seed", argv[++i]));
+        hunt.seed = parse_int<std::uint64_t>("--seed", argv[++i]);
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         need(1);
-        hunt.jobs = static_cast<std::uint32_t>(parse_int("--jobs", argv[++i]));
+        hunt.jobs = parse_int<std::uint32_t>("--jobs", argv[++i], 1);
       } else if (std::strcmp(argv[i], "--generations") == 0) {
         need(1);
-        hunt.generations =
-            static_cast<std::uint32_t>(parse_int("--generations", argv[++i]));
+        hunt.generations = parse_int<std::uint32_t>("--generations", argv[++i], 1);
       } else if (std::strcmp(argv[i], "--population") == 0) {
         need(1);
-        hunt.population =
-            static_cast<std::uint32_t>(parse_int("--population", argv[++i]));
+        hunt.population = parse_int<std::uint32_t>("--population", argv[++i], 1);
       } else if (std::strcmp(argv[i], "--horizon-ms") == 0) {
         need(1);
-        hunt.horizon = Duration::ms(parse_int("--horizon-ms", argv[++i]));
+        hunt.horizon =
+            Duration::ms(parse_int<std::int64_t>("--horizon-ms", argv[++i], 1, kMaxMs));
       } else if (std::strcmp(argv[i], "--fork-ms") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kTime;
-        hunt.fork.time =
-            TimePoint::at_us(parse_int("--fork-ms", argv[++i]) * 1000);
+        hunt.fork.time = TimePoint::at_us(
+            parse_int<std::int64_t>("--fork-ms", argv[++i], 0, kMaxMs) * 1000);
       } else if (std::strcmp(argv[i], "--fork-slot") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kSlotBoundary;
-        hunt.fork.boundary =
-            static_cast<std::uint64_t>(parse_int("--fork-slot", argv[++i]));
+        hunt.fork.boundary = parse_int<std::uint64_t>("--fork-slot", argv[++i]);
       } else if (std::strcmp(argv[i], "--fork-depth") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kMonitorDepth;
         hunt.fork.source = 0;
-        hunt.fork.depth =
-            static_cast<std::uint64_t>(parse_int("--fork-depth", argv[++i]));
+        hunt.fork.depth = parse_int<std::uint64_t>("--fork-depth", argv[++i]);
       } else if (std::strcmp(argv[i], "--weaken") == 0) {
         need(1);
-        weaken_divisor = parse_int("--weaken", argv[++i]);
+        weaken_divisor = parse_int<std::int64_t>("--weaken", argv[++i], 0);
       } else if (std::strcmp(argv[i], "--base-plan") == 0) {
         need(1);
         hunt.base_plan = fault::load_fault_plan_file(argv[++i]);
@@ -154,15 +170,15 @@ int main(int argc, char** argv) {
         hunt.corpus.push_back(fault::load_fault_plan_file(argv[++i]));
       } else if (std::strcmp(argv[i], "--exp") == 0) {
         need(2);
-        exp_mean_us = parse_int("--exp", argv[++i]);
-        exp_count = parse_int("--exp", argv[++i]);
+        exp_mean_us = parse_int<std::int64_t>("--exp", argv[++i], 1, kMaxUs);
+        exp_count = parse_int<std::int64_t>("--exp", argv[++i], 0);
       } else if (std::strcmp(argv[i], "--event-budget") == 0) {
         need(1);
-        hunt.event_budget =
-            static_cast<std::uint64_t>(parse_int("--event-budget", argv[++i]));
+        hunt.event_budget = parse_int<std::uint64_t>("--event-budget", argv[++i]);
       } else if (std::strcmp(argv[i], "--latency-us") == 0) {
         need(1);
-        hunt.latency_threshold = Duration::us(parse_int("--latency-us", argv[++i]));
+        hunt.latency_threshold =
+            Duration::us(parse_int<std::int64_t>("--latency-us", argv[++i], 0, kMaxUs));
       } else if (std::strcmp(argv[i], "--random") == 0) {
         hunt.coverage_guided = false;
       } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
@@ -245,6 +261,11 @@ int main(int argc, char** argv) {
     if (!repro_out.empty()) {
       std::ofstream out(repro_out);
       fault::save_fault_plan(out, result.reproducer.plan);
+      out.close();
+      if (!out) {
+        std::cerr << "error: cannot write file: " << repro_out << "\n";
+        return 1;
+      }
       std::cout << "reproducer plan written to " << repro_out << "\n";
     } else {
       std::cout << "--- reproducer plan ---\n";
