@@ -148,7 +148,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::HypervisorSystem system(config);
+  // The loader checks each value; cross-references (a subscriber or slot
+  // naming a missing partition, a zero d_min, too few IRQ lines) are checked
+  // when the system is built.
+  std::unique_ptr<core::HypervisorSystem> built;
+  try {
+    built = std::make_unique<core::HypervisorSystem>(config);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+  core::HypervisorSystem& system = *built;
   if (!trace_out.empty()) system.enable_tracing();
   for (std::uint32_t s = 0; s < traces.size(); ++s) {
     system.attach_trace(s, std::move(traces[s]));

@@ -135,28 +135,6 @@ std::shared_ptr<MinDistanceFunction> make_bursty(sim::Duration outer_period,
   return std::make_shared<BurstModel>(outer_period, burst_size, inner_distance);
 }
 
-OutputModel::OutputModel(std::shared_ptr<const MinDistanceFunction> input,
-                         sim::Duration response_jitter, sim::Duration d_floor)
-    : input_(std::move(input)), jitter_(response_jitter), floor_(d_floor) {
-  RTHV_PRECONDITION(input_ != nullptr, "analysis/output-input-set");
-  RTHV_PRECONDITION(!jitter_.is_negative(), "analysis/output-jitter-nonnegative");
-  RTHV_PRECONDITION(floor_.is_positive(), "analysis/output-floor-positive");
-}
-
-sim::Duration OutputModel::at(std::uint64_t q) const {
-  const sim::Duration shrunk =
-      core::checked_sub((*input_)(q), jitter_, "analysis/output-delta");
-  const sim::Duration floored =
-      core::checked_mul(floor_, q - 1, "analysis/output-floor");
-  return std::max(shrunk, floored);
-}
-
-std::shared_ptr<MinDistanceFunction> make_output(
-    std::shared_ptr<const MinDistanceFunction> input, sim::Duration response_jitter,
-    sim::Duration d_floor) {
-  return std::make_shared<OutputModel>(std::move(input), response_jitter, d_floor);
-}
-
 double long_run_rate_hz(const MinDistanceFunction& delta) {
   constexpr std::uint64_t kLargeQ = 1'000'000;
   const sim::Duration span = delta(kLargeQ);

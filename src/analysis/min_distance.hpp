@@ -117,29 +117,6 @@ class TraceModel final : public MinDistanceFunction {
   std::vector<sim::Duration> spans_;  // spans_[i] = delta^-(i + 2)
 };
 
-/// Output event model of a processed stream (compositional performance
-/// analysis): if input events leave the resource after response times in
-/// [r_min, r_max], the output stream's minimum distances shrink by the
-/// response jitter r_max - r_min, floored by the minimum service spacing:
-///   delta_out(q) = max(delta_in(q) - (r_max - r_min), (q-1) * d_floor).
-/// Used to chain analyses -- e.g. the arrival model a downstream consumer
-/// of interposed bottom-handler outputs (IPC messages, forwarded frames)
-/// must be dimensioned for.
-class OutputModel final : public MinDistanceFunction {
- public:
-  OutputModel(std::shared_ptr<const MinDistanceFunction> input,
-              sim::Duration response_jitter, sim::Duration d_floor);
-  [[nodiscard]] sim::Duration response_jitter() const { return jitter_; }
-
- protected:
-  [[nodiscard]] sim::Duration at(std::uint64_t q) const override;
-
- private:
-  std::shared_ptr<const MinDistanceFunction> input_;
-  sim::Duration jitter_;
-  sim::Duration floor_;
-};
-
 /// Convenience factory helpers.
 [[nodiscard]] std::shared_ptr<MinDistanceFunction> make_sporadic(sim::Duration d_min);
 [[nodiscard]] std::shared_ptr<MinDistanceFunction> make_periodic(
@@ -147,9 +124,6 @@ class OutputModel final : public MinDistanceFunction {
     sim::Duration d_min = sim::Duration::zero());
 [[nodiscard]] std::shared_ptr<MinDistanceFunction> make_bursty(
     sim::Duration outer_period, std::uint32_t burst_size, sim::Duration inner_distance);
-[[nodiscard]] std::shared_ptr<MinDistanceFunction> make_output(
-    std::shared_ptr<const MinDistanceFunction> input, sim::Duration response_jitter,
-    sim::Duration d_floor);
 
 /// Long-run activation rate of an event model in events per second
 /// (lim q / delta^-(q), evaluated at a large q).

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 namespace rthv::core {
@@ -26,6 +27,30 @@ std::int64_t parse_int(std::size_t line, const std::string& value) {
   } catch (const std::exception&) {
     throw ConfigError(line, "expected an integer, got '" + value + "'");
   }
+}
+
+// Unsigned keys: a negative or too-large value is an error, never a
+// static_cast wrap-around into a huge line count or capacity.
+template <typename T>
+T parse_unsigned(std::size_t line, const std::string& value) {
+  const std::int64_t v = parse_int(line, value);
+  constexpr auto kMax = std::numeric_limits<T>::max();
+  if (v < 0 || static_cast<std::uint64_t>(v) > kMax) {
+    throw ConfigError(line, "expected an integer in [0, " + std::to_string(kMax) +
+                                "], got '" + value + "'");
+  }
+  return static_cast<T>(v);
+}
+
+// Microsecond keys: bounded so the conversion to nanoseconds cannot overflow.
+sim::Duration parse_us(std::size_t line, const std::string& value) {
+  constexpr std::int64_t kMaxUs = std::numeric_limits<std::int64_t>::max() / 1000;
+  const std::int64_t v = parse_int(line, value);
+  if (v < 0 || v > kMaxUs) {
+    throw ConfigError(line, "expected microseconds in [0, " + std::to_string(kMaxUs) +
+                                "], got '" + value + "'");
+  }
+  return sim::Duration::us(v);
 }
 
 std::uint32_t parse_mask(std::size_t line, const std::string& value) {
@@ -63,7 +88,7 @@ mon::DeltaVector parse_delta_vector(std::size_t line, const std::string& value) 
   std::istringstream ss(value);
   std::string token;
   while (ss >> token) {
-    out.push_back(sim::Duration::us(parse_int(line, token)));
+    out.push_back(parse_us(line, token));
   }
   if (out.empty()) throw ConfigError(line, "empty delta vector");
   return out;
@@ -145,17 +170,20 @@ SystemConfig load_config(std::istream& is) {
         throw ConfigError(line_no, "key outside any section");
       case Section::kPlatform:
         if (key == "cpu_freq_hz") {
-          cfg.platform.cpu_freq_hz = static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.platform.cpu_freq_hz = parse_unsigned<std::uint64_t>(line_no, value);
+          if (cfg.platform.cpu_freq_hz == 0) {
+            throw ConfigError(line_no, "cpu_freq_hz must be positive");
+          }
         } else if (key == "cpi_milli") {
-          cfg.platform.cpi_milli = static_cast<std::uint32_t>(parse_int(line_no, value));
+          cfg.platform.cpi_milli = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "ctx_invalidate_instructions") {
           cfg.platform.ctx_invalidate_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "ctx_writeback_cycles") {
           cfg.platform.ctx_writeback_cycles =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "num_irq_lines") {
-          cfg.platform.num_irq_lines = static_cast<std::uint32_t>(parse_int(line_no, value));
+          cfg.platform.num_irq_lines = parse_unsigned<std::uint32_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown platform key '" + key + "'");
         }
@@ -163,13 +191,13 @@ SystemConfig load_config(std::istream& is) {
       case Section::kOverheads:
         if (key == "monitor_instructions") {
           cfg.overheads.monitor_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "sched_manipulation_instructions") {
           cfg.overheads.sched_manipulation_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "tdma_tick_instructions") {
           cfg.overheads.tdma_tick_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown overheads key '" + key + "'");
         }
@@ -179,34 +207,32 @@ SystemConfig load_config(std::istream& is) {
           cfg.mode = parse_bool(line_no, value) ? hv::TopHandlerMode::kInterposing
                                                 : hv::TopHandlerMode::kOriginal;
         } else if (key == "background_quantum_us") {
-          cfg.background_quantum = sim::Duration::us(parse_int(line_no, value));
+          cfg.background_quantum = parse_us(line_no, value);
         } else if (key == "irq_queue_capacity") {
-          cfg.irq_queue_capacity = static_cast<std::size_t>(parse_int(line_no, value));
+          cfg.irq_queue_capacity = parse_unsigned<std::size_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown mode key '" + key + "'");
         }
         break;
       case Section::kInterconnect:
         if (key == "cores") {
-          cfg.interconnect.num_cores = static_cast<std::uint32_t>(parse_int(line_no, value));
+          cfg.interconnect.num_cores = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "colors") {
-          cfg.interconnect.num_colors = static_cast<std::uint32_t>(parse_int(line_no, value));
+          cfg.interconnect.num_colors = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "epoch_us") {
-          cfg.interconnect.epoch = sim::Duration::us(parse_int(line_no, value));
+          cfg.interconnect.epoch = parse_us(line_no, value);
         } else if (key == "base_access_ns") {
-          cfg.interconnect.base_access_ns =
-              static_cast<std::uint32_t>(parse_int(line_no, value));
+          cfg.interconnect.base_access_ns = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "conflict_access_ns") {
           cfg.interconnect.conflict_access_ns =
-              static_cast<std::uint32_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "half_load_accesses") {
           cfg.interconnect.half_load_accesses =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "route_latency_us") {
-          cfg.interconnect.route_latency = sim::Duration::us(parse_int(line_no, value));
+          cfg.interconnect.route_latency = parse_us(line_no, value);
         } else if (key == "route_accesses") {
-          cfg.interconnect.route_accesses =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.interconnect.route_accesses = parse_unsigned<std::uint64_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown interconnect key '" + key + "'");
         }
@@ -217,10 +243,9 @@ SystemConfig load_config(std::istream& is) {
         }
         if (key == "budget_accesses") {
           cfg.interconnect.budgets.back().budget_accesses =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "replenish_us") {
-          cfg.interconnect.budgets.back().replenish_period =
-              sim::Duration::us(parse_int(line_no, value));
+          cfg.interconnect.budgets.back().replenish_period = parse_us(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown core key '" + key + "'");
         }
@@ -229,16 +254,16 @@ SystemConfig load_config(std::istream& is) {
         if (key == "name") {
           current_partition().name = value;
         } else if (key == "slot_us") {
-          current_partition().slot_length = sim::Duration::us(parse_int(line_no, value));
+          current_partition().slot_length = parse_us(line_no, value);
         } else if (key == "background_load") {
           current_partition().background_load = parse_bool(line_no, value);
         } else if (key == "core") {
-          current_partition().core = static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_partition().core = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "color_mask") {
           current_partition().color_mask = parse_mask(line_no, value);
         } else if (key == "mem_accesses_per_us") {
           current_partition().mem_accesses_per_us =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown partition key '" + key + "'");
         }
@@ -247,45 +272,41 @@ SystemConfig load_config(std::istream& is) {
         if (key == "name") {
           current_source().name = value;
         } else if (key == "subscriber") {
-          current_source().subscriber = static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_source().subscriber = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "c_top_us") {
-          current_source().c_top = sim::Duration::us(parse_int(line_no, value));
+          current_source().c_top = parse_us(line_no, value);
         } else if (key == "c_bottom_us") {
-          current_source().c_bottom = sim::Duration::us(parse_int(line_no, value));
+          current_source().c_bottom = parse_us(line_no, value);
         } else if (key == "monitor") {
           current_source().monitor = parse_monitor(line_no, value);
         } else if (key == "d_min_us") {
-          current_source().d_min = sim::Duration::us(parse_int(line_no, value));
+          current_source().d_min = parse_us(line_no, value);
         } else if (key == "delta_vector_us") {
           current_source().delta_vector = parse_delta_vector(line_no, value);
         } else if (key == "learning_depth") {
-          current_source().learning_depth =
-              static_cast<std::size_t>(parse_int(line_no, value));
+          current_source().learning_depth = parse_unsigned<std::size_t>(line_no, value);
         } else if (key == "learning_events") {
           current_source().learning_events =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+              parse_unsigned<std::uint64_t>(line_no, value);
         } else if (key == "bucket_depth") {
-          current_source().bucket_depth =
-              static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_source().bucket_depth = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "window_events") {
-          current_source().window_events =
-              static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_source().window_events = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "direct_delivery") {
           current_source().direct_delivery = parse_bool(line_no, value);
         } else if (key == "core") {
-          current_source().core = static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_source().core = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "bh_accesses") {
-          current_source().bh_accesses =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          current_source().bh_accesses = parse_unsigned<std::uint64_t>(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown source key '" + key + "'");
         }
         break;
       case Section::kSlot:
         if (key == "partition") {
-          current_slot().partition = static_cast<std::uint32_t>(parse_int(line_no, value));
+          current_slot().partition = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "length_us") {
-          current_slot().length = sim::Duration::us(parse_int(line_no, value));
+          current_slot().length = parse_us(line_no, value);
         } else {
           throw ConfigError(line_no, "unknown slot key '" + key + "'");
         }

@@ -55,6 +55,13 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   if (config_.partitions.empty()) {
     throw std::invalid_argument("SystemConfig needs at least one partition");
   }
+  // Line 0 is the TDMA timer and source i is wired to line i + 1 (below).
+  if (config_.platform.num_irq_lines <= config_.sources.size()) {
+    throw std::invalid_argument(
+        "num_irq_lines = " + std::to_string(config_.platform.num_irq_lines) +
+        " leaves no line for " + std::to_string(config_.sources.size()) +
+        " IRQ source(s) after the TDMA timer's line 0");
+  }
   platform_ = std::make_unique<hw::Platform>(sim_, config_.platform);
   hv_ = std::make_unique<hv::Hypervisor>(*platform_, config_.overheads);
   hv_->set_top_handler_mode(config_.mode);
@@ -150,9 +157,9 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     completed_by_class_[c] = metrics_.counter("irq.completed." + suffix);
   }
 
-  // Materialize the TDMA timer and IPC router now: a pristine snapshot of
-  // this system then has the same structure as one that has run, which is
-  // what lets a pool recycle an instance by restoring its pre-start state.
+  // Materialize the TDMA timer now: a pristine snapshot of this system then
+  // has the same structure as one that has run, which is what lets a pool
+  // recycle an instance by restoring its pre-start state.
   hv_->finalize_structure();
 
   hv_->set_completion_hook([this](const hv::CompletedIrq& rec) {
@@ -196,7 +203,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   snap.add_counter("irq.denied.monitor", irq.denied_by_monitor);
   snap.add_counter("irq.denied.engine_busy", irq.denied_engine_busy);
   snap.add_counter("irq.denied.backlog", irq.denied_backlog);
-  snap.add_counter("irq.denied.guest_masked", irq.denied_guest_masked);
   snap.add_counter("irq.deferred_slot_switches", irq.deferred_slot_switches);
   snap.add_counter("irq.direct_hw", irq.direct_hw);
   snap.add_counter("irq.batches", irq.batches);
@@ -220,7 +226,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
     queue_drops += hv_->partition(p).irq_queue().drops();
   }
   snap.add_counter("irq_queue.drops", queue_drops);
-  snap.add_counter("partition.restarts", hv_->partition_restarts());
   snap.add_counter("intc.lost_raises", platform_->intc().lost_raises());
   snap.add_counter("sim.executed_events", sim_.executed_events());
   snap.set_gauge("sim.now_ns", sim_.now().count_ns());

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -46,6 +47,9 @@ std::int64_t parse_int(std::string_view value, std::size_t line) {
     if (c < '0' || c > '9') {
       throw FaultPlanError(line, "expected a number, got '" + std::string(value) + "'");
     }
+    if (out > (std::numeric_limits<std::int64_t>::max() - (c - '0')) / 10) {
+      throw FaultPlanError(line, "number out of range: '" + std::string(value) + "'");
+    }
     out = out * 10 + (c - '0');
   }
   return negative ? -out : out;
@@ -55,6 +59,19 @@ std::uint64_t parse_u64(std::string_view value, std::size_t line) {
   const std::int64_t v = parse_int(value, line);
   if (v < 0) throw FaultPlanError(line, "value must be non-negative");
   return static_cast<std::uint64_t>(v);
+}
+
+// `[campaign] horizon_ms / horizon_s`: positive, and small enough that the
+// conversion to nanoseconds cannot overflow.
+Duration parse_horizon(std::string_view value, std::size_t line, std::int64_t unit_ns) {
+  const std::int64_t v = parse_int(value, line);
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max() / unit_ns;
+  if (v <= 0 || v > max) {
+    throw FaultPlanError(line, "horizon must be positive and at most " +
+                                   std::to_string(max) + ", got '" +
+                                   std::string(value) + "'");
+  }
+  return Duration::ns(v * unit_ns);
 }
 
 struct Section {
@@ -235,9 +252,9 @@ FaultPlan load_fault_plan(std::istream& in) {
     const std::string_view value = trim(text.substr(eq + 1));
     if (in_campaign) {
       if (key == "horizon_ms") {
-        plan.horizon = Duration::ms(parse_int(value, line_no));
+        plan.horizon = parse_horizon(value, line_no, 1'000'000);
       } else if (key == "horizon_s") {
-        plan.horizon = Duration::s(parse_int(value, line_no));
+        plan.horizon = parse_horizon(value, line_no, 1'000'000'000);
       } else {
         throw FaultPlanError(line_no, "unknown key '" + std::string(key) + "'");
       }

@@ -5,7 +5,7 @@
 // through the PartitionClient interface; IRQ bottom handlers are executed
 // by the hypervisor ahead of task work (paper Fig. 2), and the kernel is
 // notified of each completed bottom handler so guest code can react (e.g.
-// send IPC).
+// activate an event-driven task).
 //
 // Scheduling model: strict fixed priorities, work handed to the hypervisor
 // in chunks of at most `quantum` so that a newly released higher-priority
@@ -36,7 +36,7 @@ struct GuestTaskConfig {
   sim::Duration budget;        // execution demand per activation
   /// Zero period = background task (always ready, re-arms itself) unless
   /// `event_driven` is set, in which case the task only runs when
-  /// activate() is called (e.g. from an IPC or bottom-handler callback).
+  /// activate() is called (e.g. from a bottom-handler callback).
   sim::Duration period;
   bool event_driven = false;
   sim::Duration phase;         // first release offset (periodic tasks)

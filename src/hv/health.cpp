@@ -31,7 +31,6 @@ void HealthMonitor::report(const HealthEvent& event) {
                obs::TraceCategory::kOther, event.partition, event.source,
                static_cast<std::uint64_t>(event.kind));
   }
-  if (callback_) callback_(event);
 }
 
 std::uint64_t HealthMonitor::count(HealthEventKind k) const {

@@ -19,15 +19,13 @@
 //   kDeferredBoundary  -- a TDMA boundary was deferred by a running bottom
 //                         handler (bounded, but safety cases may cap it).
 //
-// Events are kept in a bounded ring buffer with per-kind counters; an
-// optional callback lets system software react (e.g. ARINC653 partition
-// restart policies).
+// Events are kept in a bounded ring buffer with per-kind counters and
+// re-emitted as kHealth trace records.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string_view>
 
 #include "hv/types.hpp"
@@ -59,13 +57,9 @@ struct HealthEvent {
 
 class HealthMonitor {
  public:
-  using Callback = std::function<void(const HealthEvent&)>;
-
   explicit HealthMonitor(std::size_t ring_capacity = 256);
 
   void report(const HealthEvent& event);
-
-  void set_callback(Callback cb) { callback_ = std::move(cb); }
 
   /// Re-emits every reported event as a typed kHealth trace record
   /// (arg0 = HealthEventKind) on `ring`; pass nullptr to detach.
@@ -79,8 +73,8 @@ class HealthMonitor {
 
   void clear();
 
-  /// Checkpoint of the event ring and per-kind counters (callback and trace
-  /// attachment are wiring).
+  /// Checkpoint of the event ring and per-kind counters (the trace
+  /// attachment is wiring).
   void snapshot_state(sim::StateWriter& w) const {
     w.u64(ring_.size());
     for (const HealthEvent& e : ring_) w.pod(e);
@@ -97,7 +91,6 @@ class HealthMonitor {
   std::size_t capacity_;  // lint: transient(structural ring bound fixed at construction)
   std::deque<HealthEvent> ring_;
   std::array<std::uint64_t, static_cast<std::size_t>(HealthEventKind::kCount_)> counts_{};
-  Callback callback_;  // lint: transient(owner wiring, re-established at system assembly)
   obs::TraceRing* trace_ = nullptr;  // lint: transient(trace wiring; the ring is snapshotted by its owner)
 };
 

@@ -99,7 +99,6 @@ sim::TimePoint Hypervisor::normalized_observation(IrqSourceId sid, TimePoint rai
 }
 
 void Hypervisor::finalize_structure() {
-  if (ipc_ == nullptr) ipc_ = std::make_unique<IpcRouter>(num_partitions());
   if (tdma_timer_ == nullptr) tdma_timer_ = &platform_.add_timer(tdma_line_);
 }
 
@@ -132,42 +131,6 @@ void Hypervisor::start() {
   dispatch_partition_work();
 }
 
-bool Hypervisor::ipc_send(PartitionId dst, std::uint64_t tag, std::uint64_t payload) {
-  assert(started_);
-  assert(dst < partitions_.size());
-  return ipc_->send(current_partition_, dst, tag, payload, now());
-}
-
-std::optional<IpcMessage> Hypervisor::ipc_receive() {
-  assert(started_);
-  return ipc_->receive(current_partition_);
-}
-
-PortId Hypervisor::create_sampling_port(std::string name, Duration refresh_period) {
-  assert(!started_);
-  return ports_.create_port(std::move(name), refresh_period);
-}
-
-void Hypervisor::port_write(PortId port, std::uint64_t payload) {
-  assert(started_);
-  ports_.write(port, current_partition_, payload, now());
-}
-
-std::optional<PortSample> Hypervisor::port_read(PortId port) const {
-  assert(started_);
-  return ports_.read(port, now());
-}
-
-void Hypervisor::vint_set(bool enabled) {
-  assert(started_);
-  partitions_[current_partition_].set_virtual_irq_enabled(enabled);
-}
-
-bool Hypervisor::vint_enabled() const {
-  assert(started_);
-  return partitions_[current_partition_].virtual_irq_enabled();
-}
-
 void Hypervisor::notify_work_available(PartitionId p) {
   if (!started_) return;
   assert(p < partitions_.size());
@@ -179,51 +142,6 @@ void Hypervisor::notify_work_available(PartitionId p) {
     return;
   }
   dispatch_partition_work();
-}
-
-void Hypervisor::restart_partition(PartitionId p) {
-  assert(started_);
-  assert(p < partitions_.size());
-  if (hv_busy_) {
-    // Mid-IRQ-context (e.g. from a health callback): processed when the
-    // hypervisor sequence returns to partition context.
-    pending_restarts_.push_back(p);
-    return;
-  }
-  do_restart_partition(p);
-  if (!hv_busy_ && !running_ && current_partition_ == p) {
-    dispatch_partition_work();
-  }
-}
-
-void Hypervisor::do_restart_partition(PartitionId p) {
-  Partition& part = partitions_[p];
-  trace(TracePoint::kPartitionRestart, TraceCategory::kScheduler, p);
-  ++restarts_;
-
-  // Cancel in-flight work owned by the partition (discarded, not resumed).
-  if (running_ && running_->partition == p) {
-    platform_.simulator().cancel(running_->completion);
-    running_.reset();
-  }
-  part.irq_queue().clear();
-  part.bh_in_progress.reset();
-  part.saved_guest_work.reset();
-  part.set_virtual_irq_enabled(true);
-  if (part.client() != nullptr) part.client()->on_restart();
-
-  if (interpose_ && current_partition_ == p) {
-    // The interposed work was discarded; terminate the interposition.
-    end_interpose();
-  }
-}
-
-void Hypervisor::drain_pending_restarts() {
-  while (!pending_restarts_.empty() && !hv_busy_) {
-    const PartitionId p = pending_restarts_.front();
-    pending_restarts_.erase(pending_restarts_.begin());
-    do_restart_partition(p);
-  }
 }
 
 TimePoint Hypervisor::now() const { return platform_.simulator().now(); }
@@ -336,9 +254,9 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
   }
 
   // Phase 2 -- route every item and commit the Fig. 4b decisions. All
-  // inputs (engine state, guest vIRQ masks, backlog) are frozen while
-  // interrupts stay disabled, so deciding here and applying in one fused
-  // continuation is equivalent to the unbatched step-by-step chain.
+  // inputs (engine state, backlog) are frozen while interrupts stay
+  // disabled, so deciding here and applying in one fused continuation is
+  // equivalent to the unbatched step-by-step chain.
   const bool interposing = mode_ == TopHandlerMode::kInterposing;
   std::size_t num_checked = 0;
   int winner = -1;
@@ -364,10 +282,6 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
       // Only one interposition at a time; an admitted event that meets a
       // busy engine falls back to delayed handling.
       item.deny_reason = static_cast<std::uint8_t>(obs::InterposeDenyReason::kEngineBusy);
-    } else if (!partitions_[sub].virtual_irq_enabled()) {
-      // The subscriber guest masked its virtual interrupts (critical
-      // section); interposing would deliver into it.
-      item.deny_reason = static_cast<std::uint8_t>(obs::InterposeDenyReason::kGuestMasked);
     } else if (partitions_[sub].bh_in_progress) {
       // The subscriber still has a partially executed bottom handler (e.g.
       // one that straddled its slot boundary). A budget cannot guarantee
@@ -416,12 +330,10 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
         case obs::InterposeDenyReason::kEngineBusy:
           ++irq_path_stats_.denied_engine_busy;
           break;
-        case obs::InterposeDenyReason::kGuestMasked:
-          ++irq_path_stats_.denied_guest_masked;
-          break;
         case obs::InterposeDenyReason::kBacklog:
           ++irq_path_stats_.denied_backlog;
           break;
+        case obs::InterposeDenyReason::kGuestMasked:  // reserved, never decided
         case obs::InterposeDenyReason::kCount_:
           assert(false);
           break;
@@ -723,10 +635,6 @@ void Hypervisor::return_to_partition() {
   // takes over, it owns the CPU now and will return here itself.
   platform_.intc().set_cpu_irq_enabled(true);
   if (hv_busy_) return;
-  if (!pending_restarts_.empty()) {
-    drain_pending_restarts();
-    if (hv_busy_ || running_) return;  // a restart re-entered hv context
-  }
   dispatch_partition_work();
 }
 
@@ -791,7 +699,7 @@ void Hypervisor::dispatch_partition_work() {
     const IrqEvent& ev = *p.bh_in_progress->event;
     trace(TracePoint::kBottomResume, TraceCategory::kBottom, p.id(), ev.source, ev.seq);
     slot = WorkSlot::kBottomHandler;
-  } else if (!p.irq_queue().empty() && p.virtual_irq_enabled()) {
+  } else if (!p.irq_queue().empty()) {
     pop_bh();
     slot = WorkSlot::kBottomHandler;
   } else if (p.saved_guest_work) {
@@ -974,10 +882,8 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
   w.boolean(interpose_.has_value());
   if (interpose_) w.pod(*interpose_);
   w.boolean(slot_switch_pending_);
-  w.pod_vec(pending_restarts_);
   w.pod(ctx_stats_);
   w.pod(irq_path_stats_);
-  w.u64(restarts_);
   // Only live batch items: the 64-slot scratch array is almost always empty
   // between events, and warm-start restores pay for every serialized word.
   w.u64(batch_.count);
@@ -994,9 +900,6 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
     w.boolean(m != nullptr);
     if (m) m->snapshot_state(w);
   }
-  w.boolean(ipc_ != nullptr);
-  if (ipc_) ipc_->snapshot_state(w);
-  ports_.snapshot_state(w);
   health_.snapshot_state(w);
 
   Snapshot snap;
@@ -1022,10 +925,8 @@ void Hypervisor::restore(const Snapshot& snap) {
   interpose_.reset();
   if (r.boolean()) interpose_ = r.pod<Interpose>();
   slot_switch_pending_ = r.boolean();
-  r.pod_vec(pending_restarts_);
   ctx_stats_ = r.pod<ContextSwitchStats>();
   irq_path_stats_ = r.pod<IrqPathStats>();
-  restarts_ = r.u64();
   batch_.count = r.u64();
   if (batch_.count > IrqBatch::kCapacity) {
     throw std::logic_error("Hypervisor::restore: batch count exceeds capacity");
@@ -1052,12 +953,6 @@ void Hypervisor::restore(const Snapshot& snap) {
     }
     if (m) m->restore_state(r);
   }
-  const bool had_ipc = r.boolean();
-  if (had_ipc != (ipc_ != nullptr)) {
-    throw std::logic_error("Hypervisor::restore: IPC router presence changed");
-  }
-  if (ipc_) ipc_->restore_state(r);
-  ports_.restore_state(r);
   health_.restore_state(r);
   assert(r.exhausted() && "Hypervisor snapshot stream not fully consumed");
 

@@ -60,10 +60,8 @@
 
 #include "hv/dispatch_table.hpp"
 #include "hv/health.hpp"
-#include "hv/ipc.hpp"
 #include "hv/overhead_model.hpp"
 #include "hv/partition.hpp"
-#include "hv/sampling_port.hpp"
 #include "hv/tdma_scheduler.hpp"
 #include "hv/types.hpp"
 #include "hw/platform.hpp"
@@ -131,7 +129,6 @@ struct IrqPathStats {
   std::uint64_t denied_by_monitor = 0;
   std::uint64_t denied_engine_busy = 0;  // admitted but an interpose was active
   std::uint64_t denied_backlog = 0;      // admitted but a partial BH was pending
-  std::uint64_t denied_guest_masked = 0; // admitted but the subscriber masked vIRQs
   std::uint64_t deferred_slot_switches = 0;
   std::uint64_t direct_hw = 0;           // UINTC-style hardware deliveries
   std::uint64_t batches = 0;             // batched top-half passes
@@ -201,35 +198,18 @@ class Hypervisor {
     return part_color_mask_.at(p);
   }
 
-  /// Materializes start-time structure (the TDMA hardware timer and the IPC
-  /// router) ahead of start(), without wiring or scheduling anything.
-  /// Idempotent. Assemblers that snapshot a pristine system for warm-start
-  /// recycling call this once after configuration, so the platform's timer
-  /// population and the IPC presence are identical before and after start()
-  /// and a pre-start snapshot restores cleanly onto a system that has run.
+  /// Materializes start-time structure (the TDMA hardware timer) ahead of
+  /// start(), without wiring or scheduling anything. Idempotent. Assemblers
+  /// that snapshot a pristine system for warm-start recycling call this once
+  /// after configuration, so the platform's timer population is identical
+  /// before and after start() and a pre-start snapshot restores cleanly onto
+  /// a system that has run.
   void finalize_structure();
 
   /// Starts TDMA scheduling; call once, then run the simulator.
   void start();
 
-  // --- hypercalls (valid from partition context) ---------------------------
-
-  bool ipc_send(PartitionId dst, std::uint64_t tag, std::uint64_t payload);
-  std::optional<IpcMessage> ipc_receive();
-
-  /// Sampling-port hypercalls (ARINC653-style last-value channels). Ports
-  /// are created before start(); writes stamp the calling partition.
-  PortId create_sampling_port(std::string name, sim::Duration refresh_period);
-  void port_write(PortId port, std::uint64_t payload);
-  [[nodiscard]] std::optional<PortSample> port_read(PortId port) const;
-  [[nodiscard]] const SamplingPortBus& sampling_ports() const { return ports_; }
-
-  /// Virtual-interrupt enable of the calling partition (guest critical
-  /// sections). While disabled, queued bottom handlers are not dispatched
-  /// in this partition and no interposition targets it; the change takes
-  /// effect at the next work-unit boundary.
-  void vint_set(bool enabled);
-  [[nodiscard]] bool vint_enabled() const;
+  // --- hypercalls ----------------------------------------------------------
 
   /// Guest notification that new work became runnable in partition `p`
   /// (e.g. a periodic release fired -- the para-virtual analogue of a guest
@@ -237,16 +217,6 @@ class Hypervisor {
   /// idle, dispatching resumes immediately; otherwise this is a no-op (the
   /// work is picked up at the next natural dispatch point).
   void notify_work_available(PartitionId p);
-
-  /// Health-management action: discards partition `p`'s queued IRQ events,
-  /// any partially executed or saved work, re-enables its virtual
-  /// interrupts and notifies its client (`on_restart`). Safe to call from
-  /// any context: while the hypervisor is in IRQ context the restart is
-  /// deferred by a zero-delay event. An interposition whose target is
-  /// restarted terminates immediately.
-  void restart_partition(PartitionId p);
-
-  [[nodiscard]] std::uint64_t partition_restarts() const { return restarts_; }
 
   // --- queries -------------------------------------------------------------
 
@@ -278,7 +248,6 @@ class Hypervisor {
 
   [[nodiscard]] const ContextSwitchStats& context_switches() const { return ctx_stats_; }
   [[nodiscard]] const IrqPathStats& irq_stats() const { return irq_path_stats_; }
-  [[nodiscard]] const IpcRouter& ipc() const { return *ipc_; }
 
   /// Typed trace ring; every hypervisor hot path emits here when tracing is
   /// enabled.
@@ -295,9 +264,9 @@ class Hypervisor {
 
   /// Full mutable hypervisor state. The word stream covers all POD-like
   /// state (scheduler position, partition queues, monitor tracebuffers,
-  /// dispatch counters, IPC/port payloads, health rings); work units that
-  /// hold std::function continuations ride alongside as C++ objects, and
-  /// the typed trace ring is copied whole. Wiring (platform references,
+  /// dispatch counters, contention normalization, health ring); work units
+  /// that hold std::function continuations ride alongside as C++ objects,
+  /// and the typed trace ring is copied whole. Wiring (platform references,
   /// dispatch-table topology, hooks, clients, overheads) is structural and
   /// not captured: restore() must run on the same configured hypervisor the
   /// snapshot was taken from, between simulator events.
@@ -418,9 +387,6 @@ class Hypervisor {
   LineTable lines_;  // lint: transient(line-to-source mapping built by add_irq_source before start)
   IrqBatch batch_;
 
-  std::unique_ptr<IpcRouter> ipc_;
-  SamplingPortBus ports_;
-
   hw::HwTimer* tdma_timer_ = nullptr;  // owned by the platform  // lint: transient(platform wiring; the timer's state is in the platform snapshot)
   hw::IrqLine tdma_line_ = 0;  // lint: transient(line assignment fixed at start)
 
@@ -439,17 +405,12 @@ class Hypervisor {
   std::optional<Interpose> interpose_;
   bool slot_switch_pending_ = false;
 
-  void do_restart_partition(PartitionId p);
-  void drain_pending_restarts();
-
-  std::vector<PartitionId> pending_restarts_;
   // Per-partition interconnect behavior (indexed by PartitionId).
   std::vector<std::uint32_t> part_color_mask_;  // lint: transient(memory config fixed before start)
   std::vector<std::uint64_t> part_mem_apu_;  // lint: transient(memory config fixed before start)
   ContextSwitchStats ctx_stats_;
   IrqPathStats irq_path_stats_;
   HealthMonitor health_;
-  std::uint64_t restarts_ = 0;
 };
 
 }  // namespace rthv::hv

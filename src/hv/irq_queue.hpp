@@ -61,14 +61,6 @@ class IrqQueue {
     return e;
   }
 
-  /// Discards all queued events (partition restart); returns how many.
-  std::size_t clear() {
-    const std::size_t n = size_;
-    head_ = 0;
-    size_ = 0;
-    return n;
-  }
-
   [[nodiscard]] const IrqEvent& front() const {
     assert(size_ > 0);
     return slots_[head_];

@@ -27,13 +27,6 @@ class Partition {
   void set_client(PartitionClient* client) { client_ = client; }
   [[nodiscard]] PartitionClient* client() const { return client_; }
 
-  /// Guest-controlled virtual-interrupt enable (the para-virtualized
-  /// analogue of a guest's interrupt flag). While disabled, the hypervisor
-  /// neither dispatches queued bottom handlers in this partition nor
-  /// interposes into it; events keep queueing. Toggled via hypercall.
-  [[nodiscard]] bool virtual_irq_enabled() const { return virtual_irq_enabled_; }
-  void set_virtual_irq_enabled(bool on) { virtual_irq_enabled_ = on; }
-
   /// A bottom handler whose execution started but was preempted (or whose
   /// interpose budget expired before completion). Resumes ahead of new
   /// queue events to preserve FIFO order.
@@ -58,14 +51,12 @@ class Partition {
   /// them as C++ objects alongside this word stream.
   void snapshot_state(sim::StateWriter& w) const {
     irq_queue_.snapshot_state(w);
-    w.boolean(virtual_irq_enabled_);
     w.pod(bh_time_);
     w.pod(guest_time_);
     w.u64(bh_completions_);
   }
   void restore_state(sim::StateReader& r) {
     irq_queue_.restore_state(r);
-    virtual_irq_enabled_ = r.boolean();
     bh_time_ = r.pod<sim::Duration>();
     guest_time_ = r.pod<sim::Duration>();
     bh_completions_ = r.u64();
@@ -76,7 +67,6 @@ class Partition {
   std::string name_;  // lint: transient(construction-time label; never mutated)
   IrqQueue irq_queue_;
   PartitionClient* client_ = nullptr;  // lint: transient(guest wiring, re-established at system assembly)
-  bool virtual_irq_enabled_ = true;
   sim::Duration bh_time_;
   sim::Duration guest_time_;
   std::uint64_t bh_completions_ = 0;

@@ -57,11 +57,6 @@ class PartitionClient {
   /// Notification that an IRQ bottom handler for `event` completed in this
   /// partition (guest-visible IRQ delivery).
   virtual void on_bottom_handler_complete(const IrqEvent& event) { (void)event; }
-
-  /// The hypervisor restarted this partition (health-management action):
-  /// all queued events and saved work were discarded; the guest should
-  /// reset its internal state.
-  virtual void on_restart() {}
 };
 
 }  // namespace rthv::hv

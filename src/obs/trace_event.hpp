@@ -33,7 +33,7 @@ enum class TraceCategory : std::uint8_t {
   kIrq,         // hardware IRQ queue traffic (push/pop/drop)
   kTopHandler,  // hypervisor top-handler activity
   kMonitor,     // monitor admit / deny decisions
-  kScheduler,   // TDMA slot switches, deferrals, restarts
+  kScheduler,   // TDMA slot switches and deferrals
   kInterpose,   // interposed bottom-handler execution
   kBottom,      // bottom-handler execution
   kGuest,       // guest OS activity
@@ -48,7 +48,7 @@ enum class TracePoint : std::uint8_t {
   kStart,             // hypervisor start(); partition = initial slot owner
   kSlotSwitch,        // TDMA switch; arg0 = new slot index, arg1 = cycles done
   kSlotDeferred,      // boundary deferred by a running bottom handler
-  kPartitionRestart,  // health-management restart of `partition`
+  kPartitionRestart,  // reserved, never emitted; keeps the later values' numbering
   kTopEnter,          // top handler begins; arg0 = seq
   kTopExit,           // top handler's timed step ends; arg0 = seq
   kMonitorAdmit,      // arg0 = observed delta^- distance ns (kNoValue if <2 obs), arg1 = seq
@@ -76,10 +76,46 @@ enum class TracePoint : std::uint8_t {
 enum class InterposeDenyReason : std::uint8_t {
   kMonitor,      // the delta^- condition failed
   kEngineBusy,   // an interposition (or pending slot switch) was active
-  kGuestMasked,  // the subscriber masked its virtual interrupts
+  kGuestMasked,  // reserved, never emitted; keeps kBacklog's value
   kBacklog,      // a partially executed bottom handler was pending
   kCount_,
 };
+
+// The numeric values are a format: golden traces print deny reasons as
+// numbers (a0=), binary trace records store points by value, and CoverageMap
+// sizes its regions from TracePoint::kCount_, so a renumbering would
+// silently move all three. Retired values stay as reserved placeholders.
+static_assert(static_cast<int>(TracePoint::kLegacy) == 0);
+static_assert(static_cast<int>(TracePoint::kStart) == 1);
+static_assert(static_cast<int>(TracePoint::kSlotSwitch) == 2);
+static_assert(static_cast<int>(TracePoint::kSlotDeferred) == 3);
+static_assert(static_cast<int>(TracePoint::kPartitionRestart) == 4);
+static_assert(static_cast<int>(TracePoint::kTopEnter) == 5);
+static_assert(static_cast<int>(TracePoint::kTopExit) == 6);
+static_assert(static_cast<int>(TracePoint::kMonitorAdmit) == 7);
+static_assert(static_cast<int>(TracePoint::kMonitorDeny) == 8);
+static_assert(static_cast<int>(TracePoint::kInterposeDeny) == 9);
+static_assert(static_cast<int>(TracePoint::kInterposeEnter) == 10);
+static_assert(static_cast<int>(TracePoint::kInterposeReturn) == 11);
+static_assert(static_cast<int>(TracePoint::kInterposeExitDeferred) == 12);
+static_assert(static_cast<int>(TracePoint::kIrqPush) == 13);
+static_assert(static_cast<int>(TracePoint::kIrqPop) == 14);
+static_assert(static_cast<int>(TracePoint::kIrqDrop) == 15);
+static_assert(static_cast<int>(TracePoint::kBottomStart) == 16);
+static_assert(static_cast<int>(TracePoint::kBottomResume) == 17);
+static_assert(static_cast<int>(TracePoint::kBottomEnd) == 18);
+static_assert(static_cast<int>(TracePoint::kHealth) == 19);
+static_assert(static_cast<int>(TracePoint::kInterposeStart) == 20);
+static_assert(static_cast<int>(TracePoint::kFaultInject) == 21);
+static_assert(static_cast<int>(TracePoint::kDirectDeliver) == 22);
+static_assert(static_cast<int>(TracePoint::kDirectComplete) == 23);
+static_assert(static_cast<int>(TracePoint::kInterposeCharge) == 24);
+static_assert(static_cast<int>(TracePoint::kCount_) == 25);
+static_assert(static_cast<int>(InterposeDenyReason::kMonitor) == 0);
+static_assert(static_cast<int>(InterposeDenyReason::kEngineBusy) == 1);
+static_assert(static_cast<int>(InterposeDenyReason::kGuestMasked) == 2);
+static_assert(static_cast<int>(InterposeDenyReason::kBacklog) == 3);
+static_assert(static_cast<int>(InterposeDenyReason::kCount_) == 4);
 
 /// One 40-byte binary trace record.
 struct TraceEvent {

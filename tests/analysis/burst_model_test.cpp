@@ -76,43 +76,5 @@ TEST(UtilizationTest, MatchesRateTimesCost) {
             1.0);
 }
 
-TEST(OutputModelTest, ShrinksDistancesByResponseJitter) {
-  // Periodic 10ms input processed with response jitter 2ms.
-  auto out = make_output(make_periodic(Duration::ms(10)), Duration::ms(2),
-                         Duration::us(100));
-  EXPECT_EQ((*out)(2), Duration::ms(8));
-  EXPECT_EQ((*out)(3), Duration::ms(18));
-}
-
-TEST(OutputModelTest, FlooredByServiceSpacing) {
-  // Jitter larger than the input distance: consecutive outputs can be
-  // back-to-back, but never closer than the service spacing.
-  auto out = make_output(make_periodic(Duration::ms(1)), Duration::ms(5),
-                         Duration::us(40));
-  EXPECT_EQ((*out)(2), Duration::us(40));
-  EXPECT_EQ((*out)(3), Duration::us(80));
-  // Far out, the input's long-term rate dominates again.
-  EXPECT_EQ((*out)(10), Duration::ms(4));  // 9ms - 5ms jitter
-}
-
-TEST(OutputModelTest, ZeroJitterIsIdentityAboveFloor) {
-  auto in = make_sporadic(Duration::ms(1));
-  auto out = make_output(in, Duration::zero(), Duration::us(10));
-  for (std::uint64_t q = 1; q < 20; ++q) EXPECT_EQ((*out)(q), (*in)(q));
-}
-
-TEST(OutputModelTest, ChainsWithArrivalCurves) {
-  // A downstream consumer of interposed bottom-handler outputs: input
-  // d_min = 1444us, response in [100.025, 150.025]us -> jitter 50us.
-  auto out = make_output(make_sporadic(Duration::us(1444)), Duration::us(50),
-                         Duration::us(40));
-  ArrivalCurve eta(out);
-  // Over a short window the output can be slightly denser than the input.
-  EXPECT_EQ(eta(Duration::us(1400)), 2u);  // delta_out(2) = 1394 < 1400
-  // Long-run rate is unchanged.
-  EXPECT_NEAR(long_run_rate_hz(*out), long_run_rate_hz(*make_sporadic(Duration::us(1444))),
-              1.0);
-}
-
 }  // namespace
 }  // namespace rthv::analysis

@@ -152,6 +152,28 @@ TEST(ConfigLoaderTest, RejectsMalformedInput) {
     std::istringstream is("[partition]\nname = p\n[source]\nmonitor = banana\n");
     EXPECT_THROW((void)load_config(is), ConfigError);
   }
+  // Out-of-range numbers are rejected on their own line instead of wrapping
+  // (a negative count cast to unsigned), overflowing the ns conversion, or
+  // dividing by a zero clock later.
+  for (const char* text : {
+           "[platform]\ncpu_freq_hz = 0\n",
+           "[platform]\nnum_irq_lines = -1\n",
+           "[platform]\nnum_irq_lines = 4294967296\n",
+           "[mode]\nirq_queue_capacity = -1\n",
+           "[partition]\nslot_us = 9223372036854775807\n",
+           "[partition]\nslot_us = -5\n",
+           "[source]\nsubscriber = -1\n",
+           "[source]\nd_min_us = 9223372036854776\n",
+           "[source]\ndelta_vector_us = 100 -1\n",
+       }) {
+    std::istringstream is(text);
+    try {
+      (void)load_config(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), 2u) << text;
+    }
+  }
 }
 
 TEST(ConfigLoaderTest, RejectsSemanticallyInvalid) {

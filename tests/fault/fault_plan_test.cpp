@@ -94,6 +94,27 @@ TEST(FaultPlanTest, MalformedNumberReportsLine) {
                FaultPlanError);
 }
 
+TEST(FaultPlanTest, HorizonOutOfRangeReportsLine) {
+  // A non-positive horizon used to read as "unset" and a huge one
+  // overflowed the nanosecond conversion; both are errors on their line.
+  for (const char* text : {
+           "[campaign]\nhorizon_ms = -5\n",
+           "[campaign]\nhorizon_ms = 0\n",
+           "[campaign]\nhorizon_ms = 9223372036854775807\n",
+           "[campaign]\nhorizon_s = 9223372037\n",
+           "[campaign]\nhorizon_ms = 99999999999999999999\n",
+       }) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const FaultPlanError& e) {
+      EXPECT_EQ(e.line(), 2u) << text;
+    }
+  }
+  EXPECT_EQ(parse("[campaign]\nhorizon_s = 9223372036\n").horizon,
+            Duration::s(9223372036));
+}
+
 TEST(FaultPlanTest, KeyOutsideAnySectionIsAnError) {
   EXPECT_THROW(parse("count = 3\n"), FaultPlanError);
 }

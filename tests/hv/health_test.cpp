@@ -35,14 +35,6 @@ TEST(HealthMonitorTest, RingBufferBounded) {
   EXPECT_EQ(hm.total(), 5u);  // counters keep counting past the ring
 }
 
-TEST(HealthMonitorTest, CallbackInvoked) {
-  HealthMonitor hm;
-  HealthEventKind seen = HealthEventKind::kCount_;
-  hm.set_callback([&](const HealthEvent& e) { seen = e.kind; });
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqRaiseLost, 0, 0});
-  EXPECT_EQ(seen, HealthEventKind::kIrqRaiseLost);
-}
-
 TEST(HealthMonitorTest, ClearResetsEverything) {
   HealthMonitor hm;
   hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kMonitorViolation, 0, 0});

@@ -1,8 +1,7 @@
-// Hypercall behaviour end to end: IPC between guests through the
-// hypervisor, and the work-available wake notification.
+// Hypercall behaviour end to end: the work-available wake notification.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <optional>
 
 #include "hv/hypervisor.hpp"
 #include "hw/platform.hpp"
@@ -41,63 +40,6 @@ class HypercallTest : public ::testing::Test {
   Hypervisor hv_;
   PartitionId p0_ = 0, p1_ = 0;
 };
-
-// A guest that sends one IPC message per completed work unit and records
-// everything it receives.
-struct IpcClient : PartitionClient {
-  Hypervisor* hv = nullptr;
-  PartitionId peer = 0;
-  Duration unit = Duration::us(200);
-  std::uint64_t sent = 0;
-  std::vector<IpcMessage> received;
-  std::optional<WorkUnit> next_work(TimePoint) override {
-    WorkUnit w;
-    w.remaining = unit;
-    w.on_complete = [this] {
-      hv->ipc_send(peer, /*tag=*/sent, /*payload=*/1000 + sent);
-      ++sent;
-      while (auto msg = hv->ipc_receive()) received.push_back(*msg);
-    };
-    return w;
-  }
-};
-
-TEST_F(HypercallTest, IpcFlowsBetweenPartitions) {
-  IpcClient a;
-  a.hv = &hv_;
-  a.peer = p1_;
-  IpcClient b;
-  b.hv = &hv_;
-  b.peer = p0_;
-  hv_.set_partition_client(p0_, &a);
-  hv_.set_partition_client(p1_, &b);
-  hv_.start();
-  sim_.run_until(TimePoint::at_us(4000));  // two full cycles
-
-  EXPECT_GT(a.sent, 3u);
-  EXPECT_GT(b.sent, 3u);
-  // b received a's messages in FIFO order with correct payloads.
-  ASSERT_GT(b.received.size(), 2u);
-  for (std::size_t i = 0; i < b.received.size(); ++i) {
-    EXPECT_EQ(b.received[i].sender, p0_);
-    EXPECT_EQ(b.received[i].tag, i);
-    EXPECT_EQ(b.received[i].payload, 1000 + i);
-  }
-  // Messages carry their send timestamps.
-  EXPECT_GT(b.received[0].sent_at, TimePoint::origin());
-}
-
-TEST_F(HypercallTest, IpcStatsCountTraffic) {
-  IpcClient a;
-  a.hv = &hv_;
-  a.peer = p1_;
-  hv_.set_partition_client(p0_, &a);
-  hv_.start();
-  sim_.run_until(TimePoint::at_us(2000));
-  EXPECT_EQ(hv_.ipc().sent_total(), a.sent);
-  EXPECT_EQ(hv_.ipc().dropped_total(), 0u);
-  EXPECT_EQ(hv_.ipc().pending(p1_), a.sent);  // p1 has no client draining it
-}
 
 TEST_F(HypercallTest, NotifyWakesIdlePartition) {
   // A client that is initially idle and becomes ready via an external event.

@@ -55,6 +55,11 @@ ctest --test-dir build-asan --output-on-failure -L hunt -j "$jobs"
 echo "== ASan + UBSan: batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
 
+# Every example runs to completion, and rthv_run rejects malformed configs
+# and fault plans with a clean exit 1 (ctest -L examples).
+echo "== ASan + UBSan: examples (ctest -L examples) =="
+ctest --test-dir build-asan --output-on-failure -L examples -j "$jobs"
+
 echo "== ASan + UBSan: rthv_hunt smoke =="
 ./build-asan/tools/rthv_hunt/rthv_hunt --baseline --weaken 4 --exp 1444 0 \
   --generations 10 --population 8 --horizon-ms 100 --fork-ms 10 --seed 7 \
