@@ -901,6 +901,7 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
     if (m) m->snapshot_state(w);
   }
   health_.snapshot_state(w);
+  trace_.snapshot_state(w);
 
   Snapshot snap;
   snap.words = w.take();
@@ -910,7 +911,6 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
     snap.bh_in_progress.push_back(p.bh_in_progress);
     snap.saved_guest_work.push_back(p.saved_guest_work);
   }
-  snap.trace_ring = trace_;
   return snap;
 }
 
@@ -954,6 +954,7 @@ void Hypervisor::restore(const Snapshot& snap) {
     if (m) m->restore_state(r);
   }
   health_.restore_state(r);
+  trace_.restore_state(r);
   assert(r.exhausted() && "Hypervisor snapshot stream not fully consumed");
 
   assert(snap.bh_in_progress.size() == partitions_.size());
@@ -961,9 +962,6 @@ void Hypervisor::restore(const Snapshot& snap) {
     partitions_[i].bh_in_progress = snap.bh_in_progress[i];
     partitions_[i].saved_guest_work = snap.saved_guest_work[i];
   }
-  trace_ = snap.trace_ring;
-  // The health monitor traces into the ring we just copy-assigned over; its
-  // pointer still targets trace_ itself, so no rewiring is needed.
 }
 
 obs::TraceMeta Hypervisor::trace_meta() const {

@@ -264,17 +264,17 @@ class Hypervisor {
 
   /// Full mutable hypervisor state. The word stream covers all POD-like
   /// state (scheduler position, partition queues, monitor tracebuffers,
-  /// dispatch counters, contention normalization, health ring); work units
-  /// that hold std::function continuations ride alongside as C++ objects,
-  /// and the typed trace ring is copied whole. Wiring (platform references,
-  /// dispatch-table topology, hooks, clients, overheads) is structural and
-  /// not captured: restore() must run on the same configured hypervisor the
-  /// snapshot was taken from, between simulator events.
+  /// dispatch counters, contention normalization, health ring, and the trace
+  /// ring's cursor, counters and retained records -- never its unused
+  /// slots); work units that hold std::function continuations ride alongside
+  /// as C++ objects. Wiring (platform references, dispatch-table topology,
+  /// hooks, clients, overheads) is structural and not captured: restore()
+  /// must run on the same configured hypervisor the snapshot was taken from,
+  /// between simulator events.
   struct Snapshot {
     std::vector<std::uint64_t> words;
     std::vector<std::optional<WorkUnit>> bh_in_progress;    // per partition
     std::vector<std::optional<WorkUnit>> saved_guest_work;  // per partition
-    obs::TraceRing trace_ring;
   };
   [[nodiscard]] Snapshot snapshot() const;
   void restore(const Snapshot& snap);

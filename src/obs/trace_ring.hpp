@@ -10,15 +10,22 @@
 // a predictable branch -- see the RTHV_TRACE macro), so compiled-in but
 // disabled tracing stays under a nanosecond per potential event and, by
 // construction, never feeds anything back into the simulation.
+//
+// Checkpoints (snapshot_state/restore_state) carry the cursor, the counters
+// and only the retained records, so a fork-and-restore loop pays for the
+// events it traced, not for the ring's capacity.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/trace_event.hpp"
+#include "sim/state_io.hpp"  // header-only, std-only: adds no link dependency
 
 namespace rthv::obs {
 
@@ -150,7 +157,7 @@ class TraceRing {
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
     std::vector<TraceEvent> out;
     out.reserve(count_);
-    const std::size_t start = (next_ + capacity_ - count_) % capacity_;
+    const std::size_t start = oldest_slot();
     for (std::size_t i = 0; i < count_; ++i) {
       out.push_back(buffer_[(start + i) % capacity_]);
     }
@@ -161,7 +168,60 @@ class TraceRing {
   /// and the enabled flag.
   void clear() { reset_counters(); }
 
+  /// Checkpoint: capacity, enabled flag, cursor and counters, then the
+  /// size() retained records oldest first -- two spans once the ring has
+  /// wrapped. Slots outside the retained window are not written.
+  void snapshot_state(sim::StateWriter& w) const {
+    w.u64(capacity_);
+    w.boolean(enabled_);
+    w.u64(next_);
+    w.u64(count_);
+    w.u64(emitted_);
+    w.u64(dropped_);
+    w.pod_span(per_category_.data(), per_category_.size());
+    const std::size_t start = oldest_slot();
+    const std::size_t head = std::min(count_, capacity_ - start);
+    w.pod_span(buffer_.data() + start, head);
+    w.pod_span(buffer_.data(), count_ - head);
+  }
+
+  /// Restores a snapshot_state() stream: the retained records go back into
+  /// slots [next - size, next) mod capacity. Storage is reallocated only when
+  /// the capacity changed or the ring needs storage it does not have; slots
+  /// outside the retained window may keep stale records, which snapshot()
+  /// never reads.
+  void restore_state(sim::StateReader& r) {
+    const std::size_t capacity = r.u64();
+    const bool enabled = r.boolean();
+    const std::size_t next = r.u64();
+    const std::size_t count = r.u64();
+    if (capacity == 0 || count > capacity || next >= capacity) {
+      throw std::logic_error(
+          "Hypervisor::restore: trace ring cursor or count out of range");
+    }
+    if (capacity != capacity_) {
+      capacity_ = capacity;
+      buffer_.clear();
+      buffer_.shrink_to_fit();
+    }
+    enabled_ = enabled;
+    next_ = next;
+    count_ = count;
+    emitted_ = r.u64();
+    dropped_ = r.u64();
+    r.pod_span(per_category_.data(), per_category_.size());
+    if ((enabled_ || count_ > 0) && buffer_.size() != capacity_) buffer_.resize(capacity_);
+    const std::size_t start = oldest_slot();
+    const std::size_t head = std::min(count_, capacity_ - start);
+    r.pod_span(buffer_.data() + start, head);
+    r.pod_span(buffer_.data(), count_ - head);
+  }
+
  private:
+  [[nodiscard]] std::size_t oldest_slot() const {
+    return (next_ + capacity_ - count_) % capacity_;
+  }
+
   void reset_counters() {
     next_ = 0;
     count_ = 0;
@@ -171,6 +231,7 @@ class TraceRing {
   }
 
   std::size_t capacity_;
+  // lint: transient(checkpoints serialize only the retained window, not every slot)
   std::vector<TraceEvent> buffer_;  // empty until first enable
   std::size_t next_ = 0;            // write position
   std::size_t count_ = 0;           // retained events

@@ -9,9 +9,12 @@
 // injector RNG streams survive the restore.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/hypervisor_system.hpp"
 #include "fault/fault_engine.hpp"
@@ -37,12 +40,17 @@ std::string config_path(const char* plan) {
   return std::string(RTHV_CONFIG_DIR) + "/" + plan;
 }
 
+/// The retained trace records, rendered to text.
+std::string trace_text(const HypervisorSystem& system) {
+  const auto meta = system.trace_meta();
+  return obs::render_text(system.trace(), &meta);
+}
+
 /// Everything observable about a finished run, rendered to text: the full
 /// trace stream, the metrics registry, and the completion counter.
 std::string digest(const HypervisorSystem& system) {
   std::ostringstream out;
-  const auto meta = system.trace_meta();
-  out << obs::render_text(system.trace(), &meta);
+  out << trace_text(system);
   system.metrics_snapshot().write_json(out);
   out << "\ncompleted=" << system.completed_bottom_handlers()
       << "\nnow=" << system.simulator().now().count_ns()
@@ -50,38 +58,55 @@ std::string digest(const HypervisorSystem& system) {
   return out.str();
 }
 
-TEST(SystemSnapshotTest, ContinuationAfterRestoreIsBitIdentical) {
+/// Snapshot at `fork`, continue to 100 ms, restore, continue again: the two
+/// continuations must match bit for bit. Returns the trace ring's dropped
+/// count at the snapshot and at the end so callers can check it wrapped.
+std::pair<std::uint64_t, std::uint64_t> check_continuation(std::size_t trace_capacity,
+                                                           Duration fork) {
   HypervisorSystem system(monitored_baseline());
-  system.enable_tracing();
+  system.enable_tracing(trace_capacity);
   workload::ExponentialTraceGenerator gen(Duration::us(1444), 2014);
   system.attach_trace(0, gen.generate(64));
 
-  system.run(Duration::ms(10));
+  system.run(fork);
   const auto snap = system.snapshot();
   const auto now_at_snap = system.simulator().now();
+  const auto dropped_at_snap = system.trace_dropped();
+  const auto trace_at_snap = trace_text(system);
 
   system.run_continue(TimePoint::at_us(100'000));
   const auto first = digest(system);
+  const auto dropped_at_end = system.trace_dropped();
 
   system.restore(snap);
   EXPECT_EQ(system.simulator().now(), now_at_snap);
+  EXPECT_EQ(system.trace_dropped(), dropped_at_snap);
+  EXPECT_EQ(trace_text(system), trace_at_snap) << "restore misplaced trace records";
   system.run_continue(TimePoint::at_us(100'000));
   EXPECT_EQ(digest(system), first)
       << "restored continuation diverged from the original run";
+  return {dropped_at_snap, dropped_at_end};
 }
 
-TEST(SystemSnapshotTest, RestoreIsRepeatable) {
+/// Snapshot at `fork`, then three restore + 45 ms rounds that must all end in
+/// the same state. Returns the trace ring's dropped count at the snapshot and
+/// at the end.
+std::pair<std::uint64_t, std::uint64_t> check_repeatable_restore(std::size_t trace_capacity,
+                                                                 Duration fork) {
   HypervisorSystem system(monitored_baseline());
-  system.enable_tracing();
+  system.enable_tracing(trace_capacity);
   workload::ExponentialTraceGenerator gen(Duration::us(1444), 7);
   system.attach_trace(0, gen.generate(32));
 
-  system.run(Duration::ms(5));
+  system.run(fork);
   const auto snap = system.snapshot();
+  const auto dropped_at_snap = system.trace_dropped();
+  const auto trace_at_snap = trace_text(system);
 
   std::string first;
   for (int round = 0; round < 3; ++round) {
     system.restore(snap);
+    EXPECT_EQ(trace_text(system), trace_at_snap) << "round " << round;
     system.run(Duration::ms(45));
     if (round == 0) {
       first = digest(system);
@@ -89,6 +114,61 @@ TEST(SystemSnapshotTest, RestoreIsRepeatable) {
       EXPECT_EQ(digest(system), first) << "round " << round;
     }
   }
+  return {dropped_at_snap, system.trace_dropped()};
+}
+
+TEST(SystemSnapshotTest, ContinuationAfterRestoreIsBitIdentical) {
+  const auto dropped_at_end =
+      check_continuation(obs::TraceRing::kDefaultCapacity, Duration::ms(10)).second;
+  EXPECT_EQ(dropped_at_end, 0u) << "the default ring must not wrap here";
+}
+
+TEST(SystemSnapshotTest, ContinuationAfterRestoreIsBitIdenticalWrappedRing) {
+  // A 64-record ring wraps before the 30 ms snapshot (~4 records per ms
+  // here) and again after it, so the restore has to place the retained
+  // records at a mid-ring cursor.
+  const auto [dropped_at_snap, dropped_at_end] = check_continuation(64, Duration::ms(30));
+  EXPECT_GT(dropped_at_snap, 0u) << "ring must wrap before the snapshot";
+  EXPECT_GT(dropped_at_end, dropped_at_snap + 64) << "ring must wrap after it";
+}
+
+TEST(SystemSnapshotTest, RestoreIsRepeatable) {
+  const auto dropped_at_end =
+      check_repeatable_restore(obs::TraceRing::kDefaultCapacity, Duration::ms(5)).second;
+  EXPECT_EQ(dropped_at_end, 0u) << "the default ring must not wrap here";
+}
+
+TEST(SystemSnapshotTest, RestoreIsRepeatableWrappedRing) {
+  const auto [dropped_at_snap, dropped_at_end] =
+      check_repeatable_restore(64, Duration::ms(25));
+  EXPECT_GT(dropped_at_snap, 0u) << "ring must wrap before the snapshot";
+  EXPECT_GT(dropped_at_end, dropped_at_snap + 64) << "ring must wrap after it";
+}
+
+TEST(SystemSnapshotTest, TracedSnapshotGrowsFiveWordsPerRetainedRecord) {
+  // The trace ring's share of Hypervisor::Snapshot::words is a fixed header
+  // (present traced or not) plus sizeof(TraceEvent) / 8 = 5 words per
+  // retained record -- independent of the ring's capacity.
+  const auto words_at_fork = [](std::size_t trace_capacity, std::size_t* retained) {
+    HypervisorSystem system(monitored_baseline());
+    if (trace_capacity > 0) system.enable_tracing(trace_capacity);
+    workload::ExponentialTraceGenerator gen(Duration::us(1444), 2014);
+    system.attach_trace(0, gen.generate(64));
+    system.run(Duration::ms(30));
+    *retained = system.hypervisor().trace_ring().size();
+    return system.hypervisor().snapshot().words.size();
+  };
+  std::size_t none = 0;
+  std::size_t full = 0;
+  std::size_t wrapped = 0;
+  const std::size_t untraced = words_at_fork(0, &none);
+  const std::size_t traced = words_at_fork(obs::TraceRing::kDefaultCapacity, &full);
+  const std::size_t traced_small = words_at_fork(64, &wrapped);
+  EXPECT_EQ(none, 0u);
+  ASSERT_GT(full, 64u) << "the fork must hold more records than the small ring";
+  EXPECT_EQ(wrapped, 64u);
+  EXPECT_EQ(traced, untraced + 5 * full);
+  EXPECT_EQ(traced_small, untraced + 5 * 64);
 }
 
 TEST(SystemSnapshotTest, MidStormFaultEngineRoundTrip) {

@@ -3,6 +3,10 @@
 //    accounts every overwritten one (dropped == emitted - size);
 //  * RTHV_TRACE does not evaluate its arguments while disabled (the
 //    zero-observer-effect guarantee rests on this);
+//  * a TraceRing checkpoint (snapshot_state/restore_state) restores every
+//    observable of the ring whatever was emitted after it, at any fill level
+//    and across capacity changes, and costs a fixed header plus 5 words per
+//    retained record;
 //  * merging per-shard MetricsSnapshots in shard order is bit-identical to
 //    observing the same sample stream in one registry, for any shard split
 //    (the BatchRunner jobs-independence contract).
@@ -11,6 +15,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +25,7 @@
 #include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
+#include "sim/state_io.hpp"
 
 namespace rthv::obs {
 namespace {
@@ -112,6 +118,202 @@ TEST(TraceRingTest, CategoryNamesAreDistinct) {
   EXPECT_EQ(to_string(TraceCategory::kIrq), "irq");
   EXPECT_EQ(to_string(TraceCategory::kInterpose), "interpose");
   EXPECT_NE(to_string(TraceCategory::kTopHandler), to_string(TraceCategory::kBottom));
+}
+
+// --- trace ring checkpoints -------------------------------------------------
+
+constexpr std::size_t kCategories = static_cast<std::size_t>(TraceCategory::kCount_);
+// capacity, enabled, next, count, emitted, dropped + one word per category.
+constexpr std::size_t kRingHeaderWords = 6 + kCategories;
+constexpr std::size_t kWordsPerRecord = sizeof(TraceEvent) / 8;
+
+/// Every observable of a ring, compared field by field.
+struct RingView {
+  std::vector<TraceEvent> events;
+  std::size_t size = 0;
+  std::uint64_t emitted = 0;
+  std::uint64_t dropped = 0;
+  std::vector<std::uint64_t> per_category;
+
+  explicit RingView(const TraceRing& ring)
+      : events(ring.snapshot()),
+        size(ring.size()),
+        emitted(ring.emitted()),
+        dropped(ring.dropped()) {
+    for (std::size_t c = 0; c < kCategories; ++c) {
+      per_category.push_back(ring.category_count(static_cast<TraceCategory>(c)));
+    }
+  }
+
+  bool operator==(const RingView& o) const {
+    return size == o.size && emitted == o.emitted && dropped == o.dropped &&
+           per_category == o.per_category && events.size() == o.events.size() &&
+           (events.empty() ||
+            std::memcmp(events.data(), o.events.data(),
+                        events.size() * sizeof(TraceEvent)) == 0);
+  }
+};
+
+std::vector<std::uint64_t> checkpoint(const TraceRing& ring) {
+  sim::StateWriter w;
+  ring.snapshot_state(w);
+  return w.take();
+}
+
+void restore(TraceRing& ring, const std::vector<std::uint64_t>& words) {
+  sim::StateReader r(words);
+  ring.restore_state(r);
+  ASSERT_TRUE(r.exhausted()) << "restore_state left words unread";
+}
+
+/// Emits events [first, first + n): event i has a distinct time, point,
+/// category and payload, so any misplaced slot shows up in the comparison.
+void emit_range(TraceRing& ring, std::uint64_t first, std::size_t n, bool batched) {
+  const auto point = [](std::uint64_t i) {
+    return static_cast<TracePoint>(i % static_cast<std::uint64_t>(TracePoint::kCount_));
+  };
+  const auto category = [](std::uint64_t i) {
+    return static_cast<TraceCategory>(i % kCategories);
+  };
+  if (batched) {
+    TraceRing::BatchEmitter batch(ring);
+    for (std::uint64_t i = first; i < first + n; ++i) {
+      batch.emit(static_cast<std::int64_t>(i), point(i), category(i),
+                 static_cast<std::uint32_t>(i), 0, i * 7, ~i);
+    }
+    return;
+  }
+  for (std::uint64_t i = first; i < first + n; ++i) {
+    ring.emit(static_cast<std::int64_t>(i), point(i), category(i),
+              static_cast<std::uint32_t>(i), 0, i * 7, ~i);
+  }
+}
+
+TEST(TraceRingCheckpointTest, RoundTripAtEveryFillLevel) {
+  for (const std::size_t capacity : {1u, 4u, 64u}) {
+    // Partly full (empty for capacity 1), exactly full, wrapped.
+    for (const std::size_t fill : {capacity / 2, capacity, 2 * capacity + 1}) {
+      const std::size_t count = std::min(fill, capacity);
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1}, capacity - count,
+                                  capacity + 3}) {
+        for (const bool batched : {false, true}) {
+          SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " fill="
+                                          << fill << " k=" << k
+                                          << " batched=" << batched);
+          TraceRing ring(capacity);
+          ring.set_enabled(true);
+          emit_range(ring, 0, fill, false);
+          const RingView at_checkpoint(ring);
+          const auto words = checkpoint(ring);
+          EXPECT_EQ(words.size(), kRingHeaderWords + kWordsPerRecord * count);
+
+          emit_range(ring, fill, k, batched);
+          restore(ring, words);
+          EXPECT_TRUE(RingView(ring) == at_checkpoint);
+          EXPECT_TRUE(ring.enabled());
+          EXPECT_EQ(ring.capacity(), capacity);
+
+          // Re-emitting the same events must land exactly where an
+          // uninterrupted ring puts them.
+          emit_range(ring, fill, k, batched);
+          TraceRing straight(capacity);
+          straight.set_enabled(true);
+          emit_range(straight, 0, fill, false);
+          emit_range(straight, fill, k, batched);
+          EXPECT_TRUE(RingView(ring) == RingView(straight));
+          EXPECT_EQ(checkpoint(ring), checkpoint(straight));
+        }
+      }
+    }
+  }
+}
+
+TEST(TraceRingCheckpointTest, DisabledRingKeepsItsEventsAcrossRestore) {
+  TraceRing ring(8);
+  ring.set_enabled(true);
+  emit_range(ring, 0, 5, false);
+  ring.set_enabled(false);
+  const RingView at_checkpoint(ring);
+  const auto words = checkpoint(ring);
+
+  ring.set_enabled(true);
+  emit_range(ring, 5, 11, true);
+  restore(ring, words);
+  EXPECT_FALSE(ring.enabled());
+  EXPECT_TRUE(RingView(ring) == at_checkpoint);
+  ring.emit(99, TracePoint::kLegacy, TraceCategory::kOther);
+  EXPECT_TRUE(RingView(ring) == at_checkpoint) << "restored ring must stay off";
+
+  // A ring that never allocated storage (disabled, other capacity) takes the
+  // same checkpoint and can read the events back.
+  TraceRing fresh(2);
+  restore(fresh, words);
+  EXPECT_FALSE(fresh.enabled());
+  EXPECT_EQ(fresh.capacity(), 8u);
+  EXPECT_TRUE(RingView(fresh) == at_checkpoint);
+}
+
+TEST(TraceRingCheckpointTest, SetCapacityBetweenSnapshotAndRestore) {
+  TraceRing ring(4);
+  ring.set_enabled(true);
+  emit_range(ring, 0, 6, false);
+  const RingView small(ring);
+  const auto small_words = checkpoint(ring);
+
+  ring.set_capacity(64);
+  emit_range(ring, 6, 10, false);
+  const RingView large(ring);
+  const auto large_words = checkpoint(ring);
+
+  restore(ring, small_words);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_TRUE(RingView(ring) == small);
+  emit_range(ring, 6, 3, true);
+  TraceRing straight(4);
+  straight.set_enabled(true);
+  emit_range(straight, 0, 9, false);
+  EXPECT_TRUE(RingView(ring) == RingView(straight));
+
+  ring.set_capacity(2);
+  restore(ring, large_words);
+  EXPECT_EQ(ring.capacity(), 64u);
+  EXPECT_TRUE(RingView(ring) == large);
+}
+
+TEST(TraceRingCheckpointTest, SizeIsHeaderPlusFiveWordsPerRetainedRecord) {
+  static_assert(kWordsPerRecord == 5);
+  // An empty ring costs the header whatever its capacity.
+  for (const std::size_t capacity : {std::size_t{1}, TraceRing::kDefaultCapacity}) {
+    TraceRing ring(capacity);
+    EXPECT_EQ(checkpoint(ring).size(), kRingHeaderWords);
+    ring.set_enabled(true);
+    EXPECT_EQ(checkpoint(ring).size(), kRingHeaderWords);
+    emit_range(ring, 0, 100, false);
+    EXPECT_EQ(checkpoint(ring).size(),
+              kRingHeaderWords + kWordsPerRecord * std::min<std::size_t>(100, capacity));
+  }
+}
+
+TEST(TraceRingCheckpointTest, MalformedStreamThrows) {
+  TraceRing ring(4);
+  ring.set_enabled(true);
+  emit_range(ring, 0, 3, false);
+  const auto words = checkpoint(ring);
+  const auto expect_rejected = [&](std::size_t index, std::uint64_t value) {
+    auto bad = words;
+    bad[index] = value;
+    TraceRing target(4);
+    try {
+      sim::StateReader r(bad);
+      target.restore_state(r);
+      ADD_FAILURE() << "word " << index << " = " << value << " was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("Hypervisor::restore: ", 0), 0u) << e.what();
+    }
+  };
+  expect_rejected(0, 0);  // capacity 0
+  expect_rejected(3, 5);  // count > capacity
+  expect_rejected(2, 4);  // cursor past the last slot
 }
 
 // --- trace log --------------------------------------------------------------

@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import os
 import sys
+import tempfile
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import rthv_lint  # noqa: E402  (path set up above)
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def parse(text: str) -> rthv_lint.FileModel:
@@ -276,6 +280,37 @@ class OutOfLineTest(unittest.TestCase):
     def test_default_arguments_do_not_shift_param_names(self):
         m = parse("void f(int a = compute(3, 4), long tail_ns = 0);")
         self.assertEqual(m.signatures["f"], [["a", "tail_ns"]])
+
+
+class RealTreeSnapshotPairTest(unittest.TestCase):
+    """obs::TraceRing's snapshot_state/restore_state pair is under
+    snapshot-coverage: the real header lints clean, and a reader that skips
+    a counter is flagged. restore_state calls `buffer_.clear()`, which must
+    not be inlined as TraceRing::clear() (that would count every counter
+    as restored)."""
+
+    RING = os.path.join("src", "obs", "trace_ring.hpp")
+
+    def snapshot_findings(self, text: str) -> list[rthv_lint.Violation]:
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, self.RING)
+            os.makedirs(os.path.dirname(path))
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            report = rthv_lint.run_lint(root, ["src"])
+        return [v for v in report.violations + report.waived
+                if v.rule.startswith("snapshot-")]
+
+    def test_trace_ring_pair_is_checked(self):
+        with open(os.path.join(REPO_ROOT, self.RING), encoding="utf-8") as f:
+            text = f.read()
+        self.assertEqual(self.snapshot_findings(text), [])
+        needle = "    dropped_ = r.u64();\n"
+        self.assertIn(needle, text)
+        findings = self.snapshot_findings(
+            text.replace(needle, "    (void)r.u64();\n"))
+        self.assertEqual([v.rule for v in findings], ["snapshot-coverage"])
+        self.assertIn("TraceRing::dropped_", findings[0].message)
 
 
 class StripTest(unittest.TestCase):

@@ -1161,8 +1161,11 @@ def _flatten_body(cls: ClassModel, body: list[Tok],
         if (t.kind == "id" and k + 1 < len(body)
                 and body[k + 1].kind == "punct" and body[k + 1].text == "("
                 and t.text in cls.methods and t.text not in visited
-                # `Base::helper(...)` is the base class's business, not ours
-                and not (k >= 1 and body[k - 1].text == "::")):
+                # `Base::helper(...)` is the base class's business, not ours;
+                # `member_.clear()` calls another object's method that
+                # merely shares a name with one of ours
+                and not (k >= 1 and body[k - 1].text in ("::", ".", "->")
+                         and not (k >= 2 and body[k - 2].text == "this"))):
             helper = cls.methods[t.text]
             if helper.body:
                 visited.add(t.text)
