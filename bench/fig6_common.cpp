@@ -3,6 +3,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "core/hypervisor_system.hpp"
 #include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
 #include "exp/seed.hpp"
@@ -28,7 +29,7 @@ Duration effective_bottom(const core::SystemConfig& cfg) {
 }
 
 const obs::MetricsSnapshot::Histogram& latency_histogram(const Fig6Result& result) {
-  const auto* h = result.metrics.find_histogram("irq.latency.all");
+  const auto* h = result.merged.metrics.find_histogram("irq.latency.all");
   if (h == nullptr) throw std::logic_error("fig6: metrics carry no irq.latency.all");
   return *h;
 }
@@ -102,37 +103,20 @@ Fig6Result run_fig6(const Fig6Config& config) {
     return exp::RunResult::capture(system);
   });
 
-  Fig6Result result{.recorder = {},
-                    .per_load = {},
-                    .d_min = d_min,
-                    .c_bh_eff = c_bh_eff,
-                    .metrics = {},
-                    .trace = {},
-                    .trace_meta = {},
-                    .trace_dropped = 0};
-
-  // Merge in load order: cumulative statistics match the sequential run.
+  Fig6Result result;
+  result.d_min = d_min;
+  result.c_bh_eff = c_bh_eff;
+  // Fold in load order: cumulative statistics match the sequential run.
   for (auto& run : runs) {
     result.per_load.push_back(run.recorder);
-    result.recorder.merge(run.recorder);
-    result.tdma_switches += run.tdma_switches;
-    result.interpose_switches += run.interpose_switches;
-    result.deferred_switches += run.deferred_switches;
-    result.denied_by_monitor += run.denied_by_monitor;
-    result.lost_raises += run.lost_raises;
-    result.metrics.merge(run.metrics);
-    result.trace.insert(result.trace.end(), run.trace.begin(), run.trace.end());
-    if (result.trace_meta.partition_names.empty()) {
-      result.trace_meta = std::move(run.trace_meta);
-    }
-    result.trace_dropped += run.trace_dropped;
+    result.merged.merge(std::move(run));
   }
   for (const auto& report : oracle_reports) {
     result.oracle_windows += report.windows_checked;
     result.oracle_violations +=
         report.violations.size() + report.cost_violations.size();
   }
-  for (const auto& counter : result.metrics.counters) {
+  for (const auto& counter : result.merged.metrics.counters) {
     if (counter.name.starts_with("fault/injected/")) {
       result.fault_injected += counter.value;
     }
@@ -163,23 +147,24 @@ void print_fig6_report(std::ostream& os, const char* title, const Fig6Config& co
   for (std::size_t i = 0; i < result.per_load.size(); ++i) {
     add_row(std::to_string(config.load_percent[i]) + "%", result.per_load[i]);
   }
-  add_row("cumulative", result.recorder);
+  const exp::RunResult& merged = result.merged;
+  add_row("cumulative", merged.recorder);
   table.write(os);
 
-  os << "\ncontext switches: tdma " << result.tdma_switches << ", interpose "
-     << result.interpose_switches << ", deferred boundaries " << result.deferred_switches
-     << ", denied by monitor " << result.denied_by_monitor << ", lost raises "
-     << result.lost_raises << "\n";
+  os << "\ncontext switches: tdma " << merged.tdma_switches << ", interpose "
+     << merged.interpose_switches << ", deferred boundaries " << merged.deferred_switches
+     << ", denied by monitor " << merged.denied_by_monitor << ", lost raises "
+     << merged.lost_raises << "\n";
   if (result.fault_injected > 0 || result.oracle_windows > 0) {
     os << "fault injection: " << result.fault_injected
        << " actions; interference oracle checked " << result.oracle_windows
        << " windows, " << result.oracle_violations << " violations\n";
   }
-  if (result.recorder.total() == 0) {
+  if (merged.recorder.total() == 0) {
     os << "\nlatency histogram: no completions\n\n";
     return;
   }
-  os << "\nlatency histogram over " << result.recorder.total() << " IRQs (100us bins):\n";
+  os << "\nlatency histogram over " << merged.recorder.total() << " IRQs (100us bins):\n";
   stats::write_histogram_ascii(os, latency_histogram(result));
   os << "\n";
 }
@@ -194,14 +179,14 @@ void export_fig6(const std::string& dir, const std::string& name, const char* ti
 void export_fig6_observability(const Fig6Result& result, const std::string& trace_out,
                                const std::string& metrics_out) {
   if (!trace_out.empty()) {
-    stats::write_chrome_trace_file(trace_out, result.trace, result.trace_meta,
-                                   result.trace_dropped);
+    stats::write_chrome_trace_file(trace_out, result.merged.trace, result.merged.trace_meta,
+                                   result.merged.trace_dropped);
   }
   if (!metrics_out.empty()) {
     if (metrics_out.ends_with(".txt")) {
-      stats::write_metrics_text_file(metrics_out, result.metrics);
+      stats::write_metrics_text_file(metrics_out, result.merged.metrics);
     } else {
-      stats::write_metrics_json_file(metrics_out, result.metrics);
+      stats::write_metrics_json_file(metrics_out, result.merged.metrics);
     }
   }
 }

@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "core/hypervisor_system.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace_event.hpp"
+#include "exp/run_result.hpp"
+#include "sim/time.hpp"
+#include "stats/latency_recorder.hpp"
 
 namespace rthv::bench {
 
@@ -38,21 +38,14 @@ struct Fig6Config {
 };
 
 struct Fig6Result {
-  stats::LatencyRecorder recorder;                // cumulative over all loads
+  /// Every load step folded with exp::RunResult::merge in load order: the
+  /// cumulative recorder and switch/admission counters, the metrics (their
+  /// irq.latency.all histogram, 100 us bins, is the Fig. 6 panel) and the
+  /// traces of the traced steps.
+  exp::RunResult merged;
   std::vector<stats::LatencyRecorder> per_load;   // one per load step
-  std::uint64_t tdma_switches = 0;
-  std::uint64_t interpose_switches = 0;
-  std::uint64_t deferred_switches = 0;
-  std::uint64_t denied_by_monitor = 0;
-  std::uint64_t lost_raises = 0;
   sim::Duration d_min;
   sim::Duration c_bh_eff;
-  /// Merged over all loads, in load order; its irq.latency.all histogram
-  /// (100 us bins) is the Fig. 6 panel.
-  obs::MetricsSnapshot metrics;
-  std::vector<obs::TraceEvent> trace;  // first load step (if Fig6Config::trace)
-  obs::TraceMeta trace_meta;
-  std::uint64_t trace_dropped = 0;
   std::uint64_t fault_injected = 0;     // fault-engine actions over all loads
   std::uint64_t oracle_windows = 0;     // admission windows the oracle checked
   std::uint64_t oracle_violations = 0;  // Eq. 14 / Eq. 13 violations (must be 0)

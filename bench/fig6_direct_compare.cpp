@@ -27,11 +27,11 @@ using rthv::stats::Table;
 double us(rthv::sim::Duration d) { return static_cast<double>(d.count_ns()) / 1e3; }
 
 void append_rows(Table& table, const char* label, const rthv::bench::Fig6Result& r) {
-  const auto& all = r.recorder.all();
+  const auto& all = r.merged.recorder.all();
   table.add_row({label, Table::num(us(all.mean())), Table::num(us(all.median())),
                  Table::num(us(all.percentile(99.0))), Table::num(us(all.max())),
-                 std::to_string(r.tdma_switches + r.interpose_switches +
-                                r.deferred_switches)});
+                 std::to_string(r.merged.tdma_switches + r.merged.interpose_switches +
+                                r.merged.deferred_switches)});
 }
 
 }  // namespace
@@ -62,14 +62,14 @@ int main(int argc, char** argv) try {
 
   std::cout << "\nhandling-class split:\n";
   std::cout << "  interposition: ";
-  r_interpose.recorder.write_summary(std::cout);
+  r_interpose.merged.recorder.write_summary(std::cout);
   std::cout << "  direct:        ";
-  r_direct.recorder.write_summary(std::cout);
+  r_direct.merged.recorder.write_summary(std::cout);
 
   // The headline number: what the hardware path does to the latency of the
   // IRQs that interposition would have admitted into a foreign slot.
-  const auto hw = r_direct.recorder.of(HandlingClass::kDirectHw);
-  const auto inter = r_interpose.recorder.of(HandlingClass::kInterposed);
+  const auto hw = r_direct.merged.recorder.of(HandlingClass::kDirectHw);
+  const auto inter = r_interpose.merged.recorder.of(HandlingClass::kInterposed);
   if (hw.count() > 0 && inter.count() > 0) {
     std::cout << "\ndirect-delivery latency (hw path):   avg "
               << Table::num(us(hw.mean())) << " us, max " << Table::num(us(hw.max()))

@@ -38,9 +38,9 @@ int main(int argc, char** argv) try {
   unmon.monitored = false;
   unmon.enforce_floor = false;
   const auto baseline = rthv::bench::run_fig6(unmon);
-  if (!baseline.recorder.all().empty() && !result.recorder.all().empty()) {
-    const double factor = static_cast<double>(baseline.recorder.all().mean().count_ns()) /
-                          static_cast<double>(result.recorder.all().mean().count_ns());
+  if (!baseline.merged.recorder.all().empty() && !result.merged.recorder.all().empty()) {
+    const double factor = static_cast<double>(baseline.merged.recorder.all().mean().count_ns()) /
+                          static_cast<double>(result.merged.recorder.all().mean().count_ns());
     std::cout << "average-latency improvement over the unmonitored case: "
               << rthv::stats::Table::num(factor) << "x (paper: ~16x)\n";
   }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable locally:
 #   1. configure + build with warnings-as-errors (RTHV_WERROR=ON)
-#   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch and
-#      perf-smoke labels as explicit stages
+#   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch,
+#      fuzz and perf-smoke labels as explicit stages
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
 #      must report "correct": true
 #   4. static analysis: rthv_lint parser tests, the self-test regression
@@ -53,6 +53,11 @@ ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 # accounting, and the rthv_batch rejection of malformed campaigns.
 echo "== batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
+
+# Seeded mutation fuzz of the text-input loaders: every mutant of a shipped
+# config, fault plan or trace CSV loads or fails with its loader's error.
+echo "== input fuzz (ctest -L fuzz) =="
+ctest --test-dir build-ci --output-on-failure -L fuzz -j "$jobs"
 
 # The micro-benchmark binary must at least run: a second-scale smoke
 # invocation (crashes/asserts, not numbers).

@@ -13,12 +13,15 @@
 // a trace on the target, inspect it offline, pick the monitoring condition.
 //
 // Usage: irq_trace_inspector [trace.csv [c_bottom_us]]
-#include <cstdlib>
+// A trace that cannot be loaded prints "error: ..." and exits 1; a
+// c_bottom_us that is not a non-negative integer exits 2.
+#include <exception>
 #include <iostream>
 
 #include "analysis/irq_latency.hpp"
 #include "core/analysis_facade.hpp"
 #include "mon/monitor.hpp"
+#include "sim/text_input.hpp"
 #include "stats/table.hpp"
 #include "workload/ecu_trace.hpp"
 #include "workload/trace.hpp"
@@ -26,7 +29,7 @@
 using namespace rthv;
 using sim::Duration;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   workload::Trace trace;
   if (argc > 1) {
     trace = workload::Trace::load_csv_file(argv[1]);
@@ -44,7 +47,15 @@ int main(int argc, char** argv) {
   }
 
   auto config = core::SystemConfig::paper_baseline();
-  if (argc > 2) config.sources[0].c_bottom = Duration::us(std::atoll(argv[2]));
+  if (argc > 2) {
+    const auto c_bottom = sim::parse_duration(argv[2], Duration::us(1));
+    if (!c_bottom) {
+      std::cerr << "error: c_bottom_us needs a non-negative integer, got '" << argv[2]
+                << "'\n";
+      return 2;
+    }
+    config.sources[0].c_bottom = *c_bottom;
+  }
   const core::AnalysisFacade facade(config);
   const Duration c_bh_eff = analysis::effective_bottom_cost(
       config.sources[0].c_bottom, facade.overhead_times());
@@ -91,4 +102,7 @@ int main(int argc, char** argv) {
                "application's average-latency goal; the Eq. 14 column is the CPU\n"
                "time per TDMA cycle every other partition must budget for.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -15,6 +15,10 @@
 // With no workload arguments, every source gets 2000 exponential arrivals
 // at 10x its effective bottom-handler cost (~10 % load).
 //
+// A malformed or out-of-range number (sim/text_input.hpp), an unknown flag
+// or a bad --trace CSV prints "error: ..." and exits 2; a config or fault
+// plan that fails to load, or a system it cannot build, exits 1.
+//
 // --trace-out writes a Chrome trace-event JSON of the run (open in Perfetto
 // or chrome://tracing); --metrics-out dumps the metrics snapshot as JSON
 // (text dump when the path ends in ".txt").
@@ -25,11 +29,12 @@
 // [campaign] horizon if set), and the interference oracle replays the
 // admitted activations against I(dt) = ceil(dt/d_min) * C'_BH. Exits
 // non-zero on any oracle violation.
-#include <cstdlib>
 #include <cctype>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +44,7 @@
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
 #include "hv/overhead_model.hpp"
+#include "sim/text_input.hpp"
 #include "stats/export.hpp"
 #include "workload/generators.hpp"
 
@@ -52,6 +58,24 @@ void usage() {
                "[--exp mean_us count [floor_us] | --trace file.csv]... "
                "[--horizon-s N] [--dump-config] [--trace-out f.json] "
                "[--metrics-out f.json] [--fault-plan plan] [--fault-seed N]\n";
+}
+
+// Numeric flag values go through sim/text_input.hpp; a malformed or
+// out-of-range one throws, which main() reports with exit code 2.
+template <typename T>
+T int_arg(const char* flag, const char* text) {
+  if (const auto value = sim::parse_int<T>(text)) return *value;
+  throw std::runtime_error(std::string(flag) + " needs an integer in [0, " +
+                           std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+                           text + "'");
+}
+
+Duration duration_arg(const char* flag, const char* text, Duration unit,
+                      std::int64_t min_count = 0) {
+  if (const auto d = sim::parse_duration(text, unit, min_count)) return *d;
+  throw std::runtime_error(std::string(flag) + " needs an integer in [" +
+                           std::to_string(min_count) + ", " +
+                           std::to_string(sim::max_count(unit)) + "], got '" + text + "'");
 }
 
 }  // namespace
@@ -87,11 +111,11 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg == "--exp") {
         if (i + 2 >= argc) throw std::runtime_error("--exp needs mean_us and count");
-        const auto mean = Duration::us(std::atoll(argv[++i]));
-        const auto count = static_cast<std::size_t>(std::atoll(argv[++i]));
+        const auto mean = duration_arg("--exp mean_us", argv[++i], Duration::us(1), 1);
+        const auto count = int_arg<std::size_t>("--exp count", argv[++i]);
         Duration floor = Duration::zero();
         if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(argv[i + 1][0]))) {
-          floor = Duration::us(std::atoll(argv[++i]));
+          floor = duration_arg("--exp floor_us", argv[++i], Duration::us(1));
         }
         workload::ExponentialTraceGenerator gen(mean, seed++, floor);
         traces.push_back(gen.generate(count));
@@ -100,7 +124,7 @@ int main(int argc, char** argv) {
         traces.push_back(workload::Trace::load_csv_file(argv[++i]));
       } else if (arg == "--horizon-s") {
         if (i + 1 >= argc) throw std::runtime_error("--horizon-s needs a value");
-        horizon = Duration::s(std::atoll(argv[++i]));
+        horizon = duration_arg("--horizon-s", argv[++i], Duration::s(1));
       } else if (arg == "--dump-config") {
         dump_config = true;
       } else if (arg == "--trace-out") {
@@ -114,7 +138,7 @@ int main(int argc, char** argv) {
         fault_plan_path = argv[++i];
       } else if (arg == "--fault-seed") {
         if (i + 1 >= argc) throw std::runtime_error("--fault-seed needs a value");
-        fault_seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+        fault_seed = int_arg<std::uint64_t>("--fault-seed", argv[++i]);
       } else {
         throw std::runtime_error("unknown argument '" + arg + "'");
       }

@@ -8,11 +8,13 @@
 // partitions' slack.
 //
 // Usage: wcrt_analysis_tool [c_bottom_us [c_top_us]]
-#include <cstdlib>
+// Each cost is a non-negative integer count of microseconds; anything else
+// prints "error: ..." and exits 2.
 #include <iostream>
 
 #include "analysis/task_wcrt.hpp"
 #include "core/analysis_facade.hpp"
+#include "sim/text_input.hpp"
 #include "stats/table.hpp"
 
 using namespace rthv;
@@ -20,8 +22,15 @@ using sim::Duration;
 
 int main(int argc, char** argv) {
   auto cfg = core::SystemConfig::paper_baseline();
-  if (argc > 1) cfg.sources[0].c_bottom = Duration::us(std::atoll(argv[1]));
-  if (argc > 2) cfg.sources[0].c_top = Duration::us(std::atoll(argv[2]));
+  for (int i = 1; i < argc && i <= 2; ++i) {
+    const auto cost = sim::parse_duration(argv[i], Duration::us(1));
+    if (!cost) {
+      std::cerr << "error: " << (i == 1 ? "c_bottom_us" : "c_top_us")
+                << " needs a non-negative integer, got '" << argv[i] << "'\n";
+      return 2;
+    }
+    (i == 1 ? cfg.sources[0].c_bottom : cfg.sources[0].c_top) = *cost;
+  }
 
   const core::AnalysisFacade facade(cfg);
   const auto oh = facade.overhead_times();

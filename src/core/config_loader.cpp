@@ -1,69 +1,42 @@
 #include "core/config_loader.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <sstream>
+#include <string_view>
+
+#include "sim/text_input.hpp"
 
 namespace rthv::core {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
-}
-
-std::int64_t parse_int(std::size_t line, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const std::int64_t v = std::stoll(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument("trailing garbage");
-    return v;
-  } catch (const std::exception&) {
-    throw ConfigError(line, "expected an integer, got '" + value + "'");
-  }
-}
-
 // Unsigned keys: a negative or too-large value is an error, never a
 // static_cast wrap-around into a huge line count or capacity.
 template <typename T>
-T parse_unsigned(std::size_t line, const std::string& value) {
-  const std::int64_t v = parse_int(line, value);
-  constexpr auto kMax = std::numeric_limits<T>::max();
-  if (v < 0 || static_cast<std::uint64_t>(v) > kMax) {
-    throw ConfigError(line, "expected an integer in [0, " + std::to_string(kMax) +
-                                "], got '" + value + "'");
-  }
-  return static_cast<T>(v);
+T parse_unsigned(std::size_t line, std::string_view value) {
+  if (const auto v = sim::parse_int<T>(value)) return *v;
+  throw ConfigError(line, "expected an integer in [0, " +
+                              std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+                              std::string(value) + "'");
 }
 
-// Microsecond keys: bounded so the conversion to nanoseconds cannot overflow.
-sim::Duration parse_us(std::size_t line, const std::string& value) {
-  constexpr std::int64_t kMaxUs = std::numeric_limits<std::int64_t>::max() / 1000;
-  const std::int64_t v = parse_int(line, value);
-  if (v < 0 || v > kMaxUs) {
-    throw ConfigError(line, "expected microseconds in [0, " + std::to_string(kMaxUs) +
-                                "], got '" + value + "'");
-  }
-  return sim::Duration::us(v);
+sim::Duration parse_us(std::size_t line, std::string_view value) {
+  const auto unit = sim::Duration::us(1);
+  if (const auto d = sim::parse_duration(value, unit)) return *d;
+  throw ConfigError(line, "expected microseconds in [0, " +
+                              std::to_string(sim::max_count(unit)) + "], got '" +
+                              std::string(value) + "'");
 }
 
-std::uint32_t parse_mask(std::size_t line, const std::string& value) {
-  // Color masks read naturally in hex; accept any std::stoul base-0 prefix.
-  try {
-    std::size_t consumed = 0;
-    const unsigned long v = std::stoul(value, &consumed, 0);
-    if (consumed != value.size()) throw std::invalid_argument("trailing garbage");
-    if (v > 0xFFFF'FFFFul) throw std::invalid_argument("mask exceeds 32 bits");
-    return static_cast<std::uint32_t>(v);
-  } catch (const std::exception&) {
-    throw ConfigError(line, "expected a 32-bit mask, got '" + value + "'");
+// Color masks read naturally in hex: `0x`-prefixed hex, else decimal.
+std::uint32_t parse_mask(std::size_t line, std::string_view value) {
+  const bool hex = value.starts_with("0x") || value.starts_with("0X");
+  if (const auto v = sim::parse_int<std::uint32_t>(value.substr(hex ? 2 : 0), 0,
+                                                   0xFFFF'FFFFu, hex ? 16 : 10)) {
+    return *v;
   }
+  throw ConfigError(line, "expected a 32-bit mask, got '" + std::string(value) + "'");
 }
 
 bool parse_bool(std::size_t line, const std::string& value) {
@@ -106,32 +79,25 @@ SystemConfig load_config(std::istream& is) {
     kInterconnect, kCore,
   };
   Section section = Section::kNone;
-  std::size_t line_no = 0;
-  std::string line;
+  sim::IniReader<ConfigError> ini(is);
 
   auto current_partition = [&]() -> PartitionSpec& {
-    if (cfg.partitions.empty()) throw ConfigError(line_no, "no [partition] open");
+    if (cfg.partitions.empty()) throw ConfigError(ini.line(), "no [partition] open");
     return cfg.partitions.back();
   };
   auto current_source = [&]() -> IrqSourceSpec& {
-    if (cfg.sources.empty()) throw ConfigError(line_no, "no [source] open");
+    if (cfg.sources.empty()) throw ConfigError(ini.line(), "no [source] open");
     return cfg.sources.back();
   };
   auto current_slot = [&]() -> ScheduleSlot& {
-    if (cfg.schedule.empty()) throw ConfigError(line_no, "no [slot] open");
+    if (cfg.schedule.empty()) throw ConfigError(ini.line(), "no [slot] open");
     return cfg.schedule.back();
   };
 
-  while (std::getline(is, line)) {
-    ++line_no;
-    const auto comment = line.find('#');
-    if (comment != std::string::npos) line.erase(comment);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    if (line.front() == '[') {
-      if (line.back() != ']') throw ConfigError(line_no, "unterminated section header");
-      const std::string name = trim(line.substr(1, line.size() - 2));
+  while (ini.next()) {
+    const std::size_t line_no = ini.line();
+    if (ini.is_section()) {
+      const std::string_view name = ini.section();
       if (name == "platform") {
         section = Section::kPlatform;
       } else if (name == "overheads") {
@@ -154,17 +120,13 @@ SystemConfig load_config(std::istream& is) {
         section = Section::kCore;
         cfg.interconnect.budgets.push_back(hw::CoreBandwidthBudget{});
       } else {
-        throw ConfigError(line_no, "unknown section [" + name + "]");
+        throw ConfigError(line_no, "unknown section [" + std::string(name) + "]");
       }
       continue;
     }
 
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) throw ConfigError(line_no, "expected 'key = value'");
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty() || value.empty()) throw ConfigError(line_no, "empty key or value");
-
+    const std::string key(ini.key());
+    const std::string value(ini.value());
     switch (section) {
       case Section::kNone:
         throw ConfigError(line_no, "key outside any section");
@@ -408,9 +370,10 @@ void save_config(std::ostream& os, const SystemConfig& cfg) {
     }
   }
   for (const auto& s : cfg.sources) {
-    os << "\n[source]\n"
-       << "name = " << s.name << "\n"
-       << "subscriber = " << s.subscriber << "\n"
+    os << "\n[source]\n";
+    // A source may be unnamed; "name = " with no value would not reload.
+    if (!s.name.empty()) os << "name = " << s.name << "\n";
+    os << "subscriber = " << s.subscriber << "\n"
        << "c_top_us = " << s.c_top.count_ns() / 1000 << "\n"
        << "c_bottom_us = " << s.c_bottom.count_ns() / 1000 << "\n";
     switch (s.monitor) {

@@ -44,7 +44,14 @@
 //     partition = 0
 //     length_us = 3000
 //
-// Unknown keys and malformed lines raise ConfigError with the line number.
+// Grammar (shared with fault plans, read by sim/text_input.hpp): `#` and `;`
+// start a comment anywhere on a line; names, keys and values are trimmed of
+// spaces, tabs and `\r`. A number is the whole value -- an optional sign and
+// decimal digits -- and must fit its field (counts are unsigned, so `-1` is
+// an error, not a wrap-around); `color_mask` also takes `0x`-hex, and a
+// leading 0 is still decimal. Times carry their unit in the key (`_us`),
+// are non-negative and must fit int64 nanoseconds. Unknown keys and
+// malformed lines raise ConfigError with the line number.
 #pragma once
 
 #include <iosfwd>

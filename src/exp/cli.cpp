@@ -2,10 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string_view>
 
 #include "exp/batch_runner.hpp"
+#include "sim/text_input.hpp"
 
 namespace rthv::exp {
 
@@ -29,15 +29,7 @@ std::size_t parse_jobs_value(std::string_view value, const char* argv0) {
 
 std::optional<std::size_t> parse_jobs(std::string_view value) {
   if (value == "auto") return hardware_jobs();
-  std::size_t jobs = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::size_t>(c - '0');
-    if (jobs > (std::numeric_limits<std::size_t>::max() - digit) / 10) return std::nullopt;
-    jobs = jobs * 10 + digit;
-  }
-  if (jobs == 0) return std::nullopt;  // also rejects the empty string
-  return jobs;
+  return sim::parse_int<std::size_t>(value, 1);
 }
 
 CliOptions parse_cli(int argc, char** argv) {

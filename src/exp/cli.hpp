@@ -25,8 +25,8 @@ struct CliOptions {
   std::vector<std::string> positional;
 };
 
-/// Parses a --jobs value: "auto" (hardware_jobs()) or a positive decimal
-/// integer that fits in std::size_t; nullopt for anything else.
+/// Parses a --jobs value: "auto" (hardware_jobs()) or a positive integer
+/// that fits in std::size_t (sim::parse_int); nullopt for anything else.
 [[nodiscard]] std::optional<std::size_t> parse_jobs(std::string_view value);
 
 /// Parses argv (past argv[0]). Exits with code 2 and a usage message on

@@ -4,7 +4,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
+
+#include "sim/text_input.hpp"
 
 namespace rthv::fault {
 
@@ -26,52 +27,22 @@ std::string_view to_string(FaultKind kind) {
 
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
+template <typename T>
+T parse_number(std::string_view value, std::size_t line) {
+  if (const auto v = sim::parse_int<T>(value)) return *v;
+  throw FaultPlanError(line, "expected an integer in [" +
+                                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                                 std::to_string(std::numeric_limits<T>::max()) +
+                                 "], got '" + std::string(value) + "'");
 }
 
-std::int64_t parse_int(std::string_view value, std::size_t line) {
-  bool negative = false;
-  std::string_view digits = value;
-  if (!digits.empty() && (digits.front() == '-' || digits.front() == '+')) {
-    negative = digits.front() == '-';
-    digits.remove_prefix(1);
-  }
-  if (digits.empty()) throw FaultPlanError(line, "expected a number, got '" + std::string(value) + "'");
-  std::int64_t out = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') {
-      throw FaultPlanError(line, "expected a number, got '" + std::string(value) + "'");
-    }
-    if (out > (std::numeric_limits<std::int64_t>::max() - (c - '0')) / 10) {
-      throw FaultPlanError(line, "number out of range: '" + std::string(value) + "'");
-    }
-    out = out * 10 + (c - '0');
-  }
-  return negative ? -out : out;
-}
-
-std::uint64_t parse_u64(std::string_view value, std::size_t line) {
-  const std::int64_t v = parse_int(value, line);
-  if (v < 0) throw FaultPlanError(line, "value must be non-negative");
-  return static_cast<std::uint64_t>(v);
-}
-
-// `[campaign] horizon_ms / horizon_s`: positive, and small enough that the
-// conversion to nanoseconds cannot overflow.
-Duration parse_horizon(std::string_view value, std::size_t line, std::int64_t unit_ns) {
-  const std::int64_t v = parse_int(value, line);
-  const std::int64_t max = std::numeric_limits<std::int64_t>::max() / unit_ns;
-  if (v <= 0 || v > max) {
-    throw FaultPlanError(line, "horizon must be positive and at most " +
-                                   std::to_string(max) + ", got '" +
-                                   std::string(value) + "'");
-  }
-  return Duration::ns(v * unit_ns);
+// `_ns` / `_us` / `_ms` / `_s` keys: a non-negative count of the key's unit,
+// small enough that the conversion to nanoseconds cannot overflow.
+Duration parse_time(std::string_view value, std::size_t line, Duration unit) {
+  if (const auto d = sim::parse_duration(value, unit)) return *d;
+  throw FaultPlanError(line, "expected a duration in [0, " +
+                                 std::to_string(sim::max_count(unit)) + "], got '" +
+                                 std::string(value) + "'");
 }
 
 struct Section {
@@ -126,40 +97,40 @@ void apply_key(InjectionSpec& spec, std::string_view key, std::string_view value
     throw FaultPlanError(line, "key '" + std::string(key) + "' is not valid in [" +
                                    std::string(to_string(spec.kind)) + "]");
   }
-  const auto u64 = [&] { return parse_u64(value, line); };
-  const auto i64 = [&] { return parse_int(value, line); };
+  const auto u64 = [&] { return parse_number<std::uint64_t>(value, line); };
+  const auto time = [&](Duration unit) { return parse_time(value, line, unit); };
   if (key == "source") {
-    spec.source = static_cast<std::uint32_t>(u64());
+    spec.source = parse_number<std::uint32_t>(value, line);
   } else if (key == "start_us") {
-    spec.start = sim::TimePoint::at_us(i64());
+    spec.start = sim::TimePoint::origin() + time(Duration::us(1));
   } else if (key == "start_ms") {
-    spec.start = sim::TimePoint::at_ns(i64() * 1'000'000);
+    spec.start = sim::TimePoint::origin() + time(Duration::ms(1));
   } else if (key == "count" || key == "bursts" || key == "boundaries") {
     spec.count = u64();
   } else if (key == "burst_len") {
     spec.burst_len = u64();
   } else if (key == "distance_us") {
-    spec.distance = Duration::us(i64());
+    spec.distance = time(Duration::us(1));
   } else if (key == "distance_ns") {
-    spec.distance = Duration::ns(i64());
+    spec.distance = time(Duration::ns(1));
   } else if (key == "period_us") {
-    spec.period = Duration::us(i64());
+    spec.period = time(Duration::us(1));
   } else if (key == "period_ms") {
-    spec.period = Duration::ms(i64());
+    spec.period = time(Duration::ms(1));
   } else if (key == "mean_us") {
-    spec.mean = Duration::us(i64());
+    spec.mean = time(Duration::us(1));
   } else if (key == "drift_ppm") {
-    spec.drift_ppm = i64();
+    spec.drift_ppm = parse_number<std::int64_t>(value, line);
   } else if (key == "jitter_us") {
-    spec.jitter = Duration::us(i64());
+    spec.jitter = time(Duration::us(1));
   } else if (key == "lead_us") {
-    spec.lead = Duration::us(i64());
+    spec.lead = time(Duration::us(1));
   } else if (key == "probe_every") {
     spec.probe_every = u64();
   } else if (key == "probe_under_us") {
-    spec.probe_under = Duration::us(i64());
+    spec.probe_under = time(Duration::us(1));
   } else if (key == "probe_under_ns") {
-    spec.probe_under = Duration::ns(i64());
+    spec.probe_under = time(Duration::ns(1));
   } else {
     throw FaultPlanError(line, "unknown key '" + std::string(key) + "'");
   }
@@ -218,20 +189,12 @@ FaultPlan load_fault_plan(std::istream& in) {
   InjectionSpec* current = nullptr;
   bool in_campaign = false;
   std::size_t section_line = 0;
-  std::size_t line_no = 0;
-  std::string raw;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    std::string_view text = trim(raw);
-    if (const auto hash = text.find_first_of("#;"); hash != std::string_view::npos) {
-      text = trim(text.substr(0, hash));
-    }
-    if (text.empty()) continue;
-
-    if (text.front() == '[') {
-      if (text.back() != ']') throw FaultPlanError(line_no, "unterminated section header");
+  sim::IniReader<FaultPlanError> ini(in);
+  while (ini.next()) {
+    const std::size_t line_no = ini.line();
+    if (ini.is_section()) {
       if (current != nullptr) validate(*current, section_line);
-      const Section section = parse_section(trim(text.substr(1, text.size() - 2)), line_no);
+      const Section section = parse_section(ini.section(), line_no);
       in_campaign = section.campaign;
       section_line = line_no;
       if (in_campaign) {
@@ -244,20 +207,20 @@ FaultPlan load_fault_plan(std::istream& in) {
       continue;
     }
 
-    const auto eq = text.find('=');
-    if (eq == std::string_view::npos) {
-      throw FaultPlanError(line_no, "expected 'key = value'");
-    }
-    const std::string_view key = trim(text.substr(0, eq));
-    const std::string_view value = trim(text.substr(eq + 1));
+    const std::string_view key = ini.key();
+    const std::string_view value = ini.value();
     if (in_campaign) {
-      if (key == "horizon_ms") {
-        plan.horizon = parse_horizon(value, line_no, 1'000'000);
-      } else if (key == "horizon_s") {
-        plan.horizon = parse_horizon(value, line_no, 1'000'000'000);
-      } else {
+      if (key != "horizon_ms" && key != "horizon_s") {
         throw FaultPlanError(line_no, "unknown key '" + std::string(key) + "'");
       }
+      const Duration unit = key == "horizon_ms" ? Duration::ms(1) : Duration::s(1);
+      const auto horizon = sim::parse_duration(value, unit, 1);
+      if (!horizon) {
+        throw FaultPlanError(line_no, "horizon must be positive and at most " +
+                                          std::to_string(sim::max_count(unit)) + ", got '" +
+                                          std::string(value) + "'");
+      }
+      plan.horizon = *horizon;
       continue;
     }
     if (current == nullptr) {

@@ -19,8 +19,13 @@
 //     drift_ppm = 200
 //     jitter_us = 20
 //
-// Times are given with the unit in the key name (`_us` / `_ms`); all values
-// are integers, so a parsed plan is exact and platform-independent. The
+// Grammar (shared with system configs, read by sim/text_input.hpp): `#` and
+// `;` start a comment anywhere on a line, and an empty key or value is an
+// error. Times carry their unit in the key name (`_ns` / `_us` / `_ms`,
+// `horizon_s`), are non-negative (a horizon positive) and must fit int64
+// nanoseconds; counts are unsigned, `source` fits 32 bits and `drift_ppm`
+// is the one signed key. All values are integers, so a parsed plan is
+// exact and platform-independent. The
 // plan itself carries no randomness -- seeds are assigned per run by the
 // FaultEngine via exp::derive_seed, which is what keeps sweeps bit-identical
 // for any --jobs value.
@@ -94,7 +99,8 @@ class FaultPlanError : public std::runtime_error {
 };
 
 /// Parses a plan from a stream / file. Throws FaultPlanError on malformed
-/// input (unknown section, unknown key for the section's kind, bad number).
+/// input (unknown section, unknown key for the section's kind, a number that
+/// is malformed or out of its key's range).
 [[nodiscard]] FaultPlan load_fault_plan(std::istream& in);
 [[nodiscard]] FaultPlan load_fault_plan_file(const std::string& path);
 

@@ -1,10 +1,11 @@
 #include "fault/hunt.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "exp/batch_runner.hpp"
 #include "exp/seed.hpp"
 #include "fault/fault_engine.hpp"
 #include "mon/monitor.hpp"
@@ -280,6 +281,7 @@ HuntResult run_hunt(const HuntConfig& cfg) {
     std::uint64_t global_index = 0;
   };
 
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = jobs, .chunk = 1});
   bool stop = false;
   for (std::uint32_t gen = 0; gen < cfg.generations && !stop; ++gen) {
     ++result.generations_run;
@@ -297,23 +299,28 @@ HuntResult run_hunt(const HuntConfig& cfg) {
       candidates[i].global_index = index;
     }
 
-    // Static sharding: candidate i always runs on worker i % jobs, results
-    // land in their index slot, and the merge below walks index order -- the
-    // whole generation is --jobs invariant.
+    // Static sharding on the campaign engine: shard j runs candidates j,
+    // j + jobs, ... on replica j, results land in their index slot, and the
+    // merge below walks index order -- the whole generation is --jobs
+    // invariant. A shard stops at its first failing candidate; the error
+    // rethrown is the lowest-index one, as in a sequential run. Not
+    // map(pool, ...): replicas come from make_system and fork mid-run.
     std::vector<EvalOutcome> outcomes(cfg.population);
-    const auto shard = [&](std::uint32_t job) {
-      for (std::uint32_t i = job; i < cfg.population; i += jobs) {
-        outcomes[i] =
-            evaluate(workers[job], cfg, candidates[i].plan, candidates[i].engine_seed);
+    std::vector<std::exception_ptr> errors(cfg.population);
+    (void)runner.map(jobs, [&](std::size_t job) {
+      for (std::size_t i = job; i < cfg.population; i += jobs) {
+        try {
+          outcomes[i] =
+              evaluate(workers[job], cfg, candidates[i].plan, candidates[i].engine_seed);
+        } catch (...) {
+          errors[i] = std::current_exception();
+          break;
+        }
       }
-    };
-    if (jobs == 1) {
-      shard(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(jobs);
-      for (std::uint32_t j = 0; j < jobs; ++j) threads.emplace_back(shard, j);
-      for (auto& t : threads) t.join();
+      return true;
+    });
+    for (const auto& error : errors) {
+      if (error) std::rethrow_exception(error);
     }
 
     // Generation barrier: fold in global index order.

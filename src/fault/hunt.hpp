@@ -18,8 +18,9 @@
 //
 // Determinism contract: mutation randomness is derived per global candidate
 // index with exp::derive_seed before any evaluation runs; candidates are
-// statically sharded over workers (index mod jobs) and their results are
-// folded at a generation barrier in global index order. A hunt is therefore
+// statically sharded over workers (index mod jobs, one exp::BatchRunner
+// index per worker) and their results are folded at a generation barrier
+// in global index order. A hunt is therefore
 // a pure function of (config, seed): coverage map, findings and reproducers
 // are bit-identical for any --jobs value. Findings replay standalone: a
 // fresh system re-runs the deterministic prefix to the fork point and arms
@@ -83,7 +84,7 @@ struct HuntConfig {
   std::uint64_t seed = 1;
   std::uint32_t generations = 8;
   std::uint32_t population = 16;    // candidates per generation
-  std::uint32_t jobs = 1;           // worker replicas (threads)
+  std::uint32_t jobs = 1;           // worker replicas (BatchRunner jobs)
   /// Off = random campaign baseline: the corpus never grows, every mutant
   /// derives from the initial corpus (what PR 4's sweep-based campaigns
   /// do); the coverage map is still collected for reporting.

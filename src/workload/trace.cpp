@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/text_input.hpp"
+
 namespace rthv::workload {
 
 Trace::Trace(std::vector<sim::Duration> distances) : distances_(std::move(distances)) {
@@ -92,9 +94,14 @@ Trace Trace::load_csv(std::istream& is) {
     throw std::runtime_error("trace CSV: missing 'distance_ns' header");
   }
   std::vector<sim::Duration> d;
-  while (std::getline(is, line)) {
+  for (std::size_t line_no = 2; std::getline(is, line); ++line_no) {
     if (line.empty()) continue;
-    d.push_back(sim::Duration::ns(std::stoll(line)));
+    const auto distance = sim::parse_duration(line, sim::Duration::ns(1));
+    if (!distance) {
+      throw std::runtime_error("trace CSV line " + std::to_string(line_no) +
+                               ": expected a non-negative distance_ns, got '" + line + "'");
+    }
+    d.push_back(*distance);
   }
   return Trace(std::move(d));
 }

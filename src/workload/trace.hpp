@@ -56,7 +56,9 @@ class Trace {
   /// Returns the first `n` activations as a sub-trace.
   [[nodiscard]] Trace prefix(std::size_t n) const;
 
-  /// CSV persistence: one distance (in nanoseconds) per line.
+  /// CSV persistence: a 'distance_ns' header, then one non-negative integer
+  /// distance (in nanoseconds) per line. load_csv throws std::runtime_error
+  /// naming the line of a malformed row.
   void save_csv(std::ostream& os) const;
   [[nodiscard]] static Trace load_csv(std::istream& is);
   void save_csv_file(const std::string& path) const;

@@ -176,6 +176,37 @@ TEST(ConfigLoaderTest, RejectsMalformedInput) {
   }
 }
 
+TEST(ConfigLoaderTest, ReadsTheSharedInputGrammar) {
+  // `;` starts a comment like `#`, a sign may lead a number, and a color
+  // mask is 0x-hex or decimal (a leading 0 no longer means octal).
+  std::istringstream is(
+      "; semicolon comment\n"
+      "[partition]   ; trailing comment\n"
+      "name = p\n"
+      "slot_us = +100\n"
+      "color_mask = 010\n"
+      "[partition]\n"
+      "name = q\n"
+      "slot_us = 100\n"
+      "color_mask = 0xF0\n");
+  const auto cfg = load_config(is);
+  ASSERT_EQ(cfg.partitions.size(), 2u);
+  EXPECT_EQ(cfg.partitions[0].name, "p");
+  EXPECT_EQ(cfg.partitions[0].slot_length, Duration::us(100));
+  EXPECT_EQ(cfg.partitions[0].color_mask, 10u);
+  EXPECT_EQ(cfg.partitions[1].color_mask, 0xF0u);
+}
+
+TEST(ConfigLoaderTest, UnnamedSourceRoundTrips) {
+  // Found by the input fuzz test: save_config wrote "name = " for a source
+  // without a name, which load_config rejects as an empty value.
+  std::istringstream is("[partition]\nname = p\nslot_us = 100\n[source]\nsubscriber = 0\n");
+  std::ostringstream saved;
+  save_config(saved, load_config(is));
+  std::istringstream reread(saved.str());
+  EXPECT_TRUE(load_config(reread).sources.at(0).name.empty());
+}
+
 TEST(ConfigLoaderTest, RejectsSemanticallyInvalid) {
   {
     std::istringstream is("[platform]\ncpu_freq_hz = 1000000\n");  // no partitions

@@ -293,6 +293,30 @@ TEST(SystemPoolTest, WarmRecycleMatchesColdConstructionAcrossSeeds) {
   EXPECT_EQ(stats.warm_recycles, 11u);
 }
 
+TEST(SystemPoolTest, TracedWarmRecycleMatchesCold) {
+  // Traced runs (a 256-record ring, so it wraps) alternate with untraced
+  // ones through ONE slot: no run may inherit the previous run's ring,
+  // capacity or dropped count.
+  const auto cfg = monitored_config();
+  SystemPool pool(cfg);
+  auto lease = pool.acquire();
+  const auto digest = [](core::HypervisorSystem& system, std::uint64_t seed, bool traced) {
+    if (traced) system.enable_tracing(256);
+    std::string out = run_digest(system, seed);
+    out += '|' + std::to_string(system.trace_dropped()) + '|' +
+           obs::render_text(system.trace());
+    return out;
+  };
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const bool traced = seed % 2 == 1;
+    core::HypervisorSystem cold(cfg);
+    const std::string expected = digest(cold, seed, traced);
+    EXPECT_EQ(cold.trace_dropped() > 0, traced) << "seed " << seed;
+    EXPECT_EQ(digest(lease.begin_run(), seed, traced), expected) << "seed " << seed;
+  }
+  EXPECT_EQ(pool.stats().warm_recycles, 5u);
+}
+
 TEST(SystemPoolTest, ReleaseAndReacquireRecyclesTheSlot) {
   SystemPool pool(monitored_config());
   std::vector<std::string> digests;

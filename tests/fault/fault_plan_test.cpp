@@ -115,6 +115,27 @@ TEST(FaultPlanTest, HorizonOutOfRangeReportsLine) {
             Duration::s(9223372036));
 }
 
+TEST(FaultPlanTest, OutOfRangeValueReportsLine) {
+  // Each used to load: a source index truncated to 32 bits, negative times
+  // accepted, and a distance overflowing the nanosecond conversion (caught
+  // only on the section's line by a misleading "needs distance_us > 0").
+  for (const char* text : {
+           "[flood]\nsource = 4294967296\ncount = 1\ndistance_us = 1\n",
+           "[flood]\nstart_us = -100\ncount = 1\ndistance_us = 1\n",
+           "[storm]\nperiod_ms = -5\nbursts = 1\n",
+           "[drift]\njitter_us = -3\n",
+           "[flood]\ndistance_us = 9223372036854775807\ncount = 1\n",
+       }) {
+    try {
+      (void)parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const FaultPlanError& e) {
+      EXPECT_EQ(e.line(), 2u) << text;
+    }
+  }
+  EXPECT_EQ(parse("[drift]\ndrift_ppm = -200\n").injections[0].drift_ppm, -200);
+}
+
 TEST(FaultPlanTest, KeyOutsideAnySectionIsAnError) {
   EXPECT_THROW(parse("count = 3\n"), FaultPlanError);
 }

@@ -26,9 +26,9 @@ TEST(GoldenMetricsTest, Fig6bFaultStormMetricsMatchGoldenFile) {
   config.irqs_per_load = 200;
   config.fault_plan = std::string(RTHV_CONFIG_DIR) + "/fault_storm.plan";
   const auto result = bench::run_fig6(config);
-  ASSERT_GT(result.recorder.total(), 0u);
+  ASSERT_GT(result.merged.recorder.total(), 0u);
   std::ostringstream json;
-  result.metrics.write_json(json);
+  result.merged.metrics.write_json(json);
 
   if (std::getenv("RTHV_UPDATE_GOLDEN") != nullptr) {
     std::ofstream os(golden_path());

@@ -60,6 +60,11 @@ ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
 echo "== ASan + UBSan: examples (ctest -L examples) =="
 ctest --test-dir build-asan --output-on-failure -L examples -j "$jobs"
 
+# Every text-input loader under mutation: with -fno-sanitize-recover, an
+# integer overflow left in a parser aborts the fuzz test (ctest -L fuzz).
+echo "== ASan + UBSan: input fuzz (ctest -L fuzz) =="
+ctest --test-dir build-asan --output-on-failure -L fuzz -j "$jobs"
+
 echo "== ASan + UBSan: rthv_hunt smoke =="
 ./build-asan/tools/rthv_hunt/rthv_hunt --baseline --weaken 4 --exp 1444 0 \
   --generations 10 --population 8 --horizon-ms 100 --fork-ms 10 --seed 7 \

@@ -91,6 +91,20 @@ TEST(TraceTest, CsvRejectsMissingHeader) {
   EXPECT_THROW(Trace::load_csv(ss), std::runtime_error);
 }
 
+TEST(TraceTest, CsvRejectsMalformedRowsNamingTheLine) {
+  // A negative row and trailing garbage used to load ("12abc" as 12), and a
+  // non-number surfaced as a bare std::invalid_argument from stoll.
+  for (const char* row : {"-5", "12abc", "xyz", " 7", "99999999999999999999"}) {
+    std::stringstream ss(std::string("distance_ns\n1500\n") + row + "\n");
+    try {
+      (void)Trace::load_csv(ss);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(TraceTest, CsvFileRoundTrip) {
   Trace t({Duration::us(7)});
   const std::string path = ::testing::TempDir() + "/trace_roundtrip.csv";

@@ -15,18 +15,19 @@
 //   --jobs N|auto     override the spec's worker count
 //
 // Campaign spec: one flat JSON object; unknown keys are rejected so typos
-// fail loudly. All keys are optional:
+// fail loudly. All keys are optional; every integer is range-checked
+// (no key is negative, and no time overflows its nanosecond conversion):
 //   {
 //     "topology":   "baseline" | "<config.ini path>",
 //     "mode":       "unmonitored" | "monitored" | "direct",
-//     "lambda_us":  1444,      // mean exponential interarrival
+//     "lambda_us":  1444,      // mean exponential interarrival, > 0
 //     "d_min_us":   0,         // monitoring distance; 0 = lambda
 //     "floor":      false,     // floor interarrivals at d_min (fig6c-style)
 //     "irqs":       10,        // IRQs per run, > 0
 //     "runs":       1000,      // independent runs in the campaign, > 0
-//     "seed":       2014,      // run i uses seed + i
+//     "seed":       2014,      // unsigned 64-bit; run i uses seed + i
 //     "horizon_ms": 1000000,   // per-run simulation horizon
-//     "jobs":       1
+//     "jobs":       1          // 0 = hardware concurrency
 //   }
 #include <chrono>
 #include <cstdint>
@@ -46,6 +47,7 @@
 #include "exp/cli.hpp"
 #include "exp/run_result.hpp"
 #include "exp/system_pool.hpp"
+#include "sim/text_input.hpp"
 #include "stats/export.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -67,6 +69,9 @@ struct CampaignSpec {
   std::int64_t horizon_ms = 1'000'000;
   std::size_t jobs = 1;
 };
+
+// Keeps Duration::us(lambda_us) and Duration::us(d_min_us) from overflowing.
+constexpr std::int64_t kMaxUs = sim::max_count(Duration::us(1));
 
 /// Minimal parser for the flat campaign-spec object above: string, integer
 /// and boolean values only, no nesting, no string escapes. Errors carry the
@@ -108,21 +113,21 @@ class SpecParser {
     } else if (key == "mode") {
       spec.mode = parse_string();
     } else if (key == "lambda_us") {
-      spec.lambda_us = parse_int();
+      spec.lambda_us = parse_int<std::int64_t>(1, kMaxUs);
     } else if (key == "d_min_us") {
-      spec.d_min_us = parse_int();
+      spec.d_min_us = parse_int<std::int64_t>(0, kMaxUs);
     } else if (key == "floor") {
       spec.floor = parse_bool();
     } else if (key == "irqs") {
-      spec.irqs = parse_positive();
+      spec.irqs = parse_int<std::size_t>(1);
     } else if (key == "runs") {
-      spec.runs = parse_positive();
+      spec.runs = parse_int<std::size_t>(1);
     } else if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parse_int());
+      spec.seed = parse_int<std::uint64_t>(0);
     } else if (key == "horizon_ms") {
-      spec.horizon_ms = parse_int();
+      spec.horizon_ms = parse_int<std::int64_t>(0, sim::max_count(Duration::ms(1)));
     } else if (key == "jobs") {
-      spec.jobs = parse_size();
+      spec.jobs = parse_int<std::size_t>(0);
     } else {
       fail("unknown campaign key \"" + key + "\"");
     }
@@ -156,32 +161,21 @@ class SpecParser {
       out.push_back(c);
     }
   }
-  std::int64_t parse_int() {
+  /// Scans one integer token, then converts it into [lo, hi] with
+  /// sim::parse_int; every key's range starts at 0 or 1, which names the
+  /// error for a token below it.
+  template <typename T>
+  T parse_int(T lo, T hi = std::numeric_limits<T>::max()) {
     const std::size_t start = pos_;
-    const bool negative = peek() == '-';
-    if (negative) ++pos_;
+    if (peek() == '-') ++pos_;
     if (peek() < '0' || peek() > '9') fail("expected an integer");
-    std::int64_t value = 0;
-    while (peek() >= '0' && peek() <= '9') {
-      const int digit = next() - '0';
-      if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
-        fail_at(start, "integer out of range");
-      }
-      value = value * 10 + digit;
+    while (peek() >= '0' && peek() <= '9') ++pos_;
+    const std::string_view token = std::string_view(text_).substr(start, pos_ - start);
+    if (const auto value = sim::parse_int<T>(token, lo, hi)) return *value;
+    if (token.front() != '-' && token.find_first_not_of('0') != std::string_view::npos) {
+      fail_at(start, "integer out of range");
     }
-    return negative ? -value : value;
-  }
-  std::size_t parse_size() {
-    const std::size_t start = pos_;
-    const std::int64_t value = parse_int();
-    if (value < 0) fail_at(start, "expected a non-negative integer");
-    return static_cast<std::size_t>(value);
-  }
-  std::size_t parse_positive() {
-    const std::size_t start = pos_;
-    const std::size_t value = parse_size();
-    if (value == 0) fail_at(start, "expected a positive integer");
-    return value;
+    fail_at(start, lo == T{0} ? "expected a non-negative integer" : "expected a positive integer");
   }
   bool parse_bool() {
     if (text_.compare(pos_, 4, "true") == 0) {

@@ -36,7 +36,6 @@
 // t=0) before it is reported; a finding that fails to replay is a bug in
 // the snapshot layer and aborts with exit 3. A reproducer plan that cannot
 // be written to --repro-out prints an error and exits 1.
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -52,6 +51,7 @@
 #include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/hunt.hpp"
+#include "sim/text_input.hpp"
 #include "workload/generators.hpp"
 
 using namespace rthv;
@@ -69,25 +69,20 @@ void usage() {
                "  [--expect-finding] [--repro-out FILE]\n";
 }
 
-// Parses the whole of `value` as a base-10 integer in [lo, hi]. A sign the
-// type cannot hold, trailing characters and out-of-range values are errors.
+// Parses the whole of `value` as an integer in [lo, hi] (sim::parse_int);
+// anything else prints an error and exits 2.
 template <typename T>
 T parse_int(const char* flag, const char* value, T lo = std::numeric_limits<T>::min(),
             T hi = std::numeric_limits<T>::max()) {
-  T parsed{};
-  const char* end = value + std::strlen(value);
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc{} || ptr != end || parsed < lo || parsed > hi) {
-    std::cerr << "error: " << flag << " needs an integer in [" << lo << ", " << hi
-              << "], got '" << value << "'\n";
-    std::exit(2);
-  }
-  return parsed;
+  if (const auto parsed = sim::parse_int<T>(value, lo, hi)) return *parsed;
+  std::cerr << "error: " << flag << " needs an integer in [" << lo << ", " << hi
+            << "], got '" << value << "'\n";
+  std::exit(2);
 }
 
 // Upper bounds that keep the unit conversions below from overflowing.
-constexpr std::int64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
-constexpr std::int64_t kMaxUs = std::numeric_limits<std::int64_t>::max() / 1'000;
+constexpr std::int64_t kMaxMs = sim::max_count(Duration::ms(1));
+constexpr std::int64_t kMaxUs = sim::max_count(Duration::us(1));
 
 }  // namespace
 
