@@ -46,31 +46,6 @@ void BM_DeltaVectorMonitorCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaVectorMonitorCheck)->Name("mon/delta_vector_admit")->Arg(1)->Arg(5)->Arg(16);
 
-// Batched admission: 16 activations judged per call through the
-// record_and_check_batch API. Time is per *batch*; items_per_second is the
-// per-activation rate comparable with mon/delta_vector_admit/5.
-void delta_vector_admit_batch(benchmark::State& state) {
-  constexpr std::size_t kBatch = 16;
-  mon::DeltaVector deltas;
-  for (std::size_t i = 0; i < 5; ++i) {
-    deltas.push_back(Duration::us(100 * static_cast<std::int64_t>(i + 1)));
-  }
-  mon::DeltaVectorMonitor monitor(deltas);
-  TimePoint times[kBatch];
-  std::uint8_t verdicts[kBatch];
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      t += 73'000;
-      times[i] = TimePoint::at_ns(t);
-    }
-    monitor.record_and_check_batch(times, kBatch, verdicts);
-    benchmark::DoNotOptimize(verdicts);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
-}
-BENCHMARK(delta_vector_admit_batch)->Name("mon/delta_vector_admit_batch16");
-
 void BM_LearningMonitorLearnStep(benchmark::State& state) {
   mon::LearningDeltaMonitor monitor(5, UINT64_MAX);  // stays in learning mode
   std::int64_t t = 0;
@@ -203,31 +178,6 @@ void trace_overhead_enabled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(trace_overhead_enabled)->Name("obs/trace_overhead_enabled_ns");
-
-// Burst emission through TraceRing::BatchEmitter (the batched ring-slot
-// reservation the hypervisor's fused batch-exit records use): one enabled
-// check and one counter commit amortized over 16 events. Time is per
-// *burst*; items_per_second is the per-event rate comparable with
-// obs/trace_overhead_enabled_ns.
-void trace_overhead_enabled_batch(benchmark::State& state) {
-  constexpr int kBurst = 16;
-  obs::TraceRing ring;
-  ring.set_enabled(true);
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    obs::TraceRing::BatchEmitter burst(ring);
-    for (int k = 0; k < kBurst; ++k) {
-      ++t;
-      burst.emit(t, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq, 1u, 2u,
-                 static_cast<std::uint64_t>(t), 0);
-    }
-    burst.commit();
-    benchmark::ClobberMemory();
-  }
-  benchmark::DoNotOptimize(ring.emitted());
-  state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(trace_overhead_enabled_batch)->Name("obs/trace_overhead_enabled_batch16_ns");
 
 void BM_BusyWindowSolve(benchmark::State& state) {
   analysis::BusyWindowProblem problem;

@@ -49,8 +49,8 @@ ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 # Campaign engine: both BatchRunner entry points (index order, every index
 # exactly once, lowest-index rethrow), the warm-start differential (pooled
 # recycle vs construct-per-run must be bit-identical), jobs/chunk identity
-# under the shared-counter scheduler, the batched trace-ring reservation
-# accounting, and the rthv_batch rejection of malformed campaigns.
+# under the shared-counter scheduler, and the rthv_batch rejection of
+# malformed campaigns.
 echo "== batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
 

@@ -212,17 +212,14 @@ int main(int argc, char** argv) {
   const auto& ctx = system.hypervisor().context_switches();
   std::cout << "context switches: " << ctx.total() << " (tdma " << ctx.tdma
             << ", interpose " << ctx.interpose_enter + ctx.interpose_return << ")\n";
-  const auto& health = system.hypervisor().health();
-  if (health.total() > 0) {
-    std::cout << "health events:";
-    for (int k = 0; k < static_cast<int>(hv::HealthEventKind::kCount_); ++k) {
-      const auto kind = static_cast<hv::HealthEventKind>(k);
-      if (health.count(kind) > 0) {
-        std::cout << " " << hv::to_string(kind) << "=" << health.count(kind);
-      }
+  std::string health;
+  for (int k = 0; k < static_cast<int>(hv::HealthEventKind::kCount_); ++k) {
+    const auto kind = static_cast<hv::HealthEventKind>(k);
+    if (const auto n = system.hypervisor().health_count(kind); n > 0) {
+      health += " " + std::string(hv::to_string(kind)) + "=" + std::to_string(n);
     }
-    std::cout << "\n";
   }
+  if (!health.empty()) std::cout << "health events:" << health << "\n";
   try {
     if (!trace_out.empty()) {
       stats::write_chrome_trace_file(trace_out, system.trace(), system.trace_meta(),

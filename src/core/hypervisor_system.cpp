@@ -125,18 +125,13 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     platform_->add_timer(src.line);
   }
 
-  // Queue overflow is never silent: every dropped event bumps the global
-  // and per-partition counters (the hypervisor separately traces kIrqDrop
-  // and reports kIrqQueueOverflow health events).
+  // Queue overflow is never silent: metrics_snapshot() fills the global and
+  // per-partition drop counters from the queues (the hypervisor separately
+  // traces kIrqDrop and reports kIrqQueueOverflow health events).
   queue_dropped_counter_ = metrics_.counter("irq_queue/dropped");
   for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
     queue_dropped_by_partition_.push_back(
         metrics_.counter("irq_queue/dropped/" + hv_->partition(p).name()));
-    hv_->partition(p).irq_queue().set_drop_observer(
-        [this, p](const hv::IrqEvent&) {
-          metrics_.add(queue_dropped_counter_);
-          metrics_.add(queue_dropped_by_partition_[p]);
-        });
   }
 
   // Latency histograms: 100 us buckets from 0 to 8.5 ms (the span of the
@@ -185,6 +180,11 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
     snap.counters[completed_by_class_[c].index].value +=
         recorder_.count(static_cast<stats::HandlingClass>(c));
   }
+  for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
+    const std::uint64_t drops = hv_->partition(p).irq_queue().drops();
+    snap.counters[queue_dropped_counter_.index].value += drops;
+    snap.counters[queue_dropped_by_partition_[p].index].value += drops;
+  }
   const auto& samples = recorder_.all().samples();
   const auto& classes = recorder_.classes();
   auto& latency_all = snap.histograms[latency_all_.index];
@@ -213,12 +213,11 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   snap.add_counter("ctx.interpose_enter", ctx.interpose_enter);
   snap.add_counter("ctx.interpose_return", ctx.interpose_return);
 
-  const auto& health = hv_->health();
   for (std::size_t k = 0; k < static_cast<std::size_t>(hv::HealthEventKind::kCount_);
        ++k) {
     const auto kind = static_cast<hv::HealthEventKind>(k);
     snap.add_counter("health." + std::string(hv::to_string(kind)),
-                     health.count(kind));
+                     hv_->health_count(kind));
   }
 
   std::uint64_t queue_drops = 0;
@@ -323,9 +322,9 @@ HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   w.boolean(keep_completions_);
   w.boolean(run_to_horizon_);
   w.boolean(started_);
+  hv_->snapshot_state(w);
   snap.words = w.take();
 
-  snap.hv = hv_->snapshot();
   snap.metrics = metrics_.snapshot();
   snap.recorder = recorder_;
   snap.completions = completions_;
@@ -360,9 +359,9 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   keep_completions_ = r.boolean();
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();
+  hv_->restore_state(r);
   assert(r.exhausted() && "system snapshot stream not fully consumed");
 
-  hv_->restore(snap.hv);
   metrics_.restore(snap.metrics);
   recorder_ = snap.recorder;
   completions_ = snap.completions;

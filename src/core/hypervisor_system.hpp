@@ -85,8 +85,7 @@ class HypervisorSystem {
   /// attached checkpoint client, if any. Move-only (owns cloned callbacks).
   struct SystemSnapshot {
     sim::Simulator::Snapshot sim;
-    std::vector<std::uint64_t> words;  // platform + guests + drivers + run state
-    hv::Hypervisor::Snapshot hv;
+    std::vector<std::uint64_t> words;  // platform, guests, drivers, run state, hypervisor
     obs::MetricsSnapshot metrics;
     stats::LatencyRecorder recorder;
     std::vector<hv::CompletedIrq> completions;
@@ -145,14 +144,16 @@ class HypervisorSystem {
   }
 
   /// Always-on metrics registry (callers may add their own). The
-  /// constructor registers the latency histograms and completion counters
-  /// so they keep their output position, but they stay zero here: only
-  /// metrics_snapshot() fills them, from the recorder.
+  /// constructor registers the latency histograms, completion counters and
+  /// queue-drop counters so they keep their output position, but they stay
+  /// zero here: only metrics_snapshot() fills them, from the recorder and
+  /// the partitions' queues.
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// Registry snapshot augmented with derived metrics: irq.latency.* and
-  /// irq.completed* from the recorder's sample log, plus IRQ path stats,
-  /// context switches, health counts, queue drops and the sim event count.
+  /// irq.completed* from the recorder's sample log, irq_queue/dropped* from
+  /// the partitions' queues, plus IRQ path stats, context switches, health
+  /// counts, queue drops and the sim event count.
   /// Derived purely from simulation state, never from trace counters, so the
   /// snapshot is identical with tracing on or off.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
@@ -184,8 +185,8 @@ class HypervisorSystem {
   std::array<obs::MetricsRegistry::CounterHandle,
              static_cast<std::size_t>(stats::HandlingClass::kCount_)>
       completed_by_class_{};  // lint: transient(registry handle; data derives from recorder_)
-  obs::MetricsRegistry::CounterHandle queue_dropped_counter_;  // lint: transient(registry handle; data lives in metrics_)
-  std::vector<obs::MetricsRegistry::CounterHandle> queue_dropped_by_partition_;  // lint: transient(registry handle; data lives in metrics_)
+  obs::MetricsRegistry::CounterHandle queue_dropped_counter_;  // lint: transient(registry handle; data derives from the partitions' queues)
+  std::vector<obs::MetricsRegistry::CounterHandle> queue_dropped_by_partition_;  // lint: transient(registry handle; data derives from the partitions' queues)
 };
 
 }  // namespace rthv::core

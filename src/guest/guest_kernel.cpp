@@ -112,19 +112,17 @@ std::optional<hv::WorkUnit> GuestKernel::next_work(TimePoint) {
   assert(chunk.is_positive());
 
   // Exactly one work unit is outstanding at a time (the hypervisor asks for
-  // the next only after the previous completed or was discarded), so the
-  // chunk bookkeeping lives in members and the completion callback captures
-  // only `this` -- small enough for std::function's inline storage.
+  // the next only after the previous completed), so the chunk bookkeeping
+  // lives in members and the unit itself is plain data.
   chunk_task_ = id;
   chunk_size_ = chunk;
   hv::WorkUnit work;
   work.category = hw::WorkCategory::kGuest;
   work.remaining = chunk;
-  work.on_complete = [this] { complete_chunk(); };
   return work;
 }
 
-void GuestKernel::complete_chunk() {
+void GuestKernel::on_work_complete() {
   const TaskId id = chunk_task_;
   Task& task = tasks_[id];
   task.job_remaining -= chunk_size_;

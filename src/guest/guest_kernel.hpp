@@ -67,6 +67,9 @@ class GuestKernel final : public hv::PartitionClient {
   // --- PartitionClient -----------------------------------------------------
   std::optional<hv::WorkUnit> next_work(sim::TimePoint now) override;
   void on_bottom_handler_complete(const hv::IrqEvent& event) override;
+  /// Retires the outstanding chunk: finishes its job when the job's demand
+  /// is used up (deadline check, re-arm or block, job callback).
+  void on_work_complete() override;
 
   // --- guest-level hooks -----------------------------------------------------
   using BottomHandlerCallback = std::function<void(const hv::IrqEvent&)>;
@@ -154,7 +157,6 @@ class GuestKernel final : public hv::PartitionClient {
 
   void release(TaskId id);
   void schedule_next_release(TaskId id, sim::TimePoint at);
-  void complete_chunk();
   [[nodiscard]] TaskId pick_ready() const;
   static constexpr TaskId kNone = std::numeric_limits<TaskId>::max();
 

@@ -20,7 +20,6 @@ using Reason = Hypervisor::ContextChange::Reason;
 Hypervisor::Hypervisor(hw::Platform& platform, const OverheadConfig& overheads)
     : platform_(platform), overheads_(platform.cpu(), platform.memory(), overheads) {
   lines_.resize(platform_.intc().num_lines());
-  health_.set_trace(&trace_);
 }
 
 PartitionId Hypervisor::add_partition(std::string name, std::size_t irq_queue_capacity) {
@@ -116,10 +115,8 @@ void Hypervisor::start() {
       this);
   platform_.intc().set_lost_raise_observer([this](hw::IrqLine l) {
     const IrqSourceId sid = lines_.at(l);
-    health_.report(HealthEvent{now(), HealthEventKind::kIrqRaiseLost,
-                               sid != kInvalidSource ? srcs_.subscriber[sid]
-                                                     : kInvalidPartition,
-                               sid});
+    report_health(now(), HealthEventKind::kIrqRaiseLost,
+                  sid != kInvalidSource ? srcs_.subscriber[sid] : kInvalidPartition, sid);
   });
   current_partition_ = scheduler_->current_owner();
   tdma_timer_->program_at(scheduler_->current_boundary());
@@ -224,10 +221,10 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
   // event enters the subscriber's queue. The verdict is only consulted --
   // and C_Mon only paid -- on the foreign-slot path of Fig. 4b below.
   // State commits here (nothing else can observe it while interrupts stay
-  // disabled); the trace records and health reports are emitted by the
-  // fused continuation via emit_batch_records(ta), so the ring order
-  // matches the step-by-step chain even when unrelated events (e.g. fault
-  // injections) land between entry and Ta.
+  // disabled); the trace records, overflow counts and health reports are
+  // emitted by the fused continuation via emit_batch_records(ta), so the
+  // ring order matches the step-by-step chain even when unrelated events
+  // (e.g. fault injections) land between entry and Ta.
   for (std::size_t i = 0; i < batch_.count; ++i) {
     BatchItem& item = batch_.items[i];
     const IrqSourceId sid = item.source;
@@ -324,8 +321,7 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
       switch (reason) {
         case obs::InterposeDenyReason::kMonitor:
           ++irq_path_stats_.denied_by_monitor;
-          health_.report(HealthEvent{now(), HealthEventKind::kMonitorViolation, sub,
-                                     item.source});
+          report_health(now(), HealthEventKind::kMonitorViolation, sub, item.source);
           break;
         case obs::InterposeDenyReason::kEngineBusy:
           ++irq_path_stats_.denied_engine_busy;
@@ -434,46 +430,35 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
 }
 
 void Hypervisor::emit_batch_records(TimePoint ta) {
-  // One enabled check and one counter commit for the whole burst (up to
-  // three records per latched IRQ); slots are written in place. Inert when
-  // tracing is off, except the overflow health reports, which are
-  // simulation state and must not depend on tracing.
-  std::optional<obs::TraceRing::BatchEmitter> burst;
-  burst.emplace(trace_);
-  const std::int64_t ta_ns = ta.count_ns();
+  // Up to three records per latched IRQ. Inert when tracing is off, except
+  // the overflow counts, which are simulation state and must not depend on
+  // tracing.
   for (std::size_t i = 0; i < batch_.count; ++i) {
     const BatchItem& item = batch_.items[i];
     const IrqSourceId sid = item.source;
     const PartitionId sub = srcs_.subscriber[sid];
     const IrqEvent& ev = item.event;
-    burst->emit(ta_ns, TracePoint::kTopExit, TraceCategory::kTopHandler, sub, sid,
-                ev.seq);
+    trace_at(ta, TracePoint::kTopExit, TraceCategory::kTopHandler, sub, sid, ev.seq);
     mon::ActivationMonitor* monitor = srcs_.monitor[sid];
-    if (monitor != nullptr && burst->active()) {
+    if (monitor != nullptr && trace_.enabled()) {
       // The distance is still the one observed for this activation: each
       // monitor is recorded at most once per batch (one source per line)
       // and nothing re-records it before this continuation runs.
       const auto distance = monitor->last_observed_distance();
-      burst->emit(ta_ns,
-                  item.admitted != 0 ? TracePoint::kMonitorAdmit
-                                     : TracePoint::kMonitorDeny,
-                  TraceCategory::kMonitor, sub, sid,
-                  distance ? static_cast<std::uint64_t>(distance->count_ns())
-                           : obs::kNoValue,
-                  ev.seq);
+      trace_at(ta,
+               item.admitted != 0 ? TracePoint::kMonitorAdmit : TracePoint::kMonitorDeny,
+               TraceCategory::kMonitor, sub, sid,
+               distance ? static_cast<std::uint64_t>(distance->count_ns()) : obs::kNoValue,
+               ev.seq);
     }
     if (item.dropped != 0) {
-      burst->emit(ta_ns, TracePoint::kIrqDrop, TraceCategory::kIrq, sub, sid, ev.seq,
-                  item.queue_stat);
-      // The health monitor re-emits through the ring's own emit(), which
-      // must not run under a live emitter: flush the burst around the
-      // (rare) overflow report so record order matches the scalar path.
-      burst->commit();
-      health_.report(HealthEvent{ta, HealthEventKind::kIrqQueueOverflow, sub, sid});
-      burst.emplace(trace_);
+      trace_at(ta, TracePoint::kIrqDrop, TraceCategory::kIrq, sub, sid, ev.seq,
+               item.queue_stat);
+      ++irq_path_stats_.queue_overflows;
+      report_health(ta, HealthEventKind::kIrqQueueOverflow, sub, sid);
     } else {
-      burst->emit(ta_ns, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
-                  item.queue_stat);
+      trace_at(ta, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
+               item.queue_stat);
     }
   }
 }
@@ -519,8 +504,8 @@ void Hypervisor::service_tdma_tick() {
                   ++irq_path_stats_.deferred_slot_switches;
                   trace(TracePoint::kSlotDeferred, TraceCategory::kScheduler,
                         current_partition_);
-                  health_.report(HealthEvent{now(), HealthEventKind::kDeferredBoundary,
-                                             current_partition_, UINT32_MAX});
+                  report_health(now(), HealthEventKind::kDeferredBoundary,
+                                current_partition_, obs::kNoId);
                   return_to_partition();
                 });
     return;
@@ -668,7 +653,7 @@ void Hypervisor::dispatch_partition_work() {
       }
       cost += stall;
     }
-    p.bh_in_progress = WorkUnit{hw::WorkCategory::kBottomHandler, cost, nullptr, ev};
+    p.bh_in_progress = WorkUnit{hw::WorkCategory::kBottomHandler, cost, ev};
     trace(TracePoint::kIrqPop, TraceCategory::kIrq, p.id(), ev.source, ev.seq,
           p.irq_queue().size());
     trace(TracePoint::kBottomStart, TraceCategory::kBottom, p.id(), ev.source, ev.seq);
@@ -712,7 +697,7 @@ void Hypervisor::dispatch_partition_work() {
     }
     assert(work->remaining.is_positive() && "guest work must have positive demand");
     assert(work->category == hw::WorkCategory::kGuest);
-    p.saved_guest_work = std::move(*work);
+    p.saved_guest_work = *work;
     slot = WorkSlot::kGuest;
   } else {
     cpu_idle_ = true;
@@ -789,7 +774,7 @@ void Hypervisor::account_work(Partition& p, const WorkUnit& work, Duration consu
 
 void Hypervisor::complete_bottom_handler(Partition& p) {
   assert(p.bh_in_progress && p.bh_in_progress->event);
-  const WorkUnit work = std::move(*p.bh_in_progress);
+  const WorkUnit work = *p.bh_in_progress;
   p.bh_in_progress.reset();
   p.count_bh_completion();
 
@@ -814,7 +799,6 @@ void Hypervisor::complete_bottom_handler(Partition& p) {
         static_cast<std::uint64_t>(rec.handling));
   if (completion_hook_) completion_hook_(rec);
   if (p.client() != nullptr) p.client()->on_bottom_handler_complete(ev);
-  if (work.on_complete) work.on_complete();
 }
 
 void Hypervisor::on_slice_complete() {
@@ -834,9 +818,8 @@ void Hypervisor::on_slice_complete() {
     if (r.slot == WorkSlot::kBottomHandler) {
       complete_bottom_handler(p);
     } else {
-      const auto hook = std::move(w.on_complete);
       p.saved_guest_work.reset();
-      if (hook) hook();
+      if (p.client() != nullptr) p.client()->on_work_complete();
     }
     // A slot switch deferred for this (non-interposed) bottom handler is
     // performed as soon as it completes.
@@ -866,13 +849,13 @@ void Hypervisor::on_slice_complete() {
   // budget capped the slice: enforce the budget by ending the interposition;
   // the remainder continues in the subscriber's own slot.
   assert(interpose_ && !interpose_->budget_left.is_positive());
-  health_.report(HealthEvent{now(), HealthEventKind::kBudgetOverrun, r.partition,
-                             w.event ? w.event->source : UINT32_MAX});
+  ++irq_path_stats_.budget_overruns;
+  report_health(now(), HealthEventKind::kBudgetOverrun, r.partition,
+                w.event ? w.event->source : obs::kNoId);
   end_interpose();
 }
 
-Hypervisor::Snapshot Hypervisor::snapshot() const {
-  sim::StateWriter w;
+void Hypervisor::snapshot_state(sim::StateWriter& w) const {
   w.boolean(started_);
   w.boolean(hv_busy_);
   w.boolean(cpu_idle_);
@@ -900,22 +883,10 @@ Hypervisor::Snapshot Hypervisor::snapshot() const {
     w.boolean(m != nullptr);
     if (m) m->snapshot_state(w);
   }
-  health_.snapshot_state(w);
   trace_.snapshot_state(w);
-
-  Snapshot snap;
-  snap.words = w.take();
-  snap.bh_in_progress.reserve(partitions_.size());
-  snap.saved_guest_work.reserve(partitions_.size());
-  for (const Partition& p : partitions_) {
-    snap.bh_in_progress.push_back(p.bh_in_progress);
-    snap.saved_guest_work.push_back(p.saved_guest_work);
-  }
-  return snap;
 }
 
-void Hypervisor::restore(const Snapshot& snap) {
-  sim::StateReader r(snap.words);
+void Hypervisor::restore_state(sim::StateReader& r) {
   started_ = r.boolean();
   hv_busy_ = r.boolean();
   cpu_idle_ = r.boolean();
@@ -953,15 +924,20 @@ void Hypervisor::restore(const Snapshot& snap) {
     }
     if (m) m->restore_state(r);
   }
-  health_.restore_state(r);
   trace_.restore_state(r);
-  assert(r.exhausted() && "Hypervisor snapshot stream not fully consumed");
+}
 
-  assert(snap.bh_in_progress.size() == partitions_.size());
-  for (std::size_t i = 0; i < partitions_.size(); ++i) {
-    partitions_[i].bh_in_progress = snap.bh_in_progress[i];
-    partitions_[i].saved_guest_work = snap.saved_guest_work[i];
+std::uint64_t Hypervisor::health_count(HealthEventKind kind) const {
+  switch (kind) {
+    case HealthEventKind::kIrqQueueOverflow: return irq_path_stats_.queue_overflows;
+    case HealthEventKind::kIrqRaiseLost: return platform_.intc().lost_raises();
+    case HealthEventKind::kMonitorViolation: return irq_path_stats_.denied_by_monitor;
+    case HealthEventKind::kBudgetOverrun: return irq_path_stats_.budget_overruns;
+    case HealthEventKind::kDeferredBoundary: return irq_path_stats_.deferred_slot_switches;
+    case HealthEventKind::kCount_: break;
   }
+  assert(false && "health_count: not an event kind");
+  return 0;
 }
 
 obs::TraceMeta Hypervisor::trace_meta() const {

@@ -68,6 +68,7 @@
 #include "mon/monitor.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
+#include "sim/state_io.hpp"
 #include "stats/latency_recorder.hpp"
 
 namespace rthv::hv {
@@ -133,6 +134,8 @@ struct IrqPathStats {
   std::uint64_t direct_hw = 0;           // UINTC-style hardware deliveries
   std::uint64_t batches = 0;             // batched top-half passes
   std::uint64_t batched_irqs = 0;        // IRQs serviced in passes of size > 1
+  std::uint64_t budget_overruns = 0;     // interposed BH cut by its budget
+  std::uint64_t queue_overflows = 0;     // events dropped at a full queue
 };
 
 class Hypervisor {
@@ -257,27 +260,22 @@ class Hypervisor {
   /// Partition / source names for rendering trace snapshots.
   [[nodiscard]] obs::TraceMeta trace_meta() const;
 
-  [[nodiscard]] HealthMonitor& health() { return health_; }
-  [[nodiscard]] const HealthMonitor& health() const { return health_; }
+  /// Health events of `kind` reported so far (each is also a kHealth trace
+  /// record), read from the counter bumped at the reporting site.
+  [[nodiscard]] std::uint64_t health_count(HealthEventKind kind) const;
 
   // --- checkpoint / restore ------------------------------------------------
 
-  /// Full mutable hypervisor state. The word stream covers all POD-like
-  /// state (scheduler position, partition queues, monitor tracebuffers,
-  /// dispatch counters, contention normalization, health ring, and the trace
-  /// ring's cursor, counters and retained records -- never its unused
-  /// slots); work units that hold std::function continuations ride alongside
-  /// as C++ objects. Wiring (platform references, dispatch-table topology,
-  /// hooks, clients, overheads) is structural and not captured: restore()
-  /// must run on the same configured hypervisor the snapshot was taken from,
-  /// between simulator events.
-  struct Snapshot {
-    std::vector<std::uint64_t> words;
-    std::vector<std::optional<WorkUnit>> bh_in_progress;    // per partition
-    std::vector<std::optional<WorkUnit>> saved_guest_work;  // per partition
-  };
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
+  /// Full mutable hypervisor state, written into the caller's word stream:
+  /// scheduler position, partition queues and saved work units, monitor
+  /// tracebuffers, dispatch counters, contention normalization, and the
+  /// trace ring's cursor, counters and retained records (never its unused
+  /// slots). All of it is plain data. Wiring (platform references,
+  /// dispatch-table topology, hooks, clients, overheads) is structural and
+  /// not captured: restore_state() must run on the same configured
+  /// hypervisor the stream was written from, between simulator events.
+  void snapshot_state(sim::StateWriter& w) const;
+  void restore_state(sim::StateReader& r);
 
  private:
   /// Which storage slot of the partition the running work lives in.
@@ -369,6 +367,13 @@ class Hypervisor {
                 std::uint64_t arg1 = 0) {
     trace_.emit(t.count_ns(), point, category, partition, source, arg0, arg1);
   }
+  /// A health event is its kHealth trace record (arg0 = kind); the count
+  /// lives in the counter the reporting site bumps (see health_count()).
+  void report_health(sim::TimePoint t, HealthEventKind kind, PartitionId partition,
+                     IrqSourceId source) {
+    trace_at(t, obs::TracePoint::kHealth, obs::TraceCategory::kOther, partition, source,
+             static_cast<std::uint64_t>(kind));
+  }
 
   hw::Platform& platform_;
   OverheadModel overheads_;  // lint: transient(cost-model config fixed before start)
@@ -410,7 +415,6 @@ class Hypervisor {
   std::vector<std::uint64_t> part_mem_apu_;  // lint: transient(memory config fixed before start)
   ContextSwitchStats ctx_stats_;
   IrqPathStats irq_path_stats_;
-  HealthMonitor health_;
 };
 
 }  // namespace rthv::hv

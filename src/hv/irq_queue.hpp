@@ -13,7 +13,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
@@ -32,7 +31,6 @@ class IrqQueue {
   bool push(const IrqEvent& event) {
     if (size_ >= capacity_) {
       ++drops_;
-      if (on_drop_) on_drop_(event);
       return false;
     }
     std::size_t tail = head_ + size_;
@@ -43,13 +41,6 @@ class IrqQueue {
     if (size_ > high_watermark_) high_watermark_ = size_;
     return true;
   }
-
-  /// Observer invoked for every dropped event, after the drop is counted.
-  /// Overflow must never pass silently: the owner wires this to an
-  /// `irq_queue/dropped` metric (and the hypervisor separately emits a
-  /// kIrqDrop trace event + health report).
-  using DropObserver = std::function<void(const IrqEvent&)>;
-  void set_drop_observer(DropObserver observer) { on_drop_ = std::move(observer); }
 
   /// Pops the oldest event. Queue must not be empty.
   IrqEvent pop() {
@@ -72,10 +63,10 @@ class IrqQueue {
   [[nodiscard]] std::uint64_t total_pushed() const { return pushed_; }
   [[nodiscard]] std::size_t high_watermark() const { return high_watermark_; }
 
-  /// Checkpoint of the ring contents and counters (the drop observer is
-  /// wiring). The structural capacity is serialized too, making the stream
-  /// self-describing: restoring onto a differently-sized queue throws in
-  /// every build type instead of only assert-tripping in debug.
+  /// Checkpoint of the ring contents and counters. The structural capacity
+  /// is serialized too, making the stream self-describing: restoring onto a
+  /// differently-sized queue throws in every build type instead of only
+  /// assert-tripping in debug.
   ///
   /// Only the live FIFO window is serialized -- a pristine or near-empty
   /// queue costs O(size) words, not O(capacity). Restore rebases the window
@@ -111,7 +102,6 @@ class IrqQueue {
   std::vector<IrqEvent> slots_;  // ring storage, sized once at construction
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  DropObserver on_drop_;  // lint: transient(owner wiring, re-established at system assembly)
   std::uint64_t drops_ = 0;
   std::uint64_t pushed_ = 0;
   std::size_t high_watermark_ = 0;

@@ -30,11 +30,9 @@ class Partition {
   /// A bottom handler whose execution started but was preempted (or whose
   /// interpose budget expired before completion). Resumes ahead of new
   /// queue events to preserve FIFO order.
-  // lint: transient(holds a std::function completion; the Hypervisor snapshot carries it as a C++ object)
   std::optional<WorkUnit> bh_in_progress;
 
   /// Guest task work preempted by an IRQ or slot end.
-  // lint: transient(holds a std::function completion; the Hypervisor snapshot carries it as a C++ object)
   std::optional<WorkUnit> saved_guest_work;
 
   // --- accounting ---------------------------------------------------------
@@ -46,16 +44,23 @@ class Partition {
   void count_bh_completion() { ++bh_completions_; }
   [[nodiscard]] std::uint64_t bh_completions() const { return bh_completions_; }
 
-  /// Checkpoint of the flat (word-serializable) state. The two WorkUnit
-  /// optionals hold std::function completions, so the hypervisor snapshots
-  /// them as C++ objects alongside this word stream.
+  /// Checkpoint of the saved work and the accounting; both work slots are
+  /// plain data and go into the word stream like everything else.
   void snapshot_state(sim::StateWriter& w) const {
+    w.boolean(bh_in_progress.has_value());
+    if (bh_in_progress) w.pod(*bh_in_progress);
+    w.boolean(saved_guest_work.has_value());
+    if (saved_guest_work) w.pod(*saved_guest_work);
     irq_queue_.snapshot_state(w);
     w.pod(bh_time_);
     w.pod(guest_time_);
     w.u64(bh_completions_);
   }
   void restore_state(sim::StateReader& r) {
+    bh_in_progress.reset();
+    if (r.boolean()) bh_in_progress = r.pod<WorkUnit>();
+    saved_guest_work.reset();
+    if (r.boolean()) saved_guest_work = r.pod<WorkUnit>();
     irq_queue_.restore_state(r);
     bh_time_ = r.pod<sim::Duration>();
     guest_time_ = r.pod<sim::Duration>();

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "hw/cpu_model.hpp"
@@ -31,14 +30,11 @@ struct IrqEvent {
 
 /// A unit of partition-context CPU work (guest task code or a bottom
 /// handler). `remaining` is execution demand, decremented as the engine
-/// runs the work; preemption never loses progress.
+/// runs the work; preemption never loses progress. Plain data: a preempted
+/// unit is saved state, checkpointed word for word.
 struct WorkUnit {
   hw::WorkCategory category = hw::WorkCategory::kGuest;
   sim::Duration remaining;
-  /// Invoked in partition context when the work finishes (not when
-  /// preempted). For bottom handlers the hypervisor performs latency
-  /// recording separately; this hook is for guest-level reactions.
-  std::function<void()> on_complete;
   /// The event a bottom-handler unit is processing.
   std::optional<IrqEvent> event;
 };
@@ -57,6 +53,10 @@ class PartitionClient {
   /// Notification that an IRQ bottom handler for `event` completed in this
   /// partition (guest-visible IRQ delivery).
   virtual void on_bottom_handler_complete(const IrqEvent& event) { (void)event; }
+
+  /// Notification, in partition context, that the guest unit last returned
+  /// by next_work() finished (never sent when it is merely preempted).
+  virtual void on_work_complete() {}
 };
 
 }  // namespace rthv::hv

@@ -11,41 +11,15 @@ constexpr std::size_t words_for(std::uint32_t num_lines) {
 InterruptController::InterruptController(std::uint32_t num_lines)
     : num_lines_(num_lines),
       pending_(words_for(num_lines), 0),
-      enabled_(words_for(num_lines), 0),
       direct_(words_for(num_lines), 0),
       raise_time_(num_lines, sim::TimePoint::max()),
       lost_per_line_(num_lines, 0) {
   assert(num_lines > 0);
-  // All lines start enabled; per-line set_bit keeps the bits beyond
-  // num_lines clear so highest_pending() never reports a nonexistent line.
-  for (std::uint32_t l = 0; l < num_lines; ++l) set_bit(enabled_, l, true);
-}
-
-void InterruptController::set_irq_entry(IrqEntry entry) {
-  irq_entry_box_ = std::move(entry);
-  if (irq_entry_box_) {
-    irq_entry_raw_ = [](void* ctx) { (*static_cast<IrqEntry*>(ctx))(); };
-    irq_entry_ctx_ = &irq_entry_box_;
-  } else {
-    irq_entry_raw_ = nullptr;
-    irq_entry_ctx_ = nullptr;
-  }
 }
 
 std::uint64_t InterruptController::lost_raises(IrqLine line) const {
   assert(line < num_lines());
   return lost_per_line_[line];
-}
-
-void InterruptController::enable_line(IrqLine line, bool on) {
-  assert(line < num_lines());
-  set_bit(enabled_, line, on);
-  if (on) maybe_deliver();
-}
-
-bool InterruptController::line_enabled(IrqLine line) const {
-  assert(line < num_lines());
-  return bit(enabled_, line);
 }
 
 void InterruptController::set_direct_delivery(IrqLine line, bool on) {

@@ -1,7 +1,7 @@
 // Simulated interrupt controller (VIC-like).
 //
-// Fixed number of IRQ lines with level-style *pending* latches, per-line
-// enables, and a fixed line-number priority (lower line number = higher
+// Fixed number of IRQ lines with level-style *pending* latches and a fixed
+// line-number priority (lower line number = higher
 // priority, as on the ARM PL190 used with the ARM926ej-s). Only the
 // hypervisor talks to the controller directly -- partitions see "emulated"
 // IRQs through per-partition event queues (paper Section 3).
@@ -14,9 +14,8 @@
 //
 // Hot-path layout: per-line state lives in struct-of-arrays form (bitmask
 // words for latches, a flat raise-timestamp array) and delivery goes
-// through a raw function pointer. The std::function observers remain for
-// cold instrumentation (tests, health monitoring) but nothing on the
-// per-IRQ path requires one.
+// through a raw function pointer. The one std::function, the lost-raise
+// observer, is health reporting on a path that only lost raises take.
 //
 // Direct-delivery variant (UINTC-style): lines flagged for direct delivery
 // bypass the CPU IRQ entry entirely. A raise on such a line schedules a
@@ -43,13 +42,10 @@ using IrqLine = std::uint32_t;
 
 class InterruptController {
  public:
-  /// Callback invoked when an enabled line is pending and the CPU has
-  /// interrupts enabled. The handler runs with interrupts disabled; the
-  /// controller will not re-invoke it until `set_cpu_irq_enabled(true)`.
-  using IrqEntry = std::function<void()>;
-
-  /// Raw variant of the IRQ entry: a plain function pointer plus context,
-  /// invoked without std::function dispatch on the per-IRQ hot path.
+  /// IRQ entry: a plain function pointer plus context, invoked when a line
+  /// is pending and the CPU has interrupts enabled. The handler runs with
+  /// interrupts disabled; the controller will not re-invoke it until
+  /// `set_cpu_irq_enabled(true)`.
   using RawIrqEntry = void (*)(void*);
 
   /// Sink for direct-delivery lines: invoked when the fixed hardware
@@ -71,23 +67,13 @@ class InterruptController {
     irq_entry_raw_ = entry;
     irq_entry_ctx_ = ctx;
   }
-  void set_irq_entry(IrqEntry entry);
-
-  /// Observer invoked whenever a line's pending latch becomes newly set
-  /// (before any delivery). The hypervisor reads raise_time() directly;
-  /// this hook is for tests and external instrumentation.
-  using RaiseObserver = std::function<void(IrqLine)>;
-  void set_raise_observer(RaiseObserver observer) { raise_observer_ = std::move(observer); }
 
   /// Observer invoked when a raise is lost to an already-set latch (the
   /// non-counting IRQ-flag hazard); used for health monitoring.
+  using RaiseObserver = std::function<void(IrqLine)>;
   void set_lost_raise_observer(RaiseObserver observer) {
     lost_raise_observer_ = std::move(observer);
   }
-
-  /// Enables/disables a line. Pending state is retained while disabled.
-  void enable_line(IrqLine line, bool on);
-  [[nodiscard]] bool line_enabled(IrqLine line) const;
 
   // --- direct delivery (UINTC-style) ---------------------------------------
 
@@ -126,7 +112,6 @@ class InterruptController {
     }
     set_bit(pending_, line, true);
     if (sim_ != nullptr) raise_time_[line] = sim_->now();
-    if (raise_observer_) raise_observer_(line);
     if (bit(direct_, line)) {
       deliver_direct(line);
       return true;
@@ -154,13 +139,13 @@ class InterruptController {
     return raise_time_[line];
   }
 
-  /// Highest-priority (lowest-numbered) enabled pending line, if any.
-  /// Priority resolution is a word-AND plus count-trailing-zeros per 64-line
-  /// word -- O(1) for the common <= 64-line configurations, matching how a
-  /// real VIC priority tree resolves.
+  /// Highest-priority (lowest-numbered) pending line, if any. Priority
+  /// resolution is a count-trailing-zeros per 64-line word -- O(1) for the
+  /// common <= 64-line configurations, matching how a real VIC priority
+  /// tree resolves.
   [[nodiscard]] std::optional<IrqLine> highest_pending() const {
     for (std::size_t w = 0; w < pending_.size(); ++w) {
-      const std::uint64_t m = pending_[w] & enabled_[w];
+      const std::uint64_t m = pending_[w];
       if (m != 0) {
         return static_cast<IrqLine>(w * 64 +
                                     static_cast<std::size_t>(std::countr_zero(m)));
@@ -169,11 +154,9 @@ class InterruptController {
     return std::nullopt;
   }
 
-  /// Bitmask of enabled pending lines in word `w` (64 lines per word);
-  /// the batched top-half path drains a whole word at a time.
-  [[nodiscard]] std::uint64_t pending_word(std::size_t w) const {
-    return pending_[w] & enabled_[w];
-  }
+  /// Bitmask of pending lines in word `w` (64 lines per word); the batched
+  /// top-half path drains a whole word at a time.
+  [[nodiscard]] std::uint64_t pending_word(std::size_t w) const { return pending_[w]; }
   [[nodiscard]] std::size_t num_words() const { return pending_.size(); }
 
   /// CPU-side global interrupt enable. Re-enabling triggers delivery if
@@ -195,7 +178,6 @@ class InterruptController {
   /// instant.
   void snapshot_state(sim::StateWriter& w) const {
     w.pod_vec(pending_);
-    w.pod_vec(enabled_);
     w.pod_vec(direct_);
     w.pod_vec(raise_time_);
     w.pod_vec(lost_per_line_);
@@ -206,7 +188,6 @@ class InterruptController {
   }
   void restore_state(sim::StateReader& r) {
     r.pod_vec(pending_);
-    r.pod_vec(enabled_);
     r.pod_vec(direct_);
     r.pod_vec(raise_time_);
     r.pod_vec(lost_per_line_);
@@ -244,13 +225,12 @@ class InterruptController {
     }
   }
 
-  // Per-line state in struct-of-arrays form: pending/enabled/direct latches
+  // Per-line state in struct-of-arrays form: pending/direct latches
   // as bitmask words (priority resolution is a word-AND plus
   // count-trailing-zeros instead of a per-line scan), raise timestamps and
   // loss counters as flat arrays indexed by line.
   std::uint32_t num_lines_ = 0;  // lint: transient(structural line count fixed at construction)
   std::vector<std::uint64_t> pending_;
-  std::vector<std::uint64_t> enabled_;
   std::vector<std::uint64_t> direct_;
   std::vector<sim::TimePoint> raise_time_;
   std::vector<std::uint64_t> lost_per_line_;
@@ -259,12 +239,10 @@ class InterruptController {
   sim::Simulator* sim_ = nullptr;  // lint: transient(simulator wiring fixed at attach)
   RawIrqEntry irq_entry_raw_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
   void* irq_entry_ctx_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
-  IrqEntry irq_entry_box_;  // keeps a std::function entry alive for the raw path  // lint: transient(hypervisor wiring, re-established at system assembly)
   RawDirectSink direct_sink_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
   void* direct_sink_ctx_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
   sim::Duration direct_cost_;  // lint: transient(hardware cost constant fixed at configuration)
   std::uint64_t direct_deliveries_ = 0;
-  RaiseObserver raise_observer_;  // lint: transient(observability wiring, re-established at system assembly)
   RaiseObserver lost_raise_observer_;  // lint: transient(observability wiring, re-established at system assembly)
   std::uint64_t raises_ = 0;
   std::uint64_t lost_raises_ = 0;

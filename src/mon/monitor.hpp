@@ -38,18 +38,6 @@ class ActivationMonitor {
   /// handling is permitted for it.
   virtual bool record_and_check(sim::TimePoint now) = 0;
 
-  /// Batched form for the hypervisor's batched top half: records and judges
-  /// `n` activations in arrival order, exactly equivalent to n successive
-  /// record_and_check calls (verdicts[i] is the i-th call's result).
-  /// Implementations may override to keep their window state hot across the
-  /// batch; the default delegates so equivalence holds by construction.
-  virtual void record_and_check_batch(const sim::TimePoint* times, std::size_t n,
-                                      std::uint8_t* verdicts) {
-    for (std::size_t i = 0; i < n; ++i) {
-      verdicts[i] = record_and_check(times[i]) ? 1 : 0;
-    }
-  }
-
   [[nodiscard]] std::uint64_t admitted() const { return admitted_; }
   [[nodiscard]] std::uint64_t denied() const { return denied_; }
   [[nodiscard]] std::uint64_t observed() const { return admitted_ + denied_; }
@@ -167,16 +155,6 @@ class DeltaVectorMonitor final : public ActivationMonitor {
     push(t);
     count(admit);
     return admit;
-  }
-
-  void record_and_check_batch(const sim::TimePoint* times, std::size_t n,
-                              std::uint8_t* verdicts) override {
-    // Same steps as n record_and_check calls, in order -- each activation is
-    // recorded before the next one is judged (Algorithm 1 per event), so
-    // equivalence with the scalar member holds by construction.
-    for (std::size_t i = 0; i < n; ++i) {
-      verdicts[i] = record_and_check(times[i]) ? 1 : 0;
-    }
   }
 
   [[nodiscard]] const DeltaVector& deltas() const { return deltas_; }

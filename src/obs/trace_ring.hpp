@@ -95,64 +95,6 @@ class TraceRing {
     emit(e);
   }
 
-  /// Batched ring-slot reservation for burst emission sites (e.g. the
-  /// hypervisor's fused batch-exit records: up to three events per latched
-  /// IRQ). One enabled check when the emitter is created and one counter
-  /// write-back when it commits replace the per-event bookkeeping of
-  /// emit(): events are constructed in place in ring storage and the
-  /// emitted/retained/dropped accounting is settled once for the whole
-  /// burst. An emitter created on a disabled ring is inert (emit() is a
-  /// cheap no-op), so call sites need no separate guard.
-  ///
-  /// At most one emitter may be live at a time, and emit()/snapshot()/
-  /// clear() must not be called on the ring until it commits (destructor
-  /// or commit()).
-  class BatchEmitter {
-   public:
-    explicit BatchEmitter(TraceRing& ring) : ring_(ring.enabled_ ? &ring : nullptr) {
-      if (ring_ != nullptr) next_ = ring_->next_;
-    }
-    BatchEmitter(const BatchEmitter&) = delete;
-    BatchEmitter& operator=(const BatchEmitter&) = delete;
-    ~BatchEmitter() { commit(); }
-
-    [[nodiscard]] bool active() const { return ring_ != nullptr; }
-
-    void emit(std::int64_t time_ns, TracePoint point, TraceCategory category,
-              std::uint32_t partition = kNoId, std::uint32_t source = kNoId,
-              std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
-      if (ring_ == nullptr) return;
-      TraceEvent& e = ring_->buffer_[next_];
-      e.time_ns = time_ns;
-      e.point = point;
-      e.category = category;
-      e.partition = partition;
-      e.source = source;
-      e.arg0 = arg0;
-      e.arg1 = arg1;
-      ++ring_->per_category_[static_cast<std::size_t>(category)];
-      next_ = next_ + 1 == ring_->capacity_ ? 0 : next_ + 1;
-      ++emitted_;
-    }
-
-    /// Settles the ring counters; the emitter is inert afterwards.
-    void commit() {
-      if (ring_ == nullptr) return;
-      ring_->next_ = next_;
-      ring_->emitted_ += emitted_;
-      const std::size_t total = ring_->count_ + emitted_;
-      const std::size_t retained = total < ring_->capacity_ ? total : ring_->capacity_;
-      ring_->dropped_ += total - retained;  // events overwritten by this burst
-      ring_->count_ = retained;
-      ring_ = nullptr;
-    }
-
-   private:
-    TraceRing* ring_;
-    std::size_t next_ = 0;
-    std::size_t emitted_ = 0;
-  };
-
   /// Copies the retained events out, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
     std::vector<TraceEvent> out;

@@ -20,6 +20,7 @@
 #include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "obs/exporters.hpp"
+#include "sim/state_io.hpp"
 #include "workload/generators.hpp"
 
 namespace rthv::core {
@@ -146,8 +147,8 @@ TEST(SystemSnapshotTest, RestoreIsRepeatableWrappedRing) {
 }
 
 TEST(SystemSnapshotTest, TracedSnapshotGrowsFiveWordsPerRetainedRecord) {
-  // The trace ring's share of Hypervisor::Snapshot::words is a fixed header
-  // (present traced or not) plus sizeof(TraceEvent) / 8 = 5 words per
+  // The trace ring's share of the hypervisor's checkpoint words is a fixed
+  // header (present traced or not) plus sizeof(TraceEvent) / 8 = 5 words per
   // retained record -- independent of the ring's capacity.
   const auto words_at_fork = [](std::size_t trace_capacity, std::size_t* retained) {
     HypervisorSystem system(monitored_baseline());
@@ -156,7 +157,9 @@ TEST(SystemSnapshotTest, TracedSnapshotGrowsFiveWordsPerRetainedRecord) {
     system.attach_trace(0, gen.generate(64));
     system.run(Duration::ms(30));
     *retained = system.hypervisor().trace_ring().size();
-    return system.hypervisor().snapshot().words.size();
+    sim::StateWriter w;
+    system.hypervisor().snapshot_state(w);
+    return w.words().size();
   };
   std::size_t none = 0;
   std::size_t full = 0;
@@ -169,6 +172,40 @@ TEST(SystemSnapshotTest, TracedSnapshotGrowsFiveWordsPerRetainedRecord) {
   EXPECT_EQ(wrapped, 64u);
   EXPECT_EQ(traced, untraced + 5 * full);
   EXPECT_EQ(traced_small, untraced + 5 * 64);
+}
+
+TEST(SystemSnapshotTest, ContinuationWithBothWorkSlotsEngaged) {
+  // The fork lands inside a hypervisor sequence that cut partition-2's
+  // bottom handler (bh_in_progress) while partition-1 holds its preempted
+  // background chunk (saved_guest_work): both work slots go through the
+  // checkpoint words, and the continuation must still match bit for bit.
+  HypervisorSystem system(monitored_baseline());
+  system.enable_tracing();
+  workload::ExponentialTraceGenerator gen(Duration::us(1444), 2014);
+  system.attach_trace(0, gen.generate(400));
+  system.start();
+  const hv::Hypervisor& hv = system.hypervisor();
+  const auto both_engaged = [&hv] {
+    return hv.partition(1).bh_in_progress.has_value() &&
+           hv.partition(0).saved_guest_work.has_value();
+  };
+  while (!(both_engaged() && hv.in_hv_context()) && !system.simulator().idle() &&
+         system.simulator().now() < TimePoint::at_us(500'000)) {
+    system.simulator().step();
+  }
+  ASSERT_TRUE(both_engaged()) << "no instant with both work slots engaged";
+  ASSERT_TRUE(hv.in_hv_context()) << "the bottom handler must be cut, not running";
+
+  const auto snap = system.snapshot();
+  const auto fork = system.simulator().now();
+  system.run_continue(fork + Duration::ms(40));
+  const auto first = digest(system);
+
+  system.restore(snap);
+  EXPECT_TRUE(both_engaged()) << "restore lost a work slot";
+  system.run_continue(fork + Duration::ms(40));
+  EXPECT_EQ(digest(system), first)
+      << "restored continuation diverged from the original run";
 }
 
 TEST(SystemSnapshotTest, MidStormFaultEngineRoundTrip) {

@@ -1,5 +1,5 @@
 // Contracts of the campaign engine (BatchRunner over an optional
-// SystemPool) and of the batched trace-ring reservation it leans on:
+// SystemPool):
 //
 //  - both map() entry points return results in run-index order, run every
 //    index exactly once for any jobs/chunk combination (including a
@@ -10,9 +10,7 @@
 //    the same workload, across many seeds and across mid-campaign slot
 //    recycling, and the pooled map equals the construct-per-run map;
 //  - jobs-identity: campaign results are bit-identical for any jobs/chunk
-//    combination;
-//  - TraceRing::BatchEmitter settles emitted/retained/dropped accounting
-//    exactly like the scalar emit path, including on wraparound.
+//    combination.
 #include "exp/batch_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -398,121 +396,6 @@ TEST(BatchRunnerTest, EmptyAndSingletonCampaigns) {
       runner.map(pool, 1, [](std::size_t i, core::HypervisorSystem&) { return i + 9; });
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 9u);
-}
-
-// --- TraceRing::BatchEmitter ------------------------------------------------
-
-obs::TraceEvent make_event(std::int64_t t) {
-  obs::TraceEvent e;
-  e.time_ns = t;
-  e.point = obs::TracePoint::kIrqPush;
-  e.category = obs::TraceCategory::kIrq;
-  e.partition = 1;
-  e.source = 2;
-  e.arg0 = static_cast<std::uint64_t>(t);
-  return e;
-}
-
-void expect_rings_equal(const obs::TraceRing& batched, const obs::TraceRing& scalar) {
-  EXPECT_EQ(batched.size(), scalar.size());
-  EXPECT_EQ(batched.emitted(), scalar.emitted());
-  EXPECT_EQ(batched.dropped(), scalar.dropped());
-  EXPECT_EQ(batched.category_count(obs::TraceCategory::kIrq),
-            scalar.category_count(obs::TraceCategory::kIrq));
-  const auto a = batched.snapshot();
-  const auto b = scalar.snapshot();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time_ns, b[i].time_ns) << "event " << i;
-    EXPECT_EQ(a[i].arg0, b[i].arg0) << "event " << i;
-  }
-}
-
-TEST(BatchEmitterTest, MatchesScalarEmissionWithoutWraparound) {
-  obs::TraceRing batched(64);
-  obs::TraceRing scalar(64);
-  batched.set_enabled(true);
-  scalar.set_enabled(true);
-  {
-    obs::TraceRing::BatchEmitter burst(batched);
-    for (std::int64_t t = 0; t < 20; ++t) {
-      const auto e = make_event(t);
-      burst.emit(e.time_ns, e.point, e.category, e.partition, e.source, e.arg0, 0);
-    }
-  }  // destructor commits
-  for (std::int64_t t = 0; t < 20; ++t) scalar.emit(make_event(t));
-  expect_rings_equal(batched, scalar);
-  EXPECT_EQ(batched.dropped(), batched.emitted() - batched.size());
-}
-
-TEST(BatchEmitterTest, WraparoundAccountingMatchesScalar) {
-  obs::TraceRing batched(8);
-  obs::TraceRing scalar(8);
-  batched.set_enabled(true);
-  scalar.set_enabled(true);
-  // Three bursts totalling 21 events through a capacity-8 ring: the ring
-  // wraps twice and the conservation law dropped == emitted - size must
-  // settle identically to 21 scalar emits.
-  std::int64_t t = 0;
-  for (const int burst_len : {5, 9, 7}) {
-    obs::TraceRing::BatchEmitter burst(batched);
-    for (int k = 0; k < burst_len; ++k, ++t) {
-      const auto e = make_event(t);
-      burst.emit(e.time_ns, e.point, e.category, e.partition, e.source, e.arg0, 0);
-    }
-    burst.commit();
-  }
-  for (std::int64_t s = 0; s < t; ++s) scalar.emit(make_event(s));
-  expect_rings_equal(batched, scalar);
-  EXPECT_EQ(batched.size(), 8u);
-  EXPECT_EQ(batched.emitted(), 21u);
-  EXPECT_EQ(batched.dropped(), 13u);
-}
-
-TEST(BatchEmitterTest, SingleBurstLargerThanCapacity) {
-  obs::TraceRing ring(4);
-  ring.set_enabled(true);
-  {
-    obs::TraceRing::BatchEmitter burst(ring);
-    for (std::int64_t x = 0; x < 11; ++x) {
-      burst.emit(x, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq);
-    }
-  }
-  EXPECT_EQ(ring.size(), 4u);
-  EXPECT_EQ(ring.emitted(), 11u);
-  EXPECT_EQ(ring.dropped(), 7u);
-  const auto events = ring.snapshot();  // newest 4 retained, oldest first
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].time_ns, static_cast<std::int64_t>(7 + i));
-  }
-}
-
-TEST(BatchEmitterTest, DisabledRingIsInert) {
-  obs::TraceRing ring(8);  // never enabled: no storage allocated
-  obs::TraceRing::BatchEmitter burst(ring);
-  EXPECT_FALSE(burst.active());
-  burst.emit(1, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq);
-  burst.commit();
-  EXPECT_EQ(ring.emitted(), 0u);
-  EXPECT_EQ(ring.size(), 0u);
-}
-
-TEST(BatchEmitterTest, FlushAndReopenPreservesOrderAroundScalarEmit) {
-  obs::TraceRing ring(16);
-  ring.set_enabled(true);
-  obs::TraceRing::BatchEmitter burst(ring);
-  burst.emit(1, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq);
-  burst.commit();
-  ring.emit(make_event(2));  // e.g. a health-monitor report mid-burst
-  obs::TraceRing::BatchEmitter reopened(ring);
-  reopened.emit(3, obs::TracePoint::kIrqPush, obs::TraceCategory::kIrq);
-  reopened.commit();
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].time_ns, 1);
-  EXPECT_EQ(events[1].time_ns, 2);
-  EXPECT_EQ(events[2].time_ns, 3);
 }
 
 }  // namespace

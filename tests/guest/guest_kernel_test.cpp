@@ -14,6 +14,13 @@ hv::WorkUnit take(GuestKernel& k, sim::Simulator& s) {
   return std::move(*w);
 }
 
+/// Takes the next unit and reports it finished, as the hypervisor does once
+/// the unit's demand is used up.
+void finish(GuestKernel& k, sim::Simulator& s) {
+  take(k, s);
+  k.on_work_complete();
+}
+
 TEST(GuestKernelTest, NoTasksMeansIdle) {
   sim::Simulator sim;
   GuestKernel k(sim, "g");
@@ -33,7 +40,7 @@ TEST(GuestKernelTest, BackgroundTaskAlwaysReady) {
   for (int i = 0; i < 3; ++i) {
     auto w = take(k, sim);
     EXPECT_EQ(w.remaining, Duration::us(100));
-    w.on_complete();  // simulate the hypervisor finishing the unit
+    k.on_work_complete();  // simulate the hypervisor finishing the unit
   }
   const TaskId id = 0;
   EXPECT_EQ(k.jobs_completed(id), 3u);
@@ -62,12 +69,12 @@ TEST(GuestKernelTest, QuantumChunksWork) {
   // 30 + 30 + 30 + 10 = one full job.
   auto w1 = take(k, sim);
   EXPECT_EQ(w1.remaining, Duration::us(30));
-  w1.on_complete();
-  take(k, sim).on_complete();
-  take(k, sim).on_complete();
+  k.on_work_complete();
+  finish(k, sim);
+  finish(k, sim);
   auto w4 = take(k, sim);
   EXPECT_EQ(w4.remaining, Duration::us(10));
-  w4.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(0), 1u);
 }
 
@@ -88,7 +95,7 @@ TEST(GuestKernelTest, SoleTaskIgnoresQuantum) {
   k.start();
   auto w = take(k, sim);
   EXPECT_EQ(w.remaining, Duration::us(100));
-  w.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(0), 1u);
   // The background job re-arms for the next full budget.
   EXPECT_EQ(take(k, sim).remaining, Duration::us(100));
@@ -107,7 +114,7 @@ TEST(GuestKernelTest, PeriodicTaskReleasesOnSchedule) {
   sim.run_until(TimePoint::at_us(0));                // release event at t=0
   auto w = take(k, sim);
   EXPECT_EQ(w.remaining, Duration::us(10));
-  w.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(0), 1u);
   EXPECT_FALSE(k.next_work(sim.now()).has_value());  // waits for next period
   sim.run_until(TimePoint::at_us(1000));
@@ -150,12 +157,12 @@ TEST(GuestKernelTest, FixedPriorityPicksLowestNumber) {
   sim.run_until(TimePoint::at_us(0));
   auto w = take(k, sim);
   EXPECT_EQ(w.remaining, Duration::us(20));  // the high-priority task's budget
-  w.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(hi_id), 1u);
   // Then the low-priority one runs.
   auto w2 = take(k, sim);
   EXPECT_EQ(w2.remaining, Duration::us(10));
-  w2.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(lo_id), 1u);
 }
 
@@ -186,7 +193,7 @@ TEST(GuestKernelTest, JobCompleteCallbackFires) {
   k.set_job_complete_callback([&](TaskId id, TimePoint) { seen = id; });
   k.start();
   sim.run_until(TimePoint::at_us(0));
-  take(k, sim).on_complete();
+  finish(k, sim);
   EXPECT_EQ(seen, 0u);
 }
 
@@ -216,9 +223,9 @@ TEST(GuestKernelTest, DeadlineMissDetectedOnLateCompletion) {
   k.set_deadline_miss_callback([&](TaskId id, TimePoint) { missed = id; });
   k.start();
   sim.run_until(TimePoint::at_us(0));  // release at t=0
-  auto w = take(k, sim);
+  take(k, sim);
   // Simulate the hypervisor finishing the job far too late.
-  sim.schedule_at(TimePoint::at_us(500), [&] { w.on_complete(); });
+  sim.schedule_at(TimePoint::at_us(500), [&] { k.on_work_complete(); });
   sim.run_until(TimePoint::at_us(500));
   EXPECT_EQ(k.deadline_misses(0), 1u);
   EXPECT_EQ(missed, 0u);
@@ -235,8 +242,8 @@ TEST(GuestKernelTest, OnTimeCompletionIsNoMiss) {
   k.add_task(t);
   k.start();
   sim.run_until(TimePoint::at_us(0));
-  auto w = take(k, sim);
-  sim.schedule_at(TimePoint::at_us(50), [&] { w.on_complete(); });
+  take(k, sim);
+  sim.schedule_at(TimePoint::at_us(50), [&] { k.on_work_complete(); });
   sim.run_until(TimePoint::at_us(200));
   EXPECT_EQ(k.deadline_misses(0), 0u);
   EXPECT_EQ(k.jobs_completed(0), 1u);
@@ -252,8 +259,8 @@ TEST(GuestKernelTest, ZeroDeadlineDisablesMonitoring) {
   k.add_task(t);
   k.start();
   sim.run_until(TimePoint::at_us(0));
-  auto w = take(k, sim);
-  sim.schedule_at(TimePoint::at_us(999), [&] { w.on_complete(); });
+  take(k, sim);
+  sim.schedule_at(TimePoint::at_us(999), [&] { k.on_work_complete(); });
   sim.run_until(TimePoint::at_us(999));
   EXPECT_EQ(k.deadline_misses(0), 0u);
 }
@@ -272,7 +279,7 @@ TEST(GuestKernelTest, EqualPrioritiesServedRoundRobin) {
   bg.name = "bg1";
   k.add_task(bg);
   k.start();
-  for (int i = 0; i < 10; ++i) take(k, sim).on_complete();
+  for (int i = 0; i < 10; ++i) finish(k, sim);
   EXPECT_EQ(k.jobs_completed(0), 5u);
   EXPECT_EQ(k.jobs_completed(1), 5u);
 }
@@ -291,7 +298,7 @@ TEST(GuestKernelTest, RoundRobinDoesNotOverridePriority) {
   k.add_task(hi);
   k.add_task(lo);
   k.start();
-  for (int i = 0; i < 6; ++i) take(k, sim).on_complete();
+  for (int i = 0; i < 6; ++i) finish(k, sim);
   // The high-priority background task monopolizes the CPU.
   EXPECT_EQ(k.jobs_completed(0), 6u);
   EXPECT_EQ(k.jobs_completed(1), 0u);
@@ -310,7 +317,7 @@ TEST(GuestKernelTest, EventDrivenTaskRunsOnActivate) {
   k.activate(id);
   auto w = take(k, sim);
   EXPECT_EQ(w.remaining, Duration::us(30));
-  w.on_complete();
+  k.on_work_complete();
   EXPECT_EQ(k.jobs_completed(id), 1u);
   EXPECT_FALSE(k.next_work(sim.now()).has_value());
 }
@@ -328,7 +335,7 @@ TEST(GuestKernelTest, EventDrivenActivationsQueueUp) {
   k.activate(id);  // arrives while the first job is pending
   k.activate(id);
   // Three jobs run back-to-back.
-  for (int i = 0; i < 3; ++i) take(k, sim).on_complete();
+  for (int i = 0; i < 3; ++i) finish(k, sim);
   EXPECT_EQ(k.jobs_completed(id), 3u);
   EXPECT_EQ(k.jobs_released(id), 3u);
   EXPECT_FALSE(k.next_work(sim.now()).has_value());

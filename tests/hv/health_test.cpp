@@ -1,11 +1,12 @@
-// Health monitoring: unit tests of the HealthMonitor plus end-to-end tests
-// that the hypervisor reports the right events.
+// Health events: the kind names plus end-to-end tests that the hypervisor
+// reports the right events, both as kHealth trace records and as counts.
 #include "hv/health.hpp"
 
 #include <gtest/gtest.h>
 
 #include "hv/hypervisor.hpp"
 #include "hw/platform.hpp"
+#include "obs/trace_event.hpp"
 #include "sim/simulator.hpp"
 
 namespace rthv::hv {
@@ -13,35 +14,6 @@ namespace {
 
 using sim::Duration;
 using sim::TimePoint;
-
-TEST(HealthMonitorTest, CountsPerKind) {
-  HealthMonitor hm;
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqQueueOverflow, 0, 0});
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqQueueOverflow, 0, 0});
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kBudgetOverrun, 1, 0});
-  EXPECT_EQ(hm.count(HealthEventKind::kIrqQueueOverflow), 2u);
-  EXPECT_EQ(hm.count(HealthEventKind::kBudgetOverrun), 1u);
-  EXPECT_EQ(hm.count(HealthEventKind::kMonitorViolation), 0u);
-  EXPECT_EQ(hm.total(), 3u);
-}
-
-TEST(HealthMonitorTest, RingBufferBounded) {
-  HealthMonitor hm(/*ring_capacity=*/3);
-  for (int i = 0; i < 5; ++i) {
-    hm.report(HealthEvent{TimePoint::at_us(i), HealthEventKind::kDeferredBoundary, 0, 0});
-  }
-  EXPECT_EQ(hm.recent().size(), 3u);
-  EXPECT_EQ(hm.recent().front().time, TimePoint::at_us(2));  // oldest kept
-  EXPECT_EQ(hm.total(), 5u);  // counters keep counting past the ring
-}
-
-TEST(HealthMonitorTest, ClearResetsEverything) {
-  HealthMonitor hm;
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kMonitorViolation, 0, 0});
-  hm.clear();
-  EXPECT_EQ(hm.total(), 0u);
-  EXPECT_TRUE(hm.recent().empty());
-}
 
 TEST(HealthMonitorTest, KindNames) {
   EXPECT_EQ(to_string(HealthEventKind::kIrqQueueOverflow), "irq-queue-overflow");
@@ -56,6 +28,7 @@ class HealthEndToEndTest : public ::testing::Test {
     p0_ = hv_.add_partition("p0", /*irq_queue_capacity=*/2);
     p1_ = hv_.add_partition("p1");
     hv_.set_schedule({{p0_, Duration::us(1000)}, {p1_, Duration::us(1000)}});
+    hv_.trace_ring().set_enabled(true);
   }
 
   static hw::PlatformConfig platform_config() {
@@ -88,6 +61,26 @@ class HealthEndToEndTest : public ::testing::Test {
     sim_.schedule_at(t, [this] { timer_->program(Duration::zero()); });
   }
 
+  /// Expects `n` reports of `kind`: the hypervisor's count, and as many
+  /// kHealth trace records (arg0 = kind), each naming `partition` and
+  /// `source`.
+  void expect_reports(HealthEventKind kind, std::uint64_t n, PartitionId partition,
+                      std::uint32_t source) {
+    EXPECT_EQ(hv_.health_count(kind), n);
+    std::uint64_t records = 0;
+    for (const auto& e : hv_.trace_ring().snapshot()) {
+      if (e.point != obs::TracePoint::kHealth ||
+          e.arg0 != static_cast<std::uint64_t>(kind)) {
+        continue;
+      }
+      ++records;
+      EXPECT_EQ(e.category, obs::TraceCategory::kOther);
+      EXPECT_EQ(e.partition, partition);
+      EXPECT_EQ(e.source, source);
+    }
+    EXPECT_EQ(records, n);
+  }
+
   sim::Simulator sim_;
   hw::Platform platform_;
   Hypervisor hv_;
@@ -100,10 +93,7 @@ TEST_F(HealthEndToEndTest, QueueOverflowReported) {
   hv_.start();
   for (int i = 0; i < 4; ++i) raise_at(TimePoint::at_us(1100 + i * 50));
   sim_.run_until(TimePoint::at_us(1900));
-  EXPECT_EQ(hv_.health().count(HealthEventKind::kIrqQueueOverflow), 2u);
-  ASSERT_FALSE(hv_.health().recent().empty());
-  EXPECT_EQ(hv_.health().recent().back().partition, p0_);
-  EXPECT_EQ(hv_.health().recent().back().source, 0u);
+  expect_reports(HealthEventKind::kIrqQueueOverflow, 2, p0_, 0);
 }
 
 TEST_F(HealthEndToEndTest, MonitorViolationReported) {
@@ -114,7 +104,7 @@ TEST_F(HealthEndToEndTest, MonitorViolationReported) {
   raise_at(TimePoint::at_us(1100));  // admitted (first activation)
   raise_at(TimePoint::at_us(1400));  // violates d_min
   sim_.run_until(TimePoint::at_us(2500));
-  EXPECT_EQ(hv_.health().count(HealthEventKind::kMonitorViolation), 1u);
+  expect_reports(HealthEventKind::kMonitorViolation, 1, p0_, sid);
 }
 
 TEST_F(HealthEndToEndTest, DeferredBoundaryReported) {
@@ -124,7 +114,9 @@ TEST_F(HealthEndToEndTest, DeferredBoundaryReported) {
   hv_.start();
   raise_at(TimePoint::at_us(1980));  // interposition straddles the boundary
   sim_.run_until(TimePoint::at_us(2300));
-  EXPECT_EQ(hv_.health().count(HealthEventKind::kDeferredBoundary), 1u);
+  // The boundary lands in the interposed partition's context; it names no
+  // source.
+  expect_reports(HealthEventKind::kDeferredBoundary, 1, p0_, obs::kNoId);
 }
 
 TEST_F(HealthEndToEndTest, RaiseLostReported) {
@@ -136,8 +128,7 @@ TEST_F(HealthEndToEndTest, RaiseLostReported) {
   raise_at(TimePoint::at_us(1001));
   raise_at(TimePoint::at_us(1002));
   sim_.run_until(TimePoint::at_us(2500));
-  EXPECT_EQ(hv_.health().count(HealthEventKind::kIrqRaiseLost), 1u);
-  EXPECT_EQ(hv_.health().recent().front().kind, HealthEventKind::kIrqRaiseLost);
+  expect_reports(HealthEventKind::kIrqRaiseLost, 1, p0_, 0);
 }
 
 TEST_F(HealthEndToEndTest, BudgetOverrunReported) {
@@ -165,7 +156,8 @@ TEST_F(HealthEndToEndTest, BudgetOverrunReported) {
   sim_.schedule_at(TimePoint::at_us(1100), [&] { timer_a.program(Duration::zero()); });
   sim_.schedule_at(TimePoint::at_us(1300), [&] { timer_b.program(Duration::zero()); });
   sim_.run_until(TimePoint::at_us(2500));
-  EXPECT_EQ(hv_.health().count(HealthEventKind::kBudgetOverrun), 1u);
+  // The cut handler is A's, resumed under B's budget.
+  expect_reports(HealthEventKind::kBudgetOverrun, 1, p0_, 0);
 }
 
 }  // namespace

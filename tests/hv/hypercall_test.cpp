@@ -51,9 +51,9 @@ TEST_F(HypercallTest, NotifyWakesIdlePartition) {
       ready = false;
       WorkUnit w;
       w.remaining = Duration::us(50);
-      w.on_complete = [this] { ++completed; };
       return w;
     }
+    void on_work_complete() override { ++completed; }
   } client;
   hv_.set_partition_client(p0_, &client);
   hv_.start();
@@ -121,9 +121,9 @@ TEST_F(HypercallTest, NotifyDuringCompletionCallbackDoesNotDoubleDispatch) {
       work_ready = false;
       WorkUnit w;
       w.remaining = Duration::us(30);
-      w.on_complete = [this] { ++units; };
       return w;
     }
+    void on_work_complete() override { ++units; }
     void on_bottom_handler_complete(const IrqEvent&) override {
       work_ready = true;
       hv->notify_work_available(self);  // fires mid-completion processing

@@ -296,9 +296,9 @@ TEST_F(HypervisorTest, GuestWorkRunsAndIsPreemptedBySlotEnd) {
       WorkUnit w;
       w.category = hw::WorkCategory::kGuest;
       w.remaining = Duration::us(300);
-      w.on_complete = [this] { ++completed; };
       return w;
     }
+    void on_work_complete() override { ++completed; }
   } client;
   hv_.set_partition_client(p0_, &client);
   hv_.start();

@@ -1,20 +1,15 @@
 // Randomized differential tests for the admission kernels: the branch-free
 // AND-reduction must produce bit-identical verdicts to the early-exit
-// scalar reference on every input, DeltaVectorMonitor must judge exactly
-// like Algorithm 1 run over a plain timestamp window, and the batched
-// monitor API must be indistinguishable from n scalar record_and_check
-// calls -- verdicts, admission counters, and observed-distance bookkeeping
-// included.
+// scalar reference on every input, and DeltaVectorMonitor must judge
+// exactly like Algorithm 1 run over a plain timestamp window -- verdicts,
+// admission counters, and observed-distance bookkeeping included.
 //
 // tests/run_sanitized.sh builds this suite under ASan+UBSan, so the kernel
 // differential doubles as a bounds/overflow probe over random windows.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -132,75 +127,6 @@ TEST(AdmitKernelDifferentialTest, MonitorVerdictsIdenticalAcrossKernels) {
     EXPECT_EQ(monitor.admitted(), reference.admitted_);
     EXPECT_EQ(monitor.denied(), reference.denied_);
     EXPECT_EQ(monitor.last_observed_distance(), reference.last_distance_);
-  }
-}
-
-TEST(AdmitKernelDifferentialTest, BatchedMatchesScalarCallsOnRandomBatches) {
-  sim::Xoshiro256 rng(0x5eed003);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t depth = 1 + rng.uniform_int(0, 11);
-    const DeltaVector deltas = random_deltas(rng, depth);
-    const auto trace =
-        near_saturation_trace(rng, 4000, deltas.front().count_ns());
-
-    DeltaVectorMonitor batch_mon(deltas);
-    DeltaVectorMonitor single_mon(deltas);
-    std::size_t pos = 0;
-    while (pos < trace.size()) {
-      const std::size_t n =
-          std::min<std::size_t>(1 + rng.uniform_int(0, 63), trace.size() - pos);
-      std::array<std::uint8_t, 64> verdicts{};
-      batch_mon.record_and_check_batch(trace.data() + pos, n, verdicts.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool single = single_mon.record_and_check(trace[pos + i]);
-        ASSERT_EQ(verdicts[i] != 0, single)
-            << "trial " << trial << " batch at " << pos << " item " << i;
-      }
-      pos += n;
-    }
-    EXPECT_EQ(batch_mon.admitted(), single_mon.admitted());
-    EXPECT_EQ(batch_mon.denied(), single_mon.denied());
-    EXPECT_EQ(batch_mon.last_observed_distance(), single_mon.last_observed_distance());
-  }
-}
-
-// Interleaving several monitors of different depths through the batch API
-// models the hypervisor gathering per-source runs out of one IRQ burst:
-// each monitor must judge exactly the subsequence addressed to it, with no
-// state bleed between monitors.
-TEST(AdmitKernelDifferentialTest, InterleavedMonitorsStayIndependent) {
-  sim::Xoshiro256 rng(0x5eed004);
-  constexpr std::size_t kMonitors = 3;
-  std::vector<DeltaVector> deltas;
-  std::vector<std::unique_ptr<DeltaVectorMonitor>> batched;
-  std::vector<std::unique_ptr<DeltaVectorMonitor>> reference;
-  for (std::size_t m = 0; m < kMonitors; ++m) {
-    deltas.push_back(random_deltas(rng, 2 + 3 * m));
-    batched.push_back(std::make_unique<DeltaVectorMonitor>(deltas[m]));
-    reference.push_back(std::make_unique<DeltaVectorMonitor>(deltas[m]));
-  }
-  std::array<std::vector<TimePoint>, kMonitors> streams;
-  for (std::size_t m = 0; m < kMonitors; ++m) {
-    streams[m] = near_saturation_trace(rng, 1500, deltas[m].front().count_ns());
-  }
-  std::array<std::size_t, kMonitors> cursor{};
-  for (int round = 0; round < 400; ++round) {
-    const std::size_t m = rng.uniform_int(0, kMonitors - 1);
-    const std::size_t left = streams[m].size() - cursor[m];
-    if (left == 0) continue;
-    const std::size_t n = std::min<std::size_t>(1 + rng.uniform_int(0, 15), left);
-    std::array<std::uint8_t, 16> verdicts{};
-    batched[m]->record_and_check_batch(streams[m].data() + cursor[m], n,
-                                       verdicts.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool single = reference[m]->record_and_check(streams[m][cursor[m] + i]);
-      ASSERT_EQ(verdicts[i] != 0, single) << "monitor " << m << " item " << i;
-    }
-    cursor[m] += n;
-  }
-  for (std::size_t m = 0; m < kMonitors; ++m) {
-    EXPECT_EQ(batched[m]->admitted(), reference[m]->admitted());
-    EXPECT_EQ(batched[m]->denied(), reference[m]->denied());
   }
 }
 

@@ -168,21 +168,13 @@ void restore(TraceRing& ring, const std::vector<std::uint64_t>& words) {
 
 /// Emits events [first, first + n): event i has a distinct time, point,
 /// category and payload, so any misplaced slot shows up in the comparison.
-void emit_range(TraceRing& ring, std::uint64_t first, std::size_t n, bool batched) {
+void emit_range(TraceRing& ring, std::uint64_t first, std::size_t n) {
   const auto point = [](std::uint64_t i) {
     return static_cast<TracePoint>(i % static_cast<std::uint64_t>(TracePoint::kCount_));
   };
   const auto category = [](std::uint64_t i) {
     return static_cast<TraceCategory>(i % kCategories);
   };
-  if (batched) {
-    TraceRing::BatchEmitter batch(ring);
-    for (std::uint64_t i = first; i < first + n; ++i) {
-      batch.emit(static_cast<std::int64_t>(i), point(i), category(i),
-                 static_cast<std::uint32_t>(i), 0, i * 7, ~i);
-    }
-    return;
-  }
   for (std::uint64_t i = first; i < first + n; ++i) {
     ring.emit(static_cast<std::int64_t>(i), point(i), category(i),
               static_cast<std::uint32_t>(i), 0, i * 7, ~i);
@@ -196,33 +188,29 @@ TEST(TraceRingCheckpointTest, RoundTripAtEveryFillLevel) {
       const std::size_t count = std::min(fill, capacity);
       for (const std::size_t k : {std::size_t{0}, std::size_t{1}, capacity - count,
                                   capacity + 3}) {
-        for (const bool batched : {false, true}) {
-          SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " fill="
-                                          << fill << " k=" << k
-                                          << " batched=" << batched);
-          TraceRing ring(capacity);
-          ring.set_enabled(true);
-          emit_range(ring, 0, fill, false);
-          const RingView at_checkpoint(ring);
-          const auto words = checkpoint(ring);
-          EXPECT_EQ(words.size(), kRingHeaderWords + kWordsPerRecord * count);
+        SCOPED_TRACE(testing::Message() << "capacity=" << capacity << " fill=" << fill
+                                        << " k=" << k);
+        TraceRing ring(capacity);
+        ring.set_enabled(true);
+        emit_range(ring, 0, fill);
+        const RingView at_checkpoint(ring);
+        const auto words = checkpoint(ring);
+        EXPECT_EQ(words.size(), kRingHeaderWords + kWordsPerRecord * count);
 
-          emit_range(ring, fill, k, batched);
-          restore(ring, words);
-          EXPECT_TRUE(RingView(ring) == at_checkpoint);
-          EXPECT_TRUE(ring.enabled());
-          EXPECT_EQ(ring.capacity(), capacity);
+        emit_range(ring, fill, k);
+        restore(ring, words);
+        EXPECT_TRUE(RingView(ring) == at_checkpoint);
+        EXPECT_TRUE(ring.enabled());
+        EXPECT_EQ(ring.capacity(), capacity);
 
-          // Re-emitting the same events must land exactly where an
-          // uninterrupted ring puts them.
-          emit_range(ring, fill, k, batched);
-          TraceRing straight(capacity);
-          straight.set_enabled(true);
-          emit_range(straight, 0, fill, false);
-          emit_range(straight, fill, k, batched);
-          EXPECT_TRUE(RingView(ring) == RingView(straight));
-          EXPECT_EQ(checkpoint(ring), checkpoint(straight));
-        }
+        // Re-emitting the same events must land exactly where an
+        // uninterrupted ring puts them.
+        emit_range(ring, fill, k);
+        TraceRing straight(capacity);
+        straight.set_enabled(true);
+        emit_range(straight, 0, fill + k);
+        EXPECT_TRUE(RingView(ring) == RingView(straight));
+        EXPECT_EQ(checkpoint(ring), checkpoint(straight));
       }
     }
   }
@@ -231,13 +219,13 @@ TEST(TraceRingCheckpointTest, RoundTripAtEveryFillLevel) {
 TEST(TraceRingCheckpointTest, DisabledRingKeepsItsEventsAcrossRestore) {
   TraceRing ring(8);
   ring.set_enabled(true);
-  emit_range(ring, 0, 5, false);
+  emit_range(ring, 0, 5);
   ring.set_enabled(false);
   const RingView at_checkpoint(ring);
   const auto words = checkpoint(ring);
 
   ring.set_enabled(true);
-  emit_range(ring, 5, 11, true);
+  emit_range(ring, 5, 11);
   restore(ring, words);
   EXPECT_FALSE(ring.enabled());
   EXPECT_TRUE(RingView(ring) == at_checkpoint);
@@ -256,22 +244,22 @@ TEST(TraceRingCheckpointTest, DisabledRingKeepsItsEventsAcrossRestore) {
 TEST(TraceRingCheckpointTest, SetCapacityBetweenSnapshotAndRestore) {
   TraceRing ring(4);
   ring.set_enabled(true);
-  emit_range(ring, 0, 6, false);
+  emit_range(ring, 0, 6);
   const RingView small(ring);
   const auto small_words = checkpoint(ring);
 
   ring.set_capacity(64);
-  emit_range(ring, 6, 10, false);
+  emit_range(ring, 6, 10);
   const RingView large(ring);
   const auto large_words = checkpoint(ring);
 
   restore(ring, small_words);
   EXPECT_EQ(ring.capacity(), 4u);
   EXPECT_TRUE(RingView(ring) == small);
-  emit_range(ring, 6, 3, true);
+  emit_range(ring, 6, 3);
   TraceRing straight(4);
   straight.set_enabled(true);
-  emit_range(straight, 0, 9, false);
+  emit_range(straight, 0, 9);
   EXPECT_TRUE(RingView(ring) == RingView(straight));
 
   ring.set_capacity(2);
@@ -288,7 +276,7 @@ TEST(TraceRingCheckpointTest, SizeIsHeaderPlusFiveWordsPerRetainedRecord) {
     EXPECT_EQ(checkpoint(ring).size(), kRingHeaderWords);
     ring.set_enabled(true);
     EXPECT_EQ(checkpoint(ring).size(), kRingHeaderWords);
-    emit_range(ring, 0, 100, false);
+    emit_range(ring, 0, 100);
     EXPECT_EQ(checkpoint(ring).size(),
               kRingHeaderWords + kWordsPerRecord * std::min<std::size_t>(100, capacity));
   }
@@ -297,7 +285,7 @@ TEST(TraceRingCheckpointTest, SizeIsHeaderPlusFiveWordsPerRetainedRecord) {
 TEST(TraceRingCheckpointTest, MalformedStreamThrows) {
   TraceRing ring(4);
   ring.set_enabled(true);
-  emit_range(ring, 0, 3, false);
+  emit_range(ring, 0, 3);
   const auto words = checkpoint(ring);
   const auto expect_rejected = [&](std::size_t index, std::uint64_t value) {
     auto bad = words;

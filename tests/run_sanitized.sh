@@ -71,9 +71,9 @@ echo "== ASan + UBSan: rthv_hunt smoke =="
   --jobs 2 --expect-finding > /dev/null
 
 # The randomized admission differential is the designated sanitizer workout
-# for the admit kernels: random windows, Algorithm 1 reference runs and
-# random batch splits under ASan/UBSan probe every load the AND-reduction
-# and the early-exit loop perform.
+# for the admit kernels: random windows and Algorithm 1 reference runs
+# under ASan/UBSan probe every load the AND-reduction and the early-exit
+# loop perform.
 echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 
