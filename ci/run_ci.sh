@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full CI gate, runnable locally:
-#   1. configure + build with warnings-as-errors (RTHV_WERROR=ON)
+#   1. configure + build with warnings-as-errors (RTHV_WERROR=ON), once at
+#      RelWithDebInfo for the tests and once compile-only at Release (-O3)
 #   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch,
 #      fuzz and perf-smoke labels as explicit stages
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
@@ -23,6 +24,13 @@ echo "== configure + build (RTHV_WERROR=ON) =="
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRTHV_WERROR=ON \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build build-ci -j "$jobs"
+
+# Compile-only Release (-O3) build: some warnings (e.g. GCC's -Wrestrict on
+# string concatenation chains) only appear once the optimizer inlines
+# deeply, so the -O2 build above cannot catch them. Nothing is run from it.
+echo "== Release compile (RTHV_WERROR=ON) =="
+cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release -DRTHV_WERROR=ON
+cmake --build build-ci-release -j "$jobs"
 
 echo "== tier-1 tests =="
 ctest --test-dir build-ci --output-on-failure -j "$jobs"

@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
   for (int k = 0; k < static_cast<int>(hv::HealthEventKind::kCount_); ++k) {
     const auto kind = static_cast<hv::HealthEventKind>(k);
     if (const auto n = system.hypervisor().health_count(kind); n > 0) {
-      health += " " + std::string(hv::to_string(kind)) + "=" + std::to_string(n);
+      health.append(" ").append(hv::to_string(kind)).append("=").append(std::to_string(n));
     }
   }
   if (!health.empty()) std::cout << "health events:" << health << "\n";

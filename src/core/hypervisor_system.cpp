@@ -205,8 +205,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   snap.add_counter("irq.denied.backlog", irq.denied_backlog);
   snap.add_counter("irq.deferred_slot_switches", irq.deferred_slot_switches);
   snap.add_counter("irq.direct_hw", irq.direct_hw);
-  snap.add_counter("irq.batches", irq.batches);
-  snap.add_counter("irq.batched", irq.batched_irqs);
 
   const auto& ctx = hv_->context_switches();
   snap.add_counter("ctx.tdma", ctx.tdma);
@@ -220,11 +218,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
                      hv_->health_count(kind));
   }
 
-  std::uint64_t queue_drops = 0;
-  for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
-    queue_drops += hv_->partition(p).irq_queue().drops();
-  }
-  snap.add_counter("irq_queue.drops", queue_drops);
   snap.add_counter("intc.lost_raises", platform_->intc().lost_raises());
   snap.add_counter("sim.executed_events", sim_.executed_events());
   snap.set_gauge("sim.now_ns", sim_.now().count_ns());

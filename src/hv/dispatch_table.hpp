@@ -76,36 +76,4 @@ struct LineTable {
   [[nodiscard]] IrqSourceId at(std::uint32_t line) const { return source[line]; }
 };
 
-/// One latched IRQ line collected by the batched top-half path. The
-/// decision fields are filled at the end of the top half, where the
-/// Fig. 4b inputs are frozen (interrupts stay disabled until the fused
-/// continuation applies them).
-struct BatchItem {
-  IrqSourceId source = 0;
-  IrqEvent event;
-  std::uint8_t admitted = 0;     // monitor verdict (recorded every time)
-  std::uint8_t checked = 0;      // took the Fig. 4b path (paid C_Mon)
-  std::uint8_t winner = 0;       // selected for interposition
-  std::uint8_t deny_reason = 0;  // obs::InterposeDenyReason when checked && !winner
-  std::uint8_t dropped = 0;      // subscriber queue was full at push time
-  /// Trace payload captured at push time (queue depth after the push, or
-  /// the drop counter after a drop): the records themselves are emitted in
-  /// the fused continuation, after any same-window third-party events, so
-  /// ring order matches the step-by-step chain.
-  std::uint64_t queue_stat = 0;
-};
-
-/// Fixed-capacity batch of IRQ lines latched while the hypervisor ran with
-/// interrupts disabled; the batched top-half drains a full controller word
-/// (<= 64 lines) in one pass. Lives on the hypervisor, reused every pass --
-/// never allocated per IRQ.
-struct IrqBatch {
-  static constexpr std::size_t kCapacity = 64;
-  BatchItem items[kCapacity];
-  std::size_t count = 0;
-
-  void clear() { count = 0; }
-  BatchItem& push() { return items[count++]; }
-};
-
 }  // namespace rthv::hv

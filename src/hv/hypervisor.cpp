@@ -1,7 +1,6 @@
 #include "hv/hypervisor.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -151,316 +150,223 @@ void Hypervisor::irq_entry() {
   hv_busy_ = true;
   cpu_idle_ = false;
   preempt_running();
+  // One line per entry, in priority order (the TDMA tick on line 0 first);
+  // lines latched meanwhile are re-delivered when return_to_partition()
+  // re-enables interrupts.
   const auto line = platform_.intc().highest_pending();
   assert(line.has_value() && "irq_entry without a pending line");
+  platform_.intc().acknowledge(*line);
   if (*line == tdma_line_) {
-    // The TDMA tick (line 0, highest priority) is always serviced alone;
-    // device lines latched behind it are re-delivered after the switch.
-    platform_.intc().acknowledge(tdma_line_);
     service_tdma_tick();
-    return;
+  } else {
+    service_top_half(*line);
   }
-  service_batch();
 }
 
 // --- hypervisor sequences ----------------------------------------------------
 
-void Hypervisor::service_batch() {
-  auto& intc = platform_.intc();
-  batch_.clear();
+void Hypervisor::service_top_half(hw::IrqLine line) {
+  const IrqSourceId sid = lines_.at(line);
+  assert(sid != kInvalidSource && "IRQ on a line without a source");
+  const PartitionId sub = srcs_.subscriber[sid];
   const TimePoint t0 = now();
-  Duration total_top;
-  // Collect latched device lines in priority order (lowest line first),
-  // acknowledging each -- the batched top half runs all their top handlers
-  // back-to-back in this one IRQ-context entry. Latches beyond the batch
-  // capacity are re-delivered by the controller when interrupts re-enable.
-  for (std::size_t w = 0; w < intc.num_words() && batch_.count < IrqBatch::kCapacity; ++w) {
-    std::uint64_t m = intc.pending_word(w);
-    while (m != 0 && batch_.count < IrqBatch::kCapacity) {
-      const auto line = static_cast<hw::IrqLine>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
-      m &= m - 1;
-      if (line == tdma_line_) continue;  // serviced alone, never batched
-      intc.acknowledge(line);
-      const IrqSourceId sid = lines_.at(line);
-      assert(sid != kInvalidSource && "IRQ on a line without a source");
-      BatchItem& item = batch_.push();
-      item.source = sid;
-      IrqEvent& ev = item.event;
-      ev.source = sid;
-      ev.seq = srcs_.next_seq[sid]++;
-      const TimePoint rt = intc.raise_time(line);
-      // TimePoint::max() marks "never raised" (e.g. no clock attached);
-      // fall back to the service instant.
-      ev.raise_time = rt != TimePoint::max() ? rt : t0;
-      ev.th_start = t0;
-      ev.arrived_in_own_slot = !interpose_ &&
-                               current_partition_ == srcs_.subscriber[sid] &&
-                               slot_owner() == srcs_.subscriber[sid];
-      trace(TracePoint::kTopEnter, TraceCategory::kTopHandler, srcs_.subscriber[sid],
-            sid, ev.seq);
-      total_top += srcs_.c_top[sid];
-    }
-  }
-  assert(batch_.count > 0 && "irq_entry without a serviceable line");
-  irq_path_stats_.serviced += batch_.count;
-  ++irq_path_stats_.batches;
-  if (batch_.count > 1) irq_path_stats_.batched_irqs += batch_.count;
+  IrqEvent& ev = top_.event;
+  ev.source = sid;
+  ev.seq = srcs_.next_seq[sid]++;
+  const TimePoint rt = platform_.intc().raise_time(line);
+  // TimePoint::max() marks "never raised" (e.g. no clock attached); fall
+  // back to the service instant.
+  ev.raise_time = rt != TimePoint::max() ? rt : t0;
+  ev.th_start = t0;
+  ev.arrived_in_own_slot = !interpose_ && current_partition_ == sub && slot_owner() == sub;
+  trace(TracePoint::kTopEnter, TraceCategory::kTopHandler, sub, sid, ev.seq);
+  ++irq_path_stats_.serviced;
+  platform_.cpu().retire_duration(hw::WorkCategory::kTopHandler, srcs_.c_top[sid]);
+  const TimePoint ta = t0 + srcs_.c_top[sid];
+
   // The whole top half and the Fig. 4 decision are computed here, at entry
   // time: every decision input is frozen while interrupts stay disabled
-  // (unrelated simulator events that run before Ta touch neither monitor,
-  // queue, nor engine state), so finish_top_batch() only schedules the one
-  // continuation at the instant the step-by-step chain would have ended.
-  platform_.cpu().retire_duration(hw::WorkCategory::kTopHandler, total_top);
-  finish_top_batch(t0 + total_top);
-}
+  // (unrelated simulator events that run before the continuation touch
+  // neither monitor, queue, nor engine state). State commits now; the trace
+  // records, overflow count and health reports are emitted by the one
+  // continuation, so the ring order matches the step-by-step chain even when
+  // unrelated events (e.g. fault injections) land in between.
+  //
+  // The monitor observes *every* activation of its source (Algorithm 1 runs
+  // per IRQ), in normalized time: the raw raise minus the source's
+  // accumulated contention inflation (identity without an interconnect).
+  // The verdict is only consulted -- and C_Mon only paid -- on the
+  // foreign-slot path of Fig. 4b below.
+  mon::ActivationMonitor* monitor = srcs_.monitor[sid];
+  ev.admitted_interpose =
+      monitor != nullptr &&
+      monitor->record_and_check(normalized_observation(sid, ev.raise_time));
+  IrqQueue& queue = partitions_[sub].irq_queue();
+  top_.dropped = !queue.push(ev);
+  top_.queue_stat = top_.dropped ? queue.drops() : queue.size();
 
-void Hypervisor::finish_top_batch(TimePoint ta) {
-  // Phase 1 -- per activation, in line-priority order: the monitor observes
-  // *every* activation of its source (Algorithm 1 runs per IRQ) and the
-  // event enters the subscriber's queue. The verdict is only consulted --
-  // and C_Mon only paid -- on the foreign-slot path of Fig. 4b below.
-  // State commits here (nothing else can observe it while interrupts stay
-  // disabled); the trace records, overflow counts and health reports are
-  // emitted by the fused continuation via emit_batch_records(ta), so the
-  // ring order matches the step-by-step chain even when unrelated events
-  // (e.g. fault injections) land between entry and Ta.
-  for (std::size_t i = 0; i < batch_.count; ++i) {
-    BatchItem& item = batch_.items[i];
-    const IrqSourceId sid = item.source;
-    IrqEvent& ev = item.event;
-
-    bool admitted = false;
-    mon::ActivationMonitor* monitor = srcs_.monitor[sid];
-    if (monitor != nullptr) {
-      // The monitor observes normalized time: raw raise minus the source's
-      // accumulated contention inflation (identity without an interconnect).
-      admitted = monitor->record_and_check(normalized_observation(sid, ev.raise_time));
-    }
-    ev.admitted_interpose = admitted;
-    item.admitted = admitted ? 1 : 0;
-
-    Partition& subscriber = partitions_[srcs_.subscriber[sid]];
-    if (!subscriber.irq_queue().push(ev)) {
-      item.dropped = 1;
-      item.queue_stat = subscriber.irq_queue().drops();
-    } else {
-      item.dropped = 0;
-      item.queue_stat = subscriber.irq_queue().size();
-    }
-  }
-
-  // Phase 2 -- route every item and commit the Fig. 4b decisions. All
-  // inputs (engine state, backlog) are frozen while interrupts stay
-  // disabled, so deciding here and applying in one fused continuation is
-  // equivalent to the unbatched step-by-step chain.
-  const bool interposing = mode_ == TopHandlerMode::kInterposing;
-  std::size_t num_checked = 0;
-  int winner = -1;
-  bool engine_busy = interpose_.has_value() || slot_switch_pending_;
-  for (std::size_t i = 0; i < batch_.count; ++i) {
-    BatchItem& item = batch_.items[i];
-    item.checked = 0;
-    item.winner = 0;
-    const PartitionId sub = srcs_.subscriber[item.source];
-    if (item.event.arrived_in_own_slot) {
-      ++irq_path_stats_.direct;  // direct handling: queue drains on return
-      continue;
-    }
-    if (!interposing || srcs_.monitor[item.source] == nullptr) {
-      continue;  // delayed handling (Fig. 4a)
-    }
-    item.checked = 1;
-    ++num_checked;
-    ++irq_path_stats_.monitor_checked;
-    if (item.admitted == 0) {
-      item.deny_reason = static_cast<std::uint8_t>(obs::InterposeDenyReason::kMonitor);
-    } else if (engine_busy) {
-      // Only one interposition at a time; an admitted event that meets a
-      // busy engine falls back to delayed handling.
-      item.deny_reason = static_cast<std::uint8_t>(obs::InterposeDenyReason::kEngineBusy);
-    } else if (partitions_[sub].bh_in_progress) {
-      // The subscriber still has a partially executed bottom handler (e.g.
-      // one that straddled its slot boundary). A budget cannot guarantee
-      // its completion, and resuming it in a foreign slot would chain stale
-      // work into other partitions' time; deny and let it finish in its own
-      // slot.
-      item.deny_reason = static_cast<std::uint8_t>(obs::InterposeDenyReason::kBacklog);
-    } else {
-      item.winner = 1;
-      winner = static_cast<int>(i);
-      engine_busy = true;  // later admitted items in this batch see a busy engine
-    }
-  }
-
-  if (num_checked == 0) {
-    // Nothing consults the monitor verdicts: the sequence ends at Ta.
-    platform_.simulator().schedule_after(ta - now(), [this, ta] {
-      emit_batch_records(ta);
+  if (ev.arrived_in_own_slot) ++irq_path_stats_.direct;  // queue drains on return
+  if (ev.arrived_in_own_slot || mode_ != TopHandlerMode::kInterposing ||
+      monitor == nullptr) {
+    // Direct or delayed handling (Fig. 4a): the sequence ends at Ta.
+    platform_.simulator().schedule_at(ta, [this, ta] {
+      emit_top_records(ta);
       return_to_partition();
     });
     return;
   }
 
-  const Duration mon_cost =
-      overheads_.monitor_cost() * static_cast<std::int64_t>(num_checked);
-  platform_.cpu().retire_duration(hw::WorkCategory::kMonitor, mon_cost);
-
-  // Counters and deny traces/health reports are applied in the continuation
-  // (at the instant the unbatched chain would have applied them); the batch
-  // itself stays untouched until then -- interrupts are disabled, so no
-  // other IRQ entry can reuse it.
-  const auto apply_denies = [this](TimePoint t_decide) {
-    for (std::size_t i = 0; i < batch_.count; ++i) {
-      const BatchItem& item = batch_.items[i];
-      if (item.checked == 0 || item.winner != 0) continue;
-      const auto reason = static_cast<obs::InterposeDenyReason>(item.deny_reason);
-      const PartitionId sub = srcs_.subscriber[item.source];
-      trace_at(t_decide, TracePoint::kInterposeDeny, TraceCategory::kMonitor, sub,
-               item.source, static_cast<std::uint64_t>(reason), item.event.seq);
-      switch (reason) {
-        case obs::InterposeDenyReason::kMonitor:
-          ++irq_path_stats_.denied_by_monitor;
-          report_health(now(), HealthEventKind::kMonitorViolation, sub, item.source);
-          break;
-        case obs::InterposeDenyReason::kEngineBusy:
-          ++irq_path_stats_.denied_engine_busy;
-          break;
-        case obs::InterposeDenyReason::kBacklog:
-          ++irq_path_stats_.denied_backlog;
-          break;
-        case obs::InterposeDenyReason::kGuestMasked:  // reserved, never decided
-        case obs::InterposeDenyReason::kCount_:
-          assert(false);
-          break;
-      }
-    }
-  };
-
-  const TimePoint tb = ta + mon_cost;
-  if (winner < 0) {
-    // Deny-only batch: the monitoring functions end the sequence at
-    // Tb = Ta + n*C_Mon, where the denies land and control returns.
-    platform_.simulator().schedule_after(tb - now(), [this, ta, tb, apply_denies] {
-      emit_batch_records(ta);
-      apply_denies(tb);
+  ++irq_path_stats_.monitor_checked;
+  platform_.cpu().retire_duration(hw::WorkCategory::kMonitor, overheads_.monitor_cost());
+  const TimePoint tb = ta + overheads_.monitor_cost();
+  bool deny = true;
+  if (!ev.admitted_interpose) {
+    top_.deny_reason = obs::InterposeDenyReason::kMonitor;
+  } else if (interpose_ || slot_switch_pending_) {
+    // Only one interposition at a time; an admitted event that meets a busy
+    // engine falls back to delayed handling.
+    top_.deny_reason = obs::InterposeDenyReason::kEngineBusy;
+  } else if (partitions_[sub].bh_in_progress) {
+    // The subscriber still has a partially executed bottom handler (e.g. one
+    // that straddled its slot boundary). A budget cannot guarantee its
+    // completion, and resuming it in a foreign slot would chain stale work
+    // into other partitions' time; deny and let it finish in its own slot.
+    top_.deny_reason = obs::InterposeDenyReason::kBacklog;
+  } else {
+    deny = false;
+  }
+  if (deny) {
+    // The monitoring function ends the sequence at Tb = Ta + C_Mon, where the
+    // deny lands and control returns.
+    platform_.simulator().schedule_at(tb, [this, ta, tb] {
+      emit_top_records(ta);
+      deny_interpose(tb);
       return_to_partition();
     });
     return;
   }
 
-  // Contention-aware admission commit: the winner's bottom-handler burst is
-  // charged against the shared interconnect *here*, at decision-freeze time,
-  // so the budget extension, the work-unit inflation at pop, the trace
-  // record and the monitor's normalized clock all use one frozen number.
-  // The inflation ceil(charge * d_min / C'_BH) shifts the source's
-  // normalized clock back: each admission that costs C'_BH + charge consumes
-  // charge/C'_BH extra interference quota under Eq. 14, and the shift makes
-  // the constant-d_min check conservatively account for it (ARCHITECTURE.md,
-  // "Contention-aware admission").
-  Duration win_charge;
-  Duration win_infl;
-  {
-    const IrqSourceId sid = batch_.items[static_cast<std::size_t>(winner)].source;
-    hw::SharedInterconnect* icx = platform_.interconnect();
-    if (icx != nullptr && srcs_.bh_accesses[sid] != 0) {
-      win_charge = icx->contention_stall(platform_.core_id(),
-                                         part_color_mask_[srcs_.subscriber[sid]],
-                                         srcs_.bh_accesses[sid], now());
-      if (win_charge.is_positive() && srcs_.admit_d_min[sid].is_positive() &&
-          srcs_.c_bh_eff[sid].is_positive()) {
-        // ceil(charge * d_min / C'_BH), factored as (charge/C)*d_min +
-        // ceil((charge%C)*d_min / C) so the intermediates stay within u64.
-        const auto a = static_cast<std::uint64_t>(win_charge.count_ns());
-        const auto b = static_cast<std::uint64_t>(srcs_.admit_d_min[sid].count_ns());
-        const auto c = static_cast<std::uint64_t>(srcs_.c_bh_eff[sid].count_ns());
-        const std::uint64_t infl = (a / c) * b + ((a % c) * b + c - 1) / c;
-        win_infl = Duration::ns(static_cast<std::int64_t>(infl));
-        srcs_.infl_acc[sid] += win_infl;
-      }
+  // Contention-aware admission commit: the bottom-handler burst is charged
+  // against the shared interconnect *here*, at decision-freeze time, so the
+  // budget extension, the work-unit inflation at pop, the trace record and
+  // the monitor's normalized clock all use one frozen number. The inflation
+  // ceil(charge * d_min / C'_BH) shifts the source's normalized clock back:
+  // each admission that costs C'_BH + charge consumes charge/C'_BH extra
+  // interference quota under Eq. 14, and the shift makes the constant-d_min
+  // check conservatively account for it (ARCHITECTURE.md, "Contention-aware
+  // admission").
+  Duration charge;
+  Duration infl;
+  hw::SharedInterconnect* icx = platform_.interconnect();
+  if (icx != nullptr && srcs_.bh_accesses[sid] != 0) {
+    charge = icx->contention_stall(platform_.core_id(), part_color_mask_[sub],
+                                   srcs_.bh_accesses[sid], t0);
+    if (charge.is_positive() && srcs_.admit_d_min[sid].is_positive() &&
+        srcs_.c_bh_eff[sid].is_positive()) {
+      // ceil(charge * d_min / C'_BH), factored as (charge/C)*d_min +
+      // ceil((charge%C)*d_min / C) so the intermediates stay within u64.
+      const auto a = static_cast<std::uint64_t>(charge.count_ns());
+      const auto b = static_cast<std::uint64_t>(srcs_.admit_d_min[sid].count_ns());
+      const auto c = static_cast<std::uint64_t>(srcs_.c_bh_eff[sid].count_ns());
+      infl = Duration::ns(static_cast<std::int64_t>((a / c) * b + ((a % c) * b + c - 1) / c));
+      srcs_.infl_acc[sid] += infl;
     }
   }
 
-  // Admitted winner: monitoring function(s), scheduler manipulation and the
-  // context switch into the subscriber collapse into one fused continuation
-  // at Td = Ta + n*C_Mon + C_sched + C_ctx. The intermediate decision
-  // instant Tb = Ta + n*C_Mon is preserved in the trace (the interference
-  // oracle replays kInterposeStart raise times against I(dt)).
+  // Admitted: the monitoring function, scheduler manipulation and the
+  // context switch into the subscriber collapse into one continuation at
+  // Td = Tb + C_sched + C_ctx. The decision instant Tb is preserved in the
+  // trace (the interference oracle replays kInterposeStart raise times
+  // against I(dt)).
   platform_.cpu().retire_duration(hw::WorkCategory::kSchedManipulation,
                                   overheads_.sched_manipulation_cost());
   retire_context_switch();
   const TimePoint td =
       tb + overheads_.sched_manipulation_cost() + overheads_.context_switch_cost();
-  platform_.simulator().schedule_after(
-      td - now(),
-      [this, ta, tb, apply_denies, win = static_cast<std::size_t>(winner), win_charge,
-       win_infl] {
-        emit_batch_records(ta);
-        apply_denies(tb);
-        const BatchItem& item = batch_.items[win];
-        const IrqSourceId sid = item.source;
-        const PartitionId target = srcs_.subscriber[sid];
-        ++irq_path_stats_.interpose_started;
-        // The admitted activation's *raise* time rides in arg0: the
-        // interference oracle replays these against the I(dt) bound, and
-        // raise times -- not the (overhead-shifted) context-switch instants
-        // -- are what the delta^- condition constrains.
-        trace_at(tb, TracePoint::kInterposeStart, TraceCategory::kInterpose, target,
-                 sid, static_cast<std::uint64_t>(item.event.raise_time.count_ns()),
-                 item.event.seq);
-        if (win_charge.is_positive()) {
-          // Companion record the oracle folds into Eq. 14: arg0 is the
-          // normalized-clock shift, arg1 the span-cost allowance.
-          trace_at(tb, TracePoint::kInterposeCharge, TraceCategory::kInterpose,
-                   target, sid, static_cast<std::uint64_t>(win_infl.count_ns()),
-                   static_cast<std::uint64_t>(win_charge.count_ns()));
-        }
-        ++ctx_stats_.interpose_enter;
-        interpose_ =
-            Interpose{current_partition_, sid, srcs_.c_bottom[sid] + win_charge,
-                      win_charge};
-        current_partition_ = target;
-        trace(TracePoint::kInterposeEnter, TraceCategory::kInterpose, target, sid);
-        if (context_hook_) {
-          context_hook_(ContextChange{now(), current_partition_,
-                                      Reason::kInterposeEnter});
-        }
-        return_to_partition();
-      });
+  platform_.simulator().schedule_at(td, [this, ta, tb, charge, infl] {
+    emit_top_records(ta);
+    enter_interpose(tb, charge, infl);
+  });
 }
 
-void Hypervisor::emit_batch_records(TimePoint ta) {
-  // Up to three records per latched IRQ. Inert when tracing is off, except
-  // the overflow counts, which are simulation state and must not depend on
-  // tracing.
-  for (std::size_t i = 0; i < batch_.count; ++i) {
-    const BatchItem& item = batch_.items[i];
-    const IrqSourceId sid = item.source;
-    const PartitionId sub = srcs_.subscriber[sid];
-    const IrqEvent& ev = item.event;
-    trace_at(ta, TracePoint::kTopExit, TraceCategory::kTopHandler, sub, sid, ev.seq);
-    mon::ActivationMonitor* monitor = srcs_.monitor[sid];
-    if (monitor != nullptr && trace_.enabled()) {
-      // The distance is still the one observed for this activation: each
-      // monitor is recorded at most once per batch (one source per line)
-      // and nothing re-records it before this continuation runs.
-      const auto distance = monitor->last_observed_distance();
-      trace_at(ta,
-               item.admitted != 0 ? TracePoint::kMonitorAdmit : TracePoint::kMonitorDeny,
-               TraceCategory::kMonitor, sub, sid,
-               distance ? static_cast<std::uint64_t>(distance->count_ns()) : obs::kNoValue,
-               ev.seq);
-    }
-    if (item.dropped != 0) {
-      trace_at(ta, TracePoint::kIrqDrop, TraceCategory::kIrq, sub, sid, ev.seq,
-               item.queue_stat);
-      ++irq_path_stats_.queue_overflows;
-      report_health(ta, HealthEventKind::kIrqQueueOverflow, sub, sid);
-    } else {
-      trace_at(ta, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
-               item.queue_stat);
-    }
+void Hypervisor::emit_top_records(TimePoint ta) {
+  // Up to three records. Inert when tracing is off, except the overflow
+  // count, which is simulation state and must not depend on tracing.
+  const IrqEvent& ev = top_.event;
+  const IrqSourceId sid = ev.source;
+  const PartitionId sub = srcs_.subscriber[sid];
+  trace_at(ta, TracePoint::kTopExit, TraceCategory::kTopHandler, sub, sid, ev.seq);
+  mon::ActivationMonitor* monitor = srcs_.monitor[sid];
+  if (monitor != nullptr && trace_.enabled()) {
+    // Still the distance observed for this activation: nothing re-records
+    // the monitor while interrupts stay disabled.
+    const auto distance = monitor->last_observed_distance();
+    trace_at(ta,
+             ev.admitted_interpose ? TracePoint::kMonitorAdmit : TracePoint::kMonitorDeny,
+             TraceCategory::kMonitor, sub, sid,
+             distance ? static_cast<std::uint64_t>(distance->count_ns()) : obs::kNoValue,
+             ev.seq);
   }
+  if (top_.dropped) {
+    trace_at(ta, TracePoint::kIrqDrop, TraceCategory::kIrq, sub, sid, ev.seq,
+             top_.queue_stat);
+    ++irq_path_stats_.queue_overflows;
+    report_health(ta, HealthEventKind::kIrqQueueOverflow, sub, sid);
+  } else {
+    trace_at(ta, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
+             top_.queue_stat);
+  }
+}
+
+void Hypervisor::deny_interpose(TimePoint tb) {
+  const IrqEvent& ev = top_.event;
+  const PartitionId sub = srcs_.subscriber[ev.source];
+  trace_at(tb, TracePoint::kInterposeDeny, TraceCategory::kMonitor, sub, ev.source,
+           static_cast<std::uint64_t>(top_.deny_reason), ev.seq);
+  switch (top_.deny_reason) {
+    case obs::InterposeDenyReason::kMonitor:
+      ++irq_path_stats_.denied_by_monitor;
+      report_health(tb, HealthEventKind::kMonitorViolation, sub, ev.source);
+      break;
+    case obs::InterposeDenyReason::kEngineBusy:
+      ++irq_path_stats_.denied_engine_busy;
+      break;
+    case obs::InterposeDenyReason::kBacklog:
+      ++irq_path_stats_.denied_backlog;
+      break;
+    case obs::InterposeDenyReason::kGuestMasked:  // reserved, never decided
+    case obs::InterposeDenyReason::kCount_:
+      assert(false);
+      break;
+  }
+}
+
+void Hypervisor::enter_interpose(TimePoint tb, Duration charge, Duration infl) {
+  const IrqEvent& ev = top_.event;
+  const IrqSourceId sid = ev.source;
+  const PartitionId target = srcs_.subscriber[sid];
+  ++irq_path_stats_.interpose_started;
+  // The admitted activation's *raise* time rides in arg0: the interference
+  // oracle replays these against the I(dt) bound, and raise times -- not the
+  // (overhead-shifted) context-switch instants -- are what the delta^-
+  // condition constrains.
+  trace_at(tb, TracePoint::kInterposeStart, TraceCategory::kInterpose, target, sid,
+           static_cast<std::uint64_t>(ev.raise_time.count_ns()), ev.seq);
+  if (charge.is_positive()) {
+    // Companion record the oracle folds into Eq. 14: arg0 is the
+    // normalized-clock shift, arg1 the span-cost allowance.
+    trace_at(tb, TracePoint::kInterposeCharge, TraceCategory::kInterpose, target, sid,
+             static_cast<std::uint64_t>(infl.count_ns()),
+             static_cast<std::uint64_t>(charge.count_ns()));
+  }
+  ++ctx_stats_.interpose_enter;
+  interpose_ = Interpose{current_partition_, sid, srcs_.c_bottom[sid] + charge, charge};
+  current_partition_ = target;
+  trace(TracePoint::kInterposeEnter, TraceCategory::kInterpose, target, sid);
+  if (context_hook_) {
+    context_hook_(ContextChange{now(), current_partition_, Reason::kInterposeEnter});
+  }
+  return_to_partition();
 }
 
 void Hypervisor::end_interpose() {
@@ -475,7 +381,7 @@ void Hypervisor::end_interpose() {
     // switch now instead of returning home (the switch-back is subsumed).
     slot_switch_pending_ = false;
     trace(TracePoint::kInterposeExitDeferred, TraceCategory::kInterpose, home);
-    do_slot_switch();
+    do_slot_switch(Duration::zero());
     return;
   }
   ++ctx_stats_.interpose_return;
@@ -497,43 +403,49 @@ void Hypervisor::service_tdma_tick() {
   // boundaries (no partially executed handler ever leaks across slots).
   // The defer/switch decision commits here: its inputs cannot change while
   // interrupts stay disabled.
+  const Duration tick = overheads_.tdma_tick_cost();
   if (interpose_ || partitions_[current_partition_].bh_in_progress) {
-    run_hv_step(hw::WorkCategory::kSchedManipulation, overheads_.tdma_tick_cost(),
-                [this] {
-                  slot_switch_pending_ = true;
-                  ++irq_path_stats_.deferred_slot_switches;
-                  trace(TracePoint::kSlotDeferred, TraceCategory::kScheduler,
-                        current_partition_);
-                  report_health(now(), HealthEventKind::kDeferredBoundary,
-                                current_partition_, obs::kNoId);
-                  return_to_partition();
-                });
+    run_hv_step(hw::WorkCategory::kSchedManipulation, tick, [this] {
+      slot_switch_pending_ = true;
+      ++irq_path_stats_.deferred_slot_switches;
+      trace(TracePoint::kSlotDeferred, TraceCategory::kScheduler, current_partition_);
+      report_health(now(), HealthEventKind::kDeferredBoundary, current_partition_,
+                    obs::kNoId);
+      return_to_partition();
+    });
     return;
   }
   // Regular switch: tick bookkeeping and the context switch fuse into one
-  // continuation at T2 = now + C_tick + C_ctx. Fusing is only valid when the
-  // timer re-arm for the *next* boundary stays in the future past T2 --
-  // a next slot shorter than the switch overhead degenerates to an immediate
-  // re-fire whose latching order the two-step path defines, so fall back.
+  // continuation at now + C_tick + C_ctx. Fusing is only valid when the
+  // timer re-arm for the *next* boundary stays in the future past that
+  // instant -- a next slot shorter than the switch overhead degenerates to
+  // an immediate re-fire whose latching order the two-step path defines, so
+  // the tick runs as its own step first.
   const auto& slots = scheduler_->slots();
   const TimePoint next_boundary =
       scheduler_->current_boundary() +
       slots[(scheduler_->current_index() + 1) % slots.size()].length;
-  const TimePoint t2 = now() + overheads_.tdma_tick_cost() + overheads_.context_switch_cost();
-  if (next_boundary <= t2) {
-    run_hv_step(hw::WorkCategory::kSchedManipulation, overheads_.tdma_tick_cost(),
-                [this] { do_slot_switch(); });
+  if (next_boundary <= now() + tick + overheads_.context_switch_cost()) {
+    run_hv_step(hw::WorkCategory::kSchedManipulation, tick,
+                [this] { do_slot_switch(Duration::zero()); });
     return;
   }
+  platform_.cpu().retire_duration(hw::WorkCategory::kSchedManipulation, tick);
+  do_slot_switch(tick);
+}
+
+void Hypervisor::do_slot_switch(Duration lead) {
+  assert(hv_busy_);
   const PartitionId next = scheduler_->advance();
-  tdma_timer_->program_at(next_boundary);
-  assert(next_boundary == scheduler_->current_boundary());
-  platform_.cpu().retire_duration(hw::WorkCategory::kSchedManipulation,
-                                  overheads_.tdma_tick_cost());
+  // Boundaries stay on the fixed grid even if this switch was deferred; a
+  // deferral that overran the whole next slot degenerates to an immediate
+  // re-fire.
+  tdma_timer_->program_at(std::max(scheduler_->current_boundary(), now()));
   retire_context_switch();
   platform_.simulator().schedule_after(
-      t2 - now(), [this, next, slot_index = scheduler_->current_index(),
-                   cycles = scheduler_->cycles_completed()] {
+      lead + overheads_.context_switch_cost(),
+      [this, next, slot_index = scheduler_->current_index(),
+       cycles = scheduler_->cycles_completed()] {
         ++ctx_stats_.tdma;
         current_partition_ = next;
         trace(TracePoint::kSlotSwitch, TraceCategory::kScheduler, next, obs::kNoId,
@@ -543,26 +455,6 @@ void Hypervisor::service_tdma_tick() {
         }
         return_to_partition();
       });
-}
-
-void Hypervisor::do_slot_switch() {
-  assert(hv_busy_);
-  const PartitionId next = scheduler_->advance();
-  // Boundaries stay on the fixed grid even if this switch was deferred; a
-  // deferral that overran the whole next slot degenerates to an immediate
-  // re-fire.
-  tdma_timer_->program_at(std::max(scheduler_->current_boundary(), now()));
-  ++ctx_stats_.tdma;
-  context_switch_step([this, next, slot_index = scheduler_->current_index(),
-                       cycles = scheduler_->cycles_completed()] {
-    current_partition_ = next;
-    trace(TracePoint::kSlotSwitch, TraceCategory::kScheduler, next, obs::kNoId,
-          slot_index, cycles);
-    if (context_hook_) {
-      context_hook_(ContextChange{now(), current_partition_, Reason::kTdmaSwitch});
-    }
-    return_to_partition();
-  });
 }
 
 // --- direct delivery (UINTC-style) -------------------------------------------
@@ -827,7 +719,7 @@ void Hypervisor::on_slice_complete() {
       slot_switch_pending_ = false;
       hv_busy_ = true;
       platform_.intc().set_cpu_irq_enabled(false);
-      do_slot_switch();
+      do_slot_switch(Duration::zero());
       return;
     }
     // During an interposition the dispatcher keeps draining pending bottom
@@ -867,10 +759,7 @@ void Hypervisor::snapshot_state(sim::StateWriter& w) const {
   w.boolean(slot_switch_pending_);
   w.pod(ctx_stats_);
   w.pod(irq_path_stats_);
-  // Only live batch items: the 64-slot scratch array is almost always empty
-  // between events, and warm-start restores pay for every serialized word.
-  w.u64(batch_.count);
-  w.pod_span(batch_.items, batch_.count);
+  w.pod(top_);
   w.boolean(scheduler_ != nullptr);
   if (scheduler_) scheduler_->snapshot_state(w);
   w.u64(partitions_.size());
@@ -898,11 +787,7 @@ void Hypervisor::restore_state(sim::StateReader& r) {
   slot_switch_pending_ = r.boolean();
   ctx_stats_ = r.pod<ContextSwitchStats>();
   irq_path_stats_ = r.pod<IrqPathStats>();
-  batch_.count = r.u64();
-  if (batch_.count > IrqBatch::kCapacity) {
-    throw std::logic_error("Hypervisor::restore: batch count exceeds capacity");
-  }
-  r.pod_span(batch_.items, batch_.count);
+  top_ = r.pod<TopHalf>();
   const bool had_scheduler = r.boolean();
   if (had_scheduler != (scheduler_ != nullptr)) {
     throw std::logic_error("Hypervisor::restore: schedule configuration changed");

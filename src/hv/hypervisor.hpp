@@ -29,13 +29,14 @@
 //    most its declared budget, and switches back (interposed handling).
 //
 // Hot-path structure: per-source and per-line state lives in struct-of-
-// arrays dispatch tables (hv/dispatch_table.hpp); every IRQ entry drains
-// *all* latched lines in one batched top-half pass (fixed-capacity batch,
-// no allocation), and the Fig. 4b decision chain is committed at the end
-// of the top half -- its inputs cannot change while interrupts are
-// disabled -- so monitor cost, scheduler manipulation and the context
-// switch collapse into a single simulator event at the correct instant.
-// Trace events keep their paper-exact timestamps via explicit-time emits.
+// arrays dispatch tables (hv/dispatch_table.hpp). Every IRQ entry services
+// exactly one line, the highest-priority latched one; lines latched
+// meanwhile are re-delivered when interrupts re-enable. The Fig. 4b
+// decision is committed at the end of the top half -- its inputs cannot
+// change while interrupts are disabled -- so monitor cost, scheduler
+// manipulation and the context switch collapse into a single simulator
+// event at the correct instant. Trace events keep their paper-exact
+// timestamps via explicit-time emits.
 //
 // TDMA slot boundaries lie on a fixed grid (see TdmaScheduler). A boundary
 // that fires while an interposed bottom handler runs is deferred until the
@@ -132,8 +133,6 @@ struct IrqPathStats {
   std::uint64_t denied_backlog = 0;      // admitted but a partial BH was pending
   std::uint64_t deferred_slot_switches = 0;
   std::uint64_t direct_hw = 0;           // UINTC-style hardware deliveries
-  std::uint64_t batches = 0;             // batched top-half passes
-  std::uint64_t batched_irqs = 0;        // IRQs serviced in passes of size > 1
   std::uint64_t budget_overruns = 0;     // interposed BH cut by its budget
   std::uint64_t queue_overflows = 0;     // events dropped at a full queue
 };
@@ -300,6 +299,16 @@ class Hypervisor {
     sim::Duration pending_charge;
   };
 
+  /// The IRQ whose top half is in flight: written at entry, read by the one
+  /// continuation that ends its sequence (interrupts stay disabled between
+  /// the two, so no other entry can overwrite it).
+  struct TopHalf {
+    IrqEvent event;
+    std::uint64_t queue_stat = 0;  // queue depth after the push, or drops after a drop
+    obs::InterposeDenyReason deny_reason = obs::InterposeDenyReason::kMonitor;
+    bool dropped = false;          // the subscriber's queue was full
+  };
+
   // Hardware glue.
   void irq_entry();
   void on_direct_delivery(hw::IrqLine line, sim::TimePoint raise_time);
@@ -328,11 +337,15 @@ class Hypervisor {
                                         raw.invalidate_instructions);
     platform_.cpu().retire_cycles(hw::WorkCategory::kCacheWriteback, raw.writeback_cycles);
   }
-  void service_batch();
-  void finish_top_batch(sim::TimePoint ta);
-  void emit_batch_records(sim::TimePoint ta);
+  void service_top_half(hw::IrqLine line);
+  void emit_top_records(sim::TimePoint ta);
+  void deny_interpose(sim::TimePoint tb);
+  void enter_interpose(sim::TimePoint tb, sim::Duration charge, sim::Duration infl);
   void service_tdma_tick();
-  void do_slot_switch();
+  /// Advances the schedule and switches into the next slot's partition; the
+  /// switch ends `lead` + C_ctx from now (`lead` is the tick bookkeeping a
+  /// fused regular switch still has to run, zero otherwise).
+  void do_slot_switch(sim::Duration lead);
   void end_interpose();
 
   // Partition context.
@@ -390,7 +403,7 @@ class Hypervisor {
   std::vector<std::unique_ptr<mon::ActivationMonitor>> owned_monitors_;
   SourceTable srcs_;
   LineTable lines_;  // lint: transient(line-to-source mapping built by add_irq_source before start)
-  IrqBatch batch_;
+  TopHalf top_;
 
   hw::HwTimer* tdma_timer_ = nullptr;  // owned by the platform  // lint: transient(platform wiring; the timer's state is in the platform snapshot)
   hw::IrqLine tdma_line_ = 0;  // lint: transient(line assignment fixed at start)

@@ -154,11 +154,6 @@ class InterruptController {
     return std::nullopt;
   }
 
-  /// Bitmask of pending lines in word `w` (64 lines per word); the batched
-  /// top-half path drains a whole word at a time.
-  [[nodiscard]] std::uint64_t pending_word(std::size_t w) const { return pending_[w]; }
-  [[nodiscard]] std::size_t num_words() const { return pending_.size(); }
-
   /// CPU-side global interrupt enable. Re-enabling triggers delivery if
   /// anything is pending.
   void set_cpu_irq_enabled(bool on) {

@@ -289,6 +289,28 @@ TEST_F(HypervisorTest, IrqDuringHvSequenceIsLatchedNotLost) {
   EXPECT_EQ(platform_.intc().lost_raises(), 0u);
 }
 
+TEST_F(HypervisorTest, LatchedLinesAreServicedOnePerEntryInLineOrder) {
+  // Lines 2 and 3 latch during line 1's top handler (100-105 us), line 3
+  // first. Each entry services one line, lowest number first, so line 2's
+  // top handler runs at 105 us and line 3's only after it, at 110 us.
+  add_source(p0_, 1);
+  add_source(p0_, 2);
+  add_source(p0_, 3);
+  hv_.start();
+  raise_at(0, TimePoint::at_us(100));
+  raise_at(1, TimePoint::at_us(103));
+  raise_at(2, TimePoint::at_us(102));
+  sim_.run_until(TimePoint::at_us(500));
+  ASSERT_EQ(completions_.size(), 3u);
+  std::vector<TimePoint> th_start(3);
+  for (const auto& rec : completions_) th_start.at(rec.source) = rec.th_start;
+  EXPECT_EQ(th_start[0], TimePoint::at_us(100));
+  EXPECT_EQ(th_start[1], TimePoint::at_us(105));
+  EXPECT_EQ(th_start[2], TimePoint::at_us(110));
+  EXPECT_EQ(hv_.irq_stats().serviced, 3u);
+  EXPECT_EQ(platform_.intc().lost_raises(), 0u);
+}
+
 TEST_F(HypervisorTest, GuestWorkRunsAndIsPreemptedBySlotEnd) {
   struct CountingClient : PartitionClient {
     std::uint64_t completed = 0;

@@ -97,6 +97,31 @@ TEST_F(InterposeTest, BudgetExpiryCarriesBottomHandlerIntoOwnSlot) {
   EXPECT_EQ(completions_[1].handling, stats::HandlingClass::kDelayed);
 }
 
+TEST_F(InterposeTest, AdmissionBehindCutBottomHandlerIsDeniedAsBacklog) {
+  // As above, but B raises again at 1500us, while the 90us remainder of A's
+  // cut bottom handler is still pending in p0. The monitor admits it and the
+  // engine is idle, yet interposing would resume stale work in p1's slot:
+  // the hypervisor denies it with the backlog reason and it waits for p0.
+  add_source(p0_, 1, Duration::us(100), /*admit_always=*/false);
+  add_source(p0_, 2, Duration::us(10), /*admit_always=*/true);
+  hv_.start();
+  raise_at(0, TimePoint::at_us(1100));  // A: foreign, no monitor -> delayed
+  raise_at(1, TimePoint::at_us(1200));  // B: admitted, budget cuts A's BH
+  raise_at(1, TimePoint::at_us(1500));  // B: admitted, denied (backlog)
+  sim_.run_until(TimePoint::at_us(3000));
+
+  const auto& irq = hv_.irq_stats();
+  EXPECT_EQ(irq.budget_overruns, 1u);
+  EXPECT_EQ(irq.denied_backlog, 1u);
+  EXPECT_EQ(irq.interpose_started, 1u);
+  EXPECT_EQ(irq.denied_by_monitor, 0u);
+  EXPECT_EQ(irq.denied_engine_busy, 0u);
+  ASSERT_EQ(completions_.size(), 3u);
+  for (const auto& rec : completions_) {
+    EXPECT_EQ(rec.handling, stats::HandlingClass::kDelayed);
+  }
+}
+
 TEST_F(InterposeTest, BudgetLeftoverDrainsNextQueuedEvent) {
   // Two events of a 10us-BH source are queued when a third admission with a
   // 30us budget arrives: the interposition drains all three (30us budget =

@@ -313,6 +313,38 @@ class RealTreeSnapshotPairTest(unittest.TestCase):
         self.assertIn("TraceRing::dropped_", findings[0].message)
 
 
+class TransientWaiverScopeTest(unittest.TestCase):
+    """A `lint: transient(...)` waiver covers its own line, or the member
+    right below a comment-only waiver line -- never the next declaration
+    after a trailing waiver."""
+
+    HEADER = os.path.join("src", "core", "waiver_scope.hpp")
+
+    def coverage_findings(self, members: str) -> list[str]:
+        text = ("class Box {\n public:\n"
+                "  void snapshot_state(W& w) const { w.u64(kept_); }\n"
+                "  void restore_state(R& r) { kept_ = r.u64(); }\n"
+                " private:\n  int kept_ = 0;\n" + members + "};\n")
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, self.HEADER)
+            os.makedirs(os.path.dirname(path))
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            report = rthv_lint.run_lint(root, ["src"])
+        return [v.message.split(" ")[0] for v in report.violations
+                if v.rule == "snapshot-coverage"]
+
+    def test_trailing_waiver_does_not_cover_next_member(self):
+        self.assertEqual(self.coverage_findings(
+            "  int wiring_ = 0;  // lint: transient(wiring)\n"
+            "  int state_ = 0;\n"), ["Box::state_"])
+
+    def test_comment_line_waiver_covers_member_below(self):
+        self.assertEqual(self.coverage_findings(
+            "  // lint: transient(wiring)\n"
+            "  int wiring_ = 0;\n"), [])
+
+
 class StripTest(unittest.TestCase):
     def test_raw_strings_and_comments(self):
         text = 'auto s = R"x(struct Fake { int y_; })x"; // class C { int z_; }\n'

@@ -78,7 +78,8 @@ Two layers:
 Waivers: a comment `rthv-lint: allow(rule-id)` (comma-separated list, or
 `allow(*)`) on the offending line or the line directly above suppresses the
 named rules for that line. Members that are deliberately not part of the
-checkpoint use `// lint: transient(<reason>)` instead, which waives
+checkpoint use `// lint: transient(<reason>)` instead (on the member's
+line, or on a comment-only line directly above it), which waives
 snapshot-coverage/snapshot-order for that member while recording why.
 Waivers are deliberate, reviewable markers -- prefer fixing the code.
 
@@ -142,10 +143,14 @@ class SourceFile:
         return False
 
     def transient_reason(self, line: int) -> Optional[str]:
-        """The transient(<reason>) waiver covering `line`, or None."""
-        for probe in (line, line - 1):
-            if probe in self.transients:
-                return self.transients[probe]
+        """The transient(<reason>) waiver covering `line`, or None: one on
+        the line itself, or on a comment-only line right above it (a
+        trailing waiver on the previous declaration covers only that one)."""
+        if line in self.transients:
+            return self.transients[line]
+        above = line - 1
+        if above in self.transients and not self.code_lines[above - 1].strip():
+            return self.transients[above]
         return None
 
 
