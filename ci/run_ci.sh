@@ -3,7 +3,8 @@
 #   1. configure + build with warnings-as-errors (RTHV_WERROR=ON), once at
 #      RelWithDebInfo for the tests and once compile-only at Release (-O3)
 #   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch,
-#      fuzz and perf-smoke labels as explicit stages
+#      fuzz and perf-smoke labels as explicit stages, then a Debug
+#      ASan + UBSan build running test_sim, SystemSnapshot*, hunt and batch
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
 #      must report "correct": true
 #   4. static analysis: rthv_lint parser tests, the self-test regression
@@ -71,6 +72,19 @@ ctest --test-dir build-ci --output-on-failure -L fuzz -j "$jobs"
 # invocation (crashes/asserts, not numbers).
 echo "== perf smoke (ctest -L perf-smoke) =="
 ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
+
+# Queued callbacks are plain bytes: scheduling copies a closure into its
+# node, pop() copies it out, and every snapshot/restore round-trips it
+# through the word stream. A Debug ASan + UBSan build runs the event-core
+# suite, the system snapshot tests and the hunt and batch labels, the
+# paths that restore those bytes onto live object graphs.
+echo "== ASan + UBSan: event core, snapshots, hunt, batch =="
+cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_SANITIZE=ON
+cmake --build build-ci-asan -j "$jobs"
+./build-ci-asan/tests/test_sim
+./build-ci-asan/tests/test_core --gtest_filter='SystemSnapshot*'
+ctest --test-dir build-ci-asan --output-on-failure -L hunt -j "$jobs"
+ctest --test-dir build-ci-asan --output-on-failure -L batch -j "$jobs"
 
 # End-to-end benchmark correctness, not speed: the selftest shows that a
 # wrong digest and a non-conserving count are caught, then every workload

@@ -303,9 +303,8 @@ void HypervisorSystem::detach_checkpoint_client(CheckpointClient* client) {
 
 HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   SystemSnapshot snap;
-  snap.sim = sim_.snapshot();
-
   sim::StateWriter w;
+  sim_.snapshot_state(w);
   platform_->snapshot_state(w);
   w.u64(guests_.size());
   for (const auto& g : guests_) g->snapshot_state(w);
@@ -316,29 +315,19 @@ HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   w.boolean(run_to_horizon_);
   w.boolean(started_);
   hv_->snapshot_state(w);
+  w.boolean(client_ != nullptr);
+  if (client_ != nullptr) client_->snapshot_state(w);
   snap.words = w.take();
 
   snap.metrics = metrics_.snapshot();
   snap.recorder = recorder_;
   snap.completions = completions_;
-
-  snap.has_client = client_ != nullptr;
-  if (client_ != nullptr) {
-    sim::StateWriter cw;
-    client_->snapshot_state(cw);
-    snap.client_words = cw.take();
-  }
   return snap;
 }
 
 void HypervisorSystem::restore(const SystemSnapshot& snap) {
-  if (snap.has_client != (client_ != nullptr)) {
-    throw std::logic_error(
-        "HypervisorSystem::restore: checkpoint-client presence changed");
-  }
-  sim_.restore(snap.sim);
-
   sim::StateReader r(snap.words);
+  sim_.restore_state(r);
   platform_->restore_state(r);
   if (r.u64() != guests_.size()) {
     throw std::logic_error("HypervisorSystem::restore: guest count changed");
@@ -353,7 +342,6 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();
   hv_->restore_state(r);
-  assert(r.exhausted() && "system snapshot stream not fully consumed");
 
   metrics_.restore(snap.metrics);
   recorder_ = snap.recorder;
@@ -362,10 +350,13 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   // The client restores last: it may re-establish device-level decorations
   // (e.g. a clock-drift deadline transform) on the freshly restored
   // platform state.
-  if (client_ != nullptr) {
-    sim::StateReader cr(snap.client_words);
-    client_->restore_state(cr);
-    assert(cr.exhausted() && "client snapshot stream not fully consumed");
+  if (r.boolean() != (client_ != nullptr)) {
+    throw std::logic_error(
+        "HypervisorSystem::restore: checkpoint-client presence changed");
+  }
+  if (client_ != nullptr) client_->restore_state(r);
+  if (!r.exhausted()) {
+    throw std::logic_error("HypervisorSystem::restore: snapshot words left unread");
   }
 }
 

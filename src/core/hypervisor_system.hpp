@@ -78,19 +78,17 @@ class HypervisorSystem {
 
   // --- checkpoint / restore --------------------------------------------------
 
-  /// Full-state checkpoint of the assembled system: the simulator core
-  /// (event queue, callbacks, clock), platform devices, guest kernels,
-  /// trace-driver cursors, the entire hypervisor (including monitor
-  /// tracebuffers and the trace ring), metrics, latency records and the
-  /// attached checkpoint client, if any. Move-only (owns cloned callbacks).
+  /// Full-state checkpoint of the assembled system. One word stream holds
+  /// the simulator core (event queue with its inline callbacks, clock),
+  /// platform devices, guest kernels, trace-driver cursors, the entire
+  /// hypervisor (including monitor tracebuffers and the trace ring) and, at
+  /// its end, the attached checkpoint client's presence flag and state.
+  /// Metrics, latency records and kept completions are copied as objects.
   struct SystemSnapshot {
-    sim::Simulator::Snapshot sim;
-    std::vector<std::uint64_t> words;  // platform, guests, drivers, run state, hypervisor
+    std::vector<std::uint64_t> words;
     obs::MetricsSnapshot metrics;
     stats::LatencyRecorder recorder;
     std::vector<hv::CompletedIrq> completions;
-    std::vector<std::uint64_t> client_words;
-    bool has_client = false;
   };
 
   /// Captures the current state. Must be called between simulator events
@@ -101,7 +99,7 @@ class HypervisorSystem {
   /// Restores a snapshot in place on this same system object: wiring
   /// (configs, hooks, clients) is structural and must not have changed
   /// since the snapshot was taken. Throws std::logic_error on a client
-  /// presence mismatch.
+  /// presence mismatch or when the words are not consumed exactly.
   void restore(const SystemSnapshot& snap);
 
   /// Attaches/detaches the single checkpoint client (see CheckpointClient).
@@ -169,7 +167,7 @@ class HypervisorSystem {
   bool keep_completions_ = false;
   bool run_to_horizon_ = false;
   bool started_ = false;
-  // lint: transient(external wiring; the client's state rides in client_words)
+  // lint: transient(external wiring; the client's state rides at the end of the snapshot words)
   CheckpointClient* client_ = nullptr;
   stats::LatencyRecorder recorder_;  // the one per-IRQ latency store
   std::vector<hv::CompletedIrq> completions_;

@@ -307,6 +307,9 @@ void MulticoreSystem::restore(const Snapshot& snap) {
   expected_ = r.u64();
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();
+  if (!r.exhausted()) {
+    throw std::logic_error("MulticoreSystem::restore: shared words left unread");
+  }
 }
 
 }  // namespace rthv::core

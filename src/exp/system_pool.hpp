@@ -9,7 +9,7 @@
 // constructions, not O(runs).
 //
 // Warm-start contract: HypervisorSystem::restore() is restore-in-place on
-// the SAME object graph (cloned callbacks capture concrete `this`
+// the SAME object graph (queued callbacks capture concrete `this`
 // pointers), so one shared template snapshot cannot seed other instances.
 // Instead every slot takes its OWN pristine snapshot right after
 // construction; deterministic construction makes the slots equivalent, and

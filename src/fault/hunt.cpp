@@ -19,8 +19,8 @@ using sim::Duration;
 using sim::TimePoint;
 
 /// One system replica with its fork snapshot. Candidate evaluations restore
-/// and re-run on the same object graph, so the snapshot's cloned callbacks
-/// keep pointing at live objects.
+/// and re-run on the same object graph, so the pointers captured by the
+/// snapshot's queued callbacks keep pointing at live objects.
 struct Worker {
   std::unique_ptr<core::HypervisorSystem> system;
   std::unique_ptr<FaultEngine> base_engine;

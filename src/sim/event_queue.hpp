@@ -20,26 +20,86 @@
 // conditions alone (it goes after every entry with an equal time) keep FIFO
 // among equal times.
 //
-// Slot storage is a bump-pointer arena with freelist reuse: trivially
-// copyable Node records in one flat vector (relocated by memcpy on growth),
-// callbacks in chunked stable storage (SmallCallback) so a running
-// callback's captures never move even if scheduling from inside it grows
-// the tables. No per-event allocation in steady state; EventId keeps the
-// (slot, generation) encoding, so stale ids (already run or cancelled) are
-// rejected in O(1).
+// Storage is plain data: one flat vector of trivially copyable nodes with
+// freelist reuse. Each node holds its callable inline -- an invoke pointer
+// plus a fixed byte buffer -- so scheduling copies the closure into its
+// node, pop() copies it back out and frees the slot before the caller
+// invokes it, and a checkpoint is the node vector's words. Only trivially
+// copyable closures that fit the buffer can be scheduled; anything else is
+// a compile error at the schedule call. No per-event allocation in steady
+// state; EventId keeps the (slot, generation) encoding, so stale ids
+// (already run or cancelled) are rejected in O(1).
 #pragma once
 
+#include <atomic>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <cstring>
+#include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "sim/small_callback.hpp"
+#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::sim {
+
+/// Capture budget of a scheduled callable: the hypervisor's largest
+/// continuation, a `this` pointer plus four words of state.
+inline constexpr std::size_t kCallbackBytes = 40;
+
+/// What the event queue can store: a trivially copyable `void()` callable
+/// that fits the inline buffer. Closures capturing pointers, references and
+/// plain values qualify; move-only or oversized captures do not compile.
+template <typename F>
+concept InlineCallable =
+    std::is_trivially_copyable_v<F> && sizeof(F) <= kCallbackBytes &&
+    alignof(F) <= alignof(std::uint64_t) && std::is_invocable_r_v<void, F&>;
+
+/// A scheduled callable stored by value: the closure's bytes plus the
+/// function that invokes them. Trivially copyable itself, so it moves with
+/// its node and checkpoints as plain words.
+class EventCallback {
+ public:
+  /// Stores a copy of `f` in place, replacing whatever was stored. Writing
+  /// straight into the destination (rather than assigning a temporary)
+  /// copies only sizeof(F) bytes on the schedule path.
+  template <InlineCallable F>
+  void emplace(const F& f) noexcept {
+    invoke_ = &call<F>;
+    ::new (static_cast<void*>(bytes_)) F(f);
+  }
+
+  /// Invokes the stored callable. Must not be called on an empty callback.
+  void operator()() { invoke_(bytes_); }
+
+  /// Copies `other` one 8-byte word at a time. The queue usually pops an
+  /// event moments after scheduling it, while the narrow stores that wrote
+  /// its captures are still in flight; a wider load overlapping them cannot
+  /// be store-forwarded and stalls. The signal fences are compiler-only
+  /// barriers that keep the word copies from being merged into vector
+  /// loads.
+  void copy_words_from(const EventCallback& other) noexcept {
+    const auto* src = reinterpret_cast<const std::byte*>(&other);
+    auto* dst = reinterpret_cast<std::byte*>(this);
+    for (std::size_t i = 0; i < sizeof(EventCallback); i += sizeof(std::uint64_t)) {
+      std::memcpy(dst + i, src + i, sizeof(std::uint64_t));
+      std::atomic_signal_fence(std::memory_order_acq_rel);
+    }
+  }
+
+ private:
+  template <typename F>
+  static void call(void* bytes) {
+    (*std::launder(static_cast<F*>(bytes)))();
+  }
+
+  void (*invoke_)(void*) = nullptr;
+  alignas(std::uint64_t) std::byte bytes_[kCallbackBytes];
+};
+static_assert(std::is_trivially_copyable_v<EventCallback>);
+static_assert(sizeof(EventCallback) % sizeof(std::uint64_t) == 0);
 
 /// Opaque handle identifying a scheduled event; usable to cancel it.
 class EventId {
@@ -65,30 +125,22 @@ class EventId {
 /// Time-ordered queue of one-shot callbacks.
 class EventQueue {
  public:
-  using Callback = SmallCallback;
-
   /// Schedules `fn` to run at absolute time `t`. Events with equal time run
-  /// in scheduling order. The callable is constructed directly in its arena
-  /// cell (one move out of `fn`, no intermediate Callback).
-  template <typename F>
-  EventId schedule(TimePoint t, F&& fn) {
+  /// in scheduling order. The closure is copied into its node.
+  template <InlineCallable F>
+  EventId schedule(TimePoint t, const F& fn) {
     const std::uint32_t s = acquire_slot();
-    Callback& cb = callback_of(s);
-    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
-      cb = std::forward<F>(fn);
-    } else {
-      cb.emplace(std::forward<F>(fn));
-    }
     Node& n = nodes_[s];
     n.time_ns = t.count_ns();
+    n.callback.emplace(fn);
     insert(s);
     ++size_;
     return EventId{s, n.generation};
   }
 
   /// Cancels a previously scheduled event. Returns true if the event was
-  /// still pending (i.e. it will now never run). The entry and its callback
-  /// are reclaimed immediately.
+  /// still pending (i.e. it will now never run). The slot is reclaimed
+  /// immediately.
   bool cancel(EventId id) {
     if (!id.valid()) return false;
     const std::uint32_t s = id.slot();
@@ -115,63 +167,26 @@ class EventQueue {
   }
 
   /// Removes and returns the earliest live event. Must not be called on an
-  /// empty queue.
+  /// empty queue. The callback is a copy and its slot is already free, so
+  /// invoking it may schedule or cancel anything (cancelling its own id
+  /// returns false).
   struct Popped {
     TimePoint time;
-    Callback callback;
+    EventCallback callback;
   };
   Popped pop() {
     assert(size_ > 0 && "pop() on empty EventQueue");
     const std::uint32_t s = unlink_head();
-    Popped out{TimePoint::at_ns(nodes_[s].time_ns), std::move(callback_of(s))};
+    const Node& n = nodes_[s];
+    Popped out;
+    out.time = TimePoint::at_ns(n.time_ns);
+    out.callback.copy_words_from(n.callback);
     release_slot(s);
     return out;
   }
 
-  /// Batched dispatch: runs up to `budget` due callbacks with time <=
-  /// `horizon`, invoking `on_event(time)` immediately before each callback
-  /// (the simulator advances its clock there). Callbacks run in place in
-  /// the arena -- no per-event move out of the queue -- and may freely
-  /// schedule or cancel; a callback cancelling its own id gets `false`,
-  /// exactly like the pop() path. Returns the number of events dispatched;
-  /// fewer than `budget` means the queue drained or the next event lies
-  /// beyond `horizon`.
-  template <typename Fn>
-  std::uint64_t dispatch_due(TimePoint horizon, std::uint64_t budget, Fn&& on_event) {
-    const std::int64_t h = horizon.count_ns();
-    std::uint64_t dispatched = 0;
-    while (dispatched < budget && size_ > 0) {
-      if (nodes_[head_].time_ns > h) break;
-      const std::uint32_t s = unlink_head();
-      {
-        // Invalidate the id before the callback runs (cancel-own-id returns
-        // false, matching pop()), but keep the slot off the freelist until
-        // after it returns so inner schedules cannot reuse the cell whose
-        // captures are executing.
-        Node& n = nodes_[s];
-        if (++n.generation == 0) n.generation = 1;
-        on_event(TimePoint::at_ns(n.time_ns));
-      }
-      ++dispatched;
-      Callback& cb = callback_of(s);
-      cb();
-      cb.reset();
-      // Re-index: the callback may have grown the node table.
-      nodes_[s].next = free_head_;
-      free_head_ = s;
-    }
-    return dispatched;
-  }
-
-  /// Pre-sizes the slot arena for `n` concurrently pending events.
-  void reserve(std::size_t n) {
-    nodes_.reserve(n);
-    const std::size_t chunks = (n + kArenaChunkSize - 1) >> kArenaChunkShift;
-    arena_.reserve(chunks);
-    while (arena_.size() < chunks) {
-      arena_.push_back(std::make_unique<Callback[]>(kArenaChunkSize));
-    }
-  }
+  /// Pre-sizes the slot table for `n` concurrently pending events.
+  void reserve(std::size_t n) { nodes_.reserve(n); }
 
   /// Slot-table footprint: high-water mark of concurrently pending events.
   /// Exposed so tests can assert that cancellation reclaims eagerly and the
@@ -179,48 +194,40 @@ class EventQueue {
   /// number of events ever scheduled.
   [[nodiscard]] std::size_t allocated_slots() const { return nodes_.size(); }
 
-  // -- checkpoint/restore -------------------------------------------------
-  //
-  // A Snapshot captures the queue's complete observable state: the node
-  // table (times, generations, links), the list ends, the freelist, the
-  // size, and a clone of every live callback cell. restore() puts all of it
-  // back in place on the SAME queue object -- callbacks routinely capture
-  // `this` pointers into the surrounding object graph, so a snapshot is
-  // only meaningful for the queue (and system) that produced it. Restoring
-  // is repeatable: the snapshot is not consumed, so fork-and-mutate drivers
-  // can restore the same checkpoint arbitrarily often.
-  //
-  // Must not be called from inside a dispatched callback: mid-dispatch the
-  // popped slot is in a transient state (generation already bumped, slot not
-  // yet on the freelist). Between events every slot is either free or
-  // linked into the list, which is what makes the round trip exact.
-  class Snapshot;
-  [[nodiscard]] Snapshot snapshot() const;
-  void restore(const Snapshot& snap);
+  /// Checkpoint: the node table (times, generations, links and callbacks),
+  /// the list ends, the freelist head and the size. Restoring puts it back
+  /// on the SAME queue object -- callbacks capture `this` pointers into the
+  /// surrounding object graph, so the words are only meaningful for the
+  /// queue (and system) that wrote them.
+  void snapshot_state(StateWriter& w) const {
+    w.pod_vec(nodes_);
+    w.u64(head_);
+    w.u64(tail_);
+    w.u64(free_head_);
+    w.u64(size_);
+  }
+
+  void restore_state(StateReader& r) {
+    r.pod_vec(nodes_);
+    head_ = static_cast<std::uint32_t>(r.u64());
+    tail_ = static_cast<std::uint32_t>(r.u64());
+    free_head_ = static_cast<std::uint32_t>(r.u64());
+    size_ = r.u64();
+  }
 
  private:
   static constexpr std::uint32_t kNpos = 0xffff'ffffU;
 
-  static constexpr std::size_t kArenaChunkShift = 10;  // 1024 callbacks per chunk
-  static constexpr std::size_t kArenaChunkSize = std::size_t{1} << kArenaChunkShift;
-
-  // Trivially copyable (the node vector relocates by memcpy); the callback
-  // lives in the stable arena, never here. `next` doubles as the freelist
-  // link while the slot is free.
+  // `next` doubles as the freelist link while the slot is free; a free
+  // slot's callback bytes are stale and never invoked.
   struct Node {
     std::int64_t time_ns;
     std::uint32_t generation;
     std::uint32_t prev;
     std::uint32_t next;
+    EventCallback callback;
   };
   static_assert(std::is_trivially_copyable_v<Node>);
-
-  [[nodiscard]] Callback& callback_of(std::uint32_t s) {
-    return arena_[s >> kArenaChunkShift][s & (kArenaChunkSize - 1)];
-  }
-  [[nodiscard]] const Callback& callback_of(std::uint32_t s) const {
-    return arena_[s >> kArenaChunkShift][s & (kArenaChunkSize - 1)];
-  }
 
   std::uint32_t acquire_slot() {
     if (free_head_ != kNpos) {
@@ -230,10 +237,7 @@ class EventQueue {
     }
     const std::size_t s = nodes_.size();
     assert(s < kNpos && "EventQueue slot table full");
-    if ((s >> kArenaChunkShift) == arena_.size()) {
-      arena_.push_back(std::make_unique<Callback[]>(kArenaChunkSize));
-    }
-    nodes_.push_back(Node{0, 1, kNpos, kNpos});
+    nodes_.push_back(Node{0, 1, kNpos, kNpos, {}});
     return static_cast<std::uint32_t>(s);
   }
 
@@ -242,7 +246,6 @@ class EventQueue {
   // after the generation check passes, which implies the slot is live.
   void release_slot(std::uint32_t s) {
     Node& n = nodes_[s];
-    callback_of(s).reset();
     if (++n.generation == 0) n.generation = 1;  // keep ids nonzero on wrap
     n.next = free_head_;
     free_head_ = s;
@@ -313,69 +316,10 @@ class EventQueue {
   }
 
   std::vector<Node> nodes_;
-  std::vector<std::unique_ptr<Callback[]>> arena_;  // stable chunked callback cells
   std::uint32_t head_ = kNpos;
   std::uint32_t tail_ = kNpos;
   std::uint32_t free_head_ = kNpos;
   std::size_t size_ = 0;
-
- public:
-  // Defined down here so the private Node type is complete; the name was
-  // declared in the public API block above.
-  class Snapshot {
-   public:
-    Snapshot() = default;
-    Snapshot(Snapshot&&) noexcept = default;
-    Snapshot& operator=(Snapshot&&) noexcept = default;
-    Snapshot(const Snapshot&) = delete;
-    Snapshot& operator=(const Snapshot&) = delete;
-
-    /// Number of pending events captured in the snapshot.
-    [[nodiscard]] std::size_t live_events() const { return size; }
-
-   private:
-    friend class EventQueue;
-
-    std::vector<Node> nodes;
-    std::uint32_t head = kNpos;
-    std::uint32_t tail = kNpos;
-    std::uint32_t free_head = kNpos;
-    std::size_t size = 0;
-    // (slot, callback clone) for every pending event, in list order.
-    std::vector<std::pair<std::uint32_t, Callback>> callbacks;
-  };
 };
-
-inline EventQueue::Snapshot EventQueue::snapshot() const {
-  Snapshot s;
-  s.nodes = nodes_;
-  s.head = head_;
-  s.tail = tail_;
-  s.free_head = free_head_;
-  s.size = size_;
-  s.callbacks.reserve(size_);
-  for (std::uint32_t i = head_; i != kNpos; i = nodes_[i].next) {
-    s.callbacks.emplace_back(i, callback_of(i).clone());
-  }
-  return s;
-}
-
-inline void EventQueue::restore(const Snapshot& snap) {
-  // Drop the callbacks of the events pending right now; freelisted slots
-  // hold empty cells already (release_slot resets eagerly).
-  for (std::uint32_t i = head_; i != kNpos; i = nodes_[i].next) callback_of(i).reset();
-  nodes_ = snap.nodes;
-  head_ = snap.head;
-  tail_ = snap.tail;
-  free_head_ = snap.free_head;
-  size_ = snap.size;
-  // The slot table never shrinks, so the arena normally already covers the
-  // snapshot; the growth loop guards the general case.
-  const std::size_t chunks = (nodes_.size() + kArenaChunkSize - 1) >> kArenaChunkShift;
-  while (arena_.size() < chunks) {
-    arena_.push_back(std::make_unique<Callback[]>(kArenaChunkSize));
-  }
-  for (const auto& [slot, cb] : snap.callbacks) callback_of(slot) = cb.clone();
-}
 
 }  // namespace rthv::sim

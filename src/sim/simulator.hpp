@@ -8,9 +8,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <utility>
 
 #include "sim/event_queue.hpp"
+#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::sim {
@@ -21,19 +21,18 @@ class Simulator {
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute time `t` (must not be in the past). The
-  /// callable forwards straight into its queue slot (no intermediate
-  /// Callback object on the hot path).
-  template <typename F>
-  EventId schedule_at(TimePoint t, F&& fn) {
+  /// closure is copied into its queue node (see InlineCallable).
+  template <InlineCallable F>
+  EventId schedule_at(TimePoint t, const F& fn) {
     assert(t >= now_ && "cannot schedule an event in the simulated past");
-    return queue_.schedule(t, std::forward<F>(fn));
+    return queue_.schedule(t, fn);
   }
 
   /// Schedules `fn` after a non-negative delay from now.
-  template <typename F>
-  EventId schedule_after(Duration d, F&& fn) {
+  template <InlineCallable F>
+  EventId schedule_after(Duration d, const F& fn) {
     assert(!d.is_negative() && "delay must be non-negative");
-    return queue_.schedule(now_ + d, std::forward<F>(fn));
+    return queue_.schedule(now_ + d, fn);
   }
 
   /// Cancels a pending event; returns true if it had not yet run.
@@ -51,13 +50,6 @@ class Simulator {
   /// Executes exactly one event if available; returns false on empty queue.
   bool step();
 
-  /// Safety valve for tests: run_until() stops (returning normally) once
-  /// this many events have executed in total. Zero disables the limit.
-  void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
-  [[nodiscard]] bool event_limit_reached() const {
-    return event_limit_ != 0 && executed_ >= event_limit_;
-  }
-
   [[nodiscard]] bool idle() const { return queue_.empty(); }
 
   /// Time of the earliest pending event; must not be called when idle().
@@ -68,34 +60,25 @@ class Simulator {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
-  // -- checkpoint/restore -------------------------------------------------
-  //
-  // Full simulator state: clock, executed-event counter, event limit, and
-  // the complete event queue (see EventQueue::Snapshot for the contract).
-  // Restore-in-place on the same Simulator only; restoring is repeatable.
-  struct Snapshot {
-    EventQueue::Snapshot queue;
-    TimePoint now;
-    std::uint64_t executed = 0;
-    std::uint64_t event_limit = 0;
-  };
-
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{queue_.snapshot(), now_, executed_, event_limit_};
+  /// Checkpoint: the event queue, then the clock and the executed-event
+  /// count. Restore in place on the same Simulator only; the words can be
+  /// restored any number of times.
+  void snapshot_state(StateWriter& w) const {
+    queue_.snapshot_state(w);
+    w.pod(now_);
+    w.u64(executed_);
   }
 
-  void restore(const Snapshot& snap) {
-    queue_.restore(snap.queue);
-    now_ = snap.now;
-    executed_ = snap.executed;
-    event_limit_ = snap.event_limit;
+  void restore_state(StateReader& r) {
+    queue_.restore_state(r);
+    now_ = r.pod<TimePoint>();
+    executed_ = r.u64();
   }
 
  private:
   EventQueue queue_;
   TimePoint now_ = TimePoint::origin();
   std::uint64_t executed_ = 0;
-  std::uint64_t event_limit_ = 0;
 };
 
 }  // namespace rthv::sim

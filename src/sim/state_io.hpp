@@ -108,7 +108,7 @@ class StateReader {
     }
   }
 
-  /// True once every written word has been consumed -- restore paths assert
+  /// True once every written word has been consumed -- restore paths check
   /// this to catch writers that emit more than their reader consumes.
   [[nodiscard]] bool exhausted() const { return pos_ == words_->size(); }
 

@@ -296,5 +296,15 @@ TEST(SystemSnapshotTest, ClientPresenceMismatchThrows) {
   EXPECT_THROW(system.restore(snap), std::logic_error);
 }
 
+TEST(SystemSnapshotTest, RestoreRejectsStrayTrailingWord) {
+  // A writer that emits more than its reader consumes must fail loudly in
+  // every build type, not only where assert() is compiled in.
+  HypervisorSystem system(monitored_baseline());
+  system.run(Duration::ms(1));
+  auto snap = system.snapshot();
+  snap.words.push_back(0);
+  EXPECT_THROW(system.restore(snap), std::logic_error);
+}
+
 }  // namespace
 }  // namespace rthv::core

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -289,6 +290,18 @@ TEST(MulticoreSystemTest, SnapshotRestoreReproducesTheRun) {
   mc.run_continue(TimePoint::at_us(60'000'000));
   EXPECT_EQ(mc.completed_bottom_handlers(), done_first);
   EXPECT_EQ(fingerprint(mc), first);
+}
+
+TEST(MulticoreSystemTest, RestoreRejectsStraySharedWord) {
+  // A shared-state writer that emits more than its reader consumes must
+  // fail loudly in every build type, not only where assert() is compiled in.
+  MulticoreSystem mc(contended_config(2));
+  mc.attach_trace(0, rt_trace(20));
+  mc.start();
+  mc.run_continue(TimePoint::at_us(10'000));
+  auto snap = mc.snapshot();
+  snap.shared_words.push_back(0);
+  EXPECT_THROW(mc.restore(snap), std::logic_error);
 }
 
 TEST(MulticoreSystemTest, MixedCritConfigMatchesCommittedGolden) {

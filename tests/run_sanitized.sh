@@ -41,7 +41,7 @@ echo "== ASan + UBSan: multi-core platform (ctest -L multicore) =="
 ctest --test-dir build-asan --output-on-failure -L multicore -j "$jobs"
 
 # The checkpoint/restore layer is the prime use-after-free candidate: every
-# hunt evaluation restores cloned callbacks onto a live object graph and
+# hunt evaluation restores queued callbacks onto a live object graph and
 # throws armed mutant engines away mid-simulation. The hunt suite plus a
 # one-finding rthv_hunt smoke drives that whole path under ASan/UBSan.
 echo "== ASan + UBSan: snapshot hunt (ctest -L hunt) =="
@@ -78,7 +78,7 @@ echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 
 # A short micro_benchmarks run under ASan/UBSan (perf_smoke_micro): its
-# 1000- and 100000-pending event-queue rows exercise the callback arena and
+# 1000- and 100000-pending event-queue rows exercise the node vector and
 # list links at populations no unit test reaches.
 echo "== ASan + UBSan: perf smoke (ctest -L perf-smoke) =="
 ctest --test-dir build-asan --output-on-failure -L perf-smoke -j "$jobs"

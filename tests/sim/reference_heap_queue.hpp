@@ -15,11 +15,10 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "sim/small_callback.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::sim::reference {
@@ -48,19 +47,15 @@ class EventId {
 /// Time-ordered queue of one-shot callbacks (indexed binary min-heap).
 class EventQueue {
  public:
-  using Callback = SmallCallback;
+  using Callback = sim::EventCallback;
 
   /// Schedules `fn` to run at absolute time `t`. Events with equal time run
   /// in scheduling order.
-  template <typename F>
-  EventId schedule(TimePoint t, F&& fn) {
+  template <InlineCallable F>
+  EventId schedule(TimePoint t, const F& fn) {
     const std::uint32_t s = acquire_slot();
     Slot& slot = slots_[s];
-    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
-      slot.callback = std::forward<F>(fn);
-    } else {
-      slot.callback.emplace(std::forward<F>(fn));
-    }
+    slot.callback.emplace(fn);
     if (size_ == heap_cap_) grow_heap(size_ + 1);
     const std::size_t pos = size_++;
     heap_[pos] = HeapEntry{t, next_seq_++, s};
@@ -102,7 +97,7 @@ class EventQueue {
   Popped pop() {
     assert(size_ > 0 && "pop() on empty EventQueue");
     const HeapEntry top = heap_[0];
-    Popped out{top.time, std::move(slots_[top.slot].callback)};
+    Popped out{top.time, slots_[top.slot].callback};
     remove_heap_entry(0);
     release_slot(top.slot);
     return out;
@@ -194,7 +189,6 @@ class EventQueue {
 
   void release_slot(std::uint32_t s) {
     Slot& slot = slots_[s];
-    slot.callback.reset();
     if (++slot.generation == 0) slot.generation = 1;  // keep ids nonzero on wrap
     slot.next_free = free_head_;
     free_head_ = s;

@@ -1,26 +1,65 @@
 // Differential snapshot/restore tests for the simulator core.
 //
-// The contract under test (Simulator::snapshot/restore, backed by
-// EventQueue::Snapshot): a snapshot taken at any instant, restored onto the
-// SAME simulator object, replays the remaining schedule bit-identically --
-// same firing times, same FIFO order among equal times, same IDs honoured
-// by cancel(). The randomized differential mixes near (microseconds), mid
-// (milliseconds to minutes) and far-future (beyond 2^49 ns) events, and a
-// second test straddles the 2^49 ns mark.
+// The contract under test (Simulator::snapshot_state/restore_state, which
+// write the event queue's node table, list ends, freelist, size, clock and
+// executed count into one word stream): words taken at any instant,
+// restored onto the SAME simulator object, replay the remaining schedule
+// bit-identically -- same firing times, same FIFO order among equal times,
+// same IDs honoured by cancel(). The randomized differential mixes near
+// (microseconds), mid (milliseconds to minutes) and far-future (beyond
+// 2^49 ns) events, and a second test straddles the 2^49 ns mark. Which
+// callables can be queued at all is checked at compile time.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/random.hpp"
+#include "sim/state_io.hpp"
 
 namespace rthv::sim {
 namespace {
+
+// Only trivially copyable closures that fit the inline buffer can be
+// scheduled, so a checkpoint never meets a callable it cannot copy as
+// words. Anything else fails to compile at the schedule call.
+template <typename F>
+concept Schedulable = requires(sim::Simulator& s, const F& f) {
+  s.schedule_at(TimePoint::origin(), f);
+};
+using PointerCapture = decltype([p = static_cast<int*>(nullptr)] { (void)p; });
+using FullBuffer =
+    decltype([a = std::array<std::uint64_t, kCallbackBytes / 8>{}] { (void)a; });
+using Oversized =
+    decltype([a = std::array<std::uint64_t, kCallbackBytes / 8 + 1>{}] { (void)a; });
+using MoveOnly = decltype([p = std::unique_ptr<int>{}] { (void)p; });
+static_assert(Schedulable<PointerCapture>);
+static_assert(Schedulable<FullBuffer>);
+static_assert(!Schedulable<Oversized>, "captures larger than the buffer must not compile");
+static_assert(!Schedulable<MoveOnly>, "move-only callables must not compile");
+static_assert(!Schedulable<std::function<void()>>);
+
+/// The simulator under test, plus value-style snapshot()/restore() over its
+/// word-stream checkpoint. restore() also checks that every word is read.
+class Simulator : public sim::Simulator {
+ public:
+  [[nodiscard]] std::vector<std::uint64_t> snapshot() const {
+    StateWriter w;
+    snapshot_state(w);
+    return w.take();
+  }
+
+  void restore(const std::vector<std::uint64_t>& words) {
+    StateReader r(words);
+    restore_state(r);
+    EXPECT_TRUE(r.exhausted()) << "restore_state left words unread";
+  }
+};
 
 // One observed callback firing: virtual time plus the event's identity
 // marker. Bit-identical replay means bit-identical logs.
@@ -36,7 +75,7 @@ constexpr std::int64_t kFarFutureNs = std::int64_t{1} << 49;
 /// Schedules a randomized event population over all time classes and
 /// returns the ids. Every callback appends (now, marker) to `log`; every
 /// fourth one also chains a follow-up event (exercises scheduling from
-/// inside a restored callback clone).
+/// inside a restored callback).
 std::vector<EventId> populate(Simulator& s, std::vector<Fired>& log,
                               Xoshiro256& rng, std::size_t count) {
   std::vector<EventId> ids;
@@ -179,40 +218,6 @@ TEST(SimulatorSnapshotTest, CancelStaysValidAfterRestore) {
   EXPECT_TRUE(s.cancel(id)) << "the id must target the restored event again";
   s.run();
   EXPECT_FALSE(fired);
-}
-
-TEST(SimulatorSnapshotTest, HeapStoredCallbacksAreClonedNotAliased) {
-  // A capture larger than the inline buffer forces heap storage; the
-  // snapshot must deep-copy it so running the original does not corrupt
-  // the saved copy.
-  Simulator s;
-  std::array<std::uint64_t, 16> payload{};
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = i * 7 + 1;
-  std::vector<std::uint64_t> sums;
-  s.schedule_at(TimePoint::at_us(5), [payload, &sums] {
-    std::uint64_t sum = 0;
-    for (const auto v : payload) sum += v;
-    sums.push_back(sum);
-  });
-
-  const auto snap = s.snapshot();
-  s.run();
-  s.restore(snap);
-  s.run();
-  ASSERT_EQ(sums.size(), 2u);
-  EXPECT_EQ(sums[0], sums[1]);
-}
-
-TEST(SimulatorSnapshotTest, NonCopyableCallbackMakesSnapshotThrow) {
-  // Move-only callables schedule fine but cannot be checkpointed; the
-  // failure must be a loud logic_error at snapshot time, not a silent
-  // shallow copy.
-  Simulator s;
-  auto owned = std::make_unique<int>(42);
-  s.schedule_at(TimePoint::at_us(1), [p = std::move(owned)] { (void)*p; });
-  EXPECT_THROW((void)s.snapshot(), std::logic_error);
-  s.run();  // still runnable: the queue itself is unharmed
-  EXPECT_TRUE(s.idle());
 }
 
 TEST(SimulatorSnapshotTest, SnapshotOfRestoredStateIsEquivalent) {

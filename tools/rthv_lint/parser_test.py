@@ -98,11 +98,22 @@ class MemberParsingTest(unittest.TestCase):
         class A {
           void (*hook_)() = nullptr;
           std::function<void(int)> cb_;
+          void (*invoke_)(void*) = nullptr;
+        };
+        """)
+        self.assertEqual(member_names(only_class(m, "A")),
+                         ["hook_", "cb_", "invoke_"])
+
+    def test_alignas_member_is_data_not_a_function(self):
+        m = parse("""
+        class A {
+          alignas(std::uint64_t) std::byte bytes_[kBytes];
+          int n_ = 0;
         };
         """)
         cls = only_class(m, "A")
-        self.assertIn("cb_", member_names(cls))
-        self.assertIn("hook_", member_names(cls))
+        self.assertEqual(member_names(cls), ["bytes_", "n_"])
+        self.assertNotIn("alignas", cls.methods)
 
     def test_methods_are_not_members(self):
         m = parse("""
@@ -149,10 +160,12 @@ class MemberParsingTest(unittest.TestCase):
           std::size_t cap_ = IrqBatch::kCapacity;
           std::uint32_t id_ = UINT32_MAX;
           Duration d_{Duration::ns(5)};
+          TimePoint now_ = TimePoint::origin();
         };
         """)
-        self.assertEqual(member_names(only_class(m, "A")),
-                         ["cap_", "id_", "d_"])
+        cls = only_class(m, "A")
+        self.assertEqual(member_names(cls), ["cap_", "id_", "d_", "now_"])
+        self.assertNotIn("origin", cls.methods)
 
     def test_comma_declarators(self):
         m = parse("class A { int a_, b_ = 2, c_; };")
@@ -283,17 +296,19 @@ class OutOfLineTest(unittest.TestCase):
 
 
 class RealTreeSnapshotPairTest(unittest.TestCase):
-    """obs::TraceRing's snapshot_state/restore_state pair is under
-    snapshot-coverage: the real header lints clean, and a reader that skips
-    a counter is flagged. restore_state calls `buffer_.clear()`, which must
-    not be inlined as TraceRing::clear() (that would count every counter
-    as restored)."""
+    """Real snapshot_state/restore_state pairs are under snapshot-coverage
+    and snapshot-order: each real header lints clean, and a reader that
+    skips or reorders a member is flagged. obs::TraceRing's restore_state
+    calls `buffer_.clear()`, which must not be inlined as TraceRing::clear()
+    (that would count every counter as restored)."""
 
     RING = os.path.join("src", "obs", "trace_ring.hpp")
+    QUEUE = os.path.join("src", "sim", "event_queue.hpp")
 
-    def snapshot_findings(self, text: str) -> list[rthv_lint.Violation]:
+    def snapshot_findings(self, relpath: str,
+                          text: str) -> list[rthv_lint.Violation]:
         with tempfile.TemporaryDirectory() as root:
-            path = os.path.join(root, self.RING)
+            path = os.path.join(root, relpath)
             os.makedirs(os.path.dirname(path))
             with open(path, "w", encoding="utf-8") as f:
                 f.write(text)
@@ -301,16 +316,37 @@ class RealTreeSnapshotPairTest(unittest.TestCase):
         return [v for v in report.violations + report.waived
                 if v.rule.startswith("snapshot-")]
 
+    def read(self, relpath: str) -> str:
+        with open(os.path.join(REPO_ROOT, relpath), encoding="utf-8") as f:
+            return f.read()
+
     def test_trace_ring_pair_is_checked(self):
-        with open(os.path.join(REPO_ROOT, self.RING), encoding="utf-8") as f:
-            text = f.read()
-        self.assertEqual(self.snapshot_findings(text), [])
+        text = self.read(self.RING)
+        self.assertEqual(self.snapshot_findings(self.RING, text), [])
         needle = "    dropped_ = r.u64();\n"
         self.assertIn(needle, text)
         findings = self.snapshot_findings(
-            text.replace(needle, "    (void)r.u64();\n"))
+            self.RING, text.replace(needle, "    (void)r.u64();\n"))
         self.assertEqual([v.rule for v in findings], ["snapshot-coverage"])
         self.assertIn("TraceRing::dropped_", findings[0].message)
+
+    def test_event_queue_pair_is_checked(self):
+        text = self.read(self.QUEUE)
+        self.assertEqual(self.snapshot_findings(self.QUEUE, text), [])
+        skip = "    free_head_ = static_cast<std::uint32_t>(r.u64());\n"
+        self.assertIn(skip, text)
+        findings = self.snapshot_findings(
+            self.QUEUE, text.replace(skip, "    (void)r.u64();\n"))
+        self.assertEqual([v.rule for v in findings], ["snapshot-coverage"])
+        self.assertIn("EventQueue::free_head_", findings[0].message)
+        ends = ("    head_ = static_cast<std::uint32_t>(r.u64());\n"
+                "    tail_ = static_cast<std::uint32_t>(r.u64());\n")
+        self.assertIn(ends, text)
+        swapped = ("    tail_ = static_cast<std::uint32_t>(r.u64());\n"
+                   "    head_ = static_cast<std::uint32_t>(r.u64());\n")
+        findings = self.snapshot_findings(self.QUEUE,
+                                          text.replace(ends, swapped))
+        self.assertEqual([v.rule for v in findings], ["snapshot-order"])
 
 
 class TransientWaiverScopeTest(unittest.TestCase):
@@ -351,6 +387,16 @@ class StripTest(unittest.TestCase):
         stripped = rthv_lint.strip_comments_and_strings(text)
         self.assertNotIn("Fake", stripped)
         self.assertNotIn("z_", stripped)
+
+    def test_digit_separators_are_not_char_literals(self):
+        text = ("std::uint32_t k = 0xffff'ffffU;\n"
+                "class A { int a_; };\n"
+                "long m = 1'000; char c = 'y'; char8_t d = u8'z';\n")
+        stripped = rthv_lint.strip_comments_and_strings(text)
+        self.assertIn("a_", stripped)
+        self.assertIn("1'000", stripped)
+        self.assertNotIn("'y'", stripped)
+        self.assertNotIn("'z'", stripped)
 
     def test_block_comment_preserves_lines(self):
         text = "int a;\n/* class B {\n int b_;\n} */\nint c;\n"

@@ -154,6 +154,16 @@ class SourceFile:
         return None
 
 
+def _in_number(text: str, i: int) -> bool:
+    """True when text[i] (a quote) continues a numeric literal, i.e. it is a
+    C++14 digit separator as in 0xffff'ffff: the identifier-like run right
+    before it starts with a digit."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text: str) -> str:
     """Blanks comments, string and char literals, preserving line structure.
 
@@ -191,6 +201,9 @@ def strip_comments_and_strings(text: str) -> str:
                         continue
                 state = STRING
                 out.append('"')
+                i += 1
+            elif c == "'" and _in_number(text, i):
+                out.append(c)  # digit separator (1'000), not a char literal
                 i += 1
             elif c == "'":
                 state = CHAR
@@ -609,6 +622,7 @@ class DeclParser:
         toks: list[Tok] = []
         paren_seen_at: Optional[int] = None  # token index of param-list '('
         paren_close: Optional[int] = None
+        in_initializer = False  # past a top-level `=` (`T x_ = make();`)
         n = end
         # Leading template header?
         if self.toks[i].kind == "id" and self.toks[i].text == "template":
@@ -632,15 +646,24 @@ class DeclParser:
                 if nxt != i:
                     i = nxt
                     continue
+            if (t.kind == "id" and t.text == "alignas" and i + 1 < n
+                    and self.toks[i + 1].text == "("):
+                # `alignas(T) std::byte buf_[N];`: a specifier, not the
+                # parameter list of a function declaration.
+                i = self._match_forward(i + 1, "(", ")")
+                continue
             if t.kind == "punct" and t.text == "<":
                 closed = self._skip_angles(i)
                 if closed > i + 1:
                     toks.extend(self.toks[i:closed])
                     i = closed
                     continue
+            if (t.kind == "punct" and t.text == "=" and paren_seen_at is None
+                    and not (toks and toks[-1].text == "operator")):
+                in_initializer = True
             if t.kind == "punct" and t.text == "(":
                 close = self._match_forward(i, "(", ")")
-                if paren_seen_at is None:
+                if paren_seen_at is None and not in_initializer:
                     paren_seen_at = len(toks)
                     paren_close = close
                 toks.extend(self.toks[i:close])
@@ -789,6 +812,8 @@ class DeclParser:
             # template form are still picked up below when they are data.
             if first.text != "template":
                 return
+            if len(toks) > 1 and toks[1].text == "concept":
+                return
         # `void (*hook_)(...)`: a paren declarator starting with * or & is a
         # function-pointer data member, not a function declaration.
         fp_member = (paren_at is not None and paren_at + 1 < len(toks)
@@ -848,6 +873,9 @@ class DeclParser:
             if not ids:
                 continue
             name_tok = ids[-1]
+            if fp_member and gi == 0:
+                # `void (*hook_)(...)`: the name sits inside the first parens.
+                name_tok = next(t for t in toks[paren_at:] if t.kind == "id")
             if len(ids) < 2 and gi == 0:
                 continue  # a lone identifier is a type, not `T name`
             name = name_tok.text
