@@ -36,9 +36,9 @@
 #include "exp/system_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
+#include "hw/cpu_model.hpp"
 #include "mon/token_bucket_monitor.hpp"
 #include "mon/window_count_monitor.hpp"
-#include "hv/overhead_model.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
 
@@ -65,14 +65,6 @@ RunOut run(const core::SystemConfig& cfg, Duration lambda, Duration floor,
                 system.recorder().fraction(stats::HandlingClass::kInterposed)};
 }
 
-Duration c_bh_eff_of(const core::SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
-}
-
 using Row = std::vector<std::string>;
 
 }  // namespace
@@ -88,7 +80,8 @@ int main(int argc, char** argv) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  const Duration c_bh_eff = c_bh_eff_of(base);
+  const Duration c_bh_eff = analysis::effective_bottom_cost(
+      base.sources[0].c_bottom, core::AnalysisFacade(base).overhead_times());
   const auto lambda = Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
 
   // --- 1. TDMA cycle length sweep -----------------------------------------
@@ -156,7 +149,8 @@ int main(int argc, char** argv) {
       auto cfg = base;
       cfg.platform.ctx_invalidate_instructions = instr;
       cfg.platform.ctx_writeback_cycles = instr;
-      const Duration eff = c_bh_eff_of(cfg);
+      const Duration eff = analysis::effective_bottom_cost(
+          cfg.sources[0].c_bottom, core::AnalysisFacade(cfg).overhead_times());
       // Keep the load definition consistent with the platform's C'_BH.
       const auto lam = Duration::ns(eff.count_ns() * 10);
       auto mon_cfg = cfg;
@@ -312,11 +306,7 @@ int main(int argc, char** argv) {
   stats::Table t6({"subscriber slots", "analytic delayed WCRT [us]", "sim avg [us]",
                    "sim max [us]", "ctx switches/s"});
   {
-    const hw::CpuModel cpu(base.platform.cpu_freq_hz, base.platform.cpi_milli);
-    const hw::MemorySystem mem(base.platform.ctx_invalidate_instructions,
-                               base.platform.ctx_writeback_cycles);
-    const hv::OverheadModel oh_model(cpu, mem, base.overheads);
-    const Duration entry_oh = oh_model.tdma_tick_cost() + oh_model.context_switch_cost();
+    const Duration entry_oh = core::AnalysisFacade(base).tdma_model(0).entry_overhead;
 
     // Jobs 0..2: split schedules; job 3: the interposing reference row.
     const std::vector<std::uint32_t> parts_list = {1, 2, 4};

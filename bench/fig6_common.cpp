@@ -3,13 +3,14 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "analysis/irq_latency.hpp"
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 #include "exp/batch_runner.hpp"
 #include "exp/run_result.hpp"
 #include "exp/seed.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
-#include "hv/overhead_model.hpp"
 #include "stats/export.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -19,14 +20,6 @@ namespace rthv::bench {
 using sim::Duration;
 
 namespace {
-
-Duration effective_bottom(const core::SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
-}
 
 const obs::MetricsSnapshot::Histogram& latency_histogram(const Fig6Result& result) {
   const auto* h = result.merged.metrics.find_histogram("irq.latency.all");
@@ -51,7 +44,8 @@ Fig6Result run_fig6(const Fig6Config& config) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  const Duration c_bh_eff = effective_bottom(base);
+  const Duration c_bh_eff = analysis::effective_bottom_cost(
+      base.sources[0].c_bottom, core::AnalysisFacade(base).overhead_times());
   // d_min fixed at the highest configured load's lambda.
   int max_load = 1;
   for (const int l : config.load_percent) max_load = std::max(max_load, l);

@@ -38,12 +38,13 @@
 #include <string>
 #include <vector>
 
+#include "analysis/irq_latency.hpp"
+#include "core/analysis_facade.hpp"
 #include "core/checked.hpp"
 #include "core/config_loader.hpp"
 #include "core/hypervisor_system.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
-#include "hv/overhead_model.hpp"
 #include "sim/text_input.hpp"
 #include "stats/export.hpp"
 #include "workload/generators.hpp"
@@ -158,25 +159,21 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Default workload: ~10 % load per source.
-  if (traces.empty()) {
-    const hw::CpuModel cpu(config.platform.cpu_freq_hz, config.platform.cpi_milli);
-    const hw::MemorySystem mem(config.platform.ctx_invalidate_instructions,
-                               config.platform.ctx_writeback_cycles);
-    const hv::OverheadModel oh(cpu, mem, config.overheads);
-    for (const auto& src : config.sources) {
-      const auto lambda =
-          Duration::ns(oh.effective_bottom_cost(src.c_bottom).count_ns() * 10);
-      workload::ExponentialTraceGenerator gen(lambda, seed++);
-      traces.push_back(gen.generate(2000));
-    }
-  }
-
   // The loader checks each value; cross-references (a subscriber or slot
-  // naming a missing partition, a zero d_min, too few IRQ lines) are checked
-  // when the system is built.
+  // naming a missing partition, a zero d_min, too few IRQ lines, more than
+  // one core) are checked when the system is built.
   std::unique_ptr<core::HypervisorSystem> built;
   try {
+    // Default workload: ~10 % load per source.
+    if (traces.empty()) {
+      const auto overheads = core::AnalysisFacade(config).overhead_times();
+      for (const auto& src : config.sources) {
+        const auto lambda = Duration::ns(
+            analysis::effective_bottom_cost(src.c_bottom, overheads).count_ns() * 10);
+        workload::ExponentialTraceGenerator gen(lambda, seed++);
+        traces.push_back(gen.generate(2000));
+      }
+    }
     built = std::make_unique<core::HypervisorSystem>(config);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
@@ -231,9 +228,7 @@ int main(int argc, char** argv) {
       auto snap = system.metrics_snapshot();
       // Release-mode contract violations (zero on any correct run); see
       // ARCHITECTURE.md section 10.
-      for (const auto& [name, n] : core::InvariantCounters::instance().snapshot()) {
-        snap.add_counter("invariant/violations/" + name, n);
-      }
+      core::InvariantCounters::instance().publish(snap);
       if (metrics_out.ends_with(".txt")) {
         stats::write_metrics_text_file(metrics_out, snap);
       } else {

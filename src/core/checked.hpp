@@ -17,7 +17,7 @@
 //     Debug builds abort with a message (like assert, but never compiled
 //     out silently); release builds count the violation in the process-wide
 //     InvariantCounters registry, which can be published into an
-//     obs::MetricsRegistry as counters named "invariant/violations/<name>"
+//     obs::MetricsSnapshot as counters named "invariant/violations/<name>"
 //     (see ARCHITECTURE.md section 10). Violations never occur on correct
 //     runs, so the counters stay at zero and sweeps remain bit-identical
 //     for any --jobs value.
@@ -215,11 +215,11 @@ class InvariantCounters {
     return {counts_.begin(), counts_.end()};
   }
 
-  /// Registers one counter "invariant/violations/<name>" per violated
-  /// contract (none on a clean run -- the metric namespace stays empty).
-  void publish(obs::MetricsRegistry& registry) const {
+  /// Adds one counter "invariant/violations/<name>" per violated contract
+  /// (none on a clean run -- the metric namespace stays empty).
+  void publish(obs::MetricsSnapshot& out) const {
     for (const auto& [name, n] : snapshot()) {
-      registry.add(registry.counter("invariant/violations/" + name), n);
+      out.add_counter("invariant/violations/" + name, n);
     }
   }
 

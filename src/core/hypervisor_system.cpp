@@ -1,8 +1,11 @@
 #include "core/hypervisor_system.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "mon/learning_monitor.hpp"
 #include "mon/token_bucket_monitor.hpp"
@@ -54,6 +57,11 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     : config_(config) {
   if (config_.partitions.empty()) {
     throw std::invalid_argument("SystemConfig needs at least one partition");
+  }
+  if (config_.num_cores() > 1) {
+    throw std::invalid_argument(
+        "num_cores = " + std::to_string(config_.num_cores()) +
+        ": a multi-core config runs on MulticoreSystem, not HypervisorSystem");
   }
   // Line 0 is the TDMA timer and source i is wired to line i + 1 (below).
   if (config_.platform.num_irq_lines <= config_.sources.size()) {
@@ -125,33 +133,6 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     platform_->add_timer(src.line);
   }
 
-  // Queue overflow is never silent: metrics_snapshot() fills the global and
-  // per-partition drop counters from the queues (the hypervisor separately
-  // traces kIrqDrop and reports kIrqQueueOverflow health events).
-  queue_dropped_counter_ = metrics_.counter("irq_queue/dropped");
-  for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
-    queue_dropped_by_partition_.push_back(
-        metrics_.counter("irq_queue/dropped/" + hv_->partition(p).name()));
-  }
-
-  // Latency histograms: 100 us buckets from 0 to 8.5 ms (the span of the
-  // paper's Fig. 6 panels); the tail lands in the overflow bucket. These
-  // and the completion counters are registered here only to fix their
-  // names, binning and output position: metrics_snapshot() derives their
-  // values from recorder_.
-  constexpr std::int64_t kBucketWidthNs = 100'000;
-  constexpr std::uint32_t kNumBuckets = 85;
-  latency_all_ = metrics_.histogram("irq.latency.all", 0, kBucketWidthNs, kNumBuckets);
-  completed_counter_ = metrics_.counter("irq.completed");
-  for (std::size_t c = 0; c < static_cast<std::size_t>(stats::HandlingClass::kCount_);
-       ++c) {
-    const auto suffix =
-        std::string(stats::to_string(static_cast<stats::HandlingClass>(c)));
-    latency_by_class_[c] =
-        metrics_.histogram("irq.latency." + suffix, 0, kBucketWidthNs, kNumBuckets);
-    completed_by_class_[c] = metrics_.counter("irq.completed." + suffix);
-  }
-
   // Materialize the TDMA timer now: a pristine snapshot of this system then
   // has the same structure as one that has run, which is what lets a pool
   // recycle an instance by restoring its pre-start state.
@@ -170,54 +151,73 @@ void HypervisorSystem::enable_tracing(std::size_t capacity) {
 }
 
 obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
-  obs::MetricsSnapshot snap = metrics_.snapshot();
+  constexpr auto kClasses = static_cast<std::size_t>(stats::HandlingClass::kCount_);
+  constexpr auto kHealthKinds = static_cast<std::size_t>(hv::HealthEventKind::kCount_);
+  const auto& irq = hv_->irq_stats();
+  const auto& ctx = hv_->context_switches();
+  const std::pair<std::string_view, std::uint64_t> path_counters[] = {
+      {"irq.serviced", irq.serviced},
+      {"irq.direct_arrivals", irq.direct},
+      {"irq.monitor_checked", irq.monitor_checked},
+      {"irq.interpose_started", irq.interpose_started},
+      {"irq.denied.monitor", irq.denied_by_monitor},
+      {"irq.denied.engine_busy", irq.denied_engine_busy},
+      {"irq.denied.backlog", irq.denied_backlog},
+      {"irq.deferred_slot_switches", irq.deferred_slot_switches},
+      {"irq.direct_hw", irq.direct_hw},
+      {"ctx.tdma", ctx.tdma},
+      {"ctx.interpose_enter", ctx.interpose_enter},
+      {"ctx.interpose_return", ctx.interpose_return},
+  };
 
-  // Registry handles index the snapshot's vectors (snapshot() copies them
-  // in registration order), so the derived values land in the slots the
-  // constructor registered.
-  snap.counters[completed_counter_.index].value += recorder_.total();
-  for (std::size_t c = 0; c < completed_by_class_.size(); ++c) {
-    snap.counters[completed_by_class_[c].index].value +=
-        recorder_.count(static_cast<stats::HandlingClass>(c));
-  }
+  obs::MetricsSnapshot snap;
+  // Room for every counter but the checkpoint client's; the trailing 2 are
+  // intc.lost_raises and sim.executed_events.
+  snap.counters.reserve(2 + hv_->num_partitions() + kClasses + std::size(path_counters) +
+                        kHealthKinds + 2);
+  snap.histograms.reserve(1 + kClasses);
+  std::string name;  // one buffer for every prefixed name
+  const auto join = [&name](std::string_view prefix, std::string_view suffix) {
+    return std::string_view(name.assign(prefix).append(suffix));
+  };
+
+  // Queue overflow is never silent: global and per-partition drop counters
+  // (the hypervisor separately traces kIrqDrop and reports
+  // kIrqQueueOverflow health events).
+  snap.add_counter("irq_queue/dropped", 0);
   for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
     const std::uint64_t drops = hv_->partition(p).irq_queue().drops();
-    snap.counters[queue_dropped_counter_.index].value += drops;
-    snap.counters[queue_dropped_by_partition_[p].index].value += drops;
+    snap.counters.front().value += drops;
+    snap.add_counter(join("irq_queue/dropped/", hv_->partition(p).name()), drops);
+  }
+
+  // Latency histograms: 100 us buckets from 0 to 8.5 ms (the span of the
+  // paper's Fig. 6 panels); the tail lands in the overflow bucket.
+  constexpr std::int64_t kBucketWidthNs = 100'000;
+  constexpr std::uint32_t kNumBuckets = 85;
+  snap.add_counter("irq.completed", recorder_.total());
+  snap.add_histogram("irq.latency.all", 0, kBucketWidthNs, kNumBuckets);
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const auto cls = static_cast<stats::HandlingClass>(c);
+    snap.add_counter(join("irq.completed.", stats::to_string(cls)), recorder_.count(cls));
+    snap.add_histogram(join("irq.latency.", stats::to_string(cls)), 0, kBucketWidthNs,
+                       kNumBuckets);
   }
   const auto& samples = recorder_.all().samples();
   const auto& classes = recorder_.classes();
-  auto& latency_all = snap.histograms[latency_all_.index];
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const std::int64_t latency_ns = samples[i].count_ns();
-    latency_all.observe(latency_ns);
-    snap.histograms[latency_by_class_[static_cast<std::size_t>(classes[i])].index]
-        .observe(latency_ns);
+    snap.histograms[0].observe(latency_ns);
+    snap.histograms[1 + static_cast<std::size_t>(classes[i])].observe(latency_ns);
   }
 
-  const auto& irq = hv_->irq_stats();
-  snap.add_counter("irq.serviced", irq.serviced);
-  snap.add_counter("irq.direct_arrivals", irq.direct);
-  snap.add_counter("irq.monitor_checked", irq.monitor_checked);
-  snap.add_counter("irq.interpose_started", irq.interpose_started);
-  snap.add_counter("irq.denied.monitor", irq.denied_by_monitor);
-  snap.add_counter("irq.denied.engine_busy", irq.denied_engine_busy);
-  snap.add_counter("irq.denied.backlog", irq.denied_backlog);
-  snap.add_counter("irq.deferred_slot_switches", irq.deferred_slot_switches);
-  snap.add_counter("irq.direct_hw", irq.direct_hw);
+  if (client_ != nullptr) client_->append_metrics(snap);
 
-  const auto& ctx = hv_->context_switches();
-  snap.add_counter("ctx.tdma", ctx.tdma);
-  snap.add_counter("ctx.interpose_enter", ctx.interpose_enter);
-  snap.add_counter("ctx.interpose_return", ctx.interpose_return);
-
-  for (std::size_t k = 0; k < static_cast<std::size_t>(hv::HealthEventKind::kCount_);
-       ++k) {
+  for (const auto& [counter, value] : path_counters) snap.add_counter(counter, value);
+  for (std::size_t k = 0; k < kHealthKinds; ++k) {
     const auto kind = static_cast<hv::HealthEventKind>(k);
-    snap.add_counter("health." + std::string(hv::to_string(kind)),
-                     hv_->health_count(kind));
+    snap.add_counter(join("health.", hv::to_string(kind)), hv_->health_count(kind));
   }
-
   snap.add_counter("intc.lost_raises", platform_->intc().lost_raises());
   snap.add_counter("sim.executed_events", sim_.executed_events());
   snap.set_gauge("sim.now_ns", sim_.now().count_ns());
@@ -302,8 +302,20 @@ void HypervisorSystem::detach_checkpoint_client(CheckpointClient* client) {
 }
 
 HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
-  SystemSnapshot snap;
   sim::StateWriter w;
+  snapshot_state(w);
+  return SystemSnapshot{w.take()};
+}
+
+void HypervisorSystem::restore(const SystemSnapshot& snap) {
+  sim::StateReader r(snap.words);
+  restore_state(r);
+  if (!r.exhausted()) {
+    throw std::logic_error("HypervisorSystem::restore: snapshot words left unread");
+  }
+}
+
+void HypervisorSystem::snapshot_state(sim::StateWriter& w) const {
   sim_.snapshot_state(w);
   platform_->snapshot_state(w);
   w.u64(guests_.size());
@@ -315,18 +327,13 @@ HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   w.boolean(run_to_horizon_);
   w.boolean(started_);
   hv_->snapshot_state(w);
+  recorder_.snapshot_state(w);
+  w.pod_vec(completions_);
   w.boolean(client_ != nullptr);
   if (client_ != nullptr) client_->snapshot_state(w);
-  snap.words = w.take();
-
-  snap.metrics = metrics_.snapshot();
-  snap.recorder = recorder_;
-  snap.completions = completions_;
-  return snap;
 }
 
-void HypervisorSystem::restore(const SystemSnapshot& snap) {
-  sim::StateReader r(snap.words);
+void HypervisorSystem::restore_state(sim::StateReader& r) {
   sim_.restore_state(r);
   platform_->restore_state(r);
   if (r.u64() != guests_.size()) {
@@ -342,10 +349,8 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();
   hv_->restore_state(r);
-
-  metrics_.restore(snap.metrics);
-  recorder_ = snap.recorder;
-  completions_ = snap.completions;
+  recorder_.restore_state(r);
+  r.pod_vec(completions_);
 
   // The client restores last: it may re-establish device-level decorations
   // (e.g. a clock-drift deadline transform) on the freshly restored
@@ -355,9 +360,6 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
         "HypervisorSystem::restore: checkpoint-client presence changed");
   }
   if (client_ != nullptr) client_->restore_state(r);
-  if (!r.exhausted()) {
-    throw std::logic_error("HypervisorSystem::restore: snapshot words left unread");
-  }
 }
 
 }  // namespace rthv::core

@@ -3,7 +3,6 @@
 // main entry point for experiments and applications.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -26,16 +25,21 @@ namespace rthv::core {
 /// Extra checkpointable state riding along with system snapshots -- e.g. a
 /// fault engine's pending injector timers and RNG streams, which live
 /// outside the system object graph. At most one client is attached at a
-/// time; its state is serialized after everything the system owns.
+/// time; its state is serialized after everything the system owns, and its
+/// counters appear in metrics_snapshot() after the completion counters.
 class CheckpointClient {
  public:
   virtual ~CheckpointClient() = default;
   virtual void snapshot_state(sim::StateWriter& w) const = 0;
   virtual void restore_state(sim::StateReader& r) = 0;
+  virtual void append_metrics(obs::MetricsSnapshot& out) const = 0;
 };
 
 class HypervisorSystem {
  public:
+  /// Builds a single-core system. Throws std::invalid_argument on an
+  /// inconsistent config, including one with num_cores() > 1 (those run on
+  /// a MulticoreSystem).
   explicit HypervisorSystem(const SystemConfig& config);
 
   HypervisorSystem(const HypervisorSystem&) = delete;
@@ -78,17 +82,10 @@ class HypervisorSystem {
 
   // --- checkpoint / restore --------------------------------------------------
 
-  /// Full-state checkpoint of the assembled system. One word stream holds
-  /// the simulator core (event queue with its inline callbacks, clock),
-  /// platform devices, guest kernels, trace-driver cursors, the entire
-  /// hypervisor (including monitor tracebuffers and the trace ring) and, at
-  /// its end, the attached checkpoint client's presence flag and state.
-  /// Metrics, latency records and kept completions are copied as objects.
+  /// Full-state checkpoint of the assembled system: the words written by
+  /// snapshot_state().
   struct SystemSnapshot {
     std::vector<std::uint64_t> words;
-    obs::MetricsSnapshot metrics;
-    stats::LatencyRecorder recorder;
-    std::vector<hv::CompletedIrq> completions;
   };
 
   /// Captures the current state. Must be called between simulator events
@@ -101,6 +98,17 @@ class HypervisorSystem {
   /// since the snapshot was taken. Throws std::logic_error on a client
   /// presence mismatch or when the words are not consumed exactly.
   void restore(const SystemSnapshot& snap);
+
+  /// Writes, in order: the simulator core (event queue with its inline
+  /// callbacks, clock), platform devices, guest kernels, trace-driver
+  /// cursors, run flags, the entire hypervisor (including monitor
+  /// tracebuffers and the trace ring), the latency recorder, the kept
+  /// completions and, last, the checkpoint client's presence flag and
+  /// state. MulticoreSystem writes its cores into its own stream this way.
+  void snapshot_state(sim::StateWriter& w) const;
+  /// Reads what snapshot_state() wrote; throws std::logic_error on a
+  /// structural mismatch. The caller checks that the stream is exhausted.
+  void restore_state(sim::StateReader& r);
 
   /// Attaches/detaches the single checkpoint client (see CheckpointClient).
   void attach_checkpoint_client(CheckpointClient* client);
@@ -141,19 +149,13 @@ class HypervisorSystem {
     return hv_->trace_ring().dropped();
   }
 
-  /// Always-on metrics registry (callers may add their own). The
-  /// constructor registers the latency histograms, completion counters and
-  /// queue-drop counters so they keep their output position, but they stay
-  /// zero here: only metrics_snapshot() fills them, from the recorder and
-  /// the partitions' queues.
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-
-  /// Registry snapshot augmented with derived metrics: irq.latency.* and
-  /// irq.completed* from the recorder's sample log, irq_queue/dropped* from
-  /// the partitions' queues, plus IRQ path stats, context switches, health
-  /// counts, queue drops and the sim event count.
-  /// Derived purely from simulation state, never from trace counters, so the
-  /// snapshot is identical with tracing on or off.
+  /// Every metric of the system, derived from simulation state when called:
+  /// irq_queue/dropped* from the partitions' queues, irq.completed* and
+  /// irq.latency.* (0 ns, 85 buckets of 100 us) from the recorder's sample
+  /// log, the checkpoint client's counters, then IRQ path stats, context
+  /// switches, health counts, lost raises and the sim event count and clock.
+  /// Never derived from trace counters, so the snapshot is identical with
+  /// tracing on or off.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -171,20 +173,6 @@ class HypervisorSystem {
   CheckpointClient* client_ = nullptr;
   stats::LatencyRecorder recorder_;  // the one per-IRQ latency store
   std::vector<hv::CompletedIrq> completions_;
-  obs::MetricsRegistry metrics_;
-  // The handles below are constructor-registered indices into metrics_.
-  // The latency/completion slots stay zero in the registry; metrics_snapshot()
-  // fills them from recorder_.
-  obs::MetricsRegistry::HistogramHandle latency_all_;  // lint: transient(registry handle; data derives from recorder_)
-  std::array<obs::MetricsRegistry::HistogramHandle,
-             static_cast<std::size_t>(stats::HandlingClass::kCount_)>
-      latency_by_class_{};  // lint: transient(registry handle; data derives from recorder_)
-  obs::MetricsRegistry::CounterHandle completed_counter_;  // lint: transient(registry handle; data derives from recorder_)
-  std::array<obs::MetricsRegistry::CounterHandle,
-             static_cast<std::size_t>(stats::HandlingClass::kCount_)>
-      completed_by_class_{};  // lint: transient(registry handle; data derives from recorder_)
-  obs::MetricsRegistry::CounterHandle queue_dropped_counter_;  // lint: transient(registry handle; data derives from the partitions' queues)
-  std::vector<obs::MetricsRegistry::CounterHandle> queue_dropped_by_partition_;  // lint: transient(registry handle; data derives from the partitions' queues)
 };
 
 }  // namespace rthv::core

@@ -276,29 +276,24 @@ obs::MetricsSnapshot MulticoreSystem::metrics_snapshot() const {
 }
 
 MulticoreSystem::Snapshot MulticoreSystem::snapshot() const {
-  Snapshot snap;
-  snap.cores.reserve(cores_.size());
-  for (const auto& c : cores_) snap.cores.push_back(c->snapshot());
-
   sim::StateWriter w;
+  w.u64(cores_.size());
+  for (const auto& c : cores_) c->snapshot_state(w);
   interconnect_->snapshot_state(w);
   w.u64(routed_.size());
   for (const auto& d : routed_) d->snapshot_state(w);
   w.u64(expected_);
   w.boolean(run_to_horizon_);
   w.boolean(started_);
-  snap.shared_words = w.take();
-  return snap;
+  return Snapshot{w.take()};
 }
 
 void MulticoreSystem::restore(const Snapshot& snap) {
-  if (snap.cores.size() != cores_.size()) {
+  sim::StateReader r(snap.words);
+  if (r.u64() != cores_.size()) {
     throw std::logic_error("MulticoreSystem::restore: core count changed");
   }
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c]->restore(snap.cores[c]);
-  }
-  sim::StateReader r(snap.shared_words);
+  for (auto& c : cores_) c->restore_state(r);
   interconnect_->restore_state(r);
   if (r.u64() != routed_.size()) {
     throw std::logic_error("MulticoreSystem::restore: routed-driver count changed");
@@ -308,7 +303,7 @@ void MulticoreSystem::restore(const Snapshot& snap) {
   run_to_horizon_ = r.boolean();
   started_ = r.boolean();
   if (!r.exhausted()) {
-    throw std::logic_error("MulticoreSystem::restore: shared words left unread");
+    throw std::logic_error("MulticoreSystem::restore: snapshot words left unread");
   }
 }
 

@@ -180,18 +180,19 @@ class MulticoreSystem {
 
   // --- checkpoint / restore -------------------------------------------------
 
-  /// Full-state checkpoint: every core's SystemSnapshot plus the shared
-  /// state the cores do not own (interconnect accounting, routed-driver
-  /// cursors, merged-run accounting).
+  /// Full-state checkpoint in one word stream: every core's state in core
+  /// order (HypervisorSystem::snapshot_state), then the shared state the
+  /// cores do not own (interconnect accounting, routed-driver cursors,
+  /// merged-run accounting).
   struct Snapshot {
-    std::vector<HypervisorSystem::SystemSnapshot> cores;
-    std::vector<std::uint64_t> shared_words;
+    std::vector<std::uint64_t> words;
   };
 
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Restore-in-place on this same system object (structural wiring must
-  /// match, as for HypervisorSystem::restore).
+  /// match, as for HypervisorSystem::restore). Throws std::logic_error on a
+  /// structural mismatch or when the words are not consumed exactly.
   void restore(const Snapshot& snap);
 
  private:

@@ -1,6 +1,7 @@
 #include "fault/fault_engine.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "exp/seed.hpp"
 #include "mon/monitor.hpp"
@@ -11,7 +12,7 @@ FaultEngine::FaultEngine(core::HypervisorSystem& system, const FaultPlan& plan,
                          std::uint64_t seed)
     : system_(system),
       ctx_{system.simulator(), system.platform(), system.hypervisor(),
-           system.config(), system.metrics()} {
+           system.config()} {
   injectors_.reserve(plan.injections.size());
   for (std::size_t i = 0; i < plan.injections.size(); ++i) {
     injectors_.push_back(
@@ -45,6 +46,14 @@ void FaultEngine::restore_state(sim::StateReader& r) {
     throw std::logic_error("FaultEngine::restore_state: injector count changed");
   }
   for (auto& injector : injectors_) injector->restore_state(r);
+}
+
+void FaultEngine::append_metrics(obs::MetricsSnapshot& out) const {
+  std::string name;
+  for (const auto& injector : injectors_) {
+    name.assign("fault/injected/").append(to_string(injector->kind()));
+    out.add_counter(name, injector->injected());
+  }
 }
 
 std::uint64_t FaultEngine::total_injected() const {

@@ -34,17 +34,18 @@ class FaultEngine final : public core::CheckpointClient {
   FaultEngine(const FaultEngine&) = delete;
   FaultEngine& operator=(const FaultEngine&) = delete;
 
-  /// Arms every injector (validating specs against the system config and
-  /// registering the fault/injected/<kind> counters in plan order, which
-  /// keeps merged snapshots deterministic) and switches the system to
-  /// horizon-bounded running -- injected raises would otherwise end the run
-  /// early through the attached-trace completion count. Call once, before
-  /// HypervisorSystem::run().
+  /// Arms every injector (validating specs against the system config) and
+  /// switches the system to horizon-bounded running -- injected raises
+  /// would otherwise end the run early through the attached-trace
+  /// completion count. Call once, before HypervisorSystem::run().
   ///
   /// Also claims the system's checkpoint slot when it is free, so
   /// HypervisorSystem::snapshot()/restore() round-trips the injectors'
-  /// state (pending timers keep firing after a mid-storm restore). Later
-  /// engines on the same system (campaign mutants) arm without attaching.
+  /// state (pending timers keep firing after a mid-storm restore) and
+  /// metrics_snapshot() reports the fault/injected/<kind> counters. Later
+  /// engines on the same system (campaign mutants) arm without attaching:
+  /// their injections are traced and counted by total_injected(), but not
+  /// reported in the system's metrics.
   void arm();
 
   [[nodiscard]] std::uint64_t total_injected() const;
@@ -56,6 +57,9 @@ class FaultEngine final : public core::CheckpointClient {
   // --- core::CheckpointClient ----------------------------------------------
   void snapshot_state(sim::StateWriter& w) const override;
   void restore_state(sim::StateReader& r) override;
+  /// fault/injected/<kind>: the injectors' injected() counts, summed per
+  /// kind, in plan order of each kind's first injector.
+  void append_metrics(obs::MetricsSnapshot& out) const override;
 
  private:
   core::HypervisorSystem& system_;

@@ -26,14 +26,11 @@ void FaultInjector::arm(InjectionContext& ctx) {
     trace_partition_ = ctx.config.sources[spec_.source].subscriber;
     trace_source_ = spec_.source;
   }
-  counter_ = ctx.metrics.counter("fault/injected/" +
-                                 std::string(to_string(spec_.kind)));
   do_arm(ctx);
 }
 
 void FaultInjector::record_injection(InjectionContext& ctx, std::uint64_t arg1) {
   ++injected_;
-  ctx.metrics.add(counter_);
   auto& ring = ctx.hv.trace_ring();
   RTHV_TRACE(ring, ctx.sim.now().count_ns(), obs::TracePoint::kFaultInject,
              obs::TraceCategory::kFault, trace_partition_, trace_source_,

@@ -21,7 +21,6 @@
 #include "fault/fault_plan.hpp"
 #include "hv/hypervisor.hpp"
 #include "hw/platform.hpp"
-#include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state_io.hpp"
@@ -37,7 +36,6 @@ struct InjectionContext {
   hw::Platform& platform;
   hv::Hypervisor& hv;
   const core::SystemConfig& config;
-  obs::MetricsRegistry& metrics;
 };
 
 class FaultInjector {
@@ -48,9 +46,8 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Validates the spec against the system config, registers the
-  /// `fault/injected/<kind>` counter and schedules the injection events.
-  /// Call once, before the simulation runs.
+  /// Validates the spec against the system config and schedules the
+  /// injection events. Call once, before the simulation runs.
   void arm(InjectionContext& ctx);
 
   [[nodiscard]] const InjectionSpec& spec() const { return spec_; }
@@ -82,8 +79,8 @@ class FaultInjector {
  protected:
   virtual void do_arm(InjectionContext& ctx) = 0;
 
-  /// Counts one injection: bumps the kind counter and emits a kFaultInject
-  /// trace event (arg0 = kind, arg1 = per-kind payload).
+  /// Counts one injection in injected() and emits a kFaultInject trace
+  /// event (arg0 = kind, arg1 = per-kind payload).
   void record_injection(InjectionContext& ctx, std::uint64_t arg1 = 0);
 
   /// Raises the spec'd source's IRQ line; returns false when the raise was
@@ -96,7 +93,6 @@ class FaultInjector {
   sim::Xoshiro256 rng_;
 
  private:
-  obs::MetricsRegistry::CounterHandle counter_;  // lint: transient(registry handle re-registered at arm; data lives in the system's metrics)
   std::uint32_t trace_partition_ = UINT32_MAX;  // obs::kNoId  // lint: transient(derived from config at arm; constant thereafter)
   std::uint32_t trace_source_ = UINT32_MAX;  // lint: transient(derived from config at arm; constant thereafter)
   std::uint64_t injected_ = 0;

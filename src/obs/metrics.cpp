@@ -77,6 +77,19 @@ void MetricsSnapshot::set_gauge(std::string_view name, std::int64_t value) {
   gauges.push_back(Gauge{std::string(name), value});
 }
 
+MetricsSnapshot::Histogram& MetricsSnapshot::add_histogram(std::string_view name,
+                                                           std::int64_t lo_ns,
+                                                           std::int64_t width_ns,
+                                                           std::uint32_t num_buckets) {
+  if (width_ns <= 0 || num_buckets == 0) {
+    throw std::invalid_argument("MetricsSnapshot::add_histogram: invalid binning");
+  }
+  return histograms.emplace_back(Histogram{.name = std::string(name),
+                                           .lo_ns = lo_ns,
+                                           .width_ns = width_ns,
+                                           .buckets = std::vector<std::uint64_t>(num_buckets)});
+}
+
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
   for (const auto& c : other.counters) add_counter(c.name, c.value);
   for (const auto& g : other.gauges) set_gauge(g.name, g.value);
@@ -169,51 +182,6 @@ void MetricsSnapshot::write_json(std::ostream& os) const {
     os << "] }";
   }
   os << (histograms.empty() ? "" : "\n  ") << "}\n}\n";
-}
-
-MetricsRegistry::CounterHandle MetricsRegistry::counter(std::string_view name) {
-  for (std::size_t i = 0; i < data_.counters.size(); ++i) {
-    if (data_.counters[i].name == name) {
-      return CounterHandle{static_cast<std::uint32_t>(i)};
-    }
-  }
-  data_.counters.push_back(MetricsSnapshot::Counter{std::string(name), 0});
-  return CounterHandle{static_cast<std::uint32_t>(data_.counters.size() - 1)};
-}
-
-MetricsRegistry::GaugeHandle MetricsRegistry::gauge(std::string_view name) {
-  for (std::size_t i = 0; i < data_.gauges.size(); ++i) {
-    if (data_.gauges[i].name == name) {
-      return GaugeHandle{static_cast<std::uint32_t>(i)};
-    }
-  }
-  data_.gauges.push_back(MetricsSnapshot::Gauge{std::string(name), 0});
-  return GaugeHandle{static_cast<std::uint32_t>(data_.gauges.size() - 1)};
-}
-
-MetricsRegistry::HistogramHandle MetricsRegistry::histogram(std::string_view name,
-                                                            std::int64_t lo_ns,
-                                                            std::int64_t width_ns,
-                                                            std::uint32_t num_buckets) {
-  if (width_ns <= 0 || num_buckets == 0) {
-    throw std::invalid_argument("MetricsRegistry::histogram: invalid binning");
-  }
-  for (std::size_t i = 0; i < data_.histograms.size(); ++i) {
-    if (data_.histograms[i].name != name) continue;
-    const auto& h = data_.histograms[i];
-    if (h.lo_ns != lo_ns || h.width_ns != width_ns || h.buckets.size() != num_buckets) {
-      throw std::invalid_argument("MetricsRegistry::histogram: '" + std::string(name) +
-                                  "' re-registered with different binning");
-    }
-    return HistogramHandle{static_cast<std::uint32_t>(i)};
-  }
-  MetricsSnapshot::Histogram h;
-  h.name = std::string(name);
-  h.lo_ns = lo_ns;
-  h.width_ns = width_ns;
-  h.buckets.assign(num_buckets, 0);
-  data_.histograms.push_back(std::move(h));
-  return HistogramHandle{static_cast<std::uint32_t>(data_.histograms.size() - 1)};
 }
 
 }  // namespace rthv::obs

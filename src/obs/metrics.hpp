@@ -1,11 +1,12 @@
-// Named counters, gauges and fixed-bucket latency histograms with O(1)
-// handle-based updates, plus a snapshot type with a deterministic merge.
+// Named counters, gauges and fixed-bucket latency histograms as one plain
+// snapshot type with a deterministic merge.
 //
-// Registration (string lookup) happens once at setup; hot paths hold a
-// handle and touch a single vector slot. A MetricsSnapshot is plain data:
-// per-run snapshots captured by exp::RunResult are folded in run-index
-// order by exp::BatchRunner consumers, so the aggregate is bit-identical
-// for any --jobs value.
+// Nothing updates a MetricsSnapshot while a simulation runs: the system
+// derives every metric from its own state when it is read
+// (core::HypervisorSystem::metrics_snapshot()), so there is no live metric
+// state to checkpoint. Per-run snapshots captured by exp::RunResult are
+// folded in run-index order by exp::BatchRunner consumers, so the aggregate
+// is bit-identical for any --jobs value.
 //
 // Merge semantics (by metric name):
 //   counters    -- summed
@@ -65,6 +66,12 @@ struct MetricsSnapshot {
   /// Sets the named gauge, creating it if new.
   void set_gauge(std::string_view name, std::int64_t value);
 
+  /// Appends an empty histogram of `num_buckets` buckets `width_ns` wide
+  /// from `lo_ns` and returns it for observe(). Throws
+  /// std::invalid_argument on a non-positive width or zero buckets.
+  Histogram& add_histogram(std::string_view name, std::int64_t lo_ns,
+                           std::int64_t width_ns, std::uint32_t num_buckets);
+
   /// Folds `other` into this snapshot (see merge semantics above). Throws
   /// std::invalid_argument when a histogram's binning does not match.
   void merge(const MetricsSnapshot& other);
@@ -79,53 +86,8 @@ struct MetricsSnapshot {
   void write_text(std::ostream& os) const;
 
   /// Machine-readable dump ({"schema": "rthv-metrics-v1", ...}); key order
-  /// follows registration order, so equal snapshots serialize identically.
+  /// follows insertion order, so equal snapshots serialize identically.
   void write_json(std::ostream& os) const;
-};
-
-/// Registration + O(1) update front-end over a MetricsSnapshot.
-class MetricsRegistry {
- public:
-  struct CounterHandle {
-    std::uint32_t index = UINT32_MAX;
-  };
-  struct GaugeHandle {
-    std::uint32_t index = UINT32_MAX;
-  };
-  struct HistogramHandle {
-    std::uint32_t index = UINT32_MAX;
-  };
-
-  /// Registering an existing name returns the existing handle; histogram
-  /// re-registration with different binning throws std::invalid_argument.
-  CounterHandle counter(std::string_view name);
-  GaugeHandle gauge(std::string_view name);
-  HistogramHandle histogram(std::string_view name, std::int64_t lo_ns,
-                            std::int64_t width_ns, std::uint32_t num_buckets);
-
-  void add(CounterHandle h, std::uint64_t delta = 1) {
-    data_.counters[h.index].value += delta;
-  }
-  void set(GaugeHandle h, std::int64_t value) { data_.gauges[h.index].value = value; }
-  void observe(HistogramHandle h, std::int64_t sample_ns) {
-    data_.histograms[h.index].observe(sample_ns);
-  }
-
-  [[nodiscard]] std::uint64_t value(CounterHandle h) const {
-    return data_.counters[h.index].value;
-  }
-
-  [[nodiscard]] MetricsSnapshot snapshot() const { return data_; }
-
-  /// Rolls the registry back to a previously captured snapshot. Metrics
-  /// registered *after* that snapshot are truncated away; because names
-  /// register in deterministic order, re-registering them afterwards yields
-  /// the same handles again. Handles registered before the snapshot remain
-  /// valid across restore.
-  void restore(const MetricsSnapshot& snap) { data_ = snap; }
-
- private:
-  MetricsSnapshot data_;
 };
 
 }  // namespace rthv::obs

@@ -4,7 +4,9 @@
 // hunting, differential replay tests), never persisted across builds, so the
 // format is deliberately dumb: a vector of 64-bit words, PODs memcpy'd in
 // 8-byte units, every reader paired with a writer that emitted the exact
-// same sequence. The value of the layer is the checking: StateReader throws
+// same sequence. A span of PODs packs its elements back to back and pads
+// only its end to a whole word, so a vector of one-byte tags costs one word
+// per eight tags. The value of the layer is the checking: StateReader throws
 // on underrun instead of silently reinterpreting a truncated stream, which
 // turns a writer/reader mismatch into an immediate test failure rather than
 // a subtly corrupted restore.
@@ -19,6 +21,18 @@
 #include <vector>
 
 namespace rthv::sim {
+
+/// Words a packed span of `n` T's occupies in the stream. Word-multiple
+/// types skip the rounding, which keeps GCC's bounds analysis of the
+/// span's memcpy exact (-Werror=stringop-overflow otherwise misfires).
+template <typename T>
+[[nodiscard]] constexpr std::size_t span_words(std::size_t n) {
+  if constexpr (sizeof(T) % 8 == 0) {
+    return n * (sizeof(T) / 8);
+  } else {
+    return (n * sizeof(T) + 7) / 8;
+  }
+}
 
 class StateWriter {
  public:
@@ -46,16 +60,9 @@ class StateWriter {
   template <typename T>
   void pod_span(const T* p, std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>, "pod_span() needs a POD-like type");
-    if constexpr (sizeof(T) % 8 == 0) {
-      // Word-multiple elements pack with no per-element padding, so the whole
-      // span is one memcpy instead of a per-element word loop. Same stream
-      // layout as the element-wise path; only the copy is batched.
-      const std::size_t base = words_.size();
-      words_.resize(base + n * (sizeof(T) / 8));
-      if (n > 0) std::memcpy(words_.data() + base, p, n * sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) pod(p[i]);
-    }
+    const std::size_t base = words_.size();
+    words_.resize(base + span_words<T>(n));
+    if (n > 0) std::memcpy(words_.data() + base, p, n * sizeof(T));
   }
 
   [[nodiscard]] const std::vector<std::uint64_t>& words() const { return words_; }
@@ -96,16 +103,12 @@ class StateReader {
   template <typename T>
   void pod_span(T* p, std::size_t n) {
     static_assert(std::is_trivially_copyable_v<T>, "pod_span() needs a POD-like type");
-    if constexpr (sizeof(T) % 8 == 0) {
-      const std::size_t words = n * (sizeof(T) / 8);
-      if (pos_ + words > words_->size()) {
-        throw std::out_of_range("StateReader: snapshot stream underrun");
-      }
-      if (n > 0) std::memcpy(static_cast<void*>(p), words_->data() + pos_, n * sizeof(T));
-      pos_ += words;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) p[i] = pod<T>();
+    const std::size_t words = span_words<T>(n);
+    if (words > words_->size() - pos_) {
+      throw std::out_of_range("StateReader: snapshot stream underrun");
     }
+    if (n > 0) std::memcpy(static_cast<void*>(p), words_->data() + pos_, n * sizeof(T));
+    pos_ += words;
   }
 
   /// True once every written word has been consumed -- restore paths check

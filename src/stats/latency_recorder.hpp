@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/state_io.hpp"
 #include "stats/summary.hpp"
 
 namespace rthv::stats {
@@ -54,6 +55,18 @@ class LatencyRecorder {
 
   /// Fraction of events in the class (0 if nothing recorded).
   [[nodiscard]] double fraction(HandlingClass cls) const;
+
+  /// Checkpoint of the sample log, its class tags and the per-class counts.
+  void snapshot_state(sim::StateWriter& w) const {
+    all_.snapshot_state(w);
+    w.pod_vec(classes_);
+    w.pod(counts_);
+  }
+  void restore_state(sim::StateReader& r) {
+    all_.restore_state(r);
+    r.pod_vec(classes_);
+    counts_ = r.pod<decltype(counts_)>();
+  }
 
   /// Prints the paper-style one-line summary:
   /// "direct 40% | interposed 40% | delayed 20% | avg 1200us | max ...".

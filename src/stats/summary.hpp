@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::stats {
@@ -33,6 +34,9 @@ class Summary {
   [[nodiscard]] sim::Duration median() const { return percentile(50.0); }
 
   [[nodiscard]] const std::vector<sim::Duration>& samples() const { return samples_; }
+
+  void snapshot_state(sim::StateWriter& w) const { w.pod_vec(samples_); }
+  void restore_state(sim::StateReader& r) { r.pod_vec(samples_); }
 
  private:
   std::vector<sim::Duration> samples_;

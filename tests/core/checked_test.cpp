@@ -165,9 +165,8 @@ TEST(InvariantCounters, PublishesAsObsMetrics) {
   reg.reset();
   reg.count("test/published");
   reg.count("test/published");
-  rthv::obs::MetricsRegistry metrics;
-  reg.publish(metrics);
-  const auto snap = metrics.snapshot();
+  rthv::obs::MetricsSnapshot snap;
+  reg.publish(snap);
   EXPECT_EQ(snap.counter_value("invariant/violations/test/published"), 2u);
   reg.reset();
 }

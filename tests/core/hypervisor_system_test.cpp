@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mon/learning_monitor.hpp"
 #include "workload/generators.hpp"
 
@@ -118,6 +121,18 @@ TEST(HypervisorSystemTest, InvalidConfigsThrow) {
   bad_learning.sources[0].monitor = MonitorKind::kLearning;
   bad_learning.sources[0].learning_events = 0;
   EXPECT_THROW(HypervisorSystem{bad_learning}, std::invalid_argument);
+}
+
+TEST(HypervisorSystemTest, RejectsMultiCoreConfig) {
+  // A multi-core config must not run silently on one core.
+  auto multi = small_config();
+  multi.interconnect.num_cores = 2;
+  try {
+    HypervisorSystem system(multi);
+    FAIL() << "a num_cores = 2 config was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("MulticoreSystem"), std::string::npos) << e.what();
+  }
 }
 
 TEST(HypervisorSystemTest, AttachTraceValidatesSourceIndex) {

@@ -48,7 +48,7 @@ std::string trace_text(const HypervisorSystem& system) {
 }
 
 /// Everything observable about a finished run, rendered to text: the full
-/// trace stream, the metrics registry, and the completion counter.
+/// trace stream, the metrics snapshot, and the completion counter.
 std::string digest(const HypervisorSystem& system) {
   std::ostringstream out;
   out << trace_text(system);

@@ -71,9 +71,9 @@ TEST(LatencyRecorderMergeTest, PerClassAndOverallCountsAdd) {
 /// Snapshot holding one latency histogram with the given binning.
 obs::MetricsSnapshot histogram_snapshot(std::int64_t lo_us, std::int64_t width_us,
                                         std::uint32_t buckets) {
-  obs::MetricsRegistry reg;
-  (void)reg.histogram("lat", lo_us * 1000, width_us * 1000, buckets);
-  return reg.snapshot();
+  obs::MetricsSnapshot snap;
+  (void)snap.add_histogram("lat", lo_us * 1000, width_us * 1000, buckets);
+  return snap;
 }
 
 void observe_us(obs::MetricsSnapshot& snap, std::int64_t us) {

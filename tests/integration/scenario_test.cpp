@@ -3,8 +3,9 @@
 // ordering, worst-case behaviour) must match Fig. 6.
 #include <gtest/gtest.h>
 
+#include "analysis/irq_latency.hpp"
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
-#include "hv/overhead_model.hpp"
 #include "workload/generators.hpp"
 
 namespace rthv::core {
@@ -21,18 +22,11 @@ struct ScenarioResult {
   Duration max;
 };
 
-Duration effective_bottom(const SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
-}
-
 ScenarioResult run_scenario(bool monitored, bool conforming, std::size_t irqs,
                             std::uint64_t seed) {
   auto cfg = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = effective_bottom(cfg);
+  const Duration c_bh_eff = analysis::effective_bottom_cost(
+      cfg.sources[0].c_bottom, AnalysisFacade(cfg).overhead_times());
   const auto lambda = sim::Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
   if (monitored) {
     cfg.mode = hv::TopHandlerMode::kInterposing;
@@ -99,7 +93,8 @@ TEST(ScenarioTest, SixteenFoldImprovementOrder) {
 TEST(ScenarioTest, LowerLoadsKeepDirectFraction) {
   // The direct fraction is a TDMA-geometry property, independent of load.
   auto cfg = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = effective_bottom(cfg);
+  const Duration c_bh_eff = analysis::effective_bottom_cost(
+      cfg.sources[0].c_bottom, AnalysisFacade(cfg).overhead_times());
   for (const int load_pct : {1, 5}) {
     HypervisorSystem system(cfg);
     const auto lambda =
@@ -121,7 +116,8 @@ struct CumulativeResult {
 
 CumulativeResult run_cumulative(bool monitored, bool floor) {
   auto base = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = effective_bottom(base);
+  const Duration c_bh_eff = analysis::effective_bottom_cost(
+      base.sources[0].c_bottom, AnalysisFacade(base).overhead_times());
   const auto d_min = Duration::ns(c_bh_eff.count_ns() * 10);
   if (monitored) {
     base.mode = hv::TopHandlerMode::kInterposing;

@@ -293,14 +293,15 @@ TEST(MulticoreSystemTest, SnapshotRestoreReproducesTheRun) {
 }
 
 TEST(MulticoreSystemTest, RestoreRejectsStraySharedWord) {
-  // A shared-state writer that emits more than its reader consumes must
-  // fail loudly in every build type, not only where assert() is compiled in.
+  // A writer that emits more than its reader consumes -- here after the
+  // shared state that ends the stream -- must fail loudly in every build
+  // type, not only where assert() is compiled in.
   MulticoreSystem mc(contended_config(2));
   mc.attach_trace(0, rt_trace(20));
   mc.start();
   mc.run_continue(TimePoint::at_us(10'000));
   auto snap = mc.snapshot();
-  snap.shared_words.push_back(0);
+  snap.words.push_back(0);
   EXPECT_THROW(mc.restore(snap), std::logic_error);
 }
 

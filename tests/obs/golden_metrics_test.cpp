@@ -1,7 +1,8 @@
 // Golden metrics regression: the metrics JSON of a short monitored Fig. 6b
 // run under configs/fault_storm.plan, byte for byte. It pins every metric
-// name and its position (the fault/injected/* counters follow the
-// irq.completed* counters the system registers at construction), the
+// name and its position (HypervisorSystem::metrics_snapshot() writes the
+// armed fault engine's fault/injected/* counters right after the
+// irq.completed* counters), the
 // latency histograms' binning (0 ns, 100 us x 85) and every value, merged
 // over the three load steps in load order. Regenerate deliberately with
 //     RTHV_UPDATE_GOLDEN=1 ./build/tests/test_obs

@@ -8,7 +8,7 @@
 //    and across capacity changes, and costs a fixed header plus 5 words per
 //    retained record;
 //  * merging per-shard MetricsSnapshots in shard order is bit-identical to
-//    observing the same sample stream in one registry, for any shard split
+//    observing the same sample stream in one snapshot, for any shard split
 //    (the BatchRunner jobs-independence contract).
 #include <gtest/gtest.h>
 
@@ -351,32 +351,16 @@ TEST(TraceLogTest, ClearEmptiesRecords) {
 
 // --- metrics ----------------------------------------------------------------
 
-TEST(MetricsRegistryTest, HandlesAreStableAndO1) {
-  MetricsRegistry reg;
-  const auto c1 = reg.counter("a");
-  const auto c2 = reg.counter("a");
-  EXPECT_EQ(c1.index, c2.index) << "re-registration returns the same handle";
-  reg.add(c1, 3);
-  reg.add(c2);
-  EXPECT_EQ(reg.value(c1), 4u);
-
-  const auto h1 = reg.histogram("h", 0, 100, 10);
-  const auto h2 = reg.histogram("h", 0, 100, 10);
-  EXPECT_EQ(h1.index, h2.index);
-  EXPECT_THROW((void)reg.histogram("h", 0, 200, 10), std::invalid_argument)
-      << "rebinning an existing histogram must throw";
-}
-
 TEST(MetricsSnapshotTest, HistogramObserveBinsCorrectly) {
-  MetricsRegistry reg;
-  const auto h = reg.histogram("lat", 100, 50, 4);  // [100,150) ... [250,300)
-  reg.observe(h, 99);    // underflow
-  reg.observe(h, 100);   // bucket 0
-  reg.observe(h, 149);   // bucket 0
-  reg.observe(h, 250);   // bucket 3
-  reg.observe(h, 300);   // overflow
-  reg.observe(h, 5000);  // overflow
-  const auto snap = reg.snapshot();
+  MetricsSnapshot snap;
+  auto& h = snap.add_histogram("lat", 100, 50, 4);  // [100,150) ... [250,300)
+  h.observe(99);    // underflow
+  h.observe(100);   // bucket 0
+  h.observe(149);   // bucket 0
+  h.observe(250);   // bucket 3
+  h.observe(300);   // overflow
+  h.observe(5000);  // overflow
+  EXPECT_THROW((void)snap.add_histogram("bad", 0, 0, 4), std::invalid_argument);
   const auto* hist = snap.find_histogram("lat");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->underflow, 1u);
@@ -391,21 +375,19 @@ TEST(MetricsSnapshotTest, HistogramObserveBinsCorrectly) {
 }
 
 TEST(MetricsSnapshotTest, MergeRejectsBinningMismatch) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  (void)a.histogram("h", 0, 100, 10);
-  (void)b.histogram("h", 0, 100, 11);
-  auto snap = a.snapshot();
-  EXPECT_THROW(snap.merge(b.snapshot()), std::invalid_argument);
+  MetricsSnapshot a;
+  MetricsSnapshot b;
+  (void)a.add_histogram("h", 0, 100, 10);
+  (void)b.add_histogram("h", 0, 100, 11);
+  EXPECT_THROW(a.merge(b), std::invalid_argument);
 }
 
 TEST(MetricsSnapshotTest, GaugeMergeIsLastWriteWins) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.set(a.gauge("g"), 1);
-  b.set(b.gauge("g"), 2);
-  auto snap = a.snapshot();
-  snap.merge(b.snapshot());
+  MetricsSnapshot snap;
+  MetricsSnapshot b;
+  snap.set_gauge("g", 1);
+  b.set_gauge("g", 2);
+  snap.merge(b);
   const auto* g = snap.find_gauge("g");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->value, 2);
@@ -417,16 +399,13 @@ std::string to_json(const MetricsSnapshot& snap) {
   return os.str();
 }
 
-// Observe `samples` into a fresh registry (one counter + one histogram).
+// Observe `samples` into a fresh snapshot (one counter + one histogram).
 MetricsSnapshot observe_all(const std::vector<std::int64_t>& samples) {
-  MetricsRegistry reg;
-  const auto c = reg.counter("events");
-  const auto h = reg.histogram("latency", 0, 1000, 32);
-  for (const std::int64_t s : samples) {
-    reg.add(c);
-    reg.observe(h, s);
-  }
-  return reg.snapshot();
+  MetricsSnapshot snap;
+  snap.add_counter("events", samples.size());
+  auto& h = snap.add_histogram("latency", 0, 1000, 32);
+  for (const std::int64_t s : samples) h.observe(s);
+  return snap;
 }
 
 TEST(MetricsSnapshotTest, ShardedMergeEqualsSingleShardForAnySplit) {
@@ -457,16 +436,15 @@ TEST(MetricsSnapshotTest, ShardedMergeEqualsSingleShardForAnySplit) {
 }
 
 TEST(MetricsSnapshotTest, TextAndJsonDumpsAreDeterministic) {
-  MetricsRegistry reg;
-  reg.add(reg.counter("z.last"), 1);
-  reg.add(reg.counter("a.first"), 2);
-  reg.set(reg.gauge("now"), -5);
-  reg.observe(reg.histogram("h", 0, 10, 2), 3);
-  const auto snap = reg.snapshot();
+  MetricsSnapshot snap;
+  snap.add_counter("z.last", 1);
+  snap.add_counter("a.first", 2);
+  snap.set_gauge("now", -5);
+  snap.add_histogram("h", 0, 10, 2).observe(3);
   const std::string json = to_json(snap);
   EXPECT_EQ(json, to_json(snap));
   EXPECT_NE(json.find("\"schema\": \"rthv-metrics-v1\""), std::string::npos);
-  // Insertion order, not alphabetical: z.last registered first.
+  // Insertion order, not alphabetical: z.last added first.
   EXPECT_LT(json.find("z.last"), json.find("a.first"));
   std::ostringstream text;
   snap.write_text(text);
