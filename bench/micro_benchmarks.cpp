@@ -19,8 +19,8 @@ using sim::TimePoint;
 
 namespace {
 
-void BM_DeltaMinMonitorCheck(benchmark::State& state) {
-  mon::DeltaMinMonitor monitor(Duration::us(100));
+void BM_DeltaMinCheck(benchmark::State& state) {
+  mon::DeltaVectorMonitor monitor(mon::DeltaVector{Duration::us(100)});
   std::int64_t t = 0;
   for (auto _ : state) {
     t += 73'000;
@@ -29,7 +29,7 @@ void BM_DeltaMinMonitorCheck(benchmark::State& state) {
 }
 // Registered under mon/ names: the δ⁻ admission check sits on the IRQ hot
 // path between queue pop and guest injection.
-BENCHMARK(BM_DeltaMinMonitorCheck)->Name("mon/delta_min_admit");
+BENCHMARK(BM_DeltaMinCheck)->Name("mon/delta_min_admit");
 
 void BM_DeltaVectorMonitorCheck(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));

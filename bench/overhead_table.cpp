@@ -76,10 +76,13 @@ int main() {
   code.add_row({"modified top handler (Fig. 4b)", "456 B code", "see src/hv/hypervisor.cpp"});
   code.add_row({"monitoring function", "272 B code", "see src/mon/monitor.*"});
   code.add_row({"total", "1120 B code", "n/a on simulator (host binary)"});
+  // The l = 1 monitor: its object plus the heap payload of its window, one
+  // tracebuffer stamp and one d_min.
   code.add_row({"monitor data overhead", "28 B",
-                "sizeof(DeltaMinMonitor) = " +
-                    std::to_string(sizeof(mon::DeltaMinMonitor)) + " B (host, " +
-                    "l=1 payload: 2x8 B + flag)"});
+                "sizeof(DeltaVectorMonitor) = " +
+                    std::to_string(sizeof(mon::DeltaVectorMonitor)) + " B (host) + " +
+                    std::to_string(sizeof(sim::TimePoint)) + " B stamp, " +
+                    std::to_string(sizeof(sim::Duration)) + " B d_min"});
   code.write(std::cout);
 
   std::cout << "\nruntime budgets (model inputs, 200 MHz / 5 ns per cycle):\n";

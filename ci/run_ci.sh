@@ -5,7 +5,8 @@
 #   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch,
 #      fuzz and perf-smoke labels as explicit stages, then a Debug
 #      ASan + UBSan build running test_sim, SystemSnapshot*, the
-#      LatencyRecorder tests, and the hunt, batch and multicore labels
+#      LatencyRecorder tests, the monitor suite, the hunt, batch, multicore
+#      and fault labels, and the rthv_run malformed-config rejections
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
 #      must report "correct": true
 #   4. static analysis: rthv_lint parser tests, the self-test regression
@@ -80,8 +81,11 @@ ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
 # completions and every core of a multi-core system. A Debug ASan + UBSan
 # build runs the event-core suite, the system snapshot and latency recorder
 # tests and the hunt, batch and multicore labels, the paths that restore
-# those bytes onto live object graphs.
-echo "== ASan + UBSan: event core, snapshots, hunt, batch, multicore =="
+# those bytes onto live object graphs. It also runs every reader of the one
+# delta^- tracebuffer -- the monitor suite, the fault label (golden adversary
+# trace included) and the malformed monitor configs -- so an out-of-bounds
+# window read fails here, not only in a release build.
+echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault =="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_SANITIZE=ON
 cmake --build build-ci-asan -j "$jobs"
 ./build-ci-asan/tests/test_sim
@@ -90,6 +94,9 @@ ctest --test-dir build-ci-asan --output-on-failure -L hunt -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -L batch -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -L multicore -j "$jobs"
 ./build-ci-asan/tests/test_stats --gtest_filter='LatencyRecorder*'
+./build-ci-asan/tests/test_mon
+ctest --test-dir build-ci-asan --output-on-failure -L fault -j "$jobs"
+ctest --test-dir build-ci-asan --output-on-failure -R rthv_run_rejects -j "$jobs"
 
 # End-to-end benchmark correctness, not speed: the selftest shows that a
 # wrong digest and a non-conserving count are caught, then every workload

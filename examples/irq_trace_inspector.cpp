@@ -82,7 +82,7 @@ int main(int argc, char** argv) try {
   const auto times = trace.activation_times();
   for (Duration d = std::max(Duration::us(50), trace.min_distance());
        d <= trace.mean_distance() * 4; d = d * 2) {
-    mon::DeltaMinMonitor monitor(d);
+    mon::DeltaVectorMonitor monitor(mon::DeltaVector{d});
     std::uint64_t admitted = 0;
     for (const auto t : times) admitted += monitor.record_and_check(t);
     const auto wcrt = analysis::interposed_latency(

@@ -22,15 +22,16 @@ std::unique_ptr<mon::ActivationMonitor> build_monitor(const IrqSourceSpec& spec)
     case MonitorKind::kNone:
       return nullptr;
     case MonitorKind::kDeltaMin:
-      if (!spec.d_min.is_positive()) {
+    case MonitorKind::kDeltaVector: {
+      auto deltas = spec.enforced_deltas();
+      if (spec.monitor == MonitorKind::kDeltaMin && !spec.d_min.is_positive()) {
         throw std::invalid_argument("kDeltaMin monitor requires a positive d_min");
       }
-      return std::make_unique<mon::DeltaMinMonitor>(spec.d_min);
-    case MonitorKind::kDeltaVector:
-      if (spec.delta_vector.empty()) {
+      if (deltas.empty()) {
         throw std::invalid_argument("kDeltaVector monitor requires a delta vector");
       }
-      return std::make_unique<mon::DeltaVectorMonitor>(spec.delta_vector);
+      return std::make_unique<mon::DeltaVectorMonitor>(std::move(deltas));
+    }
     case MonitorKind::kLearning:
       if (spec.learning_events == 0) {
         throw std::invalid_argument("kLearning monitor requires learning_events > 0");
@@ -120,10 +121,8 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     src.bh_accesses = s.bh_accesses;
     // The d_min backing the delta^- admission check, for contention-aware
     // normalization -- the same extraction the interference oracle uses.
-    if (s.monitor == MonitorKind::kDeltaMin) {
-      src.admit_d_min = s.d_min;
-    } else if (s.monitor == MonitorKind::kDeltaVector && !s.delta_vector.empty()) {
-      src.admit_d_min = s.delta_vector[0];
+    if (const auto deltas = s.enforced_deltas(); !deltas.empty()) {
+      src.admit_d_min = deltas[0];
     }
     const auto sid = hv_->add_irq_source(src);
     if (auto monitor = build_monitor(s)) {

@@ -4,6 +4,14 @@ namespace rthv::core {
 
 using sim::Duration;
 
+mon::DeltaVector IrqSourceSpec::enforced_deltas() const {
+  switch (monitor) {
+    case MonitorKind::kDeltaMin: return {d_min};
+    case MonitorKind::kDeltaVector: return delta_vector;
+    default: return {};
+  }
+}
+
 Duration SystemConfig::tdma_cycle() const {
   Duration total = Duration::zero();
   if (!schedule.empty()) {

@@ -76,6 +76,10 @@ struct IrqSourceSpec {
   /// contention the burst's stall inflates C'_BH, and the delta^- admission
   /// check accounts for that inflation (see hv::Hypervisor docs).
   std::uint64_t bh_accesses = 0;
+
+  /// The delta^- vector the source's admission check enforces: {d_min} for
+  /// kDeltaMin, delta_vector for kDeltaVector, empty for every other kind.
+  [[nodiscard]] mon::DeltaVector enforced_deltas() const;
 };
 
 struct ScheduleSlot {

@@ -74,8 +74,8 @@ void weaken_monitor_for_test(core::HypervisorSystem& system,
         "divisor > 1");
   }
   system.hypervisor().set_monitor(
-      source_index, std::make_unique<mon::DeltaMinMonitor>(
-                        sim::Duration::ns(spec.d_min.count_ns() / divisor)));
+      source_index, std::make_unique<mon::DeltaVectorMonitor>(mon::DeltaVector{
+                        sim::Duration::ns(spec.d_min.count_ns() / divisor)}));
 }
 
 }  // namespace rthv::fault

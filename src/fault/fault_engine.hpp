@@ -70,10 +70,11 @@ class FaultEngine final : public core::CheckpointClient {
 };
 
 /// Test-only hook behind the oracle's falsifiability requirement: replaces
-/// `source_index`'s monitor with DeltaMinMonitor(d_min / divisor) while the
-/// oracle keeps checking the configured d_min, so a conforming-looking run
-/// genuinely violates I(dt) and the oracle must say so. Call before the
-/// system starts. Throws if the source has no positive configured d_min.
+/// `source_index`'s monitor with the l = 1 DeltaVectorMonitor({d_min /
+/// divisor}) while the oracle keeps checking the configured d_min, so a
+/// conforming-looking run genuinely violates I(dt) and the oracle must say
+/// so. Call before the system starts. Throws if the source has no positive
+/// configured d_min.
 void weaken_monitor_for_test(core::HypervisorSystem& system,
                              std::uint32_t source_index, std::int64_t divisor);
 

@@ -206,62 +206,41 @@ void FloodInjector::do_arm(InjectionContext& ctx) {
 // --- adversary ---------------------------------------------------------------
 
 void AdversaryInjector::do_arm(InjectionContext& ctx) {
-  const auto& src = ctx.config.sources[spec_.source];
-  deltas_.clear();
-  if (src.monitor == core::MonitorKind::kDeltaMin && src.d_min.is_positive()) {
-    deltas_.push_back(src.d_min);
-  } else if (src.monitor == core::MonitorKind::kDeltaVector && !src.delta_vector.empty()) {
-    deltas_ = src.delta_vector;
-  } else if (spec_.distance.is_positive()) {
+  deltas_ = ctx.config.sources[spec_.source].enforced_deltas();
+  if (deltas_.empty()) {
+    if (!spec_.distance.is_positive()) {
+      throw std::invalid_argument(
+          "adversary injector: source has no delta monitor; set distance_us to "
+          "give the pattern a d_min");
+    }
     deltas_.push_back(spec_.distance);
-  } else {
-    throw std::invalid_argument(
-        "adversary injector: source has no delta monitor; set distance_us to "
-        "give the pattern a d_min");
   }
   if (spec_.probe_every != 0 &&
       (!spec_.probe_under.is_positive() || spec_.probe_under >= deltas_[0])) {
     throw std::invalid_argument(
         "adversary injector: probe_under must be in (0, d_min)");
   }
-  shadow_.assign(deltas_.size(), TimePoint::origin());
-  shadow_count_ = 0;
+  shadow_ = mon::Tracebuffer(deltas_);
   ctx.sim.schedule_at(std::max(spec_.start, ctx.sim.now()),
                       [this, &ctx] { schedule_next(ctx, spec_.count); });
-}
-
-TimePoint AdversaryInjector::earliest_admissible(TimePoint now) const {
-  TimePoint t = now;
-  for (std::size_t i = 0; i < shadow_count_; ++i) {
-    t = std::max(t, shadow_[i] + deltas_[i]);
-  }
-  return t;
-}
-
-void AdversaryInjector::shadow_record(TimePoint t) {
-  // Mirror of Algorithm 1: every raise -- conforming or probing -- shifts
-  // into the tracebuffer, because the monitor records denied activations
-  // too. The shadow stays exact as long as this injector is the source's
-  // only raiser (a lost raise would desynchronize it, but conforming
-  // spacing >= d_min makes losses impossible in practice).
-  for (std::size_t i = std::min(shadow_.size() - 1, shadow_count_); i > 0; --i) {
-    shadow_[i] = shadow_[i - 1];
-  }
-  shadow_[0] = t;
-  shadow_count_ = std::min(shadow_count_ + 1, shadow_.size());
 }
 
 void AdversaryInjector::schedule_next(InjectionContext& ctx, std::uint64_t remaining) {
   if (remaining == 0) return;
   const TimePoint now = ctx.sim.now();
-  const bool probe = spec_.probe_every != 0 && shadow_count_ > 0 &&
+  const bool probe = spec_.probe_every != 0 && shadow_.filled() > 0 &&
                      (raises_done_ + 1) % spec_.probe_every == 0;
   const TimePoint t =
       probe ? std::max(now, shadow_[0] + deltas_[0] - spec_.probe_under)
-            : earliest_admissible(now);
+            : shadow_.earliest_conforming(now, deltas_);
   ctx.sim.schedule_at(t, [this, &ctx, remaining, probe] {
     ++raises_done_;
-    shadow_record(ctx.sim.now());
+    // Every raise -- conforming or probing -- enters the shadow, because the
+    // monitor records denied activations too. The shadow stays exact as long
+    // as this injector is the source's only raiser (a lost raise would
+    // desynchronize it, but conforming spacing >= d_min makes losses
+    // impossible in practice).
+    shadow_.record(ctx.sim.now());
     const bool delivered = raise_source_line(ctx);
     record_injection(ctx, probe ? 2 : (delivered ? 1 : 0));
     schedule_next(ctx, remaining - 1);

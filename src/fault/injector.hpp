@@ -21,6 +21,7 @@
 #include "fault/fault_plan.hpp"
 #include "hv/hypervisor.hpp"
 #include "hw/platform.hpp"
+#include "mon/monitor.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/state_io.hpp"
@@ -186,37 +187,32 @@ class FloodInjector final : public FaultInjector {
 };
 
 /// Greedy adversary searching for the activation pattern that maximizes
-/// admitted interference: it mirrors the monitor's tracebuffer (Algorithm 1
-/// records *every* activation, so the shadow stays exact) and raises at the
-/// earliest instant the delta^- condition still admits. With probe_every
-/// set, every Nth raise lands probe_under short of d_min instead -- which a
-/// correct monitor must deny.
+/// admitted interference: it keeps a shadow of the monitor's tracebuffer
+/// (Algorithm 1 records *every* activation, so the shadow stays exact) and
+/// raises at the earliest instant the delta^- condition still admits. With
+/// probe_every set, every Nth raise lands probe_under short of d_min
+/// instead -- which a correct monitor must deny.
 class AdversaryInjector final : public FaultInjector {
  public:
   using FaultInjector::FaultInjector;
 
   void snapshot_state(sim::StateWriter& w) const override {
     FaultInjector::snapshot_state(w);
-    w.pod_vec(shadow_);
-    w.u64(shadow_count_);
+    shadow_.snapshot_state(w);
     w.u64(raises_done_);
   }
   void restore_state(sim::StateReader& r) override {
     FaultInjector::restore_state(r);
-    r.pod_vec(shadow_);
-    shadow_count_ = r.u64();
+    shadow_.restore_state(r);
     raises_done_ = r.u64();
   }
 
  private:
   void do_arm(InjectionContext& ctx) override;
   void schedule_next(InjectionContext& ctx, std::uint64_t remaining);
-  [[nodiscard]] sim::TimePoint earliest_admissible(sim::TimePoint now) const;
-  void shadow_record(sim::TimePoint t);
 
   mon::DeltaVector deltas_;  // lint: transient(mirror of the monitor's configured vector, built at arm; constant thereafter)
-  std::vector<sim::TimePoint> shadow_;  // [0] = most recent raise
-  std::size_t shadow_count_ = 0;
+  mon::Tracebuffer shadow_;  // every raise; sized to deltas_ at arm
   std::uint64_t raises_done_ = 0;
 };
 

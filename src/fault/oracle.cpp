@@ -10,7 +10,6 @@ namespace rthv::fault {
 using obs::TraceCategory;
 using obs::TraceEvent;
 using obs::TracePoint;
-using sim::Duration;
 
 InterferenceOracle::InterferenceOracle(std::vector<OracleSourceParams> params)
     : params_(std::move(params)) {}
@@ -21,19 +20,12 @@ std::vector<OracleSourceParams> InterferenceOracle::params_from(
   std::vector<OracleSourceParams> out;
   for (std::uint32_t s = 0; s < system.config().sources.size(); ++s) {
     const auto& spec = system.config().sources[s];
-    Duration d_min;
-    if (spec.monitor == core::MonitorKind::kDeltaMin) {
-      d_min = spec.d_min;
-    } else if (spec.monitor == core::MonitorKind::kDeltaVector &&
-               !spec.delta_vector.empty()) {
-      d_min = spec.delta_vector[0];
-    } else {
-      continue;  // source has no delta^- condition; Eq. 14 does not apply
-    }
-    if (!d_min.is_positive()) continue;
+    // A source without a positive delta^- condition is outside Eq. 14.
+    const auto deltas = spec.enforced_deltas();
+    if (deltas.empty() || !deltas[0].is_positive()) continue;
     OracleSourceParams p;
     p.source = s;
-    p.d_min = d_min;
+    p.d_min = deltas[0];
     p.c_bh_eff = oh.effective_bottom_cost(spec.c_bottom);
     p.pre_cost = oh.sched_manipulation_cost() + oh.context_switch_cost();
     out.push_back(p);

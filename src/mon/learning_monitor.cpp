@@ -1,6 +1,8 @@
 #include "mon/learning_monitor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/checked.hpp"
 
@@ -9,13 +11,15 @@ namespace rthv::mon {
 LearningDeltaMonitor::LearningDeltaMonitor(std::size_t depth,
                                            std::uint64_t learning_events,
                                            DeltaVector bound)
-    : learning_remaining_(learning_events),
+    : window_(depth),
+      learning_remaining_(learning_events),
       bound_(std::move(bound)),
-      learned_(depth, sim::Duration::max()),
-      tracebuffer_(depth) {
-  RTHV_PRECONDITION(depth > 0, "mon/learning-depth-positive");
-  RTHV_PRECONDITION(bound_.empty() || bound_.size() == depth,
-                    "mon/learning-bound-depth");
+      learned_(depth, sim::Duration::max()) {
+  if (!bound_.empty() && bound_.size() != depth) {
+    throw std::invalid_argument("learning monitor bound has " +
+                                std::to_string(bound_.size()) +
+                                " entries but its depth l is " + std::to_string(depth));
+  }
   if (learning_remaining_ == 0) finish_learning();
 }
 
@@ -25,22 +29,13 @@ const DeltaVector& LearningDeltaMonitor::enforced() const {
   return enforced_;
 }
 
-void LearningDeltaMonitor::push(sim::TimePoint now) {
-  for (std::size_t i = std::min(count_ + 1, tracebuffer_.size()); i-- > 1;) {
-    tracebuffer_[i] = tracebuffer_[i - 1];
-  }
-  tracebuffer_[0] = now;
-  if (count_ < tracebuffer_.size()) ++count_;
-}
-
 void LearningDeltaMonitor::learn(sim::TimePoint now) {
   // Algorithm 1: shrink each recorded minimum distance if the current
   // activation is closer to the i-th previous one than anything seen so far.
-  for (std::size_t i = 0; i < count_; ++i) {
-    const sim::Duration dist = now - tracebuffer_[i];
-    learned_[i] = std::min(learned_[i], dist);
+  for (std::size_t i = 0; i < window_.filled(); ++i) {
+    learned_[i] = std::min(learned_[i], now - window_[i]);
   }
-  push(now);
+  window_.record(now);
 }
 
 void LearningDeltaMonitor::finish_learning() {
@@ -76,14 +71,8 @@ bool LearningDeltaMonitor::record_and_check(sim::TimePoint now) {
     count(false);
     return false;  // learning phase: delayed/direct handling only
   }
-  bool admit = true;
-  for (std::size_t i = 0; i < count_; ++i) {
-    if (now - tracebuffer_[i] < enforced_[i]) {
-      admit = false;
-      break;
-    }
-  }
-  push(now);
+  const bool admit = window_.conforms(now, enforced_);
+  window_.record(now);
   count(admit);
   return admit;
 }

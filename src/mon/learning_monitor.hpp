@@ -1,8 +1,9 @@
 // Self-learning delta^- monitor (Appendix A of the paper).
 //
 // Phase 1 (learning): for a configured number of activations the monitor
-// only *records* the minimum observed distances (Algorithm 1) and denies all
-// interposing, so IRQs are handled via the regular direct/delayed paths.
+// only *records* the minimum observed distances against its tracebuffer
+// (Algorithm 1) and denies all interposing, so IRQs are handled via the
+// regular direct/delayed paths.
 //
 // Phase transition: the learned delta^-_Ip[l] is adjusted against a
 // predefined upper bound delta^-_bIp[l] (Algorithm 2): any learned distance
@@ -10,7 +11,8 @@
 // long-term load.
 //
 // Phase 2 (run): activations conforming to the adjusted vector are admitted
-// for interposed handling.
+// for interposed handling. Both phases share one mon::Tracebuffer, so
+// run-phase distances reach back into the learning-phase history.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +29,8 @@ class LearningDeltaMonitor final : public ActivationMonitor {
   /// @param depth            l, the number of tracked distances
   /// @param learning_events  activations consumed by the learning phase
   /// @param bound            delta^-_bIp[l]; empty = no bound (Fig. 7 curve a)
+  /// Throws std::invalid_argument for depth 0 or a non-empty bound whose
+  /// length is not `depth`.
   LearningDeltaMonitor(std::size_t depth, std::uint64_t learning_events,
                        DeltaVector bound = {});
 
@@ -51,8 +55,7 @@ class LearningDeltaMonitor final : public ActivationMonitor {
     w.u64(learning_remaining_);
     w.pod_vec(learned_);
     w.pod_vec(enforced_);  // empty while learning, depth entries once running
-    w.pod_vec(tracebuffer_);
-    w.u64(count_);
+    window_.snapshot_state(w);
     w.u64(static_cast<std::uint64_t>(phase_));
   }
   void restore_state(sim::StateReader& r) override {
@@ -60,22 +63,19 @@ class LearningDeltaMonitor final : public ActivationMonitor {
     learning_remaining_ = r.u64();
     r.pod_vec(learned_);
     r.pod_vec(enforced_);
-    r.pod_vec(tracebuffer_);
-    count_ = r.u64();
+    window_.restore_state(r);
     phase_ = static_cast<Phase>(r.u64());
   }
 
  private:
   void learn(sim::TimePoint now);
   void finish_learning();
-  void push(sim::TimePoint now);
 
+  Tracebuffer window_;
   std::uint64_t learning_remaining_;
   DeltaVector bound_;  // lint: transient(configured upper bound; never mutated after construction)
   DeltaVector learned_;
   DeltaVector enforced_;
-  std::vector<sim::TimePoint> tracebuffer_;
-  std::size_t count_ = 0;
   Phase phase_ = Phase::kLearning;
 };
 

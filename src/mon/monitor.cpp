@@ -1,41 +1,45 @@
 #include "mon/monitor.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "core/checked.hpp"
 
 namespace rthv::mon {
 
-DeltaMinMonitor::DeltaMinMonitor(sim::Duration d_min) : d_min_(d_min) {
-  RTHV_PRECONDITION(!d_min.is_negative(), "mon/dmin-nonnegative");
+Tracebuffer::Tracebuffer(std::size_t depth) : stamps_(depth) {
+  if (depth == 0) throw std::invalid_argument("delta^- tracebuffer depth must be at least 1");
 }
 
-bool DeltaMinMonitor::record_and_check(sim::TimePoint now) {
-  observe_arrival(now);
-  const bool admit = !has_previous_ || (now - previous_) >= d_min_;
-  previous_ = now;
-  has_previous_ = true;
-  count(admit);
-  return admit;
+Tracebuffer::Tracebuffer(const DeltaVector& deltas) : Tracebuffer(deltas.size()) {
+  if (deltas[0].is_negative()) {
+    throw std::invalid_argument("delta^- vector entry 0 is negative (" +
+                                std::to_string(deltas[0].count_ns()) + " ns)");
+  }
+  for (std::size_t i = 1; i < deltas.size(); ++i) {
+    if (deltas[i] < deltas[i - 1]) {
+      throw std::invalid_argument(
+          "delta^- vector decreases at entry " + std::to_string(i) + " (" +
+          std::to_string(deltas[i].count_ns()) + " ns < " +
+          std::to_string(deltas[i - 1].count_ns()) + " ns)");
+    }
+  }
+}
+
+void Tracebuffer::snapshot_state(sim::StateWriter& w) const {
+  w.pod_vec(stamps_);
+  w.u64(filled_);
+}
+
+void Tracebuffer::restore_state(sim::StateReader& r) {
+  r.pod_vec(stamps_);
+  filled_ = r.u64();
 }
 
 DeltaVectorMonitor::DeltaVectorMonitor(DeltaVector deltas)
-    : deltas_(std::move(deltas)) {
-  RTHV_PRECONDITION(!deltas_.empty(), "mon/delta-vector-nonempty");
-  // delta^- functions are non-decreasing in the span. Enforced in every
-  // build mode: a decreasing vector silently weakens the interference bound
-  // the admitted pattern is supposed to guarantee.
-  for (std::size_t i = 1; i < deltas_.size(); ++i) {
-    RTHV_PRECONDITION(deltas_[i] >= deltas_[i - 1], "mon/delta-vector-monotone");
-  }
-  delta_ns_.reserve(deltas_.size());
-  for (const auto d : deltas_) delta_ns_.push_back(d.count_ns());
-  win_ns_.assign(2 * deltas_.size(), 0);
-}
-
-bool DeltaVectorMonitor::peek(sim::TimePoint now) const {
-  return conforms(now.count_ns());
-}
+    : deltas_(std::move(deltas)), window_(deltas_) {}
 
 DeltaVector scale_for_load_fraction(const DeltaVector& deltas, double fraction) {
   RTHV_PRECONDITION(fraction > 0.0 && fraction <= 1.0, "mon/load-fraction-range");

@@ -15,11 +15,12 @@
 // so distances are always measured against the true arrival history.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "mon/admit_kernel.hpp"
 #include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
@@ -103,104 +104,91 @@ class ActivationMonitor {
   bool has_last_arrival_ = false;
 };
 
-/// The l = 1 special case of the scheme: a single minimum distance d_min
-/// between consecutive activations (the configuration used in the paper's
-/// Section 6.1 experiments). State is intentionally minimal -- the paper
-/// reports 28 bytes of data overhead for the whole monitoring scheme.
-class DeltaMinMonitor final : public ActivationMonitor {
+/// Algorithm 1's tracebuffer: the stamps of the last l activations, newest
+/// first ([0] = most recent), kept as a plain shift buffer exactly as the
+/// paper writes it. It only stores history; the delta^- vector it is judged
+/// against is passed in, so the monitors, the adversary injector and the
+/// worst-case trace generator all judge and generate patterns through this
+/// one window. Every caller passes a vector with at least l entries.
+class Tracebuffer {
  public:
-  explicit DeltaMinMonitor(sim::Duration d_min);
+  /// An empty window of depth 0; assign a sized one before record().
+  Tracebuffer() = default;
+  /// Throws std::invalid_argument for depth 0.
+  explicit Tracebuffer(std::size_t depth);
+  /// A window as deep as `deltas`. Throws std::invalid_argument, in every
+  /// build mode, unless `deltas` is a delta^- function: non-empty,
+  /// non-negative and non-decreasing in the span (a decreasing vector
+  /// silently weakens the interference bound the admitted pattern is
+  /// supposed to guarantee).
+  explicit Tracebuffer(const DeltaVector& deltas);
 
-  bool record_and_check(sim::TimePoint now) override;
-
-  [[nodiscard]] sim::Duration d_min() const { return d_min_; }
-
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.boolean(has_previous_);
-    w.pod(previous_);
+  /// Shifts `t` in as the newest stamp; the oldest falls out once full.
+  void record(sim::TimePoint t) {
+    if (filled_ < stamps_.size()) ++filled_;
+    for (std::size_t i = filled_ - 1; i > 0; --i) stamps_[i] = stamps_[i - 1];
+    stamps_[0] = t;
   }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    has_previous_ = r.boolean();
-    previous_ = r.pod<sim::TimePoint>();
+
+  /// Algorithm 1's check: an activation at `t` conforms iff
+  /// t - stamps[i] >= deltas[i] for every filled entry i.
+  [[nodiscard]] bool conforms(sim::TimePoint t, const DeltaVector& deltas) const {
+    for (std::size_t i = 0; i < filled_; ++i) {
+      if (t - stamps_[i] < deltas[i]) return false;
+    }
+    return true;
   }
+
+  /// The earliest instant >= `t` at which an activation conforms.
+  [[nodiscard]] sim::TimePoint earliest_conforming(sim::TimePoint t,
+                                                   const DeltaVector& deltas) const {
+    for (std::size_t i = 0; i < filled_; ++i) t = std::max(t, stamps_[i] + deltas[i]);
+    return t;
+  }
+
+  /// The i-th most recent stamp; i < filled().
+  [[nodiscard]] sim::TimePoint operator[](std::size_t i) const { return stamps_[i]; }
+  /// Recorded activations, saturating at the depth l.
+  [[nodiscard]] std::size_t filled() const { return filled_; }
+
+  void snapshot_state(sim::StateWriter& w) const;
+  void restore_state(sim::StateReader& r);
 
  private:
-  sim::Duration d_min_;  // lint: transient(configured bound; never mutated after construction)
-  bool has_previous_ = false;
-  sim::TimePoint previous_;
+  std::vector<sim::TimePoint> stamps_;
+  std::size_t filled_ = 0;
 };
 
-/// General l >= 1 monitor against a full delta^- vector.
-///
-/// The tracebuffer is a mirrored ring of 2l raw nanosecond stamps: logical
-/// entry i (0 = most recent) lives at win_ns_[head_ + i], each push
-/// decrements head_ (mod l) and writes the new stamp at both head_ and
-/// head_ + l. The l-entry window starting at head_ is therefore always
-/// contiguous and ordered, which is what lets record_and_check run the
-/// branchless admit kernel instead of Algorithm 1's shift loop -- no data
-/// moves per activation, two stores instead of l.
+/// Monitor against a full delta^- vector: Algorithm 1's tracebuffer judged
+/// against a fixed delta^-[l]. The l = 1 case, DeltaVectorMonitor({d_min}),
+/// is the single-d_min monitor of the paper's Section 6.1 experiments.
 class DeltaVectorMonitor final : public ActivationMonitor {
  public:
+  /// Throws std::invalid_argument for a vector that is not a delta^-
+  /// function (see Tracebuffer).
   explicit DeltaVectorMonitor(DeltaVector deltas);
 
-  // Defined inline so the hot callers (and the admission micro-benchmarks)
-  // can keep the window base, delta pointer, and head index in registers
-  // across consecutive activations instead of reloading them per call.
   bool record_and_check(sim::TimePoint now) override {
     observe_arrival(now);
-    const std::int64_t t = now.count_ns();
-    const bool admit = conforms(t);
-    push(t);
+    const bool admit = window_.conforms(now, deltas_);
+    window_.record(now);
     count(admit);
     return admit;
   }
 
-  [[nodiscard]] const DeltaVector& deltas() const { return deltas_; }
-  [[nodiscard]] std::size_t depth() const { return deltas_.size(); }
-
-  /// Would an activation at `now` conform, without recording it?
-  [[nodiscard]] bool peek(sim::TimePoint now) const;
 
   void snapshot_state(sim::StateWriter& w) const override {
     snapshot_base(w);
-    w.pod_span(win_ns_.data(), win_ns_.size());
-    w.u64(head_);
-    w.u64(count_);
+    window_.snapshot_state(w);
   }
   void restore_state(sim::StateReader& r) override {
     restore_base(r);
-    r.pod_span(win_ns_.data(), win_ns_.size());
-    head_ = r.u64();
-    count_ = r.u64();
+    window_.restore_state(r);
   }
 
  private:
-  /// Admission check against the current window (no recording). The warm-up
-  /// phase (fewer than l recorded activations) walks the partial window
-  /// scalar-wise; a full window runs the branch-free admit_full.
-  [[nodiscard]] bool conforms(std::int64_t now_ns) const {
-    const std::int64_t* win = win_ns_.data() + head_;
-    if (count_ == deltas_.size()) {
-      return admit_full(win, delta_ns_.data(), count_, now_ns);
-    }
-    return admit_full_scalar(win, delta_ns_.data(), count_, now_ns);
-  }
-
-  void push(std::int64_t now_ns) {
-    const std::size_t l = deltas_.size();
-    head_ = head_ == 0 ? l - 1 : head_ - 1;
-    win_ns_[head_] = now_ns;
-    win_ns_[head_ + l] = now_ns;
-    if (count_ < l) ++count_;
-  }
-
   DeltaVector deltas_;  // lint: transient(configured vector; never mutated after construction)
-  std::vector<std::int64_t> delta_ns_;  // raw mirror of deltas_, same order  // lint: transient(derived mirror of the configured vector)
-  std::vector<std::int64_t> win_ns_;    // mirrored 2l tracebuffer ring
-  std::size_t head_ = 0;                // window start; logical [0] = newest
-  std::size_t count_ = 0;               // recorded activations, saturates at l
+  Tracebuffer window_;
 };
 
 /// A monitor that admits everything (models "monitoring disabled" while

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace rthv::mon {
 
 TokenBucketMonitor::TokenBucketMonitor(sim::Duration fill_interval, std::uint32_t depth)
     : fill_interval_(fill_interval), depth_(depth), tokens_(depth) {
-  assert(fill_interval_.is_positive());
-  assert(depth_ >= 1);
+  if (!fill_interval_.is_positive()) {
+    throw std::invalid_argument("token-bucket monitor needs a positive fill interval");
+  }
+  if (depth_ == 0) throw std::invalid_argument("token-bucket monitor depth must be at least 1");
 }
 
 void TokenBucketMonitor::refill(sim::TimePoint now) {

@@ -24,6 +24,7 @@ class TokenBucketMonitor final : public ActivationMonitor {
   /// @param fill_interval one token accrues per interval (the long-term
   ///                      admitted rate is 1 / fill_interval)
   /// @param depth         bucket capacity (maximum burst of admissions)
+  /// Throws std::invalid_argument for a non-positive interval or depth 0.
   TokenBucketMonitor(sim::Duration fill_interval, std::uint32_t depth);
 
   bool record_and_check(sim::TimePoint now) override;

@@ -1,13 +1,18 @@
 #include "mon/window_count_monitor.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace rthv::mon {
 
 WindowCountMonitor::WindowCountMonitor(sim::Duration window, std::uint32_t max_events)
     : window_(window), max_(max_events), admissions_(max_events) {
-  assert(window_.is_positive());
-  assert(max_ >= 1);
+  if (!window_.is_positive()) {
+    throw std::invalid_argument("window-count monitor needs a positive window");
+  }
+  if (max_ == 0) {
+    throw std::invalid_argument("window-count monitor needs max_events of at least 1");
+  }
 }
 
 bool WindowCountMonitor::record_and_check(sim::TimePoint now) {

@@ -21,6 +21,8 @@ namespace rthv::mon {
 
 class WindowCountMonitor final : public ActivationMonitor {
  public:
+  /// Throws std::invalid_argument for a non-positive window or
+  /// max_events 0.
   WindowCountMonitor(sim::Duration window, std::uint32_t max_events);
 
   bool record_and_check(sim::TimePoint now) override;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "mon/monitor.hpp"
+
 namespace rthv::workload {
 
 ExponentialTraceGenerator::ExponentialTraceGenerator(sim::Duration mean,
@@ -79,24 +81,14 @@ std::vector<sim::TimePoint> BurstTraceGenerator::generate_until(sim::Duration ho
 
 Trace worst_case_conforming_trace(const std::vector<sim::Duration>& deltas,
                                   std::size_t count) {
-  assert(!deltas.empty());
-#ifndef NDEBUG
-  for (std::size_t i = 1; i < deltas.size(); ++i) assert(deltas[i] >= deltas[i - 1]);
-  assert(deltas.front().is_positive());
-#endif
+  mon::Tracebuffer window(deltas);
   std::vector<sim::TimePoint> times;
   times.reserve(count);
   sim::TimePoint t = sim::TimePoint::origin() + deltas.front();  // first activation
   for (std::size_t n = 0; n < count; ++n) {
-    // Earliest instant satisfying every span constraint against the last
-    // min(l, n) events.
-    sim::TimePoint earliest = t;
-    for (std::size_t k = 0; k < deltas.size() && k < n; ++k) {
-      const sim::TimePoint bound = times[n - 1 - k] + deltas[k];
-      earliest = std::max(earliest, bound);
-    }
-    times.push_back(earliest);
-    t = earliest;
+    t = window.earliest_conforming(t, deltas);
+    window.record(t);
+    times.push_back(t);
   }
   return Trace::from_activations(times);
 }

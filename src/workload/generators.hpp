@@ -79,7 +79,8 @@ class BurstTraceGenerator {
 /// instant permitted by the recorded distances (greedy critical instant).
 /// Driving the hypervisor with this trace realizes the admission pattern
 /// behind Eq. 14's worst case, so measured interference approaches the
-/// analytic bound.
+/// analytic bound. Throws std::invalid_argument unless `deltas` is a
+/// delta^- function (see mon::Tracebuffer).
 [[nodiscard]] Trace worst_case_conforming_trace(const std::vector<sim::Duration>& deltas,
                                                 std::size_t count);
 

@@ -98,7 +98,8 @@ TEST_F(HealthEndToEndTest, QueueOverflowReported) {
 
 TEST_F(HealthEndToEndTest, MonitorViolationReported) {
   const auto sid = add_source(Duration::us(20));
-  hv_.set_monitor(sid, std::make_unique<mon::DeltaMinMonitor>(Duration::us(100000)));
+  hv_.set_monitor(sid,
+                  std::make_unique<mon::DeltaVectorMonitor>(mon::DeltaVector{Duration::us(100000)}));
   hv_.set_top_handler_mode(TopHandlerMode::kInterposing);
   hv_.start();
   raise_at(TimePoint::at_us(1100));  // admitted (first activation)

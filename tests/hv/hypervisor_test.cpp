@@ -188,7 +188,8 @@ TEST_F(HypervisorTest, InterposeReturnsToInterruptedPartition) {
 TEST_F(HypervisorTest, MonitorDenialFallsBackToDelayed) {
   const auto sid = add_source(p0_, 1);
   // d_min so large that the second activation is denied.
-  hv_.set_monitor(sid, std::make_unique<mon::DeltaMinMonitor>(Duration::us(100000)));
+  hv_.set_monitor(sid,
+                  std::make_unique<mon::DeltaVectorMonitor>(mon::DeltaVector{Duration::us(100000)}));
   hv_.set_top_handler_mode(TopHandlerMode::kInterposing);
   hv_.start();
   raise_at(0, TimePoint::at_us(1100));  // first: admitted, interposed

@@ -194,7 +194,8 @@ TEST_F(InterposeTest, InterferenceOnInterruptedPartitionIsBounded) {
   const Duration d_min = Duration::us(200);
   const Duration c_bh = Duration::us(20);
   const auto sid = add_source(p0_, 1, c_bh, /*admit_always=*/false);
-  hv_.set_monitor(sid, std::make_unique<mon::DeltaMinMonitor>(d_min));
+  hv_.set_monitor(sid,
+                  std::make_unique<mon::DeltaVectorMonitor>(mon::DeltaVector{d_min}));
   hv_.start();
   // Conforming arrivals every 250us for 10 TDMA cycles: every foreign-slot
   // event is admitted, maximizing interference on p1.
@@ -228,7 +229,8 @@ TEST_F(InterposeTest, NoInterferenceWhenMonitorDeniesEverything) {
   } client;
   hv_.set_partition_client(p1_, &client);
   const auto sid = add_source(p0_, 1, Duration::us(20), /*admit_always=*/false);
-  hv_.set_monitor(sid, std::make_unique<mon::DeltaMinMonitor>(Duration::s(100)));
+  hv_.set_monitor(sid,
+                  std::make_unique<mon::DeltaVectorMonitor>(mon::DeltaVector{Duration::s(100)}));
   hv_.start();
   for (int i = 0; i < 50; ++i) {
     raise_at(0, TimePoint::at_us(1100 + i * 17));

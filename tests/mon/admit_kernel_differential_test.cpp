@@ -1,11 +1,12 @@
-// Randomized differential tests for the admission kernels: the branch-free
-// AND-reduction must produce bit-identical verdicts to the early-exit
-// scalar reference on every input, and DeltaVectorMonitor must judge
-// exactly like Algorithm 1 run over a plain timestamp window -- verdicts,
-// admission counters, and observed-distance bookkeeping included.
+// Randomized differential test for the one delta^- window: DeltaVectorMonitor
+// and LearningDeltaMonitor's run phase, both of which judge through
+// mon::Tracebuffer, must decide exactly like Algorithm 1 run over a plain
+// timestamp window -- verdicts, admission counters, and observed-distance
+// bookkeeping included.
 //
-// tests/run_sanitized.sh builds this suite under ASan+UBSan, so the kernel
-// differential doubles as a bounds/overflow probe over random windows.
+// tests/run_sanitized.sh and ci/run_ci.sh run this suite under ASan+UBSan,
+// so the differential doubles as a bounds/overflow probe over random
+// windows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "mon/admit_kernel.hpp"
+#include "mon/learning_monitor.hpp"
 #include "mon/monitor.hpp"
 #include "sim/random.hpp"
 
@@ -91,24 +92,6 @@ std::vector<TimePoint> near_saturation_trace(sim::Xoshiro256& rng, std::size_t n
   return out;
 }
 
-TEST(AdmitKernelDifferentialTest, VectorMatchesScalarOnRandomWindows) {
-  sim::Xoshiro256 rng(0x5eed001);
-  for (int trial = 0; trial < 20'000; ++trial) {
-    // Depths 1-24 cover every shipped monitor depth (5) and well beyond.
-    const std::size_t l = 1 + rng.uniform_int(0, 23);
-    std::vector<std::int64_t> win(l);
-    std::vector<std::int64_t> delta(l);
-    std::int64_t now = static_cast<std::int64_t>(rng.uniform_int(0, 4'000'000'000));
-    for (std::size_t i = 0; i < l; ++i) {
-      win[i] = now - static_cast<std::int64_t>(rng.uniform_int(0, 2'000'000));
-      delta[i] = static_cast<std::int64_t>(rng.uniform_int(0, 2'000'000));
-    }
-    const bool scalar = admit_full_scalar(win.data(), delta.data(), l, now);
-    const bool vector = admit_full_vector(win.data(), delta.data(), l, now);
-    EXPECT_EQ(scalar, vector) << "trial " << trial << " depth " << l;
-  }
-}
-
 TEST(AdmitKernelDifferentialTest, MonitorVerdictsIdenticalAcrossKernels) {
   sim::Xoshiro256 rng(0x5eed002);
   for (int trial = 0; trial < 40; ++trial) {
@@ -127,6 +110,25 @@ TEST(AdmitKernelDifferentialTest, MonitorVerdictsIdenticalAcrossKernels) {
     EXPECT_EQ(monitor.admitted(), reference.admitted_);
     EXPECT_EQ(monitor.denied(), reference.denied_);
     EXPECT_EQ(monitor.last_observed_distance(), reference.last_distance_);
+
+    // The learning monitor's run phase judges against its enforced vector
+    // over the same window, which reaches back into the learning phase: the
+    // reference replays the learning prefix unjudged, then both decide.
+    const std::size_t learning = 1 + rng.uniform_int(0, 499);
+    LearningDeltaMonitor learner(depth, learning, deltas);
+    for (std::size_t i = 0; i < learning; ++i) learner.record_and_check(trace[i]);
+    ASSERT_EQ(learner.phase(), LearningDeltaMonitor::Phase::kRunning);
+    ReferenceMonitor run_reference(learner.enforced());
+    for (std::size_t i = 0; i < learning; ++i) run_reference.record_and_check(trace[i]);
+    const std::uint64_t prefix_admitted = run_reference.admitted_;
+    const std::uint64_t prefix_denied = run_reference.denied_;
+    for (std::size_t i = learning; i < trace.size(); ++i) {
+      ASSERT_EQ(learner.record_and_check(trace[i]), run_reference.record_and_check(trace[i]))
+          << "trial " << trial << " run-phase t=" << trace[i].count_ns();
+    }
+    EXPECT_EQ(learner.admitted(), run_reference.admitted_ - prefix_admitted);
+    EXPECT_EQ(learner.denied(), learning + run_reference.denied_ - prefix_denied);
+    EXPECT_EQ(learner.last_observed_distance(), run_reference.last_distance_);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rthv::mon {
 namespace {
 
@@ -102,6 +104,13 @@ TEST(LearningDeltaMonitorTest, CrossPhaseDistancesUseFullHistory) {
   m.record_and_check(at_us(100));  // learned d_min = 100; now running
   EXPECT_FALSE(m.record_and_check(at_us(150)));  // 50 after last learning event
   EXPECT_TRUE(m.record_and_check(at_us(250)));
+}
+
+TEST(LearningDeltaMonitorTest, RejectsZeroDepthAndMismatchedBound) {
+  EXPECT_THROW(LearningDeltaMonitor(0, 10), std::invalid_argument);
+  EXPECT_THROW(LearningDeltaMonitor(5, 10, DeltaVector{Duration::us(100), Duration::us(200)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(LearningDeltaMonitor(2, 10, DeltaVector{Duration::us(100), Duration::us(200)}));
 }
 
 }  // namespace

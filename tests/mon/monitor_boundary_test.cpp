@@ -32,7 +32,7 @@ TEST(MonitorBoundaryTest, DeltaMinAdmitsAtExactlyDminUnderJitter) {
   sim::Xoshiro256 rng(2014);
   for (int trial = 0; trial < kTrials; ++trial) {
     const TimePoint base = jittered_base(rng);
-    DeltaMinMonitor m(kDmin);
+    DeltaVectorMonitor m(DeltaVector{kDmin});
     ASSERT_TRUE(m.record_and_check(base));
     EXPECT_TRUE(m.record_and_check(base + kDmin))
         << "exact d_min denied at base " << base.count_ns() << " ns";
@@ -43,7 +43,7 @@ TEST(MonitorBoundaryTest, DeltaMinDeniesOneTickUnderDminUnderJitter) {
   sim::Xoshiro256 rng(2015);
   for (int trial = 0; trial < kTrials; ++trial) {
     const TimePoint base = jittered_base(rng);
-    DeltaMinMonitor m(kDmin);
+    DeltaVectorMonitor m(DeltaVector{kDmin});
     ASSERT_TRUE(m.record_and_check(base));
     EXPECT_FALSE(m.record_and_check(base + kDmin - Duration::ns(1)))
         << "d_min - 1 ns admitted at base " << base.count_ns() << " ns";

@@ -81,7 +81,7 @@ TEST_P(ConformingTraceTest, FullyConformingTraceFullyAdmitted) {
   // l = 1 monitor admits every event.
   sim::Xoshiro256 rng(GetParam());
   const Duration d_min = Duration::us(100);
-  DeltaMinMonitor monitor(d_min);
+  DeltaVectorMonitor monitor(DeltaVector{d_min});
   TimePoint t = TimePoint::origin();
   for (int i = 0; i < 1000; ++i) {
     const auto gap = std::max(d_min, Duration::from_us_f(rng.exponential(100.0)));
@@ -130,7 +130,7 @@ TEST(MonitorInterferenceBoundTest, AdmissionsPerWindowBounded) {
   // Eq. 14's premise: in any window dt there are at most ceil(dt/d_min)
   // admitted activations. Verified on a hostile trace (bursts).
   const Duration d_min = Duration::us(100);
-  DeltaMinMonitor monitor(d_min);
+  DeltaVectorMonitor monitor(DeltaVector{d_min});
   sim::Xoshiro256 rng(77);
   std::vector<TimePoint> admitted;
   TimePoint t = TimePoint::origin();

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <stdexcept>
+
+#include "sim/random.hpp"
+
 namespace rthv::mon {
 namespace {
 
@@ -11,26 +16,26 @@ using sim::TimePoint;
 TimePoint at_us(std::int64_t t) { return TimePoint::at_us(t); }
 
 TEST(DeltaMinMonitorTest, FirstActivationAlwaysAdmitted) {
-  DeltaMinMonitor m(Duration::us(100));
+  DeltaVectorMonitor m(DeltaVector{Duration::us(100)});
   EXPECT_TRUE(m.record_and_check(at_us(5)));
   EXPECT_EQ(m.admitted(), 1u);
 }
 
 TEST(DeltaMinMonitorTest, AdmitsAtExactlyDmin) {
-  DeltaMinMonitor m(Duration::us(100));
+  DeltaVectorMonitor m(DeltaVector{Duration::us(100)});
   m.record_and_check(at_us(0));
   EXPECT_TRUE(m.record_and_check(at_us(100)));
 }
 
 TEST(DeltaMinMonitorTest, DeniesBelowDmin) {
-  DeltaMinMonitor m(Duration::us(100));
+  DeltaVectorMonitor m(DeltaVector{Duration::us(100)});
   m.record_and_check(at_us(0));
   EXPECT_FALSE(m.record_and_check(at_us(99)));
   EXPECT_EQ(m.denied(), 1u);
 }
 
 TEST(DeltaMinMonitorTest, DeniedActivationStillRecorded) {
-  DeltaMinMonitor m(Duration::us(100));
+  DeltaVectorMonitor m(DeltaVector{Duration::us(100)});
   m.record_and_check(at_us(0));
   EXPECT_FALSE(m.record_and_check(at_us(50)));   // violation, recorded
   EXPECT_FALSE(m.record_and_check(at_us(120)));  // only 70us after the burst event
@@ -38,7 +43,7 @@ TEST(DeltaMinMonitorTest, DeniedActivationStillRecorded) {
 }
 
 TEST(DeltaMinMonitorTest, CountersTrackDecisions) {
-  DeltaMinMonitor m(Duration::us(10));
+  DeltaVectorMonitor m(DeltaVector{Duration::us(10)});
   m.record_and_check(at_us(0));
   m.record_and_check(at_us(5));
   m.record_and_check(at_us(20));
@@ -49,10 +54,10 @@ TEST(DeltaMinMonitorTest, CountersTrackDecisions) {
 
 TEST(DeltaVectorMonitorTest, SingleEntryBehavesLikeDeltaMin) {
   DeltaVectorMonitor v(DeltaVector{Duration::us(100)});
-  DeltaMinMonitor m(Duration::us(100));
   const std::int64_t times[] = {0, 40, 150, 249, 250, 600};
-  for (const auto t : times) {
-    EXPECT_EQ(v.record_and_check(at_us(t)), m.record_and_check(at_us(t))) << "t=" << t;
+  const bool verdicts[] = {true, false, true, false, false, true};
+  for (std::size_t i = 0; i < std::size(times); ++i) {
+    EXPECT_EQ(v.record_and_check(at_us(times[i])), verdicts[i]) << "t=" << times[i];
   }
 }
 
@@ -67,15 +72,6 @@ TEST(DeltaVectorMonitorTest, DeeperEntryDeniesCloseTriple) {
   EXPECT_TRUE(m.record_and_check(at_us(110)));
 }
 
-TEST(DeltaVectorMonitorTest, PeekDoesNotRecord) {
-  DeltaVectorMonitor m(DeltaVector{Duration::us(10)});
-  m.record_and_check(at_us(0));
-  EXPECT_FALSE(m.peek(at_us(5)));
-  EXPECT_TRUE(m.peek(at_us(15)));
-  // peek must not have pushed anything: distance still measured from t=0.
-  EXPECT_TRUE(m.record_and_check(at_us(10)));
-}
-
 TEST(DeltaVectorMonitorTest, TracebufferWindowSlides) {
   DeltaVectorMonitor m(DeltaVector{Duration::us(10), Duration::us(30)});
   EXPECT_TRUE(m.record_and_check(at_us(0)));
@@ -85,6 +81,83 @@ TEST(DeltaVectorMonitorTest, TracebufferWindowSlides) {
   EXPECT_TRUE(m.record_and_check(at_us(70)));
   // 79us: 9 after 70 -> deny.
   EXPECT_FALSE(m.record_and_check(at_us(79)));
+}
+
+TEST(TracebufferTest, ShiftsNewestFirstAndSaturatesAtDepth) {
+  Tracebuffer window(3);
+  EXPECT_EQ(window.filled(), 0u);
+  for (std::int64_t t = 1; t <= 5; ++t) window.record(at_us(t));
+  ASSERT_EQ(window.filled(), 3u);
+  EXPECT_EQ(window[0], at_us(5));
+  EXPECT_EQ(window[1], at_us(4));
+  EXPECT_EQ(window[2], at_us(3));
+}
+
+TEST(TracebufferTest, ConformsChecksOnlyFilledEntries) {
+  const DeltaVector deltas{Duration::us(10), Duration::us(100)};
+  Tracebuffer window(deltas);
+  EXPECT_TRUE(window.conforms(at_us(0), deltas));
+  window.record(at_us(0));
+  EXPECT_FALSE(window.conforms(at_us(9), deltas));
+  EXPECT_TRUE(window.conforms(at_us(10), deltas));  // entry 1 not filled yet
+  window.record(at_us(10));
+  EXPECT_FALSE(window.conforms(at_us(99), deltas));
+  EXPECT_TRUE(window.conforms(at_us(100), deltas));
+}
+
+TEST(TracebufferTest, EarliestConformingIsTheFirstConformingInstant) {
+  // Brute force on a 1 ns grid: earliest_conforming(t) conforms, and no
+  // instant in [t, earliest) does.
+  sim::Xoshiro256 rng(0x7b0f);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t depth = 1 + rng.uniform_int(0, 3);
+    DeltaVector deltas;
+    std::int64_t d = static_cast<std::int64_t>(rng.uniform_int(0, 10));
+    for (std::size_t i = 0; i < depth; ++i) {
+      deltas.push_back(Duration::ns(d));
+      d += static_cast<std::int64_t>(rng.uniform_int(0, 15));
+    }
+    Tracebuffer window(deltas);
+    std::int64_t last = 0;
+    const std::uint64_t recorded = rng.uniform_int(0, depth + 2);
+    for (std::uint64_t k = 0; k < recorded; ++k) {
+      last += static_cast<std::int64_t>(rng.uniform_int(0, 12));
+      window.record(TimePoint::at_ns(last));
+    }
+    const auto t = TimePoint::at_ns(last + static_cast<std::int64_t>(rng.uniform_int(0, 20)) - 5);
+    const auto earliest = window.earliest_conforming(t, deltas);
+    ASSERT_GE(earliest, t) << "trial " << trial;
+    EXPECT_TRUE(window.conforms(earliest, deltas)) << "trial " << trial;
+    for (auto u = t; u < earliest; u = u + Duration::ns(1)) {
+      ASSERT_FALSE(window.conforms(u, deltas)) << "trial " << trial << " u=" << u.count_ns();
+    }
+  }
+}
+
+TEST(TracebufferTest, RejectsMalformedDeltaVectors) {
+  EXPECT_THROW(Tracebuffer(std::size_t{0}), std::invalid_argument);
+  EXPECT_THROW(Tracebuffer(DeltaVector{}), std::invalid_argument);
+  EXPECT_THROW(Tracebuffer(DeltaVector{Duration::us(-1)}), std::invalid_argument);
+  EXPECT_THROW(Tracebuffer(DeltaVector{Duration::us(2000), Duration::us(1000)}),
+               std::invalid_argument);
+  EXPECT_THROW(DeltaVectorMonitor(DeltaVector{Duration::us(20), Duration::us(10)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Tracebuffer(DeltaVector{Duration::zero(), Duration::zero()}));
+}
+
+TEST(TracebufferTest, StateRoundTripRestoresWindow) {
+  const DeltaVector deltas{Duration::us(10), Duration::us(30)};
+  Tracebuffer a(deltas);
+  for (const std::int64_t t : {0, 30, 60}) a.record(at_us(t));
+  sim::StateWriter w;
+  a.snapshot_state(w);
+  Tracebuffer b(deltas);
+  sim::StateReader r(w.words());
+  b.restore_state(r);
+  ASSERT_EQ(b.filled(), 2u);
+  EXPECT_EQ(b[0], at_us(60));
+  EXPECT_EQ(b[1], at_us(30));
+  EXPECT_EQ(b.earliest_conforming(at_us(0), deltas), at_us(70));
 }
 
 TEST(AlwaysAdmitMonitorTest, AdmitsEverything) {

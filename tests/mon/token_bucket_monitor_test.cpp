@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/random.hpp"
 
 namespace rthv::mon {
@@ -58,7 +60,7 @@ TEST(TokenBucketMonitorTest, AdmitsBurstsDeltaMinWouldDeny) {
   // The qualitative difference to the delta^- monitor: back-to-back
   // admissions are possible up to the bucket depth.
   TokenBucketMonitor bucket(Duration::us(100), 3);
-  DeltaMinMonitor dmin(Duration::us(100));
+  DeltaVectorMonitor dmin(DeltaVector{Duration::us(100)});
   int bucket_admits = 0;
   int dmin_admits = 0;
   for (int i = 0; i < 3; ++i) {
@@ -127,6 +129,11 @@ TEST(TokenBucketInterferenceTest, FormulaMatchesDefinition) {
   // The bucket bound is always weaker than Eq. 14 for equal rate.
   EXPECT_GT(token_bucket_interference(Duration::us(1000), Duration::us(100), 3, c),
             c * 10);
+}
+
+TEST(TokenBucketMonitorTest, RejectsZeroDepthAndInterval) {
+  EXPECT_THROW(TokenBucketMonitor(Duration::us(100), 0), std::invalid_argument);
+  EXPECT_THROW(TokenBucketMonitor(Duration::zero(), 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -45,7 +46,7 @@ TEST(WindowCountMonitorTest, DeniedEventsDoNotConsumeBudget) {
 
 TEST(WindowCountMonitorTest, MaxOneEqualsDeltaMin) {
   WindowCountMonitor wc(Duration::us(500), 1);
-  DeltaMinMonitor dm(Duration::us(500));
+  DeltaVectorMonitor dm(DeltaVector{Duration::us(500)});
   // Identical decisions on a mixed pattern -- EXCEPT that the delta^- monitor
   // measures against every arrival while the window counter only counts
   // admissions, so feed a conforming-then-violating-then-waiting pattern
@@ -96,6 +97,11 @@ TEST(WindowCountInterferenceTest, FormulaMatchesDefinition) {
             c * 6);
   EXPECT_EQ(window_count_interference(Duration::zero(), Duration::us(1000), 2, c),
             Duration::zero());
+}
+
+TEST(WindowCountMonitorTest, RejectsZeroMaxEventsAndWindow) {
+  EXPECT_THROW(WindowCountMonitor(Duration::us(100), 0), std::invalid_argument);
+  EXPECT_THROW(WindowCountMonitor(Duration::zero(), 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fixture: banned includes in the monitor layer -- wall-clock types must
-// not leak into deterministic admission code, and SIMD intrinsics belong
-// in admit_kernel.hpp next to their scalar reference, not in callers.
+// not leak into deterministic admission code, and SIMD intrinsics are
+// banned in all of src/.
 #include <chrono>       // rthv-lint-expect: banned-include
 #include <immintrin.h>  // rthv-lint-expect: banned-include
 

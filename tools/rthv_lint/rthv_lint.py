@@ -28,8 +28,8 @@ Two layers:
                        on Duration/TimePoint quantities inside
                        src/analysis/; use core/checked.hpp.
   banned-include       <chrono> banned in deterministic layers, <iostream>
-                       banned in library code, <immintrin.h> confined to
-                       src/mon/admit_kernel.hpp.
+                       banned in library code, <immintrin.h> banned in
+                       all of src/.
   header-hygiene       Headers start with #pragma once (or a guard) and
                        never contain 'using namespace'.
   det-address-seed     No address-derived values feeding results or seeds:
@@ -1134,9 +1134,9 @@ BANNED_INCLUDES = [
     ("iostream", ("src/",), ("src/exp/",),
      "library code must not pull in iostream (static-init order, stray "
      "output); take std::ostream& or use <iosfwd>"),
-    ("immintrin.h", ("src/",), ("src/mon/admit_kernel.hpp",),
-     "SIMD intrinsics are confined to the admission-kernel header, which "
-     "pairs every intrinsic path with its bit-identical scalar reference"),
+    ("immintrin.h", ("src/",), (),
+     "no SIMD intrinsics in src/: every shipped delta^- depth is 1 or 5, "
+     "and the one Algorithm 1 window (mon::Tracebuffer) is a plain loop"),
 ]
 
 
