@@ -6,7 +6,8 @@
 #      fuzz and perf-smoke labels as explicit stages, then a Debug
 #      ASan + UBSan build running test_sim, SystemSnapshot*, the
 #      LatencyRecorder tests, the monitor suite, the hunt, batch, multicore
-#      and fault labels, and the rthv_run malformed-config rejections
+#      and fault labels, and the rthv_run malformed-config rejections, and
+#      a Debug TSan build running the batch and multicore labels
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
 #      must report "correct": true
 #   4. static analysis: rthv_lint parser tests, the self-test regression
@@ -97,6 +98,18 @@ ctest --test-dir build-ci-asan --output-on-failure -L multicore -j "$jobs"
 ./build-ci-asan/tests/test_mon
 ctest --test-dir build-ci-asan --output-on-failure -L fault -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -R rthv_run_rejects -j "$jobs"
+
+# The batch and multicore labels construct systems on several workers at
+# once, and every construction interns its config-built metric names
+# (irq_queue/dropped/<partition>, core<N>/...) in one mutex-guarded table
+# (obs::intern_name). A Debug TSan build runs both labels, so a race on that
+# table, on BatchRunner's shared claim counter or on SystemPool leasing
+# fails here.
+echo "== TSan: batch, multicore =="
+cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_TSAN=ON
+cmake --build build-ci-tsan -j "$jobs"
+ctest --test-dir build-ci-tsan --output-on-failure -L batch -j "$jobs"
+ctest --test-dir build-ci-tsan --output-on-failure -L multicore -j "$jobs"
 
 # End-to-end benchmark correctness, not speed: the selftest shows that a
 # wrong digest and a non-conserving count are caught, then every workload

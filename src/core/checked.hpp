@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
 
@@ -216,10 +217,12 @@ class InvariantCounters {
   }
 
   /// Adds one counter "invariant/violations/<name>" per violated contract
-  /// (none on a clean run -- the metric namespace stays empty).
+  /// (none on a clean run -- the metric namespace stays empty). The names
+  /// are interned: a snapshot keeps only views of its names.
   void publish(obs::MetricsSnapshot& out) const {
     for (const auto& [name, n] : snapshot()) {
-      out.add_counter("invariant/violations/" + name, n);
+      out.add_counter(
+          obs::intern_name(std::string(obs::catalog::kInvariantViolations.prefix) + name), n);
     }
   }
 

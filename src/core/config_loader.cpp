@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "sim/text_input.hpp"
 
@@ -80,6 +81,9 @@ SystemConfig load_config(std::istream& is) {
   };
   Section section = Section::kNone;
   sim::IniReader<ConfigError> ini(is);
+  // Line of each partition's `name` key. A partition's name keys its
+  // irq_queue/dropped/<partition> counter, so names must be unique.
+  std::vector<std::size_t> partition_name_lines;
 
   auto current_partition = [&]() -> PartitionSpec& {
     if (cfg.partitions.empty()) throw ConfigError(ini.line(), "no [partition] open");
@@ -214,7 +218,17 @@ SystemConfig load_config(std::istream& is) {
         break;
       case Section::kPartition:
         if (key == "name") {
-          current_partition().name = value;
+          auto& current = current_partition();
+          partition_name_lines.resize(cfg.partitions.size());
+          for (std::size_t i = 0; i + 1 < cfg.partitions.size(); ++i) {
+            if (partition_name_lines[i] != 0 && cfg.partitions[i].name == value) {
+              throw ConfigError(line_no, "duplicate partition name '" + value +
+                                             "' (first named on line " +
+                                             std::to_string(partition_name_lines[i]) + ")");
+            }
+          }
+          current.name = value;
+          partition_name_lines.back() = line_no;
         } else if (key == "slot_us") {
           current_partition().slot_length = parse_us(line_no, value);
         } else if (key == "background_load") {

@@ -4,12 +4,12 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "mon/learning_monitor.hpp"
 #include "mon/token_bucket_monitor.hpp"
 #include "mon/window_count_monitor.hpp"
+#include "obs/metric_catalog.hpp"
 
 namespace rthv::core {
 
@@ -29,6 +29,12 @@ std::unique_ptr<mon::ActivationMonitor> build_monitor(const IrqSourceSpec& spec)
       }
       if (deltas.empty()) {
         throw std::invalid_argument("kDeltaVector monitor requires a delta vector");
+      }
+      // Like d_min = 0: a zero delta^-[0] admits back-to-back activations,
+      // and the interference oracle (Eq. 14) cannot bound such a source.
+      if (!deltas[0].is_positive()) {
+        throw std::invalid_argument(
+            "kDeltaVector monitor requires a positive delta^-[0]");
       }
       return std::make_unique<mon::DeltaVectorMonitor>(std::move(deltas));
     }
@@ -64,6 +70,15 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
         "num_cores = " + std::to_string(config_.num_cores()) +
         ": a multi-core config runs on MulticoreSystem, not HypervisorSystem");
   }
+  // A partition's name keys its irq_queue/dropped/<partition> counter.
+  const auto& parts = config_.partitions;
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (parts[j].name == parts[i].name) {
+        throw std::invalid_argument("duplicate partition name '" + parts[i].name + "'");
+      }
+    }
+  }
   // Line 0 is the TDMA timer and source i is wired to line i + 1 (below).
   if (config_.platform.num_irq_lines <= config_.sources.size()) {
     throw std::invalid_argument(
@@ -76,7 +91,11 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   hv_->set_top_handler_mode(config_.mode);
 
   std::vector<hv::TdmaSlot> slots;
+  drop_counter_names_.reserve(config_.partitions.size());
+  std::string drop_name;  // one buffer for every prefixed name
   for (const auto& p : config_.partitions) {
+    drop_counter_names_.push_back(obs::intern_name(
+        drop_name.assign(obs::catalog::kIrqQueueDroppedBy.prefix).append(p.name)));
     const auto id = hv_->add_partition(p.name, config_.irq_queue_capacity);
     if (config_.schedule.empty()) {
       slots.push_back(hv::TdmaSlot{id, p.slot_length});
@@ -150,57 +169,60 @@ void HypervisorSystem::enable_tracing(std::size_t capacity) {
 }
 
 obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
+  namespace cat = obs::catalog;
   constexpr auto kClasses = static_cast<std::size_t>(stats::HandlingClass::kCount_);
   constexpr auto kHealthKinds = static_cast<std::size_t>(hv::HealthEventKind::kCount_);
+  // Built once per process; after that a read is one guard check.
+  static const auto completed_names = cat::enum_names<stats::HandlingClass>(cat::kIrqCompletedBy);
+  static const auto latency_names = cat::enum_names<stats::HandlingClass>(cat::kIrqLatencyBy);
+  static const auto health_names = cat::enum_names<hv::HealthEventKind>(cat::kHealthBy);
   const auto& irq = hv_->irq_stats();
   const auto& ctx = hv_->context_switches();
-  const std::pair<std::string_view, std::uint64_t> path_counters[] = {
-      {"irq.serviced", irq.serviced},
-      {"irq.direct_arrivals", irq.direct},
-      {"irq.monitor_checked", irq.monitor_checked},
-      {"irq.interpose_started", irq.interpose_started},
-      {"irq.denied.monitor", irq.denied_by_monitor},
-      {"irq.denied.engine_busy", irq.denied_engine_busy},
-      {"irq.denied.backlog", irq.denied_backlog},
-      {"irq.deferred_slot_switches", irq.deferred_slot_switches},
-      {"irq.direct_hw", irq.direct_hw},
-      {"ctx.tdma", ctx.tdma},
-      {"ctx.interpose_enter", ctx.interpose_enter},
-      {"ctx.interpose_return", ctx.interpose_return},
+  const obs::MetricsSnapshot::Counter path_counters[] = {
+      {cat::kIrqServiced.name, irq.serviced},
+      {cat::kIrqDirectArrivals.name, irq.direct},
+      {cat::kIrqMonitorChecked.name, irq.monitor_checked},
+      {cat::kIrqInterposeStarted.name, irq.interpose_started},
+      {cat::kIrqDeniedMonitor.name, irq.denied_by_monitor},
+      {cat::kIrqDeniedEngineBusy.name, irq.denied_engine_busy},
+      {cat::kIrqDeniedBacklog.name, irq.denied_backlog},
+      {cat::kIrqDeferredSlotSwitches.name, irq.deferred_slot_switches},
+      {cat::kIrqDirectHw.name, irq.direct_hw},
+      {cat::kCtxTdma.name, ctx.tdma},
+      {cat::kCtxInterposeEnter.name, ctx.interpose_enter},
+      {cat::kCtxInterposeReturn.name, ctx.interpose_return},
   };
 
+  // Every name below is a catalog literal or already interned, and each is
+  // emitted once (partition names are unique), so counters are appended
+  // without a by-name search.
   obs::MetricsSnapshot snap;
   // Room for every counter but the checkpoint client's; the trailing 2 are
   // intc.lost_raises and sim.executed_events.
-  snap.counters.reserve(2 + hv_->num_partitions() + kClasses + std::size(path_counters) +
-                        kHealthKinds + 2);
+  snap.counters.reserve(2 + drop_counter_names_.size() + kClasses +
+                        std::size(path_counters) + kHealthKinds + 2);
   snap.histograms.reserve(1 + kClasses);
-  std::string name;  // one buffer for every prefixed name
-  const auto join = [&name](std::string_view prefix, std::string_view suffix) {
-    return std::string_view(name.assign(prefix).append(suffix));
-  };
 
   // Queue overflow is never silent: global and per-partition drop counters
   // (the hypervisor separately traces kIrqDrop and reports
   // kIrqQueueOverflow health events).
-  snap.add_counter("irq_queue/dropped", 0);
+  snap.counters.push_back({cat::kIrqQueueDropped.name, 0});
   for (hv::PartitionId p = 0; p < hv_->num_partitions(); ++p) {
     const std::uint64_t drops = hv_->partition(p).irq_queue().drops();
     snap.counters.front().value += drops;
-    snap.add_counter(join("irq_queue/dropped/", hv_->partition(p).name()), drops);
+    snap.counters.push_back({drop_counter_names_[p], drops});
   }
 
   // Latency histograms: 100 us buckets from 0 to 8.5 ms (the span of the
   // paper's Fig. 6 panels); the tail lands in the overflow bucket.
   constexpr std::int64_t kBucketWidthNs = 100'000;
   constexpr std::uint32_t kNumBuckets = 85;
-  snap.add_counter("irq.completed", recorder_.total());
-  snap.add_histogram("irq.latency.all", 0, kBucketWidthNs, kNumBuckets);
+  snap.counters.push_back({cat::kIrqCompleted.name, recorder_.total()});
+  snap.add_histogram(cat::kIrqLatencyAll.name, 0, kBucketWidthNs, kNumBuckets);
   for (std::size_t c = 0; c < kClasses; ++c) {
     const auto cls = static_cast<stats::HandlingClass>(c);
-    snap.add_counter(join("irq.completed.", stats::to_string(cls)), recorder_.count(cls));
-    snap.add_histogram(join("irq.latency.", stats::to_string(cls)), 0, kBucketWidthNs,
-                       kNumBuckets);
+    snap.counters.push_back({completed_names[c], recorder_.count(cls)});
+    snap.add_histogram(latency_names[c], 0, kBucketWidthNs, kNumBuckets);
   }
   const auto& samples = recorder_.all().samples();
   const auto& classes = recorder_.classes();
@@ -212,14 +234,14 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
 
   if (client_ != nullptr) client_->append_metrics(snap);
 
-  for (const auto& [counter, value] : path_counters) snap.add_counter(counter, value);
+  snap.counters.insert(snap.counters.end(), std::begin(path_counters), std::end(path_counters));
   for (std::size_t k = 0; k < kHealthKinds; ++k) {
-    const auto kind = static_cast<hv::HealthEventKind>(k);
-    snap.add_counter(join("health.", hv::to_string(kind)), hv_->health_count(kind));
+    snap.counters.push_back(
+        {health_names[k], hv_->health_count(static_cast<hv::HealthEventKind>(k))});
   }
-  snap.add_counter("intc.lost_raises", platform_->intc().lost_raises());
-  snap.add_counter("sim.executed_events", sim_.executed_events());
-  snap.set_gauge("sim.now_ns", sim_.now().count_ns());
+  snap.counters.push_back({cat::kIntcLostRaises.name, platform_->intc().lost_raises()});
+  snap.counters.push_back({cat::kSimExecutedEvents.name, sim_.executed_events()});
+  snap.gauges.push_back({cat::kSimNowNs.name, sim_.now().count_ns()});
   return snap;
 }
 

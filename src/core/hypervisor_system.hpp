@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/system_config.hpp"
@@ -39,7 +40,7 @@ class HypervisorSystem {
  public:
   /// Builds a single-core system. Throws std::invalid_argument on an
   /// inconsistent config, including one with num_cores() > 1 (those run on
-  /// a MulticoreSystem).
+  /// a MulticoreSystem) and one that names two partitions alike.
   explicit HypervisorSystem(const SystemConfig& config);
 
   HypervisorSystem(const HypervisorSystem&) = delete;
@@ -155,11 +156,14 @@ class HypervisorSystem {
   /// log, the checkpoint client's counters, then IRQ path stats, context
   /// switches, health counts, lost raises and the sim event count and clock.
   /// Never derived from trace counters, so the snapshot is identical with
-  /// tracing on or off.
+  /// tracing on or off. Names are catalog literals or interned at
+  /// construction (obs/metric_catalog.hpp), so this does no string work.
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
   SystemConfig config_;  // lint: transient(construction config; restore requires an identically configured system)
+  // lint: transient(interned irq_queue/dropped/<partition> names, derived from config_)
+  std::vector<std::string_view> drop_counter_names_;
   sim::Simulator sim_;
   std::unique_ptr<hw::Platform> platform_;
   std::unique_ptr<hv::Hypervisor> hv_;

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/metric_catalog.hpp"
+
 namespace rthv::core {
 
 using sim::Duration;
@@ -254,24 +256,31 @@ stats::LatencyRecorder MulticoreSystem::merged_recorder() const {
 }
 
 obs::MetricsSnapshot MulticoreSystem::metrics_snapshot() const {
+  namespace cat = obs::catalog;
+  // Prefixed names are unique per core and the cores' prefixes differ, so
+  // every entry is appended without a by-name search.
   obs::MetricsSnapshot out;
   for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-    const std::string prefix = "core" + std::to_string(c) + "/";
+    const std::string prefix = std::string(cat::kCorePrefix) + std::to_string(c) + "/";
+    std::string name;  // one buffer for every prefixed name
+    const auto prefixed = [&](std::string_view core_name) {
+      return obs::intern_name(name.assign(prefix).append(core_name));
+    };
     const obs::MetricsSnapshot snap = cores_[c]->metrics_snapshot();
-    for (const auto& k : snap.counters) out.add_counter(prefix + k.name, k.value);
-    for (const auto& g : snap.gauges) out.set_gauge(prefix + g.name, g.value);
+    for (const auto& k : snap.counters) out.counters.push_back({prefixed(k.name), k.value});
+    for (const auto& g : snap.gauges) out.gauges.push_back({prefixed(g.name), g.value});
     for (const auto& h : snap.histograms) {
       out.histograms.push_back(h);
-      out.histograms.back().name = prefix + h.name;
+      out.histograms.back().name = prefixed(h.name);
     }
   }
   const auto& k = interconnect_->counters();
-  out.add_counter("interconnect/stall_ns", k.stall_ns_total);
-  out.add_counter("interconnect/bursts_charged", k.bursts_charged);
-  out.add_counter("interconnect/accesses_registered", k.accesses_registered);
-  out.add_counter("interconnect/accesses_throttled", k.accesses_throttled);
-  out.add_counter("interconnect/routes", k.routes);
-  out.add_counter("interconnect/epochs_rolled", k.epochs_rolled);
+  out.counters.push_back({cat::kInterconnectStallNs.name, k.stall_ns_total});
+  out.counters.push_back({cat::kInterconnectBurstsCharged.name, k.bursts_charged});
+  out.counters.push_back({cat::kInterconnectAccessesRegistered.name, k.accesses_registered});
+  out.counters.push_back({cat::kInterconnectAccessesThrottled.name, k.accesses_throttled});
+  out.counters.push_back({cat::kInterconnectRoutes.name, k.routes});
+  out.counters.push_back({cat::kInterconnectEpochsRolled.name, k.epochs_rolled});
   return out;
 }
 

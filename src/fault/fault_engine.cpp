@@ -1,10 +1,10 @@
 #include "fault/fault_engine.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "exp/seed.hpp"
 #include "mon/monitor.hpp"
+#include "obs/metric_catalog.hpp"
 
 namespace rthv::fault {
 
@@ -49,10 +49,9 @@ void FaultEngine::restore_state(sim::StateReader& r) {
 }
 
 void FaultEngine::append_metrics(obs::MetricsSnapshot& out) const {
-  std::string name;
+  static const auto names = obs::catalog::enum_names<FaultKind>(obs::catalog::kFaultInjectedBy);
   for (const auto& injector : injectors_) {
-    name.assign("fault/injected/").append(to_string(injector->kind()));
-    out.add_counter(name, injector->injected());
+    out.add_counter(names[static_cast<std::size_t>(injector->kind())], injector->injected());
   }
 }
 

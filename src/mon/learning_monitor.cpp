@@ -20,6 +20,10 @@ LearningDeltaMonitor::LearningDeltaMonitor(std::size_t depth,
                                 std::to_string(bound_.size()) +
                                 " entries but its depth l is " + std::to_string(depth));
   }
+  // Algorithm 2 raises learned distances to the bound entry by entry, so a
+  // bound that is not itself a delta^- function would be silently reshaped
+  // by finish_learning()'s monotonicity pass.
+  if (!bound_.empty()) validate_delta_vector(bound_);
   if (learning_remaining_ == 0) finish_learning();
 }
 

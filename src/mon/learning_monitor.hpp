@@ -30,7 +30,8 @@ class LearningDeltaMonitor final : public ActivationMonitor {
   /// @param learning_events  activations consumed by the learning phase
   /// @param bound            delta^-_bIp[l]; empty = no bound (Fig. 7 curve a)
   /// Throws std::invalid_argument for depth 0 or a non-empty bound whose
-  /// length is not `depth`.
+  /// length is not `depth` or that is not a delta^- function (see
+  /// validate_delta_vector).
   LearningDeltaMonitor(std::size_t depth, std::uint64_t learning_events,
                        DeltaVector bound = {});
 

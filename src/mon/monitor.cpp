@@ -13,7 +13,8 @@ Tracebuffer::Tracebuffer(std::size_t depth) : stamps_(depth) {
   if (depth == 0) throw std::invalid_argument("delta^- tracebuffer depth must be at least 1");
 }
 
-Tracebuffer::Tracebuffer(const DeltaVector& deltas) : Tracebuffer(deltas.size()) {
+void validate_delta_vector(const DeltaVector& deltas) {
+  if (deltas.empty()) throw std::invalid_argument("delta^- vector is empty");
   if (deltas[0].is_negative()) {
     throw std::invalid_argument("delta^- vector entry 0 is negative (" +
                                 std::to_string(deltas[0].count_ns()) + " ns)");
@@ -26,6 +27,10 @@ Tracebuffer::Tracebuffer(const DeltaVector& deltas) : Tracebuffer(deltas.size())
           std::to_string(deltas[i - 1].count_ns()) + " ns)");
     }
   }
+}
+
+Tracebuffer::Tracebuffer(const DeltaVector& deltas) : Tracebuffer(deltas.size()) {
+  validate_delta_vector(deltas);
 }
 
 void Tracebuffer::snapshot_state(sim::StateWriter& w) const {

@@ -29,6 +29,12 @@ namespace rthv::mon {
 /// Minimum-distance vector; entry i bounds the distance spanning i+1 gaps.
 using DeltaVector = std::vector<sim::Duration>;
 
+/// Throws std::invalid_argument, in every build mode, unless `deltas` is a
+/// delta^- function: non-empty, non-negative and non-decreasing in the span
+/// (a decreasing vector silently weakens the interference bound the
+/// admitted pattern is supposed to guarantee).
+void validate_delta_vector(const DeltaVector& deltas);
+
 /// Interface the hypervisor's modified top handler calls ("Interposing IRQ
 /// denied?" decision box in Fig. 4b).
 class ActivationMonitor {
@@ -116,11 +122,8 @@ class Tracebuffer {
   Tracebuffer() = default;
   /// Throws std::invalid_argument for depth 0.
   explicit Tracebuffer(std::size_t depth);
-  /// A window as deep as `deltas`. Throws std::invalid_argument, in every
-  /// build mode, unless `deltas` is a delta^- function: non-empty,
-  /// non-negative and non-decreasing in the span (a decreasing vector
-  /// silently weakens the interference bound the admitted pattern is
-  /// supposed to guarantee).
+  /// A window as deep as `deltas`; throws std::invalid_argument unless
+  /// `deltas` is a delta^- function (see validate_delta_vector).
   explicit Tracebuffer(const DeltaVector& deltas);
 
   /// Shifts `t` in as the newest stamp; the oldest falls out once full.

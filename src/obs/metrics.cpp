@@ -1,8 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 namespace rthv::obs {
 
@@ -37,7 +40,26 @@ auto* find_by_name(Vec& entries, std::string_view name) {
   return it == entries.end() ? nullptr : &*it;
 }
 
+// The entry of `entries` named `name`: entry i when its name matches (the
+// common case when merging snapshots of identically configured systems),
+// else the by-name match; nullptr when there is none.
+template <typename Vec>
+auto* find_at_or_by_name(Vec& entries, std::size_t i, std::string_view name) {
+  if (i < entries.size() && entries[i].name == name) return &entries[i];
+  return find_by_name(entries, name);
+}
+
 }  // namespace
+
+std::string_view intern_name(std::string_view name) {
+  static std::mutex mu;
+  // std::set nodes never move, so the strings' characters stay put.
+  static std::set<std::string, std::less<>> names;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = names.find(name);
+  if (it == names.end()) it = names.emplace(name).first;
+  return *it;
+}
 
 void MetricsSnapshot::Histogram::observe(std::int64_t sample_ns) {
   if (count == 0) {
@@ -66,7 +88,7 @@ void MetricsSnapshot::add_counter(std::string_view name, std::uint64_t delta) {
     c->value += delta;
     return;
   }
-  counters.push_back(Counter{std::string(name), delta});
+  counters.push_back(Counter{name, delta});
 }
 
 void MetricsSnapshot::set_gauge(std::string_view name, std::int64_t value) {
@@ -74,7 +96,7 @@ void MetricsSnapshot::set_gauge(std::string_view name, std::int64_t value) {
     g->value = value;
     return;
   }
-  gauges.push_back(Gauge{std::string(name), value});
+  gauges.push_back(Gauge{name, value});
 }
 
 MetricsSnapshot::Histogram& MetricsSnapshot::add_histogram(std::string_view name,
@@ -84,35 +106,49 @@ MetricsSnapshot::Histogram& MetricsSnapshot::add_histogram(std::string_view name
   if (width_ns <= 0 || num_buckets == 0) {
     throw std::invalid_argument("MetricsSnapshot::add_histogram: invalid binning");
   }
-  return histograms.emplace_back(Histogram{.name = std::string(name),
+  return histograms.emplace_back(Histogram{.name = name,
                                            .lo_ns = lo_ns,
                                            .width_ns = width_ns,
                                            .buckets = std::vector<std::uint64_t>(num_buckets)});
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
-  for (const auto& c : other.counters) add_counter(c.name, c.value);
-  for (const auto& g : other.gauges) set_gauge(g.name, g.value);
-  for (const auto& h : other.histograms) {
-    auto* mine = find_by_name(histograms, h.name);
+  for (std::size_t i = 0; i < other.counters.size(); ++i) {
+    const auto& c = other.counters[i];
+    if (auto* mine = find_at_or_by_name(counters, i, c.name)) {
+      mine->value += c.value;
+    } else {
+      counters.push_back(c);
+    }
+  }
+  for (std::size_t i = 0; i < other.gauges.size(); ++i) {
+    const auto& g = other.gauges[i];
+    if (auto* mine = find_at_or_by_name(gauges, i, g.name)) {
+      mine->value = g.value;
+    } else {
+      gauges.push_back(g);
+    }
+  }
+  for (std::size_t i = 0; i < other.histograms.size(); ++i) {
+    const auto& h = other.histograms[i];
+    auto* mine = find_at_or_by_name(histograms, i, h.name);
     if (mine == nullptr) {
       histograms.push_back(h);
       continue;
     }
     if (!mine->same_binning(h)) {
-      throw std::invalid_argument("MetricsSnapshot::merge: histogram '" + h.name +
+      throw std::invalid_argument("MetricsSnapshot::merge: histogram '" + std::string(h.name) +
                                   "' binning mismatch");
     }
-    for (std::size_t i = 0; i < mine->buckets.size(); ++i) {
-      mine->buckets[i] += h.buckets[i];
+    if (h.count == 0) continue;  // nothing observed: every field is zero
+    for (std::size_t b = 0; b < mine->buckets.size(); ++b) {
+      mine->buckets[b] += h.buckets[b];
     }
     mine->underflow += h.underflow;
     mine->overflow += h.overflow;
     mine->sum_ns += h.sum_ns;
-    if (h.count > 0) {
-      mine->min_ns = mine->count > 0 ? std::min(mine->min_ns, h.min_ns) : h.min_ns;
-      mine->max_ns = mine->count > 0 ? std::max(mine->max_ns, h.max_ns) : h.max_ns;
-    }
+    mine->min_ns = mine->count > 0 ? std::min(mine->min_ns, h.min_ns) : h.min_ns;
+    mine->max_ns = mine->count > 0 ? std::max(mine->max_ns, h.max_ns) : h.max_ns;
     mine->count += h.count;
   }
 }

@@ -8,35 +8,61 @@
 // folded in run-index order by exp::BatchRunner consumers, so the aggregate
 // is bit-identical for any --jobs value.
 //
+// Names are views. A snapshot stores each name as a std::string_view and
+// owns none of their characters, so every name passed in must live as long
+// as the process: a literal -- the fixed names of obs/metric_catalog.hpp --
+// or a name returned by intern_name(). Capturing, copying and merging a
+// snapshot therefore copy no characters. add_counter, set_gauge and
+// add_histogram do not accept a std::string: its characters would die with
+// it, so passing one is a compile error -- intern it first.
+//
 // Merge semantics (by metric name):
 //   counters    -- summed
 //   gauges      -- last write wins, in merge order
 //   histograms  -- buckets / under- / overflow / count / sum added; the
 //                  binning (lo, width, bucket count) must match exactly or
 //                  merge() throws std::invalid_argument.
+// A name new to the target is appended at the end of its list. merge()
+// first compares entry i of `other` with entry i of the same list here --
+// snapshots of identically configured systems list the same names in the
+// same order -- and searches by name only when those two names differ.
+// Within one list a snapshot's names are unique (metrics_snapshot() emits
+// each name once; add_counter, set_gauge and merge never add a duplicate),
+// so the positional match is the entry the by-name search would find.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rthv::obs {
 
+/// A view of `name` whose characters live as long as the process. Equal
+/// names share one copy. Thread-safe (one mutex); meant for names built
+/// once from a config, never for a per-run path.
+[[nodiscard]] std::string_view intern_name(std::string_view name);
+
+/// A std::string of any value category: a name a snapshot must not keep.
+template <typename S>
+concept OwnedString = std::same_as<std::remove_cvref_t<S>, std::string>;
+
 struct MetricsSnapshot {
   struct Counter {
-    std::string name;
+    std::string_view name;
     std::uint64_t value = 0;
   };
 
   struct Gauge {
-    std::string name;
+    std::string_view name;
     std::int64_t value = 0;
   };
 
   struct Histogram {
-    std::string name;
+    std::string_view name;
     std::int64_t lo_ns = 0;      // inclusive lower edge of bucket 0
     std::int64_t width_ns = 1;   // uniform bucket width
     std::vector<std::uint64_t> buckets;
@@ -62,15 +88,23 @@ struct MetricsSnapshot {
   /// if new (so insertion order -- and therefore output order -- is
   /// deterministic).
   void add_counter(std::string_view name, std::uint64_t delta);
+  template <OwnedString S>
+  void add_counter(S&& name, std::uint64_t delta) = delete;
 
   /// Sets the named gauge, creating it if new.
   void set_gauge(std::string_view name, std::int64_t value);
+  template <OwnedString S>
+  void set_gauge(S&& name, std::int64_t value) = delete;
 
   /// Appends an empty histogram of `num_buckets` buckets `width_ns` wide
-  /// from `lo_ns` and returns it for observe(). Throws
-  /// std::invalid_argument on a non-positive width or zero buckets.
+  /// from `lo_ns` and returns it for observe(); the caller keeps histogram
+  /// names unique. Throws std::invalid_argument on a non-positive width or
+  /// zero buckets.
   Histogram& add_histogram(std::string_view name, std::int64_t lo_ns,
                            std::int64_t width_ns, std::uint32_t num_buckets);
+  template <OwnedString S>
+  Histogram& add_histogram(S&& name, std::int64_t lo_ns, std::int64_t width_ns,
+                           std::uint32_t num_buckets) = delete;
 
   /// Folds `other` into this snapshot (see merge semantics above). Throws
   /// std::invalid_argument when a histogram's binning does not match.

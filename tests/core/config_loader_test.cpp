@@ -123,6 +123,22 @@ TEST(ConfigLoaderTest, ErrorsCarryLineNumbers) {
   }
 }
 
+TEST(ConfigLoaderTest, RejectsDuplicatePartitionNames) {
+  std::istringstream is(
+      "[partition]\nname = a\nslot_us = 100\n"
+      "[partition]\nname = b\nslot_us = 100\n"
+      "[partition]\nslot_us = 100\nname = a\n");
+  try {
+    (void)load_config(is);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 9u);
+    EXPECT_NE(std::string(e.what()).find("duplicate partition name 'a' (first named on line 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ConfigLoaderTest, RejectsMalformedInput) {
   {
     std::istringstream is("[partition\n");

@@ -123,6 +123,32 @@ TEST(HypervisorSystemTest, InvalidConfigsThrow) {
   EXPECT_THROW(HypervisorSystem{bad_learning}, std::invalid_argument);
 }
 
+TEST(HypervisorSystemTest, RejectsDeltaVectorWithoutPositiveFirstEntry) {
+  // delta^-[0] = 0 admits back-to-back activations and leaves the source
+  // outside the interference oracle, exactly like d_min = 0.
+  auto zero_first = small_config();
+  zero_first.sources[0].monitor = MonitorKind::kDeltaVector;
+  zero_first.sources[0].delta_vector = {Duration::zero(), Duration::us(800),
+                                        Duration::us(1500)};
+  EXPECT_THROW(HypervisorSystem{zero_first}, std::invalid_argument);
+  zero_first.sources[0].delta_vector[0] = Duration::us(1);
+  EXPECT_NO_THROW(HypervisorSystem{zero_first});
+}
+
+TEST(HypervisorSystemTest, RejectsDuplicatePartitionNames) {
+  // Two same-named partitions would share one irq_queue/dropped/<p> counter.
+  auto dup = small_config();
+  dup.partitions[2].name = dup.partitions[0].name;
+  try {
+    HypervisorSystem system(dup);
+    FAIL() << "duplicate partition names were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate partition name 'partition-1'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(HypervisorSystemTest, RejectsMultiCoreConfig) {
   // A multi-core config must not run silently on one core.
   auto multi = small_config();

@@ -113,5 +113,17 @@ TEST(LearningDeltaMonitorTest, RejectsZeroDepthAndMismatchedBound) {
   EXPECT_NO_THROW(LearningDeltaMonitor(2, 10, DeltaVector{Duration::us(100), Duration::us(200)}));
 }
 
+TEST(LearningDeltaMonitorTest, RejectsBoundThatIsNotADeltaMinusFunction) {
+  // finish_learning() would otherwise lift the later entries to the first.
+  EXPECT_THROW(LearningDeltaMonitor(5, 10,
+                                    DeltaVector{Duration::us(2100), Duration::us(300),
+                                                Duration::us(300), Duration::us(300),
+                                                Duration::us(300)}),
+               std::invalid_argument);
+  EXPECT_THROW(LearningDeltaMonitor(2, 10, DeltaVector{Duration::us(-1), Duration::us(200)}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(LearningDeltaMonitor(2, 10, DeltaVector{Duration::zero(), Duration::zero()}));
+}
+
 }  // namespace
 }  // namespace rthv::mon

@@ -9,7 +9,11 @@
 //    retained record;
 //  * merging per-shard MetricsSnapshots in shard order is bit-identical to
 //    observing the same sample stream in one snapshot, for any shard split
-//    (the BatchRunner jobs-independence contract).
+//    (the BatchRunner jobs-independence contract);
+//  * the positional merge equals the by-name fold on snapshots whose entries
+//    are permuted, missing or extra;
+//  * every name a single-core, multi-core or fault-armed system emits is in
+//    the metric catalog, and the catalog's enum tables spell their enums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,12 +24,23 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/config_loader.hpp"
+#include "core/hypervisor_system.hpp"
+#include "core/multicore_system.hpp"
+#include "fault/fault_engine.hpp"
+#include "fault/fault_plan.hpp"
+#include "hv/health.hpp"
 #include "obs/exporters.hpp"
+#include "obs/metric_catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 #include "sim/state_io.hpp"
+#include "stats/latency_recorder.hpp"
+#include "workload/generators.hpp"
 
 namespace rthv::obs {
 namespace {
@@ -449,6 +464,215 @@ TEST(MetricsSnapshotTest, TextAndJsonDumpsAreDeterministic) {
   std::ostringstream text;
   snap.write_text(text);
   EXPECT_NE(text.str().find("a.first 2"), std::string::npos);
+}
+
+// --- positional merge ---------------------------------------------------------
+
+// The by-name fold metrics.hpp specifies, written without positions: every
+// entry of `other` is looked up by name in `into` and appended when new.
+void merge_by_name(MetricsSnapshot& into, const MetricsSnapshot& other) {
+  for (const auto& c : other.counters) into.add_counter(c.name, c.value);
+  for (const auto& g : other.gauges) into.set_gauge(g.name, g.value);
+  for (const auto& h : other.histograms) {
+    const auto it = std::find_if(into.histograms.begin(), into.histograms.end(),
+                                 [&h](const auto& e) { return e.name == h.name; });
+    if (it == into.histograms.end()) {
+      into.histograms.push_back(h);
+      continue;
+    }
+    for (std::size_t b = 0; b < it->buckets.size(); ++b) it->buckets[b] += h.buckets[b];
+    it->underflow += h.underflow;
+    it->overflow += h.overflow;
+    it->sum_ns += h.sum_ns;
+    if (h.count > 0) {
+      it->min_ns = it->count > 0 ? std::min(it->min_ns, h.min_ns) : h.min_ns;
+      it->max_ns = it->count > 0 ? std::max(it->max_ns, h.max_ns) : h.max_ns;
+    }
+    it->count += h.count;
+  }
+}
+
+// Names of static storage, as the catalog's are: a base order every
+// snapshot may follow, plus extras only some snapshots carry.
+constexpr std::string_view kBaseNames[] = {"a.one", "a.two", "b/three", "b/four",
+                                           "c.five", "c.six", "d/seven", "d/eight"};
+constexpr std::string_view kExtraNames[] = {"x.extra", "y/extra", "z.extra"};
+
+// One list of names: the base order or a shuffle of it, each name dropped
+// with probability 1/5, and with probability 1/3 an extra inserted anywhere.
+std::vector<std::string_view> random_names(std::mt19937_64& rng) {
+  std::vector<std::string_view> names;
+  for (const auto n : kBaseNames) {
+    if (rng() % 5 != 0) names.push_back(n);
+  }
+  if (rng() % 2 == 0) std::shuffle(names.begin(), names.end(), rng);
+  if (rng() % 3 == 0) {
+    const auto at = static_cast<std::ptrdiff_t>(rng() % (names.size() + 1));
+    names.insert(names.begin() + at, kExtraNames[rng() % std::size(kExtraNames)]);
+  }
+  return names;
+}
+
+MetricsSnapshot random_snapshot(std::mt19937_64& rng) {
+  MetricsSnapshot snap;
+  for (const auto n : random_names(rng)) snap.counters.push_back({n, rng() % 1000});
+  for (const auto n : random_names(rng)) {
+    snap.gauges.push_back({n, static_cast<std::int64_t>(rng() % 2001) - 1000});
+  }
+  for (const auto n : random_names(rng)) {
+    auto& h = snap.add_histogram(n, 0, 100, 8);
+    const std::size_t samples = rng() % 4;  // empty histograms included
+    for (std::size_t i = 0; i < samples; ++i) {
+      h.observe(static_cast<std::int64_t>(rng() % 1000) - 50);
+    }
+  }
+  return snap;
+}
+
+TEST(MetricsSnapshotTest, PositionalMergeEqualsByNameFold) {
+  std::mt19937_64 rng(24);
+  for (int trial = 0; trial < 500; ++trial) {
+    MetricsSnapshot positional = trial % 4 == 0 ? MetricsSnapshot{} : random_snapshot(rng);
+    MetricsSnapshot by_name = positional;
+    const std::size_t merges = 1 + rng() % 5;
+    for (std::size_t m = 0; m < merges; ++m) {
+      const MetricsSnapshot other = random_snapshot(rng);
+      positional.merge(other);
+      merge_by_name(by_name, other);
+    }
+    ASSERT_EQ(to_json(positional), to_json(by_name)) << "trial " << trial;
+  }
+}
+
+// A snapshot keeps only views of its names, so the named adders refuse a
+// std::string, whose characters would die with it.
+template <typename Name>
+concept CounterTakes = requires(MetricsSnapshot& s, Name&& n) {
+  s.add_counter(std::forward<Name>(n), std::uint64_t{1});
+};
+template <typename Name>
+concept GaugeTakes = requires(MetricsSnapshot& s, Name&& n) {
+  s.set_gauge(std::forward<Name>(n), std::int64_t{1});
+};
+template <typename Name>
+concept HistogramTakes = requires(MetricsSnapshot& s, Name&& n) {
+  s.add_histogram(std::forward<Name>(n), 0, 1, 1);
+};
+template <typename Name>
+constexpr bool kEveryAdderTakes = CounterTakes<Name> && GaugeTakes<Name> && HistogramTakes<Name>;
+template <typename Name>
+constexpr bool kNoAdderTakes = !CounterTakes<Name> && !GaugeTakes<Name> && !HistogramTakes<Name>;
+static_assert(kEveryAdderTakes<const char (&)[4]>);
+static_assert(kEveryAdderTakes<std::string_view>);
+static_assert(kNoAdderTakes<std::string>);
+static_assert(kNoAdderTakes<std::string&>);
+static_assert(kNoAdderTakes<const std::string&>);
+
+TEST(MetricsSnapshotTest, InternedNamesAreSharedAndStable) {
+  const std::string built = std::string("irq_queue/dropped/") + "intern-test";
+  const std::string_view first = intern_name(built);
+  const std::string_view again = intern_name("irq_queue/dropped/intern-test");
+  EXPECT_EQ(first, built);
+  EXPECT_EQ(first.data(), again.data()) << "equal names share one copy";
+  for (int i = 0; i < 100; ++i) (void)intern_name("filler-" + std::to_string(i));
+  EXPECT_EQ(first, "irq_queue/dropped/intern-test") << "interned characters never move";
+}
+
+// --- metric catalog -------------------------------------------------------------
+
+TEST(MetricCatalogTest, UnitOfMatchesEntriesAndFamiliesOnly) {
+  EXPECT_EQ(catalog::unit_of("irq.latency.all"), "ns");
+  EXPECT_EQ(catalog::unit_of("irq_queue/dropped/any-partition"), "irqs");
+  EXPECT_EQ(catalog::unit_of("invariant/violations/some/contract"), "violations");
+  EXPECT_EQ(catalog::unit_of("core12/ctx.tdma"), "switches");
+  EXPECT_EQ(catalog::unit_of("irq.completed.direct"), "irqs");
+  EXPECT_EQ(catalog::unit_of("core0/irq.latency.interposed"), "ns");
+  for (const std::string_view bad :
+       {"bogus", "irq_queue/dropped/", "irq.completed.", "core/ctx.tdma", "corex/ctx.tdma",
+        "core1/bogus", "core1ctx.tdma"}) {
+    EXPECT_FALSE(catalog::unit_of(bad).has_value()) << bad;
+  }
+}
+
+// Every name of `snap` is catalogued; returns the number of names checked.
+std::size_t expect_catalogued(const MetricsSnapshot& snap) {
+  std::size_t names = 0;
+  const auto check = [&names](std::string_view name) {
+    ++names;
+    EXPECT_TRUE(catalog::unit_of(name).has_value()) << "uncatalogued metric '" << name << "'";
+  };
+  for (const auto& c : snap.counters) check(c.name);
+  for (const auto& g : snap.gauges) check(g.name);
+  for (const auto& h : snap.histograms) check(h.name);
+  return names;
+}
+
+bool has_counter(const MetricsSnapshot& snap, std::string_view name) {
+  return snap.find_counter(name) != nullptr;
+}
+
+TEST(MetricCatalogTest, SingleCoreSnapshotNamesAreCatalogued) {
+  core::HypervisorSystem system(core::SystemConfig::paper_baseline());
+  system.attach_trace(0, workload::ExponentialTraceGenerator(sim::Duration::us(444), 3)
+                             .generate(50));
+  system.run(sim::Duration::s(1));
+  const auto snap = system.metrics_snapshot();
+  EXPECT_GT(expect_catalogued(snap), 30u);
+  EXPECT_TRUE(has_counter(snap, "irq_queue/dropped/housekeeping"));
+  // The enum families carry one name per enumerator, spelled by to_string.
+  for (std::size_t c = 0; c < static_cast<std::size_t>(stats::HandlingClass::kCount_); ++c) {
+    const std::string cls(stats::to_string(static_cast<stats::HandlingClass>(c)));
+    EXPECT_TRUE(has_counter(snap, "irq.completed." + cls)) << cls;
+    EXPECT_NE(snap.find_histogram("irq.latency." + cls), nullptr) << cls;
+  }
+  for (std::size_t k = 0; k < static_cast<std::size_t>(hv::HealthEventKind::kCount_); ++k) {
+    const std::string kind(hv::to_string(static_cast<hv::HealthEventKind>(k)));
+    EXPECT_TRUE(has_counter(snap, "health." + kind)) << kind;
+  }
+}
+
+TEST(MetricCatalogTest, FaultArmedSnapshotNamesAreCatalogued) {
+  core::HypervisorSystem system(
+      core::load_config_file(std::string(RTHV_CONFIG_DIR) + "/paper_baseline.ini"));
+  const auto plan =
+      fault::load_fault_plan_file(std::string(RTHV_CONFIG_DIR) + "/fault_campaign.plan");
+  fault::FaultEngine engine(system, plan, 7);
+  engine.arm();
+  system.run(sim::Duration::ms(50));
+  const auto snap = system.metrics_snapshot();
+  expect_catalogued(snap);
+  EXPECT_TRUE(has_counter(snap, "fault/injected/storm"));
+}
+
+TEST(MetricCatalogTest, MulticoreSnapshotNamesAreCatalogued) {
+  core::MulticoreSystem mc(
+      core::load_config_file(std::string(RTHV_CONFIG_DIR) + "/multicore_mixed_crit.ini"));
+  mc.attach_trace(0, workload::ExponentialTraceGenerator(sim::Duration::us(500), 5)
+                         .generate(40));
+  mc.run(sim::Duration::ms(100));
+  const auto before = mc.metrics_snapshot();
+  expect_catalogued(before);
+  EXPECT_TRUE(has_counter(before, "core0/irq.completed"));
+  EXPECT_TRUE(has_counter(before, "interconnect/routes"));
+
+  // A checkpoint client attached after construction adds names to its
+  // core's snapshot; they and the names after them keep the core's prefix.
+  fault::FaultPlan plan;
+  fault::InjectionSpec storm;
+  storm.kind = fault::FaultKind::kStorm;
+  storm.count = 2;
+  storm.distance = sim::Duration::us(10);
+  storm.period = sim::Duration::ms(1);
+  storm.burst_len = 3;
+  plan.injections.push_back(storm);
+  fault::FaultEngine engine(mc.core(0), plan, 1);
+  engine.arm();
+  const auto after = mc.metrics_snapshot();
+  expect_catalogued(after);
+  EXPECT_TRUE(has_counter(after, "core0/fault/injected/storm"));
+  EXPECT_TRUE(has_counter(after, "core0/sim.executed_events"))
+      << "names after the client's keep their prefix";
+  EXPECT_EQ(after.counters.size(), before.counters.size() + 1);
 }
 
 }  // namespace
