@@ -13,8 +13,14 @@
 // unmonitored case); run-phase averages ~120 / ~300 / ~900 / ~1600 us for
 // a) .. d) -- average latency rises monotonically as the admitted load
 // shrinks.
+//
+// usage: fig7_ecu_trace [export-dir]
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <optional>
+#include <string_view>
 
 #include "core/hypervisor_system.hpp"
 #include "stats/export.hpp"
@@ -72,9 +78,33 @@ Fig7Run run_bound(const workload::Trace& trace, std::size_t learn_events,
   return out;
 }
 
+// The only argument is the optional export directory; any option, or a
+// second positional argument, is a usage error (exit 2) reported before the
+// run.
+std::optional<std::string> parse_export_dir(int argc, char** argv) {
+  std::optional<std::string> dir;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--")) {
+      std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[i]);
+    } else if (dir) {
+      std::fprintf(stderr, "%s: unexpected argument '%s'\n", argv[0], argv[i]);
+    } else {
+      dir = std::string(arg);
+      continue;
+    }
+    std::fprintf(stderr, "usage: %s [export-dir]\n", argv[0]);
+    std::exit(2);
+  }
+  return dir;
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+// Any failure after argument parsing (an export path that cannot be
+// written) is reported as "error: ..." with exit 1.
+int main(int argc, char** argv) try {
+  const auto export_dir = parse_export_dir(argc, argv);
   workload::EcuTraceConfig trace_cfg;
   trace_cfg.target_activations = 11000;
   const auto trace = workload::EcuTraceSynthesizer(trace_cfg).synthesize();
@@ -126,8 +156,8 @@ int main(int argc, char** argv) {
     csv_rows.push_back(std::move(cells));
   }
 
-  if (argc > 1) {
-    const std::string dir = argv[1];
+  if (export_dir) {
+    const std::string& dir = *export_dir;
     std::string header = "event";
     for (const auto& r : runs) header += "," + r.label;
     stats::write_csv_file(dir + "/fig7.csv", header, csv_rows);
@@ -136,4 +166,7 @@ int main(int argc, char** argv) {
                                 runs.size());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

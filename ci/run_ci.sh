@@ -85,8 +85,10 @@ ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
 # those bytes onto live object graphs. It also runs every reader of the one
 # delta^- tracebuffer -- the monitor suite, the fault label (golden adversary
 # trace included) and the malformed monitor configs -- so an out-of-bounds
-# window read fails here, not only in a release build.
-echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault =="
+# window read fails here, not only in a release build. The workload label
+# (trace generators, the one-pass ECU stream merge and their golden hashes)
+# runs here too, so a merge cursor read past a stream's end fails here.
+echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault, workload =="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_SANITIZE=ON
 cmake --build build-ci-asan -j "$jobs"
 ./build-ci-asan/tests/test_sim
@@ -98,6 +100,7 @@ ctest --test-dir build-ci-asan --output-on-failure -L multicore -j "$jobs"
 ./build-ci-asan/tests/test_mon
 ctest --test-dir build-ci-asan --output-on-failure -L fault -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -R rthv_run_rejects -j "$jobs"
+ctest --test-dir build-ci-asan --output-on-failure -L workload -j "$jobs"
 
 # The batch and multicore labels construct systems on several workers at
 # once, and every construction interns its config-built metric names

@@ -167,11 +167,12 @@ EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
   }
   out.events = w.system->simulator().executed_events() - w.events_at_fork;
 
-  const auto events = w.system->trace();
-  out.report = w.oracle->verify(events);
-
-  for (const auto& e : events) out.coverage.mark_point(e.point, e.source);
+  // The oracle and the coverage marks read the trace ring in place.
   const auto& hv = w.system->hypervisor();
+  out.report = w.oracle->verify(hv.trace_ring());
+  for (const auto block : hv.trace_ring().retained()) {
+    for (const auto& e : block) out.coverage.mark_point(e.point, e.source);
+  }
   const auto n_sources =
       static_cast<std::uint32_t>(w.system->config().sources.size());
   for (std::uint32_t s = 0; s < n_sources; ++s) {
@@ -383,7 +384,7 @@ OracleReport replay_reproducer(const HuntConfig& cfg, const HuntReproducer& repr
   engine.arm();
   (void)system->run_continue(sim::TimePoint::origin() + cfg.horizon);
   const InterferenceOracle oracle(InterferenceOracle::params_from(*system));
-  auto report = oracle.verify(system->trace());
+  auto report = oracle.verify(system->hypervisor().trace_ring());
   if (max_latency_ns != nullptr) {
     const auto& latencies = system->recorder().all();
     *max_latency_ns = latencies.empty() ? 0 : latencies.max().count_ns();

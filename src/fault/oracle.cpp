@@ -61,6 +61,16 @@ struct SpanState {
 
 OracleReport InterferenceOracle::verify(
     const std::vector<TraceEvent>& events) const {
+  return replay(events, {});
+}
+
+OracleReport InterferenceOracle::verify(const obs::TraceRing& ring) const {
+  const auto [older, newer] = ring.retained();
+  return replay(older, newer);
+}
+
+OracleReport InterferenceOracle::replay(std::span<const TraceEvent> older,
+                                        std::span<const TraceEvent> newer) const {
   OracleReport report;
   std::vector<WindowState> windows(params_.size());
   SpanState span;
@@ -100,97 +110,99 @@ OracleReport InterferenceOracle::verify(
     }
   };
 
-  for (const TraceEvent& e : events) {
-    switch (e.point) {
-      case TracePoint::kInterposeStart: {
-        ++report.interpositions;
-        const std::size_t p = find(e.source);
-        if (p == params_.size()) break;
-        WindowState& w = windows[p];
-        const std::int64_t d = params_[p].d_min.count_ns();
-        // The same normalized clock the hypervisor feeds its monitor:
-        // admitted events are never clamped there (a clamp pins the
-        // observed distance at zero, which a positive d_min denies), so the
-        // plain subtraction replays it exactly.
-        const std::int64_t t = static_cast<std::int64_t>(e.arg0) -
-                               (fold_contention_ ? w.acc_shift_ns : 0);
-        const std::int64_t u = t - static_cast<std::int64_t>(w.count) * d;
-        if (w.count > 0) {
-          ++report.windows_checked;
-          // eta+(dt) = ceil(dt/d_min) counts events in half-open windows, so
-          // the tightest window holding admissions i..j (length -> span+)
-          // allows floor(span/d_min) + 1 of them. Violation in *some* window
-          // <=> admitted > that for the running-max i: u_j < max_i(u_i).
-          const std::int64_t window = t - w.argmax_t;
-          const std::uint64_t admitted = w.count - w.argmax + 1;
-          const std::uint64_t bound =
-              window < 0 ? 1
-                         : static_cast<std::uint64_t>(
-                               window / params_[p].d_min.count_ns()) +
-                               1;
-          if (u < w.max_u) {
-            OracleViolation v;
-            v.source = e.source;
-            v.first_index = w.argmax;
-            v.last_index = w.count;
-            v.window_start_ns = w.argmax_t;
-            v.window_end_ns = t;
-            v.admitted = admitted;
-            v.bound = bound;
-            report.violations.push_back(v);
+  for (const auto block : {older, newer}) {
+    for (const TraceEvent& e : block) {
+      switch (e.point) {
+        case TracePoint::kInterposeStart: {
+          ++report.interpositions;
+          const std::size_t p = find(e.source);
+          if (p == params_.size()) break;
+          WindowState& w = windows[p];
+          const std::int64_t d = params_[p].d_min.count_ns();
+          // The same normalized clock the hypervisor feeds its monitor:
+          // admitted events are never clamped there (a clamp pins the
+          // observed distance at zero, which a positive d_min denies), so the
+          // plain subtraction replays it exactly.
+          const std::int64_t t = static_cast<std::int64_t>(e.arg0) -
+                                 (fold_contention_ ? w.acc_shift_ns : 0);
+          const std::int64_t u = t - static_cast<std::int64_t>(w.count) * d;
+          if (w.count > 0) {
+            ++report.windows_checked;
+            // eta+(dt) = ceil(dt/d_min) counts events in half-open windows, so
+            // the tightest window holding admissions i..j (length -> span+)
+            // allows floor(span/d_min) + 1 of them. Violation in *some* window
+            // <=> admitted > that for the running-max i: u_j < max_i(u_i).
+            const std::int64_t window = t - w.argmax_t;
+            const std::uint64_t admitted = w.count - w.argmax + 1;
+            const std::uint64_t bound =
+                window < 0 ? 1
+                           : static_cast<std::uint64_t>(
+                                 window / params_[p].d_min.count_ns()) +
+                                 1;
+            if (u < w.max_u) {
+              OracleViolation v;
+              v.source = e.source;
+              v.first_index = w.argmax;
+              v.last_index = w.count;
+              v.window_start_ns = w.argmax_t;
+              v.window_end_ns = t;
+              v.admitted = admitted;
+              v.bound = bound;
+              report.violations.push_back(v);
+            }
+            report.worst_ratio =
+                std::max(report.worst_ratio, static_cast<double>(admitted) /
+                                                 static_cast<double>(bound));
           }
-          report.worst_ratio =
-              std::max(report.worst_ratio, static_cast<double>(admitted) /
-                                               static_cast<double>(bound));
+          if (w.count == 0 || u > w.max_u) {
+            w.max_u = u;
+            w.argmax = w.count;
+            w.argmax_t = t;
+          }
+          ++w.count;
+          break;
         }
-        if (w.count == 0 || u > w.max_u) {
-          w.max_u = u;
-          w.argmax = w.count;
-          w.argmax_t = t;
+        case TracePoint::kInterposeCharge: {
+          ++report.contention_charges;
+          report.total_charge_ns += static_cast<std::int64_t>(e.arg1);
+          if (!fold_contention_) break;
+          const std::size_t p = find(e.source);
+          if (p == params_.size()) break;
+          // Shift applies to admissions *after* this one (the hypervisor
+          // accumulates it at commit, after the batch's monitor checks);
+          // the charge extends this admission's own span.
+          windows[p].acc_shift_ns += static_cast<std::int64_t>(e.arg0);
+          windows[p].pending_charge_ns = static_cast<std::int64_t>(e.arg1);
+          break;
         }
-        ++w.count;
-        break;
+        case TracePoint::kInterposeEnter: {
+          span.open = true;
+          span.preempted = false;
+          span.source = e.source;
+          span.enter_ns = e.time_ns;
+          span.allow_extra_ns = 0;
+          const std::size_t p = find(e.source);
+          if (p != params_.size()) {
+            span.allow_extra_ns = windows[p].pending_charge_ns;
+            windows[p].pending_charge_ns = 0;
+          }
+          break;
+        }
+        case TracePoint::kInterposeReturn:
+        case TracePoint::kInterposeExitDeferred:
+          close_span(e.time_ns);
+          break;
+        default:
+          // Any hypervisor work inside the span (preempting top handlers, the
+          // monitor they trigger, a TDMA tick) inflates its wall-clock beyond
+          // what Eq. 14 attributes to this interposition -- exclude the span.
+          if (span.open && (e.category == TraceCategory::kTopHandler ||
+                            e.category == TraceCategory::kMonitor ||
+                            e.category == TraceCategory::kScheduler)) {
+            span.preempted = true;
+          }
+          break;
       }
-      case TracePoint::kInterposeCharge: {
-        ++report.contention_charges;
-        report.total_charge_ns += static_cast<std::int64_t>(e.arg1);
-        if (!fold_contention_) break;
-        const std::size_t p = find(e.source);
-        if (p == params_.size()) break;
-        // Shift applies to admissions *after* this one (the hypervisor
-        // accumulates it at commit, after the batch's monitor checks);
-        // the charge extends this admission's own span.
-        windows[p].acc_shift_ns += static_cast<std::int64_t>(e.arg0);
-        windows[p].pending_charge_ns = static_cast<std::int64_t>(e.arg1);
-        break;
-      }
-      case TracePoint::kInterposeEnter: {
-        span.open = true;
-        span.preempted = false;
-        span.source = e.source;
-        span.enter_ns = e.time_ns;
-        span.allow_extra_ns = 0;
-        const std::size_t p = find(e.source);
-        if (p != params_.size()) {
-          span.allow_extra_ns = windows[p].pending_charge_ns;
-          windows[p].pending_charge_ns = 0;
-        }
-        break;
-      }
-      case TracePoint::kInterposeReturn:
-      case TracePoint::kInterposeExitDeferred:
-        close_span(e.time_ns);
-        break;
-      default:
-        // Any hypervisor work inside the span (preempting top handlers, the
-        // monitor they trigger, a TDMA tick) inflates its wall-clock beyond
-        // what Eq. 14 attributes to this interposition -- exclude the span.
-        if (span.open && (e.category == TraceCategory::kTopHandler ||
-                          e.category == TraceCategory::kMonitor ||
-                          e.category == TraceCategory::kScheduler)) {
-          span.preempted = true;
-        }
-        break;
     }
   }
   return report;

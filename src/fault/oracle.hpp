@@ -45,9 +45,11 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "obs/trace_event.hpp"
+#include "obs/trace_ring.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::core {
@@ -110,6 +112,9 @@ class InterferenceOracle {
   [[nodiscard]] OracleReport verify(
       const std::vector<obs::TraceEvent>& events) const;
 
+  /// Replays the ring's retained events in place, with no copy.
+  [[nodiscard]] OracleReport verify(const obs::TraceRing& ring) const;
+
   [[nodiscard]] const std::vector<OracleSourceParams>& params() const {
     return params_;
   }
@@ -122,6 +127,10 @@ class InterferenceOracle {
   [[nodiscard]] bool fold_contention() const { return fold_contention_; }
 
  private:
+  /// The replay loop of both verify() overloads: `older` then `newer`.
+  [[nodiscard]] OracleReport replay(std::span<const obs::TraceEvent> older,
+                                    std::span<const obs::TraceEvent> newer) const;
+
   std::vector<OracleSourceParams> params_;
   bool fold_contention_ = true;
 };

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -95,14 +96,21 @@ class TraceRing {
     emit(e);
   }
 
+  /// The retained events in place, oldest first, as two contiguous blocks:
+  /// the oldest slot to the end of storage, then the start of storage up to
+  /// the write position (empty until the ring has wrapped).
+  [[nodiscard]] std::array<std::span<const TraceEvent>, 2> retained() const {
+    const std::size_t start = oldest_slot();
+    const std::size_t head = std::min(count_, capacity_ - start);
+    return {std::span<const TraceEvent>(buffer_.data() + start, head),
+            std::span<const TraceEvent>(buffer_.data(), count_ - head)};
+  }
+
   /// Copies the retained events out, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
     std::vector<TraceEvent> out;
     out.reserve(count_);
-    const std::size_t start = oldest_slot();
-    for (std::size_t i = 0; i < count_; ++i) {
-      out.push_back(buffer_[(start + i) % capacity_]);
-    }
+    for (const auto block : retained()) out.insert(out.end(), block.begin(), block.end());
     return out;
   }
 
@@ -121,10 +129,7 @@ class TraceRing {
     w.u64(emitted_);
     w.u64(dropped_);
     w.pod_span(per_category_.data(), per_category_.size());
-    const std::size_t start = oldest_slot();
-    const std::size_t head = std::min(count_, capacity_ - start);
-    w.pod_span(buffer_.data() + start, head);
-    w.pod_span(buffer_.data(), count_ - head);
+    for (const auto block : retained()) w.pod_span(block.data(), block.size());
   }
 
   /// Restores a snapshot_state() stream: the retained records go back into

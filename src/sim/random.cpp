@@ -6,35 +6,9 @@
 
 namespace rthv::sim {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.next();
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Xoshiro256::uniform01() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double Xoshiro256::uniform01_open_low() {
-  return 1.0 - uniform01();
 }
 
 std::uint64_t Xoshiro256::uniform_int(std::uint64_t lo, std::uint64_t hi) {
@@ -46,15 +20,6 @@ std::uint64_t Xoshiro256::uniform_int(std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t v = next();
   while (v >= limit) v = next();
   return lo + v % span;
-}
-
-double Xoshiro256::uniform_range(double lo, double hi) {
-  return lo + (hi - lo) * uniform01();
-}
-
-double Xoshiro256::exponential(double mean) {
-  assert(mean > 0.0);
-  return -mean * std::log(uniform01_open_low());
 }
 
 double Xoshiro256::normal(double mean, double stddev) {

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "mon/monitor.hpp"
+#include "workload/sorted_streams.hpp"
 
 namespace rthv::workload {
 
@@ -38,15 +39,16 @@ PeriodicTraceGenerator::PeriodicTraceGenerator(sim::Duration period, sim::Durati
 
 std::vector<sim::TimePoint> PeriodicTraceGenerator::generate_until(sim::Duration horizon) {
   std::vector<sim::TimePoint> out;
+  if (phase_ <= horizon) out.reserve(static_cast<std::size_t>((horizon - phase_) / period_) + 1);
   const double jitter_ns = static_cast<double>(jitter_.count_ns());
   for (sim::Duration nominal = phase_; nominal <= horizon; nominal += period_) {
     const auto offset = sim::Duration::ns(
         static_cast<std::int64_t>(rng_.uniform_range(-jitter_ns, jitter_ns)));
     sim::Duration t = nominal + offset;
     if (t.is_negative()) t = sim::Duration::zero();
-    if (t <= horizon) out.push_back(sim::TimePoint::origin() + t);
+    // A jitter above half the period can reorder neighbouring releases.
+    if (t <= horizon) detail::push_sorted(out, sim::TimePoint::origin() + t);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -63,6 +65,11 @@ BurstTraceGenerator::BurstTraceGenerator(sim::Duration mean_burst_separation,
 std::vector<sim::TimePoint> BurstTraceGenerator::generate_until(sim::Duration horizon) {
   std::vector<sim::TimePoint> out;
   const double sep_ns = static_cast<double>(separation_.count_ns());
+  if (horizon.is_positive()) {
+    // Expected burst count times the mean burst length, with headroom.
+    const double bursts = static_cast<double>(horizon.count_ns()) / sep_ns;
+    out.reserve(static_cast<std::size_t>(bursts * (max_len_ + 1) * 0.6) + max_len_);
+  }
   sim::Duration t = sim::Duration::zero();
   while (true) {
     t += sim::Duration::ns(static_cast<std::int64_t>(rng_.exponential(sep_ns)));
@@ -71,11 +78,10 @@ std::vector<sim::TimePoint> BurstTraceGenerator::generate_until(sim::Duration ho
     for (std::uint32_t k = 0; k < len; ++k) {
       const sim::Duration tk = t + intra_ * k;
       if (tk > horizon) break;
-      out.push_back(sim::TimePoint::origin() + tk);
+      // A burst's tail can overlap the next burst's start.
+      detail::push_sorted(out, sim::TimePoint::origin() + tk);
     }
   }
-  // A burst's tail can overlap the next burst's start; emit sorted events.
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -94,10 +100,31 @@ Trace worst_case_conforming_trace(const std::vector<sim::Duration>& deltas,
 }
 
 Trace merge_streams(const std::vector<std::vector<sim::TimePoint>>& streams) {
-  std::vector<sim::TimePoint> all;
-  for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
-  std::sort(all.begin(), all.end());
-  return Trace::from_activations(all);
+  // Sorted copies of the unsorted inputs only; reserved up front so the
+  // spans the merge holds into them stay valid.
+  std::vector<std::vector<sim::TimePoint>> sorted_copies;
+  sorted_copies.reserve(streams.size());
+  detail::SortedMerge merge;
+  std::size_t total = 0;
+  for (const auto& s : streams) {
+    total += s.size();
+    if (std::is_sorted(s.begin(), s.end())) {
+      merge.add(s);
+    } else {
+      auto& copy = sorted_copies.emplace_back(s);
+      std::sort(copy.begin(), copy.end());
+      merge.add(copy);
+    }
+  }
+  std::vector<sim::Duration> d;
+  d.reserve(total);
+  sim::TimePoint prev = sim::TimePoint::origin();
+  while (!merge.done()) {
+    const sim::TimePoint t = merge.pop();
+    d.push_back(t - prev);
+    prev = t;
+  }
+  return Trace(std::move(d));
 }
 
 }  // namespace rthv::workload

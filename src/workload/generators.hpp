@@ -44,7 +44,7 @@ class PeriodicTraceGenerator {
   PeriodicTraceGenerator(sim::Duration period, sim::Duration jitter,
                          sim::Duration phase, std::uint64_t seed);
 
-  /// Activations up to (and including none beyond) `horizon`.
+  /// Activations up to (and including none beyond) `horizon`, ascending.
   [[nodiscard]] std::vector<sim::TimePoint> generate_until(sim::Duration horizon);
 
  private:
@@ -62,6 +62,7 @@ class BurstTraceGenerator {
   BurstTraceGenerator(sim::Duration mean_burst_separation, std::uint32_t max_burst_len,
                       sim::Duration intra_distance, std::uint64_t seed);
 
+  /// Activations up to `horizon`, ascending.
   [[nodiscard]] std::vector<sim::TimePoint> generate_until(sim::Duration horizon);
 
  private:
@@ -71,7 +72,9 @@ class BurstTraceGenerator {
   sim::Xoshiro256 rng_;
 };
 
-/// Superposes several absolute-time streams into one trace.
+/// Superposes several absolute-time streams into one trace: a k-way merge
+/// that sorts a copy of a stream first only if that stream is not already
+/// ascending, so the result equals a sort of the concatenation.
 [[nodiscard]] Trace merge_streams(const std::vector<std::vector<sim::TimePoint>>& streams);
 
 /// Synthesizes the maximally dense activation trace that still conforms to

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/trace_event.hpp"
+#include "obs/trace_ring.hpp"
 
 namespace rthv::fault {
 namespace {
@@ -195,6 +196,40 @@ TEST(InterferenceOracleTest, UnrelatedEventsDoNotPreemptSpans) {
        at(100 * kUs, TracePoint::kInterposeReturn)});
   EXPECT_EQ(report.spans_checked, 1u);
   EXPECT_EQ(report.preempted_spans, 0u);
+}
+
+// The ring overload replays the retained window in place: after a wrap it
+// is two blocks, and a violating admission pair and a span may straddle
+// them. It must report exactly what replaying the copied snapshot does.
+TEST(InterferenceOracleTest, RingReplayMatchesSnapshotAcrossWrap) {
+  InterferenceOracle oracle({params_us(1000)});
+  obs::TraceRing ring(5);
+  ring.set_enabled(true);
+  for (const auto& e :
+       {admission(0), admission(5000 * kUs), at(5010 * kUs, TracePoint::kInterposeEnter),
+        at(5100 * kUs, TracePoint::kInterposeReturn), admission(8000 * kUs),
+        admission(8500 * kUs), at(8510 * kUs, TracePoint::kInterposeEnter),
+        at(8600 * kUs, TracePoint::kInterposeReturn)}) {
+    ring.emit(e);
+  }
+  ASSERT_EQ(ring.dropped(), 3u);
+  const auto blocks = ring.retained();
+  ASSERT_EQ(blocks[0].size(), 2u);  // the admission pair straddles the blocks
+  ASSERT_EQ(blocks[1].size(), 3u);
+
+  const auto in_place = oracle.verify(ring);
+  const auto copied = oracle.verify(ring.snapshot());
+  EXPECT_EQ(in_place.interpositions, 2u);
+  ASSERT_EQ(in_place.violations.size(), 1u);
+  EXPECT_EQ(in_place.violations[0].window_start_ns, 8000 * kUs);
+  EXPECT_EQ(in_place.spans_checked, 1u);
+  EXPECT_EQ(in_place.interpositions, copied.interpositions);
+  EXPECT_EQ(in_place.windows_checked, copied.windows_checked);
+  EXPECT_EQ(in_place.spans_checked, copied.spans_checked);
+  EXPECT_EQ(in_place.preempted_spans, copied.preempted_spans);
+  EXPECT_EQ(in_place.max_interposition_ns, copied.max_interposition_ns);
+  EXPECT_EQ(in_place.violations.size(), copied.violations.size());
+  EXPECT_DOUBLE_EQ(in_place.worst_ratio, copied.worst_ratio);
 }
 
 }  // namespace

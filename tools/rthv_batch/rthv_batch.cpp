@@ -6,7 +6,8 @@
 // (seed + i), executes them on the campaign engine -- a SystemPool of
 // recycled systems warm-started by snapshot restore, driven by
 // BatchRunner -- and writes the merged metrics snapshot. Results are
-// bit-identical for any --jobs value.
+// bit-identical for any --jobs value: stdout carries only results, and the
+// execution summary (job count, wall time, pool usage) goes to stderr.
 //
 // Usage:
 //   rthv_batch campaign.json [options]
@@ -274,14 +275,20 @@ int main(int argc, char** argv) {
     exp::RunResult merged;
     for (auto& run : runs) merged.merge(std::move(run));
 
+    // How the campaign executed (job count, wall time, pool usage) goes to
+    // stderr: stdout carries only results, byte-identical for any --jobs.
+    const auto pool_stats = pool.stats();
+    std::cerr << "engine:      batched, snapshot warm-start, jobs " << spec.jobs << "\n";
+    std::cerr << "wall time:   " << stats::Table::num(wall_s * 1e3) << " ms ("
+              << stats::Table::num(static_cast<double>(spec.runs) / wall_s, 0)
+              << " runs/s)\n";
+    std::cerr << "pool:        " << pool_stats.constructed << " systems constructed, "
+              << pool_stats.warm_recycles << " warm recycles\n";
+
     const auto& all = merged.recorder.all();
     std::cout << "=== rthv_batch: " << spec.runs << " runs x " << spec.irqs
               << " IRQs (" << spec.mode << ", lambda " << spec.lambda_us
               << "us, d_min " << d_min.as_us() << "us) ===\n";
-    std::cout << "engine:      batched, snapshot warm-start, jobs " << spec.jobs << "\n";
-    std::cout << "wall time:   " << stats::Table::num(wall_s * 1e3) << " ms ("
-              << stats::Table::num(static_cast<double>(spec.runs) / wall_s, 0)
-              << " runs/s)\n";
     if (all.empty()) {
       std::cout << "latency:     no completions\n";
     } else {
@@ -295,9 +302,6 @@ int main(int argc, char** argv) {
               << merged.tdma_switches + merged.interpose_switches +
                      merged.deferred_switches
               << "\n";
-    const auto pool_stats = pool.stats();
-    std::cout << "pool:        " << pool_stats.constructed << " systems constructed, "
-              << pool_stats.warm_recycles << " warm recycles\n";
     if (!out_path.empty()) {
       stats::write_metrics_json_file(out_path, merged.metrics);
       std::cout << "merged metrics written to " << out_path << "\n";
