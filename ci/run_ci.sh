@@ -6,8 +6,9 @@
 #      fuzz and perf-smoke labels as explicit stages, then a Debug
 #      ASan + UBSan build running test_sim, SystemSnapshot*, the
 #      LatencyRecorder tests, the monitor suite, the hunt, batch, multicore
-#      and fault labels, and the rthv_run malformed-config rejections, and
-#      a Debug TSan build running the batch and multicore labels
+#      and fault labels, the workload and obs labels, and the rthv_run
+#      malformed-config rejections, and a Debug TSan build running the
+#      batch, multicore and hunt labels
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
 #      must report "correct": true
 #   4. static analysis: rthv_lint parser tests, the self-test regression
@@ -88,7 +89,7 @@ ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
 # window read fails here, not only in a release build. The workload label
 # (trace generators, the one-pass ECU stream merge and their golden hashes)
 # runs here too, so a merge cursor read past a stream's end fails here.
-echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault, workload =="
+echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault, workload, obs =="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_SANITIZE=ON
 cmake --build build-ci-asan -j "$jobs"
 ./build-ci-asan/tests/test_sim
@@ -101,18 +102,25 @@ ctest --test-dir build-ci-asan --output-on-failure -L multicore -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -L fault -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -R rthv_run_rejects -j "$jobs"
 ctest --test-dir build-ci-asan --output-on-failure -L workload -j "$jobs"
+# Histogram buckets are a stored window indexed by (bucket - first): the
+# obs label (the BucketCounts differential test, the merge properties and
+# the golden metrics) runs here so window index arithmetic cannot hide UB.
+ctest --test-dir build-ci-asan --output-on-failure -L obs -j "$jobs"
 
 # The batch and multicore labels construct systems on several workers at
 # once, and every construction interns its config-built metric names
 # (irq_queue/dropped/<partition>, core<N>/...) in one mutex-guarded table
 # (obs::intern_name). A Debug TSan build runs both labels, so a race on that
 # table, on BatchRunner's shared claim counter or on SystemPool leasing
-# fails here.
-echo "== TSan: batch, multicore =="
+# fails here. BatchRunner writes each result in place into its slot of the
+# returned vector; the hunt label runs its generations on that engine at
+# jobs > 1, so a race between neighbouring slots fails here too.
+echo "== TSan: batch, multicore, hunt =="
 cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_TSAN=ON
 cmake --build build-ci-tsan -j "$jobs"
 ctest --test-dir build-ci-tsan --output-on-failure -L batch -j "$jobs"
 ctest --test-dir build-ci-tsan --output-on-failure -L multicore -j "$jobs"
+ctest --test-dir build-ci-tsan --output-on-failure -L hunt -j "$jobs"
 
 # End-to-end benchmark correctness, not speed: the selftest shows that a
 # wrong digest and a non-conserving count are caught, then every workload

@@ -1,5 +1,7 @@
 #include "core/hypervisor_system.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <iterator>
 #include <stdexcept>
@@ -226,6 +228,31 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
   }
   const auto& samples = recorder_.all().samples();
   const auto& classes = recorder_.classes();
+  // Size each histogram's bucket window once, from the lowest and highest
+  // in-range sample of that histogram (whose bins are the lowest and
+  // highest in-range bin), so observing the samples never reallocates. The
+  // buckets span [0, kEndNs).
+  constexpr std::int64_t kEndNs = kBucketWidthNs * kNumBuckets;
+  std::array<std::int64_t, 1 + kClasses> lo_ns;
+  std::array<std::int64_t, 1 + kClasses> hi_ns;
+  lo_ns.fill(kEndNs);
+  hi_ns.fill(-1);
+  const auto widen = [&lo_ns, &hi_ns](std::size_t h, std::int64_t ns) {
+    lo_ns[h] = std::min(lo_ns[h], ns);
+    hi_ns[h] = std::max(hi_ns[h], ns);
+  };
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::int64_t ns = samples[i].count_ns();
+    if (ns < 0 || ns >= kEndNs) continue;
+    widen(0, ns);
+    widen(1 + static_cast<std::size_t>(classes[i]), ns);
+  }
+  for (std::size_t h = 0; h < lo_ns.size(); ++h) {
+    auto& hist = snap.histograms[h];
+    if (lo_ns[h] <= hi_ns[h]) {
+      hist.buckets.cover(hist.bucket_of(lo_ns[h]), hist.bucket_of(hi_ns[h]));
+    }
+  }
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const std::int64_t latency_ns = samples[i].count_ns();
     snap.histograms[0].observe(latency_ns);

@@ -20,15 +20,20 @@
 // a pure function of its index (seeds via derive_seed(), params via campaign
 // tables) and, on the pooled path, of a pristine system state that is
 // bit-identical on every slot (proven by the warm-start differential tests).
-// The schedule only changes WHICH worker executes an index and WHEN; results
-// land in a per-index slot returned in index order, so the output is
-// bit-identical for any jobs count or chunk size. Errors rethrow
-// lowest-index-first like a sequential run: a failure stops its worker and
-// the hand-out of new chunks, and every index not yet run lies above it.
+// The schedule only changes WHICH worker executes an index and WHEN; run i
+// writes its result once, straight into slot i of the returned vector, so
+// the output is bit-identical for any jobs count or chunk size. Each slot
+// has exactly one writer and the caller reads the vector only after every
+// worker is joined. Errors rethrow lowest-index-first like a sequential
+// run: a failure stops its worker and the hand-out of new chunks, and every
+// index not yet run lies above it.
 //
 // Requirements on fn: invoking it concurrently from several threads must be
 // safe (treat captured state as read-only, or write only to the slot of the
-// run index).
+// run index). Its result type must be default-constructible (the slots
+// exist before the runs) and must not be bool: std::vector<bool> packs
+// neighbouring slots into one word, so two workers writing neighbouring
+// results would race.
 #pragma once
 
 #include <algorithm>
@@ -36,7 +41,6 @@
 #include <cstddef>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -92,7 +96,13 @@ class BatchRunner {
   /// callable it returns holds that worker's private state.
   template <typename R, typename MakeWorker>
   std::vector<R> schedule(std::size_t count, const MakeWorker& make_worker) {
-    std::vector<std::optional<R>> produced(count);
+    static_assert(std::is_default_constructible_v<R>,
+                  "BatchRunner: a run's result is written into a slot that exists before "
+                  "the run, so its type must be default-constructible");
+    static_assert(!std::is_same_v<R, bool>,
+                  "BatchRunner: std::vector<bool> packs neighbouring slots into one word, so "
+                  "concurrent writes of neighbouring results would race; return an integer");
+    std::vector<R> results(count);
     std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
     std::size_t first_error_index = count;
@@ -106,7 +116,7 @@ class BatchRunner {
         const std::size_t end = std::min(count, begin + options_.chunk);
         for (std::size_t i = begin; i < end; ++i) {
           try {
-            produced[i].emplace(run(i));
+            results[i] = run(i);
           } catch (...) {
             const std::lock_guard<std::mutex> lock(error_mutex);
             if (i < first_error_index) {
@@ -131,10 +141,6 @@ class BatchRunner {
       for (auto& thread : threads) thread.join();
     }
     if (first_error) std::rethrow_exception(first_error);
-
-    std::vector<R> results;
-    results.reserve(count);
-    for (auto& slot : produced) results.push_back(std::move(*slot));
     return results;
   }
 

@@ -309,7 +309,8 @@ HuntResult run_hunt(const HuntConfig& cfg) {
     std::vector<EvalOutcome> outcomes(cfg.population);
     std::vector<std::exception_ptr> errors(cfg.population);
     (void)runner.map(jobs, [&](std::size_t job) {
-      for (std::size_t i = job; i < cfg.population; i += jobs) {
+      std::size_t evaluated = 0;
+      for (std::size_t i = job; i < cfg.population; i += jobs, ++evaluated) {
         try {
           outcomes[i] =
               evaluate(workers[job], cfg, candidates[i].plan, candidates[i].engine_seed);
@@ -318,7 +319,7 @@ HuntResult run_hunt(const HuntConfig& cfg) {
           break;
         }
       }
-      return true;
+      return evaluated;
     });
     for (const auto& error : errors) {
       if (error) std::rethrow_exception(error);

@@ -116,7 +116,13 @@ OracleReport InterferenceOracle::replay(std::span<const TraceEvent> older,
         case TracePoint::kInterposeStart: {
           ++report.interpositions;
           const std::size_t p = find(e.source);
-          if (p == params_.size()) break;
+          if (p == params_.size()) {
+            ++report.unchecked_interpositions;
+            auto& unchecked = report.unchecked_sources;
+            const auto at = std::lower_bound(unchecked.begin(), unchecked.end(), e.source);
+            if (at == unchecked.end() || *at != e.source) unchecked.insert(at, e.source);
+            break;
+          }
           WindowState& w = windows[p];
           const std::int64_t d = params_[p].d_min.count_ns();
           // The same normalized clock the hypervisor feeds its monitor:
@@ -218,7 +224,15 @@ void OracleReport::write(std::ostream& out) const {
     out << ", " << contention_charges << " contention charges folded ("
         << total_charge_ns << " ns)";
   }
-  if (ok()) {
+  if (!unchecked_sources.empty()) {
+    out << "; " << unchecked_interpositions
+        << " interpositions unchecked (no delta^- bound for source"
+        << (unchecked_sources.size() == 1 ? "" : "s");
+    for (std::size_t i = 0; i < unchecked_sources.size(); ++i) {
+      out << (i == 0 ? " " : ", ") << unchecked_sources[i];
+    }
+    out << ")";
+  } else if (ok()) {
     out << " -- all within I(dt) = ceil(dt/d_min) * C'_BH\n";
     return;
   }

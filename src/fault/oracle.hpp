@@ -79,6 +79,11 @@ struct OracleViolation {
 
 struct OracleReport {
   std::uint64_t interpositions = 0;    // kInterposeStart events replayed
+  /// kInterposeStart events of sources the oracle has no params for (no
+  /// positive delta^- condition, e.g. a token-bucket, window-count or
+  /// learning monitor): counted above but held to no bound.
+  std::uint64_t unchecked_interpositions = 0;
+  std::vector<std::uint32_t> unchecked_sources;  // their sources, ascending
   std::uint64_t windows_checked = 0;   // admission windows tested (one per event)
   std::uint64_t spans_checked = 0;     // uninterrupted enter->exit spans tested
   std::uint64_t preempted_spans = 0;   // spans excluded from the cost check
@@ -89,11 +94,14 @@ struct OracleReport {
   std::vector<OracleViolation> violations;       // count violations (Eq. 14)
   std::vector<OracleViolation> cost_violations;  // span > C'_BH (Eq. 13)
 
+  /// No violation found. Says nothing about unchecked sources.
   [[nodiscard]] bool ok() const {
     return violations.empty() && cost_violations.empty();
   }
 
   /// Human-readable one-paragraph summary (used by rthv_run --fault-plan).
+  /// Names every unchecked source, and claims "all within" only when there
+  /// is none.
   void write(std::ostream& out) const;
 };
 

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <mutex>
 #include <ostream>
 #include <set>
@@ -42,10 +43,17 @@ auto* find_by_name(Vec& entries, std::string_view name) {
 
 // The entry of `entries` named `name`: entry i when its name matches (the
 // common case when merging snapshots of identically configured systems),
-// else the by-name match; nullptr when there is none.
+// else the by-name match; nullptr when there is none. Catalog and interned
+// names share storage, so entry i is usually the very same view and the
+// characters are compared only when it is not.
 template <typename Vec>
 auto* find_at_or_by_name(Vec& entries, std::size_t i, std::string_view name) {
-  if (i < entries.size() && entries[i].name == name) return &entries[i];
+  if (i < entries.size()) {
+    const std::string_view mine = entries[i].name;
+    if ((mine.data() == name.data() && mine.size() == name.size()) || mine == name) {
+      return &entries[i];
+    }
+  }
   return find_by_name(entries, name);
 }
 
@@ -61,6 +69,45 @@ std::string_view intern_name(std::string_view name) {
   return *it;
 }
 
+void BucketCounts::add(std::size_t i, std::uint64_t n) {
+  assert(i < size_);
+  if (n == 0) return;
+  if (i - first_ >= window_.size()) cover(i, i);  // wraps when i < first_
+  window_[i - first_] += n;
+}
+
+void BucketCounts::add(const BucketCounts& other) {
+  assert(other.size_ == size_);
+  if (other.window_.empty()) return;
+  cover(other.first_, other.first_ + other.window_.size() - 1);
+  const std::size_t offset = other.first_ - first_;
+  for (std::size_t k = 0; k < other.window_.size(); ++k) window_[offset + k] += other.window_[k];
+}
+
+void BucketCounts::cover(std::size_t lo, std::size_t hi) {
+  assert(lo <= hi && hi < size_);
+  if (window_.empty()) {
+    first_ = static_cast<std::uint32_t>(lo);
+    window_.assign(hi - lo + 1, 0);
+    return;
+  }
+  const std::size_t last = first_ + window_.size() - 1;
+  if (lo >= first_ && hi <= last) return;
+  const std::size_t new_first = std::min<std::size_t>(lo, first_);
+  std::vector<std::uint64_t> grown(std::max(hi, last) - new_first + 1);
+  std::copy(window_.begin(), window_.end(),
+            grown.begin() + static_cast<std::ptrdiff_t>(first_ - new_first));
+  window_ = std::move(grown);
+  first_ = static_cast<std::uint32_t>(new_first);
+}
+
+std::size_t MetricsSnapshot::Histogram::bucket_of(std::int64_t sample_ns) const {
+  if (sample_ns < lo_ns) return buckets.size();
+  const auto bin = static_cast<std::uint64_t>(sample_ns - lo_ns) /
+                   static_cast<std::uint64_t>(width_ns);
+  return bin < buckets.size() ? static_cast<std::size_t>(bin) : buckets.size();
+}
+
 void MetricsSnapshot::Histogram::observe(std::int64_t sample_ns) {
   if (count == 0) {
     min_ns = max_ns = sample_ns;
@@ -74,12 +121,11 @@ void MetricsSnapshot::Histogram::observe(std::int64_t sample_ns) {
     ++underflow;
     return;
   }
-  const auto bin = static_cast<std::uint64_t>(sample_ns - lo_ns) /
-                   static_cast<std::uint64_t>(width_ns);
-  if (bin >= buckets.size()) {
+  const std::size_t bin = bucket_of(sample_ns);
+  if (bin == buckets.size()) {
     ++overflow;
   } else {
-    ++buckets[static_cast<std::size_t>(bin)];
+    buckets.add(bin, 1);
   }
 }
 
@@ -109,10 +155,19 @@ MetricsSnapshot::Histogram& MetricsSnapshot::add_histogram(std::string_view name
   return histograms.emplace_back(Histogram{.name = name,
                                            .lo_ns = lo_ns,
                                            .width_ns = width_ns,
-                                           .buckets = std::vector<std::uint64_t>(num_buckets)});
+                                           .buckets = BucketCounts(num_buckets)});
 }
 
 void MetricsSnapshot::merge(const MetricsSnapshot& other) {
+  // All or nothing: every binning is checked before anything changes.
+  for (std::size_t i = 0; i < other.histograms.size(); ++i) {
+    const auto& h = other.histograms[i];
+    const auto* mine = find_at_or_by_name(histograms, i, h.name);
+    if (mine != nullptr && !mine->same_binning(h)) {
+      throw std::invalid_argument("MetricsSnapshot::merge: histogram '" + std::string(h.name) +
+                                  "' binning mismatch");
+    }
+  }
   for (std::size_t i = 0; i < other.counters.size(); ++i) {
     const auto& c = other.counters[i];
     if (auto* mine = find_at_or_by_name(counters, i, c.name)) {
@@ -136,14 +191,8 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
       histograms.push_back(h);
       continue;
     }
-    if (!mine->same_binning(h)) {
-      throw std::invalid_argument("MetricsSnapshot::merge: histogram '" + std::string(h.name) +
-                                  "' binning mismatch");
-    }
     if (h.count == 0) continue;  // nothing observed: every field is zero
-    for (std::size_t b = 0; b < mine->buckets.size(); ++b) {
-      mine->buckets[b] += h.buckets[b];
-    }
+    mine->buckets.add(h.buckets);
     mine->underflow += h.underflow;
     mine->overflow += h.overflow;
     mine->sum_ns += h.sum_ns;

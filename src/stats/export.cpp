@@ -56,8 +56,8 @@ void write_histogram_csv(const std::string& path,
 void write_histogram_ascii(std::ostream& os, const obs::MetricsSnapshot::Histogram& histogram,
                            std::size_t max_width) {
   const auto& buckets = histogram.buckets;
-  const std::uint64_t peak =
-      buckets.empty() ? 0 : *std::max_element(buckets.begin(), buckets.end());
+  std::uint64_t peak = 0;
+  for (const std::uint64_t b : buckets) peak = std::max(peak, b);
   if (peak == 0) {
     os << "(empty histogram)\n";
     return;

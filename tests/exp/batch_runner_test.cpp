@@ -10,7 +10,7 @@
 //    the same workload, across many seeds and across mid-campaign slot
 //    recycling, and the pooled map equals the construct-per-run map;
 //  - jobs-identity: campaign results are bit-identical for any jobs/chunk
-//    combination.
+//    combination, captured RunResults written in place included.
 #include "exp/batch_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/hypervisor_system.hpp"
+#include "exp/run_result.hpp"
 #include "exp/seed.hpp"
 #include "exp/system_pool.hpp"
 #include "obs/exporters.hpp"
@@ -102,7 +103,7 @@ TEST(BatchRunnerTest, SingleJobRunsInlineInIndexOrder) {
   std::vector<std::size_t> order;
   const auto on_caller = runner.map(10, [&](std::size_t i) {
     order.push_back(i);  // unsynchronized on purpose: one thread only
-    return std::this_thread::get_id() == caller;
+    return static_cast<int>(std::this_thread::get_id() == caller);
   });
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_TRUE(on_caller[i]) << "run " << i << " left the calling thread";
@@ -115,7 +116,9 @@ TEST(BatchRunnerTest, WorkersRunOffTheCallingThread) {
   BatchRunner runner(BatchOptions{.jobs = 2, .chunk = 1});
   const auto caller = std::this_thread::get_id();
   const auto on_caller =
-      runner.map(8, [caller](std::size_t) { return std::this_thread::get_id() == caller; });
+      runner.map(8, [caller](std::size_t) {
+        return static_cast<int>(std::this_thread::get_id() == caller);
+      });
   for (std::size_t i = 0; i < 8; ++i) EXPECT_FALSE(on_caller[i]) << "run " << i;
 }
 
@@ -344,6 +347,44 @@ TEST(BatchRunnerTest, CampaignBitIdenticalForAnyJobsAndChunk) {
   ASSERT_EQ(reference.size(), kCampaignRuns);
   EXPECT_EQ(run_pooled_campaign(4, 4), reference);
   EXPECT_EQ(run_pooled_campaign(16, 1), reference);
+}
+
+// Results are written in place into their index slot: a pooled campaign of
+// captured RunResults (the shape of rthv_batch and campaign_10irq) is
+// bit-identical at jobs 1 and 4, per run and folded in index order.
+TEST(BatchRunnerTest, PooledRunResultCampaignBitIdenticalAtJobs1And4) {
+  const auto campaign = [](std::size_t jobs) {
+    SystemPool pool(monitored_config());
+    BatchRunner runner(BatchOptions{.jobs = jobs, .chunk = 3});
+    return runner.map(pool, 64, [](std::size_t i, core::HypervisorSystem& system) {
+      workload::ExponentialTraceGenerator gen(sim::Duration::us(1444), derive_seed(7, i),
+                                              sim::Duration::us(100));
+      system.attach_trace(0, gen.generate(10));
+      (void)system.run(sim::Duration::s(1000));
+      return RunResult::capture(system);
+    });
+  };
+  const auto render = [](const RunResult& r) {
+    std::ostringstream os;
+    r.metrics.write_json(os);
+    r.recorder.write_summary(os);
+    os << r.completed << '|' << r.tdma_switches << '|' << r.interpose_switches << '|'
+       << r.deferred_switches << '|' << r.denied_by_monitor << '|' << r.lost_raises;
+    return os.str();
+  };
+  auto one = campaign(1);
+  auto four = campaign(4);
+  ASSERT_EQ(one.size(), 64u);
+  ASSERT_EQ(four.size(), 64u);
+  RunResult merged_one;
+  RunResult merged_four;
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(render(four[i]), render(one[i])) << "run " << i;
+    merged_one.merge(std::move(one[i]));
+    merged_four.merge(std::move(four[i]));
+  }
+  EXPECT_EQ(render(merged_four), render(merged_one));
+  EXPECT_EQ(merged_one.metrics.find_histogram("irq.latency.all")->count, merged_one.completed);
 }
 
 // The construct-per-run map is the cold reference for the pooled one.

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "core/hypervisor_system.hpp"
 #include "obs/metrics.hpp"
@@ -104,6 +107,34 @@ TEST(HistogramMergeTest, MismatchedBinningThrows) {
   EXPECT_THROW(a.merge(histogram_snapshot(10, 10, 10)), std::invalid_argument);  // shifted
 }
 
+// merge() checks every shared histogram's binning before it changes
+// anything: a throwing merge leaves counters, gauges and histograms as they
+// were.
+TEST(HistogramMergeTest, MismatchThrowsAndLeavesTargetUnchanged) {
+  auto target = histogram_snapshot(0, 10, 10);
+  observe_us(target, 15);
+  target.add_counter("runs", 3);
+  target.set_gauge("now", 7);
+  target.add_histogram("tail", 0, 100, 4).observe(250'000);
+
+  auto other = histogram_snapshot(0, 10, 10);  // matches: would be added
+  observe_us(other, 25);
+  other.add_counter("runs", 1);
+  other.add_counter("new.counter", 5);
+  other.set_gauge("now", 9);
+  other.add_histogram("new.histogram", 0, 10, 2).observe(1);
+  other.add_histogram("tail", 0, 200, 4).observe(250'000);  // binning differs
+
+  const auto json = [](const obs::MetricsSnapshot& snap) {
+    std::ostringstream os;
+    snap.write_json(os);
+    return os.str();
+  };
+  const std::string before = json(target);
+  EXPECT_THROW(target.merge(other), std::invalid_argument);
+  EXPECT_EQ(json(target), before);
+}
+
 RunResult run_once(std::uint64_t seed, std::size_t irqs) {
   auto cfg = core::SystemConfig::paper_baseline();
   cfg.mode = hv::TopHandlerMode::kInterposing;
@@ -134,6 +165,40 @@ TEST(RunResultTest, CaptureSnapshotsARealRun) {
     EXPECT_EQ(r.metrics.counter_value("irq.completed." + suffix), r.recorder.count(cls));
     EXPECT_EQ(r.metrics.find_histogram("irq.latency." + suffix)->count,
               r.recorder.count(cls));
+  }
+}
+
+// A campaign_10irq-sized run fills at most 10 of the 85 latency buckets;
+// each irq.latency.* histogram stores only the window between its lowest
+// and highest occupied bucket, and a class with no sample stores nothing.
+TEST(RunResultTest, TenIrqCaptureStoresOnlyOccupiedWindow) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const RunResult r = run_once(seed, 10);
+    const auto& samples = r.recorder.all().samples();
+    const auto& classes = r.recorder.classes();
+    const auto check = [&](std::string_view name, auto in_class) {
+      const auto* h = r.metrics.find_histogram(name);
+      ASSERT_NE(h, nullptr) << name;
+      std::size_t lo = h->buckets.size();
+      std::size_t hi = 0;
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        const std::size_t bin = h->bucket_of(samples[i].count_ns());
+        if (!in_class(classes[i]) || bin == h->buckets.size()) continue;
+        lo = std::min(lo, bin);
+        hi = std::max(hi, bin);
+      }
+      if (lo == h->buckets.size()) {
+        EXPECT_EQ(h->buckets.stored(), 0u) << name << ", seed " << seed;
+      } else {
+        EXPECT_LE(h->buckets.stored(), hi - lo + 1) << name << ", seed " << seed;
+      }
+    };
+    check("irq.latency.all", [](HandlingClass) { return true; });
+    for (std::size_t c = 0; c < static_cast<std::size_t>(HandlingClass::kCount_); ++c) {
+      const auto cls = static_cast<HandlingClass>(c);
+      check("irq.latency." + std::string(stats::to_string(cls)),
+            [cls](HandlingClass other) { return other == cls; });
+    }
   }
 }
 

@@ -480,7 +480,7 @@ void merge_by_name(MetricsSnapshot& into, const MetricsSnapshot& other) {
       into.histograms.push_back(h);
       continue;
     }
-    for (std::size_t b = 0; b < it->buckets.size(); ++b) it->buckets[b] += h.buckets[b];
+    for (std::size_t b = 0; b < it->buckets.size(); ++b) it->buckets.add(b, h.buckets[b]);
     it->underflow += h.underflow;
     it->overflow += h.overflow;
     it->sum_ns += h.sum_ns;

@@ -33,7 +33,7 @@ TEST(ExportTest, WriteCsvFileFailsOnBadPath) {
 TEST(ExportTest, HistogramCsvRoundTrip) {
   obs::MetricsSnapshot::Histogram h;
   h.width_ns = Duration::us(10).count_ns();
-  h.buckets.assign(2, 0);
+  h.buckets = obs::BucketCounts(2);
   h.observe(Duration::us(5).count_ns());
   const std::string path = ::testing::TempDir() + "/export_hist.csv";
   write_histogram_csv(path, h);

@@ -21,7 +21,7 @@ Histogram make(std::int64_t lo_us, std::int64_t width_us, std::size_t buckets) {
   h.name = "latency";
   h.lo_ns = lo_us * kUs;
   h.width_ns = width_us * kUs;
-  h.buckets.assign(buckets, 0);
+  h.buckets = obs::BucketCounts(static_cast<std::uint32_t>(buckets));
   return h;
 }
 
@@ -67,7 +67,7 @@ TEST(HistogramTest, BinBoundaries) {
   Histogram fine;
   fine.lo_ns = 0;
   fine.width_ns = 1500;
-  fine.buckets.assign(2, 0);
+  fine.buckets = obs::BucketCounts(2);
   EXPECT_EQ(csv(fine), "bin_lo_us,bin_hi_us,count\n0,1.5,0\n1.5,3,0\n");
 }
 
