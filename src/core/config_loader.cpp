@@ -1,5 +1,6 @@
 #include "core/config_loader.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -84,6 +85,10 @@ SystemConfig load_config(std::istream& is) {
   // Line of each partition's `name` key. A partition's name keys its
   // irq_queue/dropped/<partition> counter, so names must be unique.
   std::vector<std::size_t> partition_name_lines;
+  // Lines of each [core] section and of each partition's `color_mask` key
+  // (0 = none), checked against `cores` and `colors` once both are known.
+  std::vector<std::size_t> core_section_lines;
+  std::vector<std::size_t> color_mask_lines;
 
   auto current_partition = [&]() -> PartitionSpec& {
     if (cfg.partitions.empty()) throw ConfigError(ini.line(), "no [partition] open");
@@ -123,6 +128,7 @@ SystemConfig load_config(std::istream& is) {
         // One [core] section per core, in core-id order: regulation budget.
         section = Section::kCore;
         cfg.interconnect.budgets.push_back(hw::CoreBandwidthBudget{});
+        core_section_lines.push_back(line_no);
       } else {
         throw ConfigError(line_no, "unknown section [" + std::string(name) + "]");
       }
@@ -237,6 +243,8 @@ SystemConfig load_config(std::istream& is) {
           current_partition().core = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "color_mask") {
           current_partition().color_mask = parse_mask(line_no, value);
+          color_mask_lines.resize(cfg.partitions.size());
+          color_mask_lines.back() = line_no;
         } else if (key == "mem_accesses_per_us") {
           current_partition().mem_accesses_per_us =
               parse_unsigned<std::uint64_t>(line_no, value);
@@ -311,6 +319,26 @@ SystemConfig load_config(std::istream& is) {
   if (cfg.num_cores() == 0) {
     throw std::invalid_argument("[interconnect] cores must be >= 1");
   }
+  if (cfg.interconnect.budgets.size() > cfg.num_cores()) {
+    throw ConfigError(core_section_lines[cfg.num_cores()],
+                      "[core] section for core " + std::to_string(cfg.num_cores()) +
+                          " of " + std::to_string(cfg.num_cores()));
+  }
+  // A mask with no bit below `colors` would silently widen to every color.
+  // (`colors` outside [1, 32] is the interconnect's to reject.)
+  const std::uint32_t colors = cfg.interconnect.num_colors;
+  if (colors >= 1 && colors <= 32) {
+    const std::uint32_t configured =
+        colors == 32 ? 0xFFFF'FFFFu : (std::uint32_t{1} << colors) - 1u;
+    for (std::size_t i = 0; i < color_mask_lines.size(); ++i) {
+      const std::uint32_t mask = cfg.partitions[i].color_mask;
+      if (color_mask_lines[i] != 0 && mask != 0 && (mask & configured) == 0) {
+        throw ConfigError(color_mask_lines[i],
+                          "color_mask selects none of the " + std::to_string(colors) +
+                              " colors");
+      }
+    }
+  }
   for (const auto& p : cfg.partitions) {
     if (p.core >= cfg.num_cores()) {
       throw std::invalid_argument("partition '" + p.name + "' assigned to core " +
@@ -352,8 +380,13 @@ void save_config(std::ostream& os, const SystemConfig& cfg) {
      << "background_quantum_us = " << cfg.background_quantum.count_ns() / 1000 << "\n"
      << "irq_queue_capacity = " << cfg.irq_queue_capacity << "\n";
   // Multi-core sections are emitted only when in use, so single-core
-  // configs round-trip byte-identically with older versions.
-  if (cfg.num_cores() > 1 || !cfg.interconnect.budgets.empty()) {
+  // configs round-trip byte-identically with older versions. A written
+  // color_mask needs its `colors` to load again.
+  const bool colored = std::any_of(cfg.partitions.begin(), cfg.partitions.end(),
+                                   [](const PartitionSpec& p) {
+                                     return p.color_mask != 0xFFFF'FFFFu;
+                                   });
+  if (cfg.num_cores() > 1 || !cfg.interconnect.budgets.empty() || colored) {
     const hw::InterconnectConfig& ic = cfg.interconnect;
     os << "\n[interconnect]\n"
        << "cores = " << ic.num_cores << "\n"

@@ -74,6 +74,10 @@ MulticoreSystem::MulticoreSystem(const SystemConfig& config) : config_(config) {
     // owned here and attached to the platforms, never rebuilt per core.
   }
 
+  // The interconnect validates its own parameters (colors, budgets) before
+  // any partition mask is checked against its colors.
+  interconnect_ = std::make_unique<hw::SharedInterconnect>(config_.interconnect);
+
   part_core_.reserve(config_.partitions.size());
   part_local_.reserve(config_.partitions.size());
   for (const auto& p : config_.partitions) {
@@ -81,6 +85,11 @@ MulticoreSystem::MulticoreSystem(const SystemConfig& config) : config_(config) {
       throw std::invalid_argument("MulticoreSystem: partition '" + p.name +
                                   "' assigned to core " + std::to_string(p.core) +
                                   " of " + std::to_string(n));
+    }
+    if (p.color_mask != 0 && (p.color_mask & interconnect_->full_mask()) == 0) {
+      throw std::invalid_argument(
+          "MulticoreSystem: partition '" + p.name + "' color_mask selects none of the " +
+          std::to_string(config_.interconnect.num_colors) + " colors");
     }
     part_core_.push_back(p.core);
     part_local_.push_back(
@@ -124,7 +133,6 @@ MulticoreSystem::MulticoreSystem(const SystemConfig& config) : config_(config) {
     split[host].sources.push_back(local);
   }
 
-  interconnect_ = std::make_unique<hw::SharedInterconnect>(config_.interconnect);
   cores_.reserve(n);
   for (std::uint32_t c = 0; c < n; ++c) {
     cores_.push_back(std::make_unique<HypervisorSystem>(split[c]));
@@ -220,31 +228,59 @@ std::uint64_t MulticoreSystem::lost_on_routed_sources() const {
 
 std::uint64_t MulticoreSystem::run_continue(TimePoint until) {
   assert(started_);
-  const auto global_lost = [this] {
-    std::uint64_t lost = 0;
-    for (const auto& c : cores_) lost += c->platform().intc().lost_raises();
-    return lost;
+  // Settled activations: completed bottom handlers plus controller-global
+  // lost raises. Only the stepped core's counters can move, so the sum is
+  // kept up to date from that core's delta instead of re-summed per event.
+  const auto core_settled = [](const HypervisorSystem& c) {
+    return c.completed_bottom_handlers() + c.platform().intc().lost_raises();
   };
-  // Merge loop: always step the core whose next event is globally earliest,
-  // breaking time ties by lowest core id (the (time, core, seq) order).
-  // Termination mirrors HypervisorSystem::run_continue, with the cheap
-  // controller-global loss counter short-circuiting the per-line scan.
-  while (run_to_horizon_ || expected_ == 0 ||
-         completed_bottom_handlers() + global_lost() < expected_ ||
-         completed_bottom_handlers() + lost_on_routed_sources() < expected_) {
+  std::uint64_t settled = 0;
+  for (const auto& c : cores_) settled += core_settled(*c);
+  // Termination mirrors HypervisorSystem::run_continue: the global loss
+  // counter over-approximates the per-source losses, so while it keeps the
+  // run unsettled the per-line scan is skipped.
+  const auto running = [&] {
+    return run_to_horizon_ || expected_ == 0 || settled < expected_ ||
+           completed_bottom_handlers() + lost_on_routed_sources() < expected_;
+  };
+  // A routed driver schedules onto another core, which can move that core's
+  // next event ahead of the runner-up; with one, every step re-picks.
+  const bool rescan_every_step = !routed_.empty();
+  // Merge loop in (time, core, seq) order. The earliest core (time ties to
+  // the lowest id) keeps stepping while its next event still precedes the
+  // runner-up's, or equals it with a lower core id: no other core's queue
+  // changes meanwhile, so this is exactly the one-event-at-a-time order.
+  while (running()) {
     std::uint32_t best = UINT32_MAX;
+    std::uint32_t second = UINT32_MAX;
     TimePoint best_t = TimePoint::max();
+    TimePoint second_t = TimePoint::max();
     for (std::uint32_t c = 0; c < cores_.size(); ++c) {
-      sim::Simulator& s = cores_[c]->simulator();
+      const sim::Simulator& s = cores_[c]->simulator();
       if (s.idle()) continue;
       const TimePoint t = s.next_event_time();
       if (t < best_t) {  // strict: equal times keep the lowest core id
-        best_t = t;
+        second = best;
+        second_t = best_t;
         best = c;
+        best_t = t;
+      } else if (t < second_t) {
+        second = c;
+        second_t = t;
       }
     }
     if (best == UINT32_MAX || best_t > until) break;
-    cores_[best]->simulator().step();
+    HypervisorSystem& core = *cores_[best];
+    sim::Simulator& sim = core.simulator();
+    const auto precedes_runner_up = [&](TimePoint t) {
+      return t <= until && (t < second_t || (t == second_t && best < second));
+    };
+    do {
+      const std::uint64_t before = core_settled(core);
+      sim.step();
+      settled += core_settled(core) - before;
+    } while (!rescan_every_step && !sim.idle() && running() &&
+             precedes_runner_up(sim.next_event_time()));
   }
   return completed_bottom_handlers();
 }

@@ -94,7 +94,8 @@ class MulticoreSystem {
   /// schedule slots follow PartitionSpec::core; each source lands on its
   /// subscriber's core) and assembles the cores around one shared
   /// interconnect. Requires config.num_cores() >= 1, every partition core
-  /// in range, and at least one partition per core.
+  /// in range, at least one partition per core, and every non-zero partition
+  /// color_mask to select a configured color (std::invalid_argument).
   explicit MulticoreSystem(const SystemConfig& config);
 
   MulticoreSystem(const MulticoreSystem&) = delete;

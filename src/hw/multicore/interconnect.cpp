@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace rthv::hw {
 
@@ -37,6 +39,11 @@ SharedInterconnect::SharedInterconnect(const InterconnectConfig& config)
     throw std::invalid_argument(
         "SharedInterconnect: half_load_accesses must be positive");
   }
+  if (cfg_.budgets.size() > cfg_.num_cores) {
+    throw std::invalid_argument(
+        "SharedInterconnect: " + std::to_string(cfg_.budgets.size()) +
+        " core budgets for " + std::to_string(cfg_.num_cores) + " cores");
+  }
   for (const CoreBandwidthBudget& b : cfg_.budgets) {
     if (b.budget_accesses != 0 && !b.replenish_period.is_positive()) {
       throw std::invalid_argument(
@@ -62,25 +69,31 @@ void SharedInterconnect::roll(sim::TimePoint now) {
   assert(k > cur_epoch_ && "interconnect observed time running backwards");
   if (k == cur_epoch_ + 1) {
     prev_.swap(cur_);
-  } else {
+    std::swap(prev_dirty_, cur_dirty_);
+  } else if (prev_dirty_) {
     // At least one whole epoch passed with no traffic: the previous epoch's
     // demand is zero.
     std::fill(prev_.begin(), prev_.end(), 0);
+    prev_dirty_ = false;
   }
-  std::fill(cur_.begin(), cur_.end(), 0);
+  if (cur_dirty_) {
+    std::fill(cur_.begin(), cur_.end(), 0);
+    cur_dirty_ = false;
+  }
   cur_epoch_ = k;
   ++counters_.epochs_rolled;
 }
 
 std::uint64_t SharedInterconnect::pressure(std::uint32_t core,
                                            std::uint32_t mask) const {
+  if (!prev_dirty_) return 0;
   const std::uint32_t m = normalize(mask);
   std::uint64_t p = 0;
   for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
     if (c == core) continue;
     const std::uint64_t* row = &prev_[static_cast<std::size_t>(c) * cfg_.num_colors];
-    for (std::uint32_t color = 0; color < cfg_.num_colors; ++color) {
-      if ((m >> color) & 1u) p += row[color];
+    for (std::uint32_t bits = m; bits != 0; bits &= bits - 1) {
+      p += row[__builtin_ctz(bits)];
     }
   }
   return p;
@@ -149,15 +162,15 @@ void SharedInterconnect::register_demand(std::uint32_t core, std::uint32_t mask,
   const std::uint64_t per = granted / set;
   std::uint64_t rem = granted % set;
   std::uint64_t* row = &cur_[static_cast<std::size_t>(core) * cfg_.num_colors];
-  for (std::uint32_t color = 0; color < cfg_.num_colors; ++color) {
-    if (!((m >> color) & 1u)) continue;
+  for (std::uint32_t bits = m; bits != 0; bits &= bits - 1) {
     std::uint64_t share = per;
     if (rem > 0) {
       ++share;
       --rem;
     }
-    row[color] += share;
+    row[__builtin_ctz(bits)] += share;
   }
+  cur_dirty_ = true;
 }
 
 sim::Duration SharedInterconnect::charge_and_register(std::uint32_t core,
@@ -200,6 +213,11 @@ void SharedInterconnect::restore_state(sim::StateReader& r) {
     throw std::logic_error(
         "SharedInterconnect::restore_state: core/color population changed");
   }
+  const auto holds_demand = [](const std::vector<std::uint64_t>& t) {
+    return std::any_of(t.begin(), t.end(), [](std::uint64_t v) { return v != 0; });
+  };
+  prev_dirty_ = holds_demand(prev_);
+  cur_dirty_ = holds_demand(cur_);
   counters_ = r.pod<Counters>();
 }
 

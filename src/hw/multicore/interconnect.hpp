@@ -68,7 +68,8 @@ struct InterconnectConfig {
   sim::Duration route_latency = sim::Duration::us(1);
   /// Interconnect burst of one routed IRQ message (charged uncolored).
   std::uint64_t route_accesses = 8;
-  /// Per-core regulation budgets; cores beyond the vector are unregulated.
+  /// Per-core regulation budgets, at most num_cores entries; cores beyond
+  /// the vector are unregulated.
   std::vector<CoreBandwidthBudget> budgets;
 };
 
@@ -135,6 +136,10 @@ class SharedInterconnect {
  private:
   /// Advances the epoch frontier to the epoch containing `now`.
   void roll(sim::TimePoint now);
+  /// Mask bits outside the configured colors are ignored; a mask with no
+  /// configured color left means "uncolored" (all colors). Configurations
+  /// reject a non-zero partition mask of that kind (load_config,
+  /// MulticoreSystem), so a configured system reaches it only by mask 0.
   [[nodiscard]] std::uint32_t normalize(std::uint32_t mask) const {
     const std::uint32_t m = mask & full_mask_;
     return m == 0 ? full_mask_ : m;
@@ -147,6 +152,10 @@ class SharedInterconnect {
   std::uint64_t cur_epoch_ = 0;
   std::vector<std::uint64_t> prev_;  // [core * num_colors + color] demand, epoch-1
   std::vector<std::uint64_t> cur_;   // [core * num_colors + color] demand, epoch
+  // Whether prev_/cur_ may hold non-zero demand: roll() clears a table only
+  // when its flag is set, and pressure() of a clean previous epoch is 0.
+  bool prev_dirty_ = false;  // lint: transient(derived from prev_ on restore)
+  bool cur_dirty_ = false;   // lint: transient(derived from cur_ on restore)
   std::vector<std::uint64_t> window_;  // regulator window index per core
   std::vector<std::uint64_t> used_;    // demand granted in the window per core
   Counters counters_;

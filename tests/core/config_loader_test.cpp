@@ -5,6 +5,7 @@
 #include "core/hypervisor_system.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace rthv::core {
 namespace {
@@ -236,6 +237,63 @@ TEST(ConfigLoaderTest, RejectsSemanticallyInvalid) {
     std::istringstream is("[partition]\nname = p\n");  // no slot, no schedule
     EXPECT_THROW((void)load_config(is), std::invalid_argument);
   }
+}
+
+TEST(ConfigLoaderTest, RejectsColorMaskWithNoConfiguredColor) {
+  // 0xFF00 selects none of 8 colors; it used to widen silently to all 8.
+  const std::string head = "[interconnect]\ncolors = 8\n[partition]\nname = p\nslot_us = 100\n";
+  try {
+    std::istringstream is(head + "color_mask = 0xFF00\n");
+    (void)load_config(is);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 6u);
+    EXPECT_NE(std::string(e.what()).find("color_mask selects none of the 8 colors"),
+              std::string::npos)
+        << e.what();
+  }
+  // The check waits for `colors`, which may come after the partition.
+  {
+    std::istringstream is(
+        "[partition]\nname = p\nslot_us = 100\ncolor_mask = 0x100\n"
+        "[interconnect]\ncolors = 8\n");
+    EXPECT_THROW((void)load_config(is), ConfigError);
+  }
+  // Uncolored (0), all-ones and partly configured masks stay legal.
+  for (const char* mask : {"0", "0xFFFFFFFF", "0x1F0"}) {
+    std::istringstream is(head + "color_mask = " + mask + "\n");
+    EXPECT_NO_THROW((void)load_config(is)) << mask;
+  }
+}
+
+TEST(ConfigLoaderTest, RejectsBudgetsForCoresThatDoNotExist) {
+  const std::string tail = "[partition]\nname = p\nslot_us = 100\n";
+  try {
+    std::istringstream is("[interconnect]\ncores = 1\n[core]\nbudget_accesses = 0\n"
+                          "[core]\nbudget_accesses = 500\n" + tail);
+    (void)load_config(is);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 5u);  // the second [core] section
+    EXPECT_NE(std::string(e.what()).find("[core] section for core 1 of 1"), std::string::npos)
+        << e.what();
+  }
+  std::istringstream one("[interconnect]\ncores = 1\n[core]\nbudget_accesses = 500\n" + tail);
+  EXPECT_EQ(load_config(one).interconnect.budgets.size(), 1u);
+}
+
+TEST(ConfigLoaderTest, ColoredSingleCoreConfigRoundTrips) {
+  // A saved color_mask must carry its `colors`: 32 colors admit a mask
+  // that the default 16 would reject on reload.
+  std::istringstream is(
+      "[interconnect]\ncolors = 32\n[partition]\nname = p\nslot_us = 100\n"
+      "color_mask = 0xFF000000\n");
+  std::ostringstream saved;
+  save_config(saved, load_config(is));
+  std::istringstream reread(saved.str());
+  const auto back = load_config(reread);
+  EXPECT_EQ(back.interconnect.num_colors, 32u);
+  EXPECT_EQ(back.partitions.at(0).color_mask, 0xFF000000u);
 }
 
 TEST(ConfigLoaderTest, RoundTripPreservesConfig) {

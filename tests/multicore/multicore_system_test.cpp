@@ -1,7 +1,9 @@
 // System tests of the multi-core platform: deterministic (time, core, seq)
-// merging, cross-core IRQ routing, contention-aware admission against the
-// interference oracle, cache coloring, core-relabel invariance, --jobs
-// identity, and full-state checkpoint/restore.
+// merging (the run loop's stepping window against a one-event-at-a-time
+// merge), configuration validation, cross-core IRQ routing,
+// contention-aware admission against the interference oracle, cache
+// coloring, core-relabel invariance, --jobs identity, and full-state
+// checkpoint/restore.
 #include "core/multicore_system.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "exp/batch_runner.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
+#include "obs/exporters.hpp"
 #include "workload/generators.hpp"
 
 namespace rthv::core {
@@ -101,6 +104,28 @@ TEST(MulticoreSystemTest, ValidatesCoreAssignments) {
   cfg = contended_config(2);
   cfg.interconnect.num_cores = 3;  // core 2 hosts nothing
   EXPECT_THROW(MulticoreSystem{cfg}, std::invalid_argument);
+}
+
+TEST(MulticoreSystemTest, RejectsColorMaskWithNoConfiguredColor) {
+  // 0xFF00 selects none of 8 colors; it used to widen silently to all of
+  // them, making a partition colored away from everything contend on all.
+  auto cfg = contended_config(2);
+  cfg.interconnect.num_colors = 8;
+  cfg.partitions[2].color_mask = 0xFF00u;
+  EXPECT_THROW(MulticoreSystem{cfg}, std::invalid_argument);
+  // Uncolored (0), all-ones and partly configured masks stay legal.
+  for (const std::uint32_t mask : {0u, 0xFFFF'FFFFu, 0x1F0u}) {
+    cfg.partitions[2].color_mask = mask;
+    EXPECT_NO_THROW(MulticoreSystem{cfg}) << mask;
+  }
+}
+
+TEST(MulticoreSystemTest, RejectsBudgetsForCoresThatDoNotExist) {
+  auto cfg = contended_config(2);
+  cfg.interconnect.budgets.assign(3, hw::CoreBandwidthBudget{});
+  EXPECT_THROW(MulticoreSystem{cfg}, std::invalid_argument);
+  cfg.interconnect.budgets.resize(2);
+  EXPECT_NO_THROW(MulticoreSystem{cfg});
 }
 
 TEST(MulticoreSystemTest, SplitsPartitionsAndSourcesPerCore) {
@@ -234,6 +259,108 @@ TEST(MulticoreSystemTest, RunIsIdenticalForAnyJobsCount) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "run " << i << " differs between --jobs 1 and 4";
+  }
+}
+
+/// Everything observable about a finished run, per core and shared: the
+/// rendered trace ring, the metrics, the clock and the event count of each
+/// core, and the interconnect's counters.
+std::string observe(const MulticoreSystem& mc) {
+  std::ostringstream os;
+  for (std::uint32_t c = 0; c < mc.num_cores(); ++c) {
+    const HypervisorSystem& core = mc.core(c);
+    os << "core " << c << " now " << core.simulator().now().count_ns() << " events "
+       << core.simulator().executed_events() << "\n";
+    obs::render_text(os, core.trace());
+    core.metrics_snapshot().write_text(os);
+  }
+  const auto& k = mc.interconnect().counters();
+  os << "interconnect " << k.stall_ns_total << " " << k.bursts_charged << " "
+     << k.accesses_registered << " " << k.accesses_throttled << " " << k.routes << " "
+     << k.epochs_rolled << "\n";
+  return os.str();
+}
+
+/// Schedules, on every core, probe events every `step` up to `until` that
+/// log the core, the instant and the interconnect's running counters: the
+/// merged order of cross-core work made visible to the comparison.
+void add_probes(MulticoreSystem& mc, std::vector<std::uint64_t>& log, Duration step,
+                TimePoint until) {
+  for (std::uint32_t c = 0; c < mc.num_cores(); ++c) {
+    sim::Simulator& sim = mc.core(c).simulator();
+    for (TimePoint t = TimePoint::origin() + step; t <= until; t += step) {
+      sim.schedule_at(t, [&log, &mc, &sim, c] {
+        const auto& k = mc.interconnect().counters();
+        log.insert(log.end(), {c, static_cast<std::uint64_t>(sim.now().count_ns()),
+                               k.accesses_registered, k.bursts_charged, k.stall_ns_total});
+      });
+    }
+  }
+}
+
+/// The merge at its definition: one event at a time, always from the core
+/// with the lowest (next event time, core id).
+void run_one_event_at_a_time(MulticoreSystem& mc, TimePoint until) {
+  mc.start();
+  for (;;) {
+    std::uint32_t best = UINT32_MAX;
+    TimePoint best_t = TimePoint::max();
+    for (std::uint32_t c = 0; c < mc.num_cores(); ++c) {
+      const sim::Simulator& sim = mc.core(c).simulator();
+      if (!sim.idle() && sim.next_event_time() < best_t) {
+        best = c;
+        best_t = sim.next_event_time();
+      }
+    }
+    if (best == UINT32_MAX || best_t > until) return;
+    mc.core(best).simulator().step();
+  }
+}
+
+void expect_run_matches_one_event_at_a_time(const SystemConfig& cfg, std::size_t irqs,
+                                            Duration horizon) {
+  MulticoreSystem fast(cfg);
+  MulticoreSystem ref(cfg);
+  std::vector<std::uint64_t> fast_log;
+  std::vector<std::uint64_t> ref_log;
+  const TimePoint until = TimePoint::origin() + horizon;
+  for (MulticoreSystem* mc : {&fast, &ref}) {
+    mc->enable_tracing();
+    mc->set_run_to_horizon(true);
+    if (irqs > 0) mc->attach_trace(0, rt_trace(irqs));
+  }
+  add_probes(fast, fast_log, Duration::us(1000), until);
+  add_probes(ref, ref_log, Duration::us(1000), until);
+
+  fast.run(horizon);
+  run_one_event_at_a_time(ref, until);
+
+  EXPECT_EQ(fast_log, ref_log) << "probes saw a different merged order";
+  EXPECT_EQ(observe(fast), observe(ref));
+  EXPECT_GT(fast.interconnect().counters().accesses_registered, 0u);
+}
+
+TEST(MulticoreSystemTest, RunMatchesOneEventAtATimeMerge) {
+  // run() steps the earliest core for as long as it stays ahead of the
+  // runner-up; the result must be the one-event-at-a-time (time, core, seq)
+  // merge exactly.
+  {
+    SCOPED_TRACE("bandwidth hogs on four cores");
+    expect_run_matches_one_event_at_a_time(contended_config(4), 300, Duration::ms(500));
+  }
+  {
+    // A routed activation schedules its latch onto another core, ahead of
+    // that core's next event.
+    SCOPED_TRACE("cross-core routed source");
+    auto cfg = contended_config(4);
+    cfg.sources[0].core = 2;
+    expect_run_matches_one_event_at_a_time(cfg, 300, Duration::ms(500));
+  }
+  {
+    // Every core's 6000 us TDMA slots (and the probes) fall on the same
+    // instants: ties must go to the lowest core id.
+    SCOPED_TRACE("equal-instant TDMA ticks on all cores");
+    expect_run_matches_one_event_at_a_time(contended_config(4), 0, Duration::ms(200));
   }
 }
 
