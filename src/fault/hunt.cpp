@@ -170,9 +170,7 @@ EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
   // The oracle and the coverage marks read the trace ring in place.
   const auto& hv = w.system->hypervisor();
   out.report = w.oracle->verify(hv.trace_ring());
-  for (const auto block : hv.trace_ring().retained()) {
-    for (const auto& e : block) out.coverage.mark_point(e.point, e.source);
-  }
+  for (const auto block : hv.trace_ring().retained()) out.coverage.mark_points(block);
   const auto n_sources =
       static_cast<std::uint32_t>(w.system->config().sources.size());
   for (std::uint32_t s = 0; s < n_sources; ++s) {
@@ -241,7 +239,11 @@ HuntResult run_hunt(const HuntConfig& cfg) {
   if (!cfg.horizon.is_positive()) {
     throw std::invalid_argument("run_hunt: horizon must be positive");
   }
-  const std::uint32_t jobs = std::max<std::uint32_t>(1, cfg.jobs);
+  // One replica per job that gets a candidate: shard j >= population would
+  // build, prefix and snapshot a system that never evaluates anything. At
+  // least one, since minimization and events_to_fork read workers[0].
+  const std::uint32_t jobs =
+      std::max<std::uint32_t>(1, std::min(cfg.jobs, cfg.population));
 
   // Identical prefix on every replica: build, arm base plan, run to fork,
   // snapshot. The base engine stays alive for the whole hunt -- snapshot

@@ -14,13 +14,19 @@
 // per-source admission-ratio deciles, oracle-proximity buckets, latency
 // buckets); mutants that light up new bits join the corpus and seed further
 // mutations, which is what walks activation patterns toward the Eq. 14
-// boundary instead of sampling blindly.
+// boundary instead of sampling blindly. Each evaluation marks its trace
+// points straight from the ring's two retained blocks
+// (CoverageMap::mark_points, one byte store per record) after the oracle
+// has replayed the same blocks; neither copies the ring.
 //
 // Determinism contract: mutation randomness is derived per global candidate
 // index with exp::derive_seed before any evaluation runs; candidates are
 // statically sharded over workers (index mod jobs, one exp::BatchRunner
 // index per worker) and their results are folded at a generation barrier
-// in global index order. A hunt is therefore
+// in global index order. Only min(jobs, population) workers are built (at
+// least one): with more jobs than candidates, candidate i runs on worker i
+// either way, so the surplus replicas would only pay the prefix. A hunt is
+// therefore
 // a pure function of (config, seed): coverage map, findings and reproducers
 // are bit-identical for any --jobs value. Findings replay standalone: a
 // fresh system re-runs the deterministic prefix to the fork point and arms
@@ -68,7 +74,8 @@ struct HuntReproducer {
 struct HuntConfig {
   /// Builds a fresh, unstarted system replica: configuration applied,
   /// traces attached, tracing enabled, monitor weakened if the scenario
-  /// wants that. Called once per worker plus once per standalone replay.
+  /// wants that. Called once per worker (min(jobs, population), at least
+  /// one) plus once per standalone replay.
   std::function<std::unique_ptr<core::HypervisorSystem>()> make_system;
 
   /// Environment plan armed before the fork (may be empty); its engine is
@@ -84,7 +91,7 @@ struct HuntConfig {
   std::uint64_t seed = 1;
   std::uint32_t generations = 8;
   std::uint32_t population = 16;    // candidates per generation
-  std::uint32_t jobs = 1;           // worker replicas (BatchRunner jobs)
+  std::uint32_t jobs = 1;           // worker replicas (BatchRunner jobs); capped at population
   /// Off = random campaign baseline: the corpus never grows, every mutant
   /// derives from the initial corpus (what PR 4's sweep-based campaigns
   /// do); the coverage map is still collected for reporting.

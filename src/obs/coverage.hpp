@@ -16,15 +16,21 @@
 //               before one actually crosses it;
 //   region E -- log2-bucketed worst observed bottom-handler latency.
 //
+// Regions A and B are fed per trace record: mark_point for one record,
+// mark_points for a block of them (a hunt evaluation retains thousands),
+// which sets the same bits through a table of fired (point, source) pairs.
+//
 // The map is plain data with a deterministic merge (bitwise or), so
 // campaign workers can be merged in any fixed order and the result is
 // bit-identical for any --jobs value. Nothing here feeds back into the
 // simulation: coverage is observability only.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "obs/trace_event.hpp"
@@ -57,10 +63,44 @@ class CoverageMap {
 
   // --- feature feeders -------------------------------------------------------
 
+  /// Marks one trace record: its point in region A and, for the first
+  /// kMaxSources sources, its (point, source) pair in region B. Points at or
+  /// past kPointBits set nothing (see mark_points).
   void mark_point(TracePoint point, std::uint32_t source) {
     const auto p = static_cast<std::uint32_t>(point);
+    if (p >= kPointBits) return;
     set(kRegionA + p);
     if (source < kMaxSources) set(kRegionB + source * kPointBits + p);
+  }
+
+  /// Marks every record of `events`; sets exactly the bits a mark_point
+  /// call per record would. The walk does one plain byte store per record
+  /// into a local fired table, one row per source plus a last row for
+  /// sources >= kMaxSources and kNoId (region A only, as in mark_point);
+  /// each fired (point, row) pair is then marked once. A per-record
+  /// mark_point would instead chain two read-modify-writes through the
+  /// same few bitmap words on every record.
+  ///
+  /// A point byte at or past kPointBits cannot come from an emit site
+  /// (every RTHV_TRACE names a TracePoint enumerator below kCount_), but a
+  /// hand-built record or a corrupt checkpoint stream -- TraceRing's
+  /// restore_state does not validate records -- can carry one. It is
+  /// skipped here as in mark_point: it would index past the table, and as a
+  /// bit offset it would land in an unrelated region.
+  void mark_points(std::span<const TraceEvent> events) {
+    std::array<std::uint8_t, (kMaxSources + 1) * kPointBits> fired{};
+    for (const TraceEvent& e : events) {
+      const auto p = static_cast<std::uint32_t>(e.point);
+      if (p >= kPointBits) continue;
+      fired[std::min(e.source, kMaxSources) * kPointBits + p] = 1;
+    }
+    for (std::uint32_t row = 0; row <= kMaxSources; ++row) {
+      for (std::uint32_t p = 0; p < kPointBits; ++p) {
+        if (fired[row * kPointBits + p] != 0) {
+          mark_point(static_cast<TracePoint>(p), row);
+        }
+      }
+    }
   }
 
   /// Admission ratio of one monitored source over the whole run.

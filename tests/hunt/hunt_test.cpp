@@ -22,6 +22,7 @@
 #include "core/hypervisor_system.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
+#include "workload/generators.hpp"
 
 namespace rthv::fault {
 namespace {
@@ -72,6 +73,31 @@ HuntConfig scenario(std::uint32_t jobs, bool guided, std::uint32_t generations,
   cfg.generations = generations;
   cfg.jobs = jobs;
   cfg.coverage_guided = guided;
+  return cfg;
+}
+
+/// The hunt_storm shape at a small budget: the *unweakened* monitored
+/// baseline under an exponential background, seeded with the shipped storm
+/// and adversary plans -- the same hunt as `rthv_hunt --baseline --corpus
+/// configs/fault_storm.plan --corpus configs/fault_adversary.plan
+/// --generations 4 --population 16 --horizon-ms 1000 --exp 1444 700`.
+HuntConfig storm_adversary_scenario() {
+  HuntConfig cfg;
+  cfg.make_system = [] {
+    auto system = std::make_unique<core::HypervisorSystem>(monitored_baseline());
+    system->enable_tracing();
+    workload::ExponentialTraceGenerator gen(Duration::us(1444), 1);
+    system->attach_trace(0, gen.generate(700));
+    return system;
+  };
+  cfg.corpus.push_back(load_fault_plan_file(RTHV_CONFIG_DIR "/fault_storm.plan"));
+  cfg.corpus.push_back(load_fault_plan_file(RTHV_CONFIG_DIR "/fault_adversary.plan"));
+  cfg.fork.kind = HuntForkPoint::Kind::kTime;
+  cfg.fork.time = TimePoint::at_us(10'000);
+  cfg.horizon = Duration::ms(1000);
+  cfg.seed = 1;
+  cfg.generations = 4;
+  cfg.population = 16;
   return cfg;
 }
 
@@ -181,6 +207,52 @@ TEST(HuntTest, SlotBoundaryForkRunsThePrefixOnce) {
   EXPECT_GT(result.events_to_fork, 0u)
       << "the prefix up to the second TDMA switch costs events exactly once";
   EXPECT_EQ(result.evaluations, 2u);
+}
+
+TEST(HuntTest, SurplusJobsBuildNoExtraReplicas) {
+  // Six jobs over four candidates: shards 4 and 5 would get no candidate,
+  // so their replicas must never be built -- and the result must not move.
+  const auto counted = [](std::uint32_t jobs, int* built) {
+    auto cfg = scenario(jobs, /*guided=*/true, 3);
+    cfg.population = 4;
+    cfg.make_system = [inner = cfg.make_system, built] {
+      ++*built;
+      return inner();
+    };
+    return cfg;
+  };
+  int built_surplus = 0;
+  int built_single = 0;
+  const auto surplus = run_hunt(counted(6, &built_surplus));
+  const auto single = run_hunt(counted(1, &built_single));
+  EXPECT_EQ(built_surplus, 4);
+  EXPECT_EQ(built_single, 1);
+
+  EXPECT_EQ(surplus.found, single.found);
+  EXPECT_EQ(surplus.evaluations, single.evaluations);
+  EXPECT_EQ(surplus.sim_events, single.sim_events);
+  EXPECT_EQ(surplus.sim_events_at_find, single.sim_events_at_find);
+  EXPECT_EQ(surplus.events_to_fork, single.events_to_fork);
+  EXPECT_EQ(surplus.generations_run, single.generations_run);
+  EXPECT_EQ(surplus.corpus_size, single.corpus_size);
+  EXPECT_EQ(surplus.coverage.to_hex(), single.coverage.to_hex());
+  EXPECT_EQ(surplus.reproducer.global_index, single.reproducer.global_index);
+  EXPECT_EQ(plan_text(surplus.reproducer.plan), plan_text(single.reproducer.plan));
+  EXPECT_EQ(report_text(surplus.report), report_text(single.report));
+}
+
+TEST(HuntTest, StormAdversaryCoverageMatchesParent) {
+  // Literals recorded with one CoverageMap::mark_point per trace record;
+  // the table-driven mark_points must reproduce the map bit for bit.
+  const auto result = run_hunt(storm_adversary_scenario());
+  EXPECT_FALSE(result.found) << "the unweakened baseline must hold Eq. 14";
+  EXPECT_EQ(result.coverage.to_hex(),
+            "00007ecfc03f7fee000000000000000000000000000000000000000000000000"
+            "0000000000000000000000000000000000003800000000000000000000000000"
+            "000000000000000000000800000000000000000000080000");
+  EXPECT_EQ(result.corpus_size, 5u);
+  EXPECT_EQ(result.evaluations, 64u);
+  EXPECT_EQ(result.sim_events, 203074u);
 }
 
 TEST(HuntTest, RejectsUnusableConfigs) {
