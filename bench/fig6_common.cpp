@@ -56,11 +56,6 @@ Fig6Result run_fig6(const Fig6Config& config) {
     base.sources[0].monitor = core::MonitorKind::kDeltaMin;
     base.sources[0].d_min = d_min;
   }
-  // UINTC-style variant: hardware vectors the source past the hypervisor;
-  // the monitor (if any) keeps judging the same activations as a shadow, so
-  // admission statistics stay comparable with the interposing run.
-  if (config.direct) base.sources[0].direct_delivery = true;
-
   // A fault plan is parsed once and shared (read-only) by all runs; each
   // run arms its own engine with a seed derived from the run index.
   fault::FaultPlan plan;

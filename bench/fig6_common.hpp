@@ -25,7 +25,6 @@ namespace rthv::bench {
 struct Fig6Config {
   bool monitored = false;        // Fig. 6b/6c: modified top handler + d_min monitor
   bool enforce_floor = false;    // Fig. 6c: interarrival floored at d_min
-  bool direct = false;           // UINTC-style hardware direct delivery for source 0
   std::size_t irqs_per_load = 5000;
   std::vector<int> load_percent = {1, 5, 10};
   std::uint64_t seed = 2014;     // DAC'14

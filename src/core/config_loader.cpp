@@ -276,8 +276,6 @@ SystemConfig load_config(std::istream& is) {
           current_source().bucket_depth = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "window_events") {
           current_source().window_events = parse_unsigned<std::uint32_t>(line_no, value);
-        } else if (key == "direct_delivery") {
-          current_source().direct_delivery = parse_bool(line_no, value);
         } else if (key == "core") {
           current_source().core = parse_unsigned<std::uint32_t>(line_no, value);
         } else if (key == "bh_accesses") {
@@ -460,7 +458,6 @@ void save_config(std::ostream& os, const SystemConfig& cfg) {
            << "window_events = " << s.window_events << "\n";
         break;
     }
-    if (s.direct_delivery) os << "direct_delivery = true\n";
     if (s.core != 0) os << "core = " << s.core << "\n";
     if (s.bh_accesses != 0) os << "bh_accesses = " << s.bh_accesses << "\n";
   }

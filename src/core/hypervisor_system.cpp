@@ -149,7 +149,6 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     if (auto monitor = build_monitor(s)) {
       hv_->set_monitor(sid, std::move(monitor));
     }
-    if (s.direct_delivery) hv_->set_direct_delivery(sid, true);
     platform_->add_timer(src.line);
   }
 
@@ -189,7 +188,6 @@ obs::MetricsSnapshot HypervisorSystem::metrics_snapshot() const {
       {cat::kIrqDeniedEngineBusy.name, irq.denied_engine_busy},
       {cat::kIrqDeniedBacklog.name, irq.denied_backlog},
       {cat::kIrqDeferredSlotSwitches.name, irq.deferred_slot_switches},
-      {cat::kIrqDirectHw.name, irq.direct_hw},
       {cat::kCtxTdma.name, ctx.tdma},
       {cat::kCtxInterposeEnter.name, ctx.interpose_enter},
       {cat::kCtxInterposeReturn.name, ctx.interpose_return},

@@ -61,12 +61,6 @@ struct IrqSourceSpec {
   std::uint32_t bucket_depth = 1;    // kTokenBucket: burst capacity
   std::uint32_t window_events = 1;   // kWindowCount: N (window = d_min)
 
-  /// UINTC-style direct delivery: the source's line bypasses the hypervisor
-  /// (fixed hardware cost, no interposition, no slot wait); its monitor
-  /// observes via a shadow channel but gates nothing. See
-  /// hw::PlatformConfig::direct_delivery_cycles for the hardware cost.
-  bool direct_delivery = false;
-
   /// Core whose interrupt distributor the device is wired to. When it
   /// differs from the subscriber partition's core, MulticoreSystem routes
   /// raises across the interconnect (route latency + an uncolored burst)

@@ -29,7 +29,6 @@ struct SourceTable {
   std::vector<sim::Duration> c_top;             // C_THi
   std::vector<sim::Duration> c_bottom;          // C_BHi (interpose budget)
   std::vector<mon::ActivationMonitor*> monitor; // borrowed; nullptr = none
-  std::vector<std::uint8_t> direct_hw;          // UINTC-style delivery flag
   std::vector<std::uint64_t> next_seq;          // per-source sequence counter
 
   // Shared-interconnect coupling (all zero on single-core systems).
@@ -54,7 +53,6 @@ struct SourceTable {
     c_top.push_back(top);
     c_bottom.push_back(bottom);
     monitor.push_back(nullptr);
-    direct_hw.push_back(0);
     next_seq.push_back(0);
     bh_accesses.push_back(0);
     admit_d_min.push_back(sim::Duration::zero());

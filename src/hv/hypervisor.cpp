@@ -69,11 +69,6 @@ void Hypervisor::set_monitor(IrqSourceId source,
   srcs_.monitor.at(source) = owned_monitors_[source].get();
 }
 
-void Hypervisor::set_direct_delivery(IrqSourceId source, bool on) {
-  srcs_.direct_hw.at(source) = on ? 1 : 0;
-  platform_.intc().set_direct_delivery(source_configs_.at(source).line, on);
-}
-
 void Hypervisor::set_partition_client(PartitionId p, PartitionClient* client) {
   partitions_.at(p).set_client(client);
 }
@@ -107,11 +102,6 @@ void Hypervisor::start() {
   finalize_structure();
   platform_.intc().set_irq_entry_raw(
       [](void* ctx) { static_cast<Hypervisor*>(ctx)->irq_entry(); }, this);
-  platform_.intc().set_direct_sink_raw(
-      [](void* ctx, hw::IrqLine line, TimePoint raise_time) {
-        static_cast<Hypervisor*>(ctx)->on_direct_delivery(line, raise_time);
-      },
-      this);
   platform_.intc().set_lost_raise_observer([this](hw::IrqLine l) {
     const IrqSourceId sid = lines_.at(l);
     report_health(now(), HealthEventKind::kIrqRaiseLost,
@@ -454,52 +444,6 @@ void Hypervisor::do_slot_switch(Duration lead) {
           context_hook_(ContextChange{now(), current_partition_, Reason::kTdmaSwitch});
         }
         return_to_partition();
-      });
-}
-
-// --- direct delivery (UINTC-style) -------------------------------------------
-
-void Hypervisor::on_direct_delivery(hw::IrqLine line, TimePoint raise_time) {
-  assert(started_);
-  const IrqSourceId sid = lines_.at(line);
-  assert(sid != kInvalidSource && "direct delivery on a line without a source");
-  const PartitionId sub = srcs_.subscriber[sid];
-  const std::uint64_t seq = srcs_.next_seq[sid]++;
-  const TimePoint delivered = now();
-  ++irq_path_stats_.direct_hw;
-  // Shadow channel: the monitor observes the activation (Algorithm 1 still
-  // records every event) but its verdict gates nothing -- direct-delivery
-  // hardware does not consult it.
-  mon::ActivationMonitor* monitor = srcs_.monitor[sid];
-  if (monitor != nullptr) {
-    (void)monitor->record_and_check(normalized_observation(sid, raise_time));
-  }
-  trace(TracePoint::kDirectDeliver, TraceCategory::kIrq, sub, sid,
-        static_cast<std::uint64_t>(raise_time.count_ns()), seq);
-  // The bottom handler runs to completion on the dedicated delivery path,
-  // modelled as overlapping the TDMA schedule (it steals no partition CPU
-  // time and defers no slot boundary).
-  platform_.simulator().schedule_after(
-      srcs_.c_bottom[sid], [this, sid, sub, seq, raise_time, delivered] {
-        trace(TracePoint::kDirectComplete, TraceCategory::kIrq, sub, sid, seq);
-        Partition& p = partitions_[sub];
-        p.count_bh_completion();
-        CompletedIrq rec;
-        rec.source = sid;
-        rec.seq = seq;
-        rec.raise_time = raise_time;
-        rec.th_start = delivered;
-        rec.bh_end = now();
-        rec.handling = stats::HandlingClass::kDirectHw;
-        if (completion_hook_) completion_hook_(rec);
-        if (p.client() != nullptr) {
-          IrqEvent ev;
-          ev.source = sid;
-          ev.seq = seq;
-          ev.raise_time = raise_time;
-          ev.th_start = delivered;
-          p.client()->on_bottom_handler_complete(ev);
-        }
       });
 }
 

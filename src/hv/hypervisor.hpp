@@ -42,13 +42,6 @@
 // that fires while an interposed bottom handler runs is deferred until the
 // handler's budget ends; the next slot is shortened by that deferral, which
 // is exactly the bounded interference of Eq. 14.
-//
-// UINTC-style direct delivery: sources flagged via set_direct_delivery()
-// bypass the hypervisor entirely -- the interrupt controller vectors them
-// straight to the subscriber after a fixed hardware cost, the bottom
-// handler runs to completion on the dedicated delivery path (modelled as
-// not perturbing the TDMA schedule), and the source's monitor observes the
-// activation through a shadow channel without gating anything.
 #pragma once
 
 #include <cassert>
@@ -132,7 +125,6 @@ struct IrqPathStats {
   std::uint64_t denied_engine_busy = 0;  // admitted but an interpose was active
   std::uint64_t denied_backlog = 0;      // admitted but a partial BH was pending
   std::uint64_t deferred_slot_switches = 0;
-  std::uint64_t direct_hw = 0;           // UINTC-style hardware deliveries
   std::uint64_t budget_overruns = 0;     // interposed BH cut by its budget
   std::uint64_t queue_overflows = 0;     // events dropped at a full queue
 };
@@ -158,15 +150,6 @@ class Hypervisor {
 
   void set_top_handler_mode(TopHandlerMode mode) { mode_ = mode; }
   [[nodiscard]] TopHandlerMode top_handler_mode() const { return mode_; }
-
-  /// UINTC-style direct delivery for a source: its line bypasses the
-  /// hypervisor (fixed hardware cost, no interposition, no slot wait); the
-  /// source's monitor still observes every activation via a shadow channel
-  /// but its verdict gates nothing. A platform-level scenario axis.
-  void set_direct_delivery(IrqSourceId source, bool on);
-  [[nodiscard]] bool direct_delivery(IrqSourceId source) const {
-    return srcs_.direct_hw.at(source) != 0;
-  }
 
   /// Hook invoked for every completed bottom handler.
   using CompletionHook = std::function<void(const CompletedIrq&)>;
@@ -311,7 +294,6 @@ class Hypervisor {
 
   // Hardware glue.
   void irq_entry();
-  void on_direct_delivery(hw::IrqLine line, sim::TimePoint raise_time);
 
   // Hypervisor sequences (interrupts disabled). Templated so the
   // continuation lambda forwards straight into its event-queue slot --

@@ -16,12 +16,6 @@
 // words for latches, a flat raise-timestamp array) and delivery goes
 // through a raw function pointer. The one std::function, the lost-raise
 // observer, is health reporting on a path that only lost raises take.
-//
-// Direct-delivery variant (UINTC-style): lines flagged for direct delivery
-// bypass the CPU IRQ entry entirely. A raise on such a line schedules a
-// fixed-cost hardware delivery event that clears the latch and invokes the
-// direct sink -- modelling interrupt-delivery hardware that vectors
-// straight to the subscriber without hypervisor interposition.
 #pragma once
 
 #include <bit>
@@ -48,19 +42,13 @@ class InterruptController {
   /// `set_cpu_irq_enabled(true)`.
   using RawIrqEntry = void (*)(void*);
 
-  /// Sink for direct-delivery lines: invoked when the fixed hardware
-  /// delivery cost has elapsed after a raise. Runs outside any CPU IRQ
-  /// context (the whole point of the variant).
-  using RawDirectSink = void (*)(void*, IrqLine, sim::TimePoint raise_time);
-
   explicit InterruptController(std::uint32_t num_lines);
 
   [[nodiscard]] std::uint32_t num_lines() const { return num_lines_; }
 
-  /// Attaches the simulator so raises can be timestamped inline and direct
-  /// deliveries scheduled. The platform wires this; controllers constructed
-  /// standalone (unit tests) work without one, with raise_time() reporting
-  /// "never".
+  /// Attaches the simulator so raises can be timestamped inline. The
+  /// platform wires this; controllers constructed standalone (unit tests)
+  /// work without one, with raise_time() reporting "never".
   void set_clock(sim::Simulator* sim) { sim_ = sim; }
 
   void set_irq_entry_raw(RawIrqEntry entry, void* ctx) {
@@ -74,26 +62,6 @@ class InterruptController {
   void set_lost_raise_observer(RaiseObserver observer) {
     lost_raise_observer_ = std::move(observer);
   }
-
-  // --- direct delivery (UINTC-style) ---------------------------------------
-
-  /// Marks a line for direct delivery: raises bypass the CPU IRQ entry and
-  /// instead invoke the direct sink after `direct_delivery_cost()`. Requires
-  /// a clock (set_clock) for scheduling.
-  void set_direct_delivery(IrqLine line, bool on);
-  [[nodiscard]] bool direct_delivery(IrqLine line) const;
-
-  /// Fixed hardware cost between a raise on a direct line and the sink
-  /// invocation (the UINTC delivery latency).
-  void set_direct_delivery_cost(sim::Duration cost) { direct_cost_ = cost; }
-  [[nodiscard]] sim::Duration direct_delivery_cost() const { return direct_cost_; }
-
-  void set_direct_sink_raw(RawDirectSink sink, void* ctx) {
-    direct_sink_ = sink;
-    direct_sink_ctx_ = ctx;
-  }
-
-  [[nodiscard]] std::uint64_t direct_deliveries() const { return direct_deliveries_; }
 
   /// A device raises a line. The pending latch is *not* counting: raising an
   /// already-pending line is lost, exactly like real IRQ flags (the paper
@@ -112,10 +80,6 @@ class InterruptController {
     }
     set_bit(pending_, line, true);
     if (sim_ != nullptr) raise_time_[line] = sim_->now();
-    if (bit(direct_, line)) {
-      deliver_direct(line);
-      return true;
-    }
     maybe_deliver();
     return true;
   }
@@ -168,26 +132,21 @@ class InterruptController {
   [[nodiscard]] std::uint64_t lost_raises(IrqLine line) const;
 
   /// Checkpoint of the latches, timestamps and counters. Wiring (entry,
-  /// sinks, observers, clock) is untouched; delivering_ is false whenever
-  /// the simulator is between events, which is the only legal snapshot
-  /// instant.
+  /// observer, clock) is untouched; delivering_ is false whenever the
+  /// simulator is between events, which is the only legal snapshot instant.
   void snapshot_state(sim::StateWriter& w) const {
     w.pod_vec(pending_);
-    w.pod_vec(direct_);
     w.pod_vec(raise_time_);
     w.pod_vec(lost_per_line_);
     w.boolean(cpu_irq_enabled_);
-    w.u64(direct_deliveries_);
     w.u64(raises_);
     w.u64(lost_raises_);
   }
   void restore_state(sim::StateReader& r) {
     r.pod_vec(pending_);
-    r.pod_vec(direct_);
     r.pod_vec(raise_time_);
     r.pod_vec(lost_per_line_);
     cpu_irq_enabled_ = r.boolean();
-    direct_deliveries_ = r.u64();
     raises_ = r.u64();
     lost_raises_ = r.u64();
   }
@@ -206,8 +165,6 @@ class InterruptController {
     delivering_ = false;
   }
 
-  void deliver_direct(IrqLine line);
-
   [[nodiscard]] bool bit(const std::vector<std::uint64_t>& words, IrqLine line) const {
     return ((words[line >> 6U] >> (line & 63U)) & 1U) != 0;
   }
@@ -220,13 +177,12 @@ class InterruptController {
     }
   }
 
-  // Per-line state in struct-of-arrays form: pending/direct latches
-  // as bitmask words (priority resolution is a word-AND plus
-  // count-trailing-zeros instead of a per-line scan), raise timestamps and
-  // loss counters as flat arrays indexed by line.
+  // Per-line state in struct-of-arrays form: pending latches as bitmask
+  // words (priority resolution is a word-AND plus count-trailing-zeros
+  // instead of a per-line scan), raise timestamps and loss counters as flat
+  // arrays indexed by line.
   std::uint32_t num_lines_ = 0;  // lint: transient(structural line count fixed at construction)
   std::vector<std::uint64_t> pending_;
-  std::vector<std::uint64_t> direct_;
   std::vector<sim::TimePoint> raise_time_;
   std::vector<std::uint64_t> lost_per_line_;
   bool cpu_irq_enabled_ = true;
@@ -234,10 +190,6 @@ class InterruptController {
   sim::Simulator* sim_ = nullptr;  // lint: transient(simulator wiring fixed at attach)
   RawIrqEntry irq_entry_raw_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
   void* irq_entry_ctx_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
-  RawDirectSink direct_sink_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
-  void* direct_sink_ctx_ = nullptr;  // lint: transient(hypervisor wiring, re-established at system assembly)
-  sim::Duration direct_cost_;  // lint: transient(hardware cost constant fixed at configuration)
-  std::uint64_t direct_deliveries_ = 0;
   RaiseObserver lost_raise_observer_;  // lint: transient(observability wiring, re-established at system assembly)
   std::uint64_t raises_ = 0;
   std::uint64_t lost_raises_ = 0;

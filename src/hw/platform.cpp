@@ -9,8 +9,6 @@ Platform::Platform(sim::Simulator& simulator, const PlatformConfig& config)
       memory_(config.ctx_invalidate_instructions, config.ctx_writeback_cycles),
       timestamp_(simulator) {
   intc_.set_clock(&sim_);
-  intc_.set_direct_delivery_cost(
-      cpu_.cycles_to_duration(config.direct_delivery_cycles));
 }
 
 HwTimer& Platform::add_timer(IrqLine line) {

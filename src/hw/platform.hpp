@@ -27,9 +27,6 @@ struct PlatformConfig {
   std::uint32_t num_irq_lines = 32;
   std::uint64_t ctx_invalidate_instructions = 5000;
   std::uint64_t ctx_writeback_cycles = 5000;
-  /// Fixed hardware cost of the UINTC-style direct-delivery path (raise to
-  /// handler start); only lines flagged for direct delivery pay it.
-  std::uint64_t direct_delivery_cycles = 100;
 };
 
 class Platform {

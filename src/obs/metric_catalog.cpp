@@ -16,7 +16,6 @@ constexpr Metric kFixed[] = {
     kIrqDeniedEngineBusy,
     kIrqDeniedBacklog,
     kIrqDeferredSlotSwitches,
-    kIrqDirectHw,
     kCtxTdma,
     kCtxInterposeEnter,
     kCtxInterposeReturn,

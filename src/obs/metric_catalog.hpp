@@ -40,7 +40,6 @@ inline constexpr Metric kIrqDeniedMonitor{"irq.denied.monitor", "irqs"};
 inline constexpr Metric kIrqDeniedEngineBusy{"irq.denied.engine_busy", "irqs"};
 inline constexpr Metric kIrqDeniedBacklog{"irq.denied.backlog", "irqs"};
 inline constexpr Metric kIrqDeferredSlotSwitches{"irq.deferred_slot_switches", "switches"};
-inline constexpr Metric kIrqDirectHw{"irq.direct_hw", "irqs"};
 inline constexpr Metric kCtxTdma{"ctx.tdma", "switches"};
 inline constexpr Metric kCtxInterposeEnter{"ctx.interpose_enter", "switches"};
 inline constexpr Metric kCtxInterposeReturn{"ctx.interpose_return", "switches"};

@@ -66,8 +66,8 @@ enum class TracePoint : std::uint8_t {
   kHealth,            // re-emitted health event; arg0 = HealthEventKind
   kInterposeStart,    // interposition granted; arg0 = admitted raise time ns, arg1 = seq
   kFaultInject,       // fault engine action; arg0 = fault kind, arg1 = per-kind payload
-  kDirectDeliver,     // UINTC-style hardware delivery; arg0 = raise time ns, arg1 = seq
-  kDirectComplete,    // directly delivered bottom handler finished; arg0 = seq
+  kDirectDeliver,     // reserved, never emitted; keeps the later values' numbering
+  kDirectComplete,    // reserved, never emitted; keeps the later values' numbering
   kInterposeCharge,   // contention charge of an admission; arg0 = normalized-clock shift ns, arg1 = stall ns
   kCount_,
 };

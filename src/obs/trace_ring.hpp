@@ -68,9 +68,14 @@ class TraceRing {
 
   /// Records one event. Callers normally go through RTHV_TRACE so the
   /// argument evaluation itself is skipped while disabled; calling emit()
-  /// directly on a disabled ring is a safe no-op.
+  /// directly on a disabled ring is a safe no-op. A category outside
+  /// TraceCategory throws std::invalid_argument (it indexes the per-category
+  /// counters).
   void emit(const TraceEvent& event) {
     if (!enabled_) return;
+    if (event.category >= TraceCategory::kCount_) [[unlikely]] {
+      throw std::invalid_argument("TraceRing::emit: trace category out of range");
+    }
     ++emitted_;
     ++per_category_[static_cast<std::size_t>(event.category)];
     buffer_[next_] = event;
@@ -136,7 +141,8 @@ class TraceRing {
   /// slots [next - size, next) mod capacity. Storage is reallocated only when
   /// the capacity changed or the ring needs storage it does not have; slots
   /// outside the retained window may keep stale records, which snapshot()
-  /// never reads.
+  /// never reads. A record whose point or category is out of range throws
+  /// std::logic_error, like a cursor out of range.
   void restore_state(sim::StateReader& r) {
     const std::size_t capacity = r.u64();
     const bool enabled = r.boolean();
@@ -162,6 +168,14 @@ class TraceRing {
     const std::size_t head = std::min(count_, capacity_ - start);
     r.pod_span(buffer_.data() + start, head);
     r.pod_span(buffer_.data(), count_ - head);
+    for (const auto block : retained()) {
+      for (const TraceEvent& e : block) {
+        if (e.point >= TracePoint::kCount_ || e.category >= TraceCategory::kCount_) {
+          throw std::logic_error(
+              "Hypervisor::restore: trace record point or category out of range");
+        }
+      }
+    }
   }
 
  private:

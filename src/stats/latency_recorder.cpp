@@ -45,6 +45,8 @@ double LatencyRecorder::fraction(HandlingClass cls) const {
 }
 
 void LatencyRecorder::write_summary(std::ostream& os) const {
+  // The reserved direct-hw column always reads 0; it stays because the line
+  // is a committed output format.
   for (auto cls : {HandlingClass::kDirect, HandlingClass::kInterposed,
                    HandlingClass::kDelayed, HandlingClass::kDirectHw}) {
     os << to_string(cls) << " " << fraction(cls) * 100.0 << "% (" << count(cls) << ")";

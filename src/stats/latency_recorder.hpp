@@ -4,8 +4,10 @@
 // classifies them (Section 6.1): *direct* (arrived during the subscriber's
 // own slot), *interposed* (executed in a foreign slot via the monitored
 // path) or *delayed* (waited for the subscriber's next slot). A fourth
-// class, *direct-hw*, covers the UINTC-style direct-delivery variant where
-// hardware vectors the IRQ past the hypervisor entirely.
+// class, *direct-hw*, is reserved and never recorded: every IRQ enters
+// through the hypervisor's top handler. It stays because the per-class
+// counts, the summary line and the irq.*.direct-hw metrics are part of
+// committed outputs and benchmark digests.
 //
 // The recorder is the system's one per-IRQ latency store: a single
 // in-order sample log with a one-byte class tag per sample. Per-class
@@ -28,7 +30,7 @@ enum class HandlingClass : std::uint8_t {
   kDirect,
   kInterposed,
   kDelayed,
-  kDirectHw,  // UINTC-style hardware direct delivery (no hypervisor path)
+  kDirectHw,  // reserved, never recorded; kept for the committed outputs' shape
   kCount_,
 };
 

@@ -12,12 +12,15 @@
 //   5. Monitored interference: consecutive *fresh* interposed completions
 //      of a d_min-monitored source never violate d_min at admission level
 //      (checked through monitor counters vs. interpose starts).
+//   6. No completion is classed direct-hw (a reserved class: every IRQ
+//      enters through the hypervisor's top handler).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/hypervisor_system.hpp"
 #include "sim/random.hpp"
+#include "stats/latency_recorder.hpp"
 #include "workload/generators.hpp"
 
 namespace rthv::core {
@@ -136,6 +139,10 @@ TEST_P(FuzzInvariantsTest, RandomSystemHoldsInvariants) {
                 irq.denied_backlog + 1);
   EXPECT_EQ(system.hypervisor().context_switches().interpose_enter,
             irq.interpose_started);
+
+  // --- invariant 6: every IRQ enters through the top handler ------------------
+  // direct-hw is a reserved class that no path records.
+  EXPECT_EQ(system.recorder().count(stats::HandlingClass::kDirectHw), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzInvariantsTest,

@@ -7,6 +7,8 @@
 //    observable of the ring whatever was emitted after it, at any fill level
 //    and across capacity changes, and costs a fixed header plus 5 words per
 //    retained record;
+//  * a record whose category (emit) or point or category (restore) is out
+//    of range is rejected, never indexed;
 //  * merging per-shard MetricsSnapshots in shard order is bit-identical to
 //    observing the same sample stream in one snapshot, for any shard split
 //    (the BatchRunner jobs-independence contract);
@@ -127,6 +129,26 @@ TEST(TraceRingTest, CountsEachCategorySeparately) {
   EXPECT_EQ(ring.category_count(TraceCategory::kMonitor), 2u);
   EXPECT_EQ(ring.category_count(TraceCategory::kGuest), 1u);
   EXPECT_EQ(ring.category_count(TraceCategory::kIrq), 0u);
+}
+
+TEST(TraceRingTest, EmitRejectsOutOfRangeCategory) {
+  TraceRing ring(8);
+  ring.set_enabled(true);
+  ring.emit(0, TracePoint::kMonitorAdmit, TraceCategory::kMonitor);
+  for (const int bad : {static_cast<int>(TraceCategory::kCount_), 200, 255}) {
+    SCOPED_TRACE(bad);
+    TraceEvent e;
+    e.point = TracePoint::kIrqPush;
+    e.category = static_cast<TraceCategory>(bad);
+    EXPECT_THROW(ring.emit(e), std::invalid_argument);
+    EXPECT_THROW(ring.emit(1, TracePoint::kIrqPush, static_cast<TraceCategory>(bad)),
+                 std::invalid_argument);
+  }
+  // Nothing of a rejected record is counted or stored.
+  EXPECT_EQ(ring.emitted(), 1u);
+  EXPECT_EQ(ring.size(), 1u);
+  EXPECT_EQ(ring.category_count(TraceCategory::kMonitor), 1u);
+  EXPECT_EQ(ring.snapshot().front().point, TracePoint::kMonitorAdmit);
 }
 
 TEST(TraceRingTest, CategoryNamesAreDistinct) {
@@ -317,6 +339,44 @@ TEST(TraceRingCheckpointTest, MalformedStreamThrows) {
   expect_rejected(0, 0);  // capacity 0
   expect_rejected(3, 5);  // count > capacity
   expect_rejected(2, 4);  // cursor past the last slot
+}
+
+TEST(TraceRingCheckpointTest, RestoreRejectsOutOfRangeRecords) {
+  TraceRing ring(4);
+  ring.set_enabled(true);
+  emit_range(ring, 0, 6);  // wrapped: the corrupt record may sit in either block
+  const auto words = checkpoint(ring);
+  const auto corrupt = [&](std::size_t record, auto&& mutate) {
+    auto bad = words;
+    const std::size_t at = kRingHeaderWords + kWordsPerRecord * record;
+    TraceEvent e;
+    std::memcpy(static_cast<void*>(&e), bad.data() + at, sizeof e);
+    mutate(e);
+    std::memcpy(bad.data() + at, &e, sizeof e);
+    return bad;
+  };
+  const auto expect_rejected = [&](const std::vector<std::uint64_t>& bad) {
+    TraceRing target(4);
+    try {
+      sim::StateReader r(bad);
+      target.restore_state(r);
+      ADD_FAILURE() << "a record out of range was accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("Hypervisor::restore: ", 0), 0u) << e.what();
+    }
+  };
+  for (const std::size_t record : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE(record);
+    expect_rejected(corrupt(record, [](TraceEvent& e) { e.point = TracePoint::kCount_; }));
+    expect_rejected(corrupt(record, [](TraceEvent& e) {
+      e.category = static_cast<TraceCategory>(200);
+    }));
+    expect_rejected(corrupt(record, [](TraceEvent& e) { e.category = TraceCategory::kCount_; }));
+  }
+  // The uncorrupted stream still restores.
+  TraceRing target(4);
+  restore(target, words);
+  EXPECT_TRUE(RingView(target) == RingView(ring));
 }
 
 // --- trace log --------------------------------------------------------------

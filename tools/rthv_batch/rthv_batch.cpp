@@ -20,7 +20,7 @@
 // (no key is negative, and no time overflows its nanosecond conversion):
 //   {
 //     "topology":   "baseline" | "<config.ini path>",
-//     "mode":       "unmonitored" | "monitored" | "direct",
+//     "mode":       "unmonitored" | "monitored",
 //     "lambda_us":  1444,      // mean exponential interarrival, > 0
 //     "d_min_us":   0,         // monitoring distance; 0 = lambda
 //     "floor":      false,     // floor interarrivals at d_min (fig6c-style)
@@ -245,11 +245,10 @@ int main(int argc, char** argv) {
                                               : core::load_config_file(spec.topology);
     const auto lambda = Duration::us(spec.lambda_us);
     const auto d_min = spec.d_min_us > 0 ? Duration::us(spec.d_min_us) : lambda;
-    if (spec.mode == "monitored" || spec.mode == "direct") {
+    if (spec.mode == "monitored") {
       config.mode = hv::TopHandlerMode::kInterposing;
       config.sources[0].monitor = core::MonitorKind::kDeltaMin;
       config.sources[0].d_min = d_min;
-      if (spec.mode == "direct") config.sources[0].direct_delivery = true;
     } else if (spec.mode != "unmonitored") {
       throw std::runtime_error("unknown mode \"" + spec.mode + "\"");
     }
