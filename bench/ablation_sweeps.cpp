@@ -26,7 +26,6 @@
 #include <iostream>
 #include <vector>
 
-#include "analysis/irq_latency.hpp"
 #include "analysis/slot_table.hpp"
 #include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
@@ -36,9 +35,6 @@
 #include "exp/system_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/oracle.hpp"
-#include "hw/cpu_model.hpp"
-#include "mon/token_bucket_monitor.hpp"
-#include "mon/window_count_monitor.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
 
@@ -80,8 +76,7 @@ int main(int argc, char** argv) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      base.sources[0].c_bottom, core::AnalysisFacade(base).overhead_times());
+  const Duration c_bh_eff = core::AnalysisFacade(base).effective_bottom_cost(0);
   const auto lambda = Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
 
   // --- 1. TDMA cycle length sweep -----------------------------------------
@@ -126,7 +121,7 @@ int main(int argc, char** argv) {
           Duration::ns(static_cast<std::int64_t>(static_cast<double>(lambda.count_ns()) * ratio));
       cfg.sources[0].d_min = d_min;
       const auto out = run(cfg, lambda, Duration::zero(), kIrqs, 200);
-      const auto bound = analysis::interposed_interference(cfg.tdma_cycle(), d_min, c_bh_eff);
+      const auto bound = *core::AnalysisFacade(cfg).interference(0, cfg.tdma_cycle());
       return {stats::Table::num(ratio, 2), stats::Table::num(out.avg.as_us()),
               stats::Table::num(out.max.as_us()),
               stats::Table::num(out.interposed_frac * 100) + "%",
@@ -149,8 +144,8 @@ int main(int argc, char** argv) {
       auto cfg = base;
       cfg.platform.ctx_invalidate_instructions = instr;
       cfg.platform.ctx_writeback_cycles = instr;
-      const Duration eff = analysis::effective_bottom_cost(
-          cfg.sources[0].c_bottom, core::AnalysisFacade(cfg).overhead_times());
+      const core::AnalysisFacade facade(cfg);
+      const Duration eff = facade.effective_bottom_cost(0);
       // Keep the load definition consistent with the platform's C'_BH.
       const auto lam = Duration::ns(eff.count_ns() * 10);
       auto mon_cfg = cfg;
@@ -161,10 +156,7 @@ int main(int argc, char** argv) {
       const auto unmon = run(cfg, lam, lam, kIrqs, 300);
       const double speedup = static_cast<double>(unmon.avg.count_ns()) /
                              static_cast<double>(mon.avg.count_ns());
-      const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-      return {stats::Table::num(
-                  (cpu.instructions_to_duration(instr) + cpu.cycles_to_duration(instr))
-                      .as_us()),
+      return {stats::Table::num(facade.overhead_times().c_ctx.as_us()),
               stats::Table::num(eff.as_us()), stats::Table::num(mon.avg.as_us()),
               stats::Table::num(unmon.avg.as_us()), stats::Table::num(speedup, 2) + "x"};
     });
@@ -190,18 +182,15 @@ int main(int argc, char** argv) {
       auto cfg = base;
       cfg.mode = hv::TopHandlerMode::kInterposing;
       cfg.sources[0].d_min = interval;
-      Duration bound;
       const char* label = "";
       switch (shaper) {
         case 0:
           cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
-          bound = analysis::interposed_interference(cfg.tdma_cycle(), interval, c_bh_eff);
           label = "delta^- (d_min)";
           break;
         case 1:
           cfg.sources[0].monitor = core::MonitorKind::kTokenBucket;
           cfg.sources[0].bucket_depth = 2;  // admits a whole burst back-to-back
-          bound = mon::token_bucket_interference(cfg.tdma_cycle(), interval, 2, c_bh_eff);
           label = "token bucket (depth 2)";
           break;
         case 2:
@@ -209,13 +198,12 @@ int main(int argc, char** argv) {
           cfg.sources[0].monitor = core::MonitorKind::kWindowCount;
           cfg.sources[0].d_min = interval * 2;
           cfg.sources[0].window_events = 2;
-          bound = mon::window_count_interference(cfg.tdma_cycle(), interval * 2, 2,
-                                                 c_bh_eff);
           label = "window counter (2 per 2*d_min)";
           break;
         default:
           break;
       }
+      const auto bound = *core::AnalysisFacade(cfg).interference(0, cfg.tdma_cycle());
       core::HypervisorSystem system(cfg);
       system.attach_trace(0, trace);
       system.run(Duration::s(600));
@@ -247,7 +235,7 @@ int main(int argc, char** argv) {
       cfg.mode = hv::TopHandlerMode::kInterposing;
       cfg.sources[0].monitor = core::MonitorKind::kDeltaMin;
       cfg.sources[0].d_min = lambda;
-      std::vector<analysis::IrqSourceModel> others;
+      std::vector<core::Activation> activations{analysis::make_sporadic(lambda)};
       if (interferer_d_us > 0) {
         core::IrqSourceSpec noise;
         noise.name = "noise";
@@ -256,14 +244,10 @@ int main(int argc, char** argv) {
         noise.c_top = Duration::us(5);
         noise.c_bottom = Duration::us(10);
         cfg.sources.push_back(noise);
-        others.push_back(analysis::IrqSourceModel{
-            analysis::make_sporadic(Duration::us(interferer_d_us)), noise.c_top,
-            noise.c_bottom});
+        activations.push_back(analysis::make_sporadic(Duration::us(interferer_d_us)));
       }
-      const core::AnalysisFacade facade(cfg);
-      const auto bound = analysis::interposed_latency(
-          facade.source_model(0, analysis::make_sporadic(lambda)), others,
-          facade.overhead_times());
+      const auto bound =
+          core::AnalysisFacade(cfg).compare(0, activations[0], true, activations).interposed;
 
       core::HypervisorSystem system(cfg);
       system.keep_completions(true);

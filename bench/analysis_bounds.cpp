@@ -65,16 +65,10 @@ int main() {
     row.d_min = Duration::us(d_us);
     const auto activation = analysis::make_sporadic(row.d_min);
 
-    const auto delayed =
-        analysis::tdma_latency(facade.source_model(0, activation), {},
-                               facade.tdma_model(0), facade.overhead_times(), false);
+    const auto delayed = facade.compare(0, activation, false).tdma_delayed;
     // Bound for non-interposed events of the *monitored* run: violating or
     // engine-denied events still pay C_Mon in the top handler (Eq. 15).
-    const auto delayed_mon =
-        analysis::tdma_latency(facade.source_model(0, activation), {},
-                               facade.tdma_model(0), facade.overhead_times(), true);
-    const auto interposed = analysis::interposed_latency(
-        facade.source_model(0, activation), {}, facade.overhead_times());
+    const auto [delayed_mon, interposed] = facade.compare(0, activation, true);
     row.delayed_bound = delayed ? delayed->worst_case : Duration::zero();
     row.interposed_bound = interposed ? interposed->worst_case : Duration::zero();
 
@@ -114,12 +108,8 @@ int main() {
   for (const int scale : {1, 2, 4}) {
     auto cfg = base;
     for (auto& p : cfg.partitions) p.slot_length = p.slot_length * scale;
-    const core::AnalysisFacade f(cfg);
-    const auto act = analysis::make_sporadic(Duration::us(1444));
-    const auto delayed = analysis::tdma_latency(f.source_model(0, act), {},
-                                                f.tdma_model(0), f.overhead_times(), true);
-    const auto interposed =
-        analysis::interposed_latency(f.source_model(0, act), {}, f.overhead_times());
+    const auto [delayed, interposed] =
+        core::AnalysisFacade(cfg).compare(0, analysis::make_sporadic(Duration::us(1444)), true);
     indep.add_row({stats::Table::num(cfg.tdma_cycle().as_us(), 0),
                    stats::Table::num(delayed ? delayed->worst_case.as_us() : 0.0),
                    stats::Table::num(interposed ? interposed->worst_case.as_us() : 0.0)});

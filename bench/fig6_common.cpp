@@ -3,7 +3,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "analysis/irq_latency.hpp"
 #include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 #include "exp/batch_runner.hpp"
@@ -44,8 +43,7 @@ Fig6Result run_fig6(const Fig6Config& config) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      base.sources[0].c_bottom, core::AnalysisFacade(base).overhead_times());
+  const Duration c_bh_eff = core::AnalysisFacade(base).effective_bottom_cost(0);
   // d_min fixed at the highest configured load's lambda.
   int max_load = 1;
   for (const int l : config.load_percent) max_load = std::max(max_load, l);

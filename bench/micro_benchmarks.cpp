@@ -5,7 +5,7 @@
 // claims are end-to-end medians measured by e2ebench/.
 #include <benchmark/benchmark.h>
 
-#include "analysis/irq_latency.hpp"
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 #include "mon/learning_monitor.hpp"
 #include "mon/monitor.hpp"
@@ -196,14 +196,10 @@ void BM_BusyWindowSolve(benchmark::State& state) {
 BENCHMARK(BM_BusyWindowSolve);
 
 void BM_WcrtFullAnalysis(benchmark::State& state) {
-  const analysis::IrqSourceModel own{analysis::make_sporadic(Duration::us(1444)),
-                                     Duration::us(5), Duration::us(40)};
-  const analysis::TdmaModel tdma{Duration::us(14000), Duration::us(6000)};
-  const analysis::OverheadTimes oh{Duration::ns(640), Duration::ns(4385),
-                                   Duration::us(50)};
+  const core::AnalysisFacade facade(core::SystemConfig::paper_baseline());
+  const auto activation = analysis::make_sporadic(Duration::us(1444));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::tdma_latency(own, {}, tdma, oh, true));
-    benchmark::DoNotOptimize(analysis::interposed_latency(own, {}, oh));
+    benchmark::DoNotOptimize(facade.compare(0, activation, true));
   }
 }
 BENCHMARK(BM_WcrtFullAnalysis);

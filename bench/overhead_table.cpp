@@ -16,8 +16,8 @@
 // values alongside the size of this implementation's state objects.
 #include <iostream>
 
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
-#include "hv/overhead_model.hpp"
 #include "mon/learning_monitor.hpp"
 #include "mon/monitor.hpp"
 #include "stats/table.hpp"
@@ -64,10 +64,9 @@ RunStats run_scenario(bool monitored, Duration lambda, Duration d_min,
 
 int main() {
   const auto cfg = core::SystemConfig::paper_baseline();
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
+  const core::AnalysisFacade facade(cfg);
+  const auto oh = facade.overhead_times();
+  const Duration c_bh_eff = facade.effective_bottom_cost(0);  // C_BH = 40us
 
   std::cout << "=== Section 6.2 -- memory and runtime overhead ===\n\n";
 
@@ -87,16 +86,13 @@ int main() {
 
   std::cout << "\nruntime budgets (model inputs, 200 MHz / 5 ns per cycle):\n";
   stats::Table runtime({"overhead", "paper", "modelled time"});
-  runtime.add_row({"C_Mon (monitoring function)", "128 instructions",
-                   oh.monitor_cost().to_string()});
-  runtime.add_row({"C_sched (scheduler manipulation)", "877 instructions",
-                   oh.sched_manipulation_cost().to_string()});
+  runtime.add_row({"C_Mon (monitoring function)", "128 instructions", oh.c_mon.to_string()});
+  runtime.add_row({"C_sched (scheduler manipulation)", "877 instructions", oh.c_sched.to_string()});
   runtime.add_row({"context switch (invalidate + writeback)",
-                   "~5000 instr + ~5000 cycles", oh.context_switch_cost().to_string()});
-  runtime.add_row({"C'_BH (Eq. 13, C_BH = 40us)", "-",
-                   oh.effective_bottom_cost(Duration::us(40)).to_string()});
+                   "~5000 instr + ~5000 cycles", oh.c_ctx.to_string()});
+  runtime.add_row({"C'_BH (Eq. 13, C_BH = 40us)", "-", c_bh_eff.to_string()});
   runtime.add_row({"C'_TH (Eq. 15, C_TH = 5us)", "-",
-                   oh.effective_top_cost(Duration::us(5)).to_string()});
+                   analysis::effective_top_cost(cfg.sources[0].c_top, oh).to_string()});
   runtime.write(std::cout);
 
   // Scenario-2 runs with d_min = lambda: context-switch increase per load.
@@ -104,7 +100,6 @@ int main() {
   // load; the paper's ~10 % corresponds to the low-load end of the sweep
   // (every interposition costs two additional switches, Eq. 13, against a
   // fixed 3-switches-per-cycle TDMA baseline).
-  const Duration c_bh_eff = oh.effective_bottom_cost(Duration::us(40));
   constexpr std::size_t kIrqs = 5000;
   std::cout << "\nmeasured scenario-2 context-switch increase (d_min = lambda, " << kIrqs
             << " IRQs per load):\n";

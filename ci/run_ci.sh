@@ -3,10 +3,10 @@
 #   1. configure + build with warnings-as-errors (RTHV_WERROR=ON), once at
 #      RelWithDebInfo for the tests and once compile-only at Release (-O3)
 #   2. tier-1 test suite (ctest), then the fault, multicore, hunt, batch,
-#      fuzz and perf-smoke labels as explicit stages, then a Debug
+#      analysis, fuzz and perf-smoke labels as explicit stages, then a Debug
 #      ASan + UBSan build running test_sim, SystemSnapshot*, the
 #      LatencyRecorder tests, the monitor suite, the hunt, batch, multicore
-#      and fault labels, the workload and obs labels, and the rthv_run
+#      and fault labels, the workload, obs and analysis labels, and the rthv_run
 #      malformed-config rejections, and a Debug TSan build running the
 #      batch, multicore and hunt labels
 #   3. e2ebench correctness: selftest plus every workload on seeds 1 and 2
@@ -67,6 +67,13 @@ ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 echo "== batched campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
 
+# The analysis reports (analysis_bounds, overhead_table, ablation_sweeps,
+# wcrt_analysis_tool, irq_trace_inspector) are pinned byte for byte: every
+# bound they print comes from core::AnalysisFacade, and a change to how it
+# derives them must not move a digit.
+echo "== analysis reports (ctest -L analysis) =="
+ctest --test-dir build-ci --output-on-failure -L analysis -j "$jobs"
+
 # Seeded mutation fuzz of the text-input loaders: every mutant of a shipped
 # config, fault plan or trace CSV loads or fails with its loader's error.
 echo "== input fuzz (ctest -L fuzz) =="
@@ -88,8 +95,10 @@ ctest --test-dir build-ci --output-on-failure -L perf-smoke -j 1
 # trace included) and the malformed monitor configs -- so an out-of-bounds
 # window read fails here, not only in a release build. The workload label
 # (trace generators, the one-pass ECU stream merge and their golden hashes)
-# runs here too, so a merge cursor read past a stream's end fails here.
-echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault, workload, obs =="
+# runs here too, so a merge cursor read past a stream's end fails here. The
+# analysis label drives the busy-window solver and every admission curve
+# through the pinned analysis reports.
+echo "== ASan + UBSan: event core, snapshots, monitors, hunt, batch, multicore, fault, workload, obs, analysis =="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug -DRTHV_SANITIZE=ON
 cmake --build build-ci-asan -j "$jobs"
 ./build-ci-asan/tests/test_sim
@@ -106,6 +115,7 @@ ctest --test-dir build-ci-asan --output-on-failure -L workload -j "$jobs"
 # obs label (the BucketCounts differential test, the merge properties and
 # the golden metrics) runs here so window index arithmetic cannot hide UB.
 ctest --test-dir build-ci-asan --output-on-failure -L obs -j "$jobs"
+ctest --test-dir build-ci-asan --output-on-failure -L analysis -j "$jobs"
 
 # The batch and multicore labels construct systems on several workers at
 # once, and every construction interns its config-built metric names

@@ -10,6 +10,7 @@
 // misbehaves (babbling-idiot protection).
 #include <iostream>
 
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 #include "mon/learning_monitor.hpp"
 #include "stats/table.hpp"
@@ -76,11 +77,9 @@ int main() {
   std::cout << "\nmonitor verdicts: " << monitor->admitted() << " admitted, "
             << monitor->denied() << " denied (" << irq.interpose_started
             << " interpositions started)\n";
-  const hv::OverheadModel oh(system.platform().cpu(), system.platform().memory(),
-                             cfg.overheads);
   std::cout << "interference bound on diagnostics: at most one interposition per "
             << monitor->enforced()[0].as_us() << "us, each costing at most "
-            << oh.effective_bottom_cost(can_rx.c_bottom).as_us()
+            << core::AnalysisFacade(cfg).effective_bottom_cost(0).as_us()
             << "us effective (Eq. 13)\n";
   return 0;
 }

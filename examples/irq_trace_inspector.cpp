@@ -18,7 +18,6 @@
 #include <exception>
 #include <iostream>
 
-#include "analysis/irq_latency.hpp"
 #include "core/analysis_facade.hpp"
 #include "mon/monitor.hpp"
 #include "sim/text_input.hpp"
@@ -56,9 +55,7 @@ int main(int argc, char** argv) try {
     }
     config.sources[0].c_bottom = *c_bottom;
   }
-  const core::AnalysisFacade facade(config);
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      config.sources[0].c_bottom, facade.overhead_times());
+  const Duration c_bh_eff = core::AnalysisFacade(config).effective_bottom_cost(0);
 
   std::cout << "\ntrace statistics:\n"
             << "  span            " << stats::Table::num(trace.span().as_s(), 2) << " s\n"
@@ -80,21 +77,21 @@ int main(int argc, char** argv) try {
   stats::Table table({"d_min [us]", "admitted", "Eq.14 bound/cycle [us]",
                       "interposed WCRT [us]"});
   const auto times = trace.activation_times();
+  auto monitored = config;
+  monitored.sources[0].monitor = core::MonitorKind::kDeltaMin;
   for (Duration d = std::max(Duration::us(50), trace.min_distance());
        d <= trace.mean_distance() * 4; d = d * 2) {
     mon::DeltaVectorMonitor monitor(mon::DeltaVector{d});
     std::uint64_t admitted = 0;
     for (const auto t : times) admitted += monitor.record_and_check(t);
-    const auto wcrt = analysis::interposed_latency(
-        facade.source_model(0, analysis::make_sporadic(d)), {},
-        facade.overhead_times());
+    monitored.sources[0].d_min = d;
+    const core::AnalysisFacade candidate(monitored);
+    const auto wcrt = candidate.compare(0, analysis::make_sporadic(d), true).interposed;
     table.add_row(
         {stats::Table::num(d.as_us(), 0),
          stats::Table::num(100.0 * static_cast<double>(admitted) /
                            static_cast<double>(trace.size())) + "%",
-         stats::Table::num(
-             analysis::interposed_interference(config.tdma_cycle(), d, c_bh_eff)
-                 .as_us()),
+         stats::Table::num(candidate.interference(0, config.tdma_cycle())->as_us()),
          wcrt ? stats::Table::num(wcrt->worst_case.as_us()) : "diverges"});
   }
   table.write(std::cout);

@@ -8,8 +8,8 @@
 // arrivals, foreign-slot IRQs execute interposed within ~150 us.
 #include <iostream>
 
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
-#include "hv/overhead_model.hpp"
 #include "workload/generators.hpp"
 
 using namespace rthv;
@@ -44,12 +44,7 @@ int main() {
 
   // Effective bottom-handler cost C'_BH on this platform (Eq. 13); the 10 %
   // IRQ-load scenario of the paper sets lambda = C'_BH / 0.10.
-  const hw::CpuModel cpu(config.platform.cpu_freq_hz, config.platform.cpi_milli);
-  const hw::MemorySystem memory(config.platform.ctx_invalidate_instructions,
-                                config.platform.ctx_writeback_cycles);
-  const hv::OverheadModel overheads(cpu, memory, config.overheads);
-  const sim::Duration c_bh_eff =
-      overheads.effective_bottom_cost(config.sources[0].c_bottom);
+  const sim::Duration c_bh_eff = core::AnalysisFacade(config).effective_bottom_cost(0);
   const auto lambda = sim::Duration::ns(c_bh_eff.count_ns() * 10);
 
   std::cout << "TDMA cycle: " << config.tdma_cycle() << ", C'_BH: " << c_bh_eff

@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/irq_latency.hpp"
 #include "core/analysis_facade.hpp"
 #include "core/checked.hpp"
 #include "core/config_loader.hpp"
@@ -166,10 +165,9 @@ int main(int argc, char** argv) {
   try {
     // Default workload: ~10 % load per source.
     if (traces.empty()) {
-      const auto overheads = core::AnalysisFacade(config).overhead_times();
-      for (const auto& src : config.sources) {
-        const auto lambda = Duration::ns(
-            analysis::effective_bottom_cost(src.c_bottom, overheads).count_ns() * 10);
+      const core::AnalysisFacade facade(config);
+      for (std::uint32_t s = 0; s < config.sources.size(); ++s) {
+        const auto lambda = Duration::ns(facade.effective_bottom_cost(s).count_ns() * 10);
         workload::ExponentialTraceGenerator gen(lambda, seed++);
         traces.push_back(gen.generate(2000));
       }

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   const core::AnalysisFacade facade(cfg);
   const auto oh = facade.overhead_times();
   const auto tdma = facade.tdma_model(0);
-  const Duration c_bh_eff =
-      analysis::effective_bottom_cost(cfg.sources[0].c_bottom, oh);
+  const Duration c_bh_eff = facade.effective_bottom_cost(0);
 
   std::cout << "platform: 200 MHz, T_TDMA = " << tdma.cycle << ", subscriber slot "
             << tdma.slot << "\n";
@@ -47,13 +46,14 @@ int main(int argc, char** argv) {
 
   stats::Table table({"d_min [us]", "load %", "delayed WCRT [us]", "interposed WCRT [us]",
                       "improvement", "Eq.14 bound/cycle [us]"});
+  auto monitored = cfg;
+  monitored.sources[0].monitor = core::MonitorKind::kDeltaMin;
   for (std::int64_t d_us = 200; d_us <= 51200; d_us *= 2) {
     const Duration d_min = Duration::us(d_us);
-    const auto activation = analysis::make_sporadic(d_min);
-    const auto delayed = analysis::tdma_latency(facade.source_model(0, activation), {},
-                                                tdma, oh, true);
-    const auto interposed = analysis::interposed_latency(
-        facade.source_model(0, activation), {}, oh);
+    monitored.sources[0].d_min = d_min;
+    const core::AnalysisFacade candidate(monitored);
+    const auto [delayed, interposed] =
+        candidate.compare(0, analysis::make_sporadic(d_min), true);
     const double load = static_cast<double>(c_bh_eff.count_ns()) /
                         static_cast<double>(d_min.count_ns()) * 100.0;
     std::string improvement = "-";
@@ -66,9 +66,7 @@ int main(int argc, char** argv) {
         {std::to_string(d_us), stats::Table::num(load),
          delayed ? stats::Table::num(delayed->worst_case.as_us()) : "diverges",
          interposed ? stats::Table::num(interposed->worst_case.as_us()) : "diverges",
-         improvement,
-         stats::Table::num(
-             analysis::interposed_interference(tdma.cycle, d_min, c_bh_eff).as_us())});
+         improvement, stats::Table::num(candidate.interference(0, tdma.cycle)->as_us())});
   }
   table.write(std::cout);
 
@@ -83,11 +81,8 @@ int main(int argc, char** argv) {
 
   // Periodic-with-jitter example: a fieldbus with known jitter.
   std::cout << "\nperiodic-with-jitter source (P = 10ms, J = 2ms):\n";
-  const auto pj = analysis::make_periodic(Duration::ms(10), Duration::ms(2));
-  const auto delayed_pj =
-      analysis::tdma_latency(facade.source_model(0, pj), {}, tdma, oh, true);
-  const auto interposed_pj =
-      analysis::interposed_latency(facade.source_model(0, pj), {}, oh);
+  const auto [delayed_pj, interposed_pj] =
+      facade.compare(0, analysis::make_periodic(Duration::ms(10), Duration::ms(2)), true);
   std::cout << "  delayed WCRT:    "
             << (delayed_pj ? delayed_pj->worst_case.to_string() : "diverges") << "\n"
             << "  interposed WCRT: "
@@ -102,8 +97,8 @@ int main(int argc, char** argv) {
   stats::Table victims({"d_min [us]", "control WCRT [us]", "logger WCRT [us]"});
   for (const std::int64_t d_us : {0, 3200, 1600, 800}) {
     analysis::PartitionTaskAnalysis m;
-    m.service = analysis::SlotTableModel::single_slot(
-        tdma.cycle, tdma.slot, oh.c_ctx + sim::Duration::ns(500));
+    m.service =
+        analysis::SlotTableModel::single_slot(tdma.cycle, tdma.slot, tdma.entry_overhead);
     if (d_us > 0) {
       m.foreign_interpositions.push_back(analysis::BottomHandlerLoad{
           c_bh_eff, analysis::make_sporadic(Duration::us(d_us))});

@@ -1,5 +1,6 @@
 #include "analysis/busy_window.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -28,12 +29,13 @@ sim::Duration BusyWindowSolver::rhs(std::uint64_t q, sim::Duration w) const {
   return total;
 }
 
-std::optional<sim::Duration> BusyWindowSolver::busy_time(std::uint64_t q) const {
+std::optional<sim::Duration> BusyWindowSolver::busy_time(std::uint64_t q,
+                                                         sim::Duration from) const {
   assert(q >= 1);
   // Standard fixed-point iteration from below: start with the pure own load
   // (a positive seed so window-dependent terms see a non-empty window).
-  sim::Duration w =
-      core::checked_mul(problem_.per_event_cost, q, "analysis/busy-window-seed");
+  sim::Duration w = std::max(
+      from, core::checked_mul(problem_.per_event_cost, q, "analysis/busy-window-seed"));
   if (!w.is_positive()) w = sim::Duration::ns(1);
   for (std::uint32_t it = 0; it < problem_.max_iterations; ++it) {
     const sim::Duration next = rhs(q, w);
@@ -55,7 +57,9 @@ std::optional<ResponseTimeResult> response_time(const BusyWindowProblem& problem
   out.critical_q = 0;
 
   for (std::uint64_t q = 1; q <= q_cap; ++q) {
-    const auto w = solver.busy_time(q);
+    // W(q) is non-decreasing in q, so W(q - 1) is a valid start for W(q).
+    const auto w = solver.busy_time(
+        q, out.busy_times.empty() ? sim::Duration::zero() : out.busy_times.back());
     if (!w) return std::nullopt;  // diverged: no bounded response time
     out.busy_times.push_back(*w);
     out.q_max = q;

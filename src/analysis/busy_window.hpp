@@ -42,8 +42,11 @@ class BusyWindowSolver {
  public:
   explicit BusyWindowSolver(BusyWindowProblem problem);
 
-  /// Solves W(q); std::nullopt if the iteration diverges (overload).
-  [[nodiscard]] std::optional<sim::Duration> busy_time(std::uint64_t q) const;
+  /// Solves W(q); std::nullopt if the iteration diverges (overload). The
+  /// iteration may start at `from` if it is known not to exceed W(q), such
+  /// as W(q - 1): it then reaches the same least fixed point in fewer steps.
+  [[nodiscard]] std::optional<sim::Duration> busy_time(
+      std::uint64_t q, sim::Duration from = sim::Duration::zero()) const;
 
   /// Right-hand side of the fixed-point equation at candidate W.
   [[nodiscard]] sim::Duration rhs(std::uint64_t q, sim::Duration w) const;

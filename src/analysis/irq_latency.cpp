@@ -56,6 +56,29 @@ sim::Duration interposed_interference(sim::Duration dt,
                            "analysis/interposed-interference");
 }
 
+// The two curves below take a non-positive interval / window as a
+// TickDomainError (from ceil_div) in every build mode.
+sim::Duration token_bucket_interference(sim::Duration dt, sim::Duration fill_interval,
+                                        std::uint32_t depth, sim::Duration effective_bottom) {
+  if (!dt.is_positive()) return sim::Duration::zero();
+  const std::int64_t admissions = core::checked_add(
+      core::ceil_div(dt, fill_interval, "analysis/bucket-count"), std::int64_t{depth},
+      "analysis/bucket-count");
+  return core::checked_mul(effective_bottom, admissions, "analysis/bucket-interference");
+}
+
+sim::Duration window_count_interference(sim::Duration dt, sim::Duration window,
+                                        std::uint32_t max_events, sim::Duration effective_bottom) {
+  if (!dt.is_positive()) return sim::Duration::zero();
+  const std::int64_t windows = core::checked_add(
+      core::ceil_div(dt, window, "analysis/window-count"), std::int64_t{1},
+      "analysis/window-count");
+  return core::checked_mul(
+      effective_bottom,
+      core::checked_mul(windows, std::int64_t{max_events}, "analysis/window-count"),
+      "analysis/window-interference");
+}
+
 namespace {
 
 /// Own-source top-handler interference beyond the q events already counted

@@ -16,6 +16,7 @@
 // In both cases R = max_q (W(q) - delta_i^-(q)) (Eqs. 5 / 12).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -75,6 +76,18 @@ struct OverheadTimes {
 [[nodiscard]] sim::Duration interposed_interference(sim::Duration dt,
                                                     const MinDistanceFunction& monitor_delta,
                                                     sim::Duration effective_bottom);
+
+/// Token-bucket analogue of Eq. 14: (depth + ceil(dt / fill_interval)) * C'_BH.
+[[nodiscard]] sim::Duration token_bucket_interference(sim::Duration dt,
+                                                      sim::Duration fill_interval,
+                                                      std::uint32_t depth,
+                                                      sim::Duration effective_bottom);
+
+/// Window-count analogue of Eq. 14 (a burst can straddle each window
+/// boundary): (ceil(dt / window) + 1) * max_events * C'_BH.
+[[nodiscard]] sim::Duration window_count_interference(sim::Duration dt, sim::Duration window,
+                                                      std::uint32_t max_events,
+                                                      sim::Duration effective_bottom);
 
 /// Worst-case latency of the analyzed source under classic TDMA-delayed
 /// handling (Eqs. 6-12). `others` contribute top-handler load only.

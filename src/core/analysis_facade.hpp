@@ -1,13 +1,17 @@
-// Bridges a SystemConfig to the worst-case latency analysis of Sections
-// 4-5: builds the TDMA model, overhead times and interferer set for one IRQ
-// source and runs both analyses (Eq. 11/12 delayed vs. Eq. 16 interposed).
+// The one bound provider: turns a SystemConfig source into the constants and
+// bounds of Sections 4-5 (C'_BH, the interposition pre-cost, the admission
+// curve behind I(dt), the TDMA model of the schedule the hypervisor runs,
+// Eq. 11/12 delayed vs. Eq. 16 interposed). The oracle, the bench programs, the
+// examples and the analysis tests all read their bounds from here.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "analysis/irq_latency.hpp"
 #include "core/system_config.hpp"
+#include "hv/overhead_model.hpp"
 
 namespace rthv::core {
 
@@ -16,43 +20,53 @@ struct WcrtComparison {
   std::optional<analysis::ResponseTimeResult> interposed;    // Eq. 16
 };
 
+using Activation = std::shared_ptr<const analysis::MinDistanceFunction>;
+
 class AnalysisFacade {
  public:
   explicit AnalysisFacade(const SystemConfig& config);
 
   /// Overhead constants converted to time on the configured platform.
-  [[nodiscard]] analysis::OverheadTimes overhead_times() const;
+  [[nodiscard]] analysis::OverheadTimes overhead_times() const { return overheads_.times(); }
 
-  /// TDMA cycle and the subscriber's slot for a source.
+  /// Eq. 13: C'_BH of a source.
+  [[nodiscard]] sim::Duration effective_bottom_cost(std::uint32_t source_index) const;
+
+  /// C_sched + C_ctx: what an admitted interposition spends before its
+  /// bottom handler starts.
+  [[nodiscard]] sim::Duration interposition_pre_cost() const {
+    return overheads_.sched_manipulation_cost() + overheads_.context_switch_cost();
+  }
+
+  /// I(dt): the interference the source's interposed handling may impose on
+  /// another partition within dt, from its monitor's admission curve (Eq. 14,
+  /// the delta^- vector, token bucket, window count). No curve for kNone,
+  /// kLearning or a delta^- condition whose first entry is not positive.
+  [[nodiscard]] std::optional<sim::Duration> interference(std::uint32_t source_index,
+                                                          sim::Duration dt) const;
+
+  /// TDMA model of the schedule the hypervisor runs, as seen by a source:
+  /// T_i is the subscriber's total slot time per cycle and the slot-entry
+  /// overhead is paid once per owned slot. Throws std::invalid_argument
+  /// when the subscriber owns no slot time.
   [[nodiscard]] analysis::TdmaModel tdma_model(std::uint32_t source_index) const;
-
-  /// Analysis model of one source under a given activation model.
-  [[nodiscard]] analysis::IrqSourceModel source_model(
-      std::uint32_t source_index,
-      std::shared_ptr<const analysis::MinDistanceFunction> activation) const;
-
-  /// All other sources as top-handler interferers, each under its own
-  /// activation model (caller supplies them in source order; the analyzed
-  /// index is skipped).
-  [[nodiscard]] std::vector<analysis::IrqSourceModel> interferers(
-      std::uint32_t analyzed_index,
-      const std::vector<std::shared_ptr<const analysis::MinDistanceFunction>>&
-          activations) const;
 
   /// Runs both analyses for a source whose activations follow `activation`;
   /// `monitoring_active` controls whether the delayed analysis charges
-  /// C_Mon on the top handler (scenario 2 of Section 5.1).
-  [[nodiscard]] WcrtComparison compare(
-      std::uint32_t source_index,
-      std::shared_ptr<const analysis::MinDistanceFunction> activation,
-      bool monitoring_active) const;
+  /// C_Mon on the top handler (scenario 2 of Section 5.1). With
+  /// `activations` empty no other source interferes; otherwise it holds one
+  /// activation model per source in source order (the analyzed index is
+  /// skipped) and every other source's top handler interferes (Eq. 9).
+  /// Throws std::invalid_argument for any other length.
+  [[nodiscard]] WcrtComparison compare(std::uint32_t source_index, Activation activation,
+                                       bool monitoring_active,
+                                       const std::vector<Activation>& activations = {}) const;
 
  private:
+  [[nodiscard]] const IrqSourceSpec& source(std::uint32_t source_index) const;
+
   SystemConfig config_;
-  sim::Duration c_mon_;
-  sim::Duration c_sched_;
-  sim::Duration c_ctx_;
-  sim::Duration c_tick_;
+  hv::OverheadModel overheads_;
 };
 
 }  // namespace rthv::core

@@ -92,16 +92,12 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   hv_ = std::make_unique<hv::Hypervisor>(*platform_, config_.overheads);
   hv_->set_top_handler_mode(config_.mode);
 
-  std::vector<hv::TdmaSlot> slots;
   drop_counter_names_.reserve(config_.partitions.size());
   std::string drop_name;  // one buffer for every prefixed name
   for (const auto& p : config_.partitions) {
     drop_counter_names_.push_back(obs::intern_name(
         drop_name.assign(obs::catalog::kIrqQueueDroppedBy.prefix).append(p.name)));
     const auto id = hv_->add_partition(p.name, config_.irq_queue_capacity);
-    if (config_.schedule.empty()) {
-      slots.push_back(hv::TdmaSlot{id, p.slot_length});
-    }
 
     auto kernel = std::make_unique<guest::GuestKernel>(sim_, p.name + "-guest");
     if (p.background_load) {
@@ -118,7 +114,8 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
     hv_->set_partition_memory(id, p.color_mask, p.mem_accesses_per_us);
     guests_.push_back(std::move(kernel));
   }
-  for (const auto& s : config_.schedule) {
+  std::vector<hv::TdmaSlot> slots;
+  for (const auto& s : config_.tdma_slots()) {
     if (s.partition >= config_.partitions.size()) {
       throw std::invalid_argument("schedule references an unknown partition");
     }

@@ -12,13 +12,18 @@ mon::DeltaVector IrqSourceSpec::enforced_deltas() const {
   }
 }
 
+std::vector<ScheduleSlot> SystemConfig::tdma_slots() const {
+  if (!schedule.empty()) return schedule;
+  std::vector<ScheduleSlot> slots;
+  for (std::uint32_t p = 0; p < partitions.size(); ++p) {
+    slots.push_back({p, partitions[p].slot_length});
+  }
+  return slots;
+}
+
 Duration SystemConfig::tdma_cycle() const {
   Duration total = Duration::zero();
-  if (!schedule.empty()) {
-    for (const auto& s : schedule) total += s.length;
-  } else {
-    for (const auto& p : partitions) total += p.slot_length;
-  }
+  for (const auto& s : tdma_slots()) total += s.length;
   return total;
 }
 

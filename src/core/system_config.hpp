@@ -104,6 +104,9 @@ struct SystemConfig {
 
   [[nodiscard]] std::uint32_t num_cores() const { return interconnect.num_cores; }
 
+  /// The TDMA slots the hypervisor runs: `schedule`, or one slot per
+  /// partition in declaration order when it is empty.
+  [[nodiscard]] std::vector<ScheduleSlot> tdma_slots() const;
   [[nodiscard]] sim::Duration tdma_cycle() const;
 
   /// The evaluation setup of Section 6 with one unmonitored source.

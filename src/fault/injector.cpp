@@ -160,16 +160,10 @@ TimePoint ClockDriftInjector::transform(InjectionContext& ctx, TimePoint deadlin
 // --- slot overrun ------------------------------------------------------------
 
 void SlotOverrunInjector::do_arm(InjectionContext& ctx) {
-  // Reconstruct the fixed boundary grid from the configuration (explicit
-  // schedule if present, else one slot per partition in order).
-  std::vector<Duration> slots;
-  if (!ctx.config.schedule.empty()) {
-    for (const auto& s : ctx.config.schedule) slots.push_back(s.length);
-  } else {
-    for (const auto& p : ctx.config.partitions) slots.push_back(p.slot_length);
-  }
+  // The fixed boundary grid of the schedule the hypervisor runs.
+  const auto slots = ctx.config.tdma_slots();
   Duration cycle = Duration::zero();
-  for (const auto s : slots) cycle += s;
+  for (const auto& s : slots) cycle += s.length;
   if (!cycle.is_positive()) {
     throw std::invalid_argument("slot-overrun injector: schedule has no positive slots");
   }
@@ -178,7 +172,7 @@ void SlotOverrunInjector::do_arm(InjectionContext& ctx) {
   std::size_t index = 0;
   std::uint64_t scheduled = 0;
   while (scheduled < spec_.count) {
-    boundary += slots[index];
+    boundary += slots[index].length;
     index = (index + 1) % slots.size();
     const TimePoint t = boundary - spec_.lead;
     if (t < spec_.start || t < ctx.sim.now()) continue;

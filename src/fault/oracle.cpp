@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 
 namespace rthv::fault {
@@ -16,18 +17,17 @@ InterferenceOracle::InterferenceOracle(std::vector<OracleSourceParams> params)
 
 std::vector<OracleSourceParams> InterferenceOracle::params_from(
     const core::HypervisorSystem& system) {
-  const auto& oh = system.hypervisor().overheads();
+  const core::AnalysisFacade facade(system.config());
   std::vector<OracleSourceParams> out;
   for (std::uint32_t s = 0; s < system.config().sources.size(); ++s) {
-    const auto& spec = system.config().sources[s];
     // A source without a positive delta^- condition is outside Eq. 14.
-    const auto deltas = spec.enforced_deltas();
+    const auto deltas = system.config().sources[s].enforced_deltas();
     if (deltas.empty() || !deltas[0].is_positive()) continue;
     OracleSourceParams p;
     p.source = s;
     p.d_min = deltas[0];
-    p.c_bh_eff = oh.effective_bottom_cost(spec.c_bottom);
-    p.pre_cost = oh.sched_manipulation_cost() + oh.context_switch_cost();
+    p.c_bh_eff = facade.effective_bottom_cost(s);
+    p.pre_cost = facade.interposition_pre_cost();
     out.push_back(p);
   }
   return out;

@@ -56,7 +56,7 @@ IrqSourceId Hypervisor::add_irq_source(const IrqSourceConfig& config) {
   const IrqSourceId id = srcs_.add(config.subscriber, config.c_top, config.c_bottom);
   srcs_.bh_accesses[id] = config.bh_accesses;
   srcs_.admit_d_min[id] = config.admit_d_min;
-  srcs_.c_bh_eff[id] = overheads_.effective_bottom_cost(config.c_bottom);
+  srcs_.c_bh_eff[id] = analysis::effective_bottom_cost(config.c_bottom, overheads_.times());
   source_configs_.push_back(config);
   owned_monitors_.emplace_back();
   lines_.source[config.line] = id;

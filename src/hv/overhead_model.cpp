@@ -12,12 +12,4 @@ OverheadModel::OverheadModel(const hw::CpuModel& cpu, const hw::MemorySystem& me
   c_tick_ = cpu.instructions_to_duration(cfg_.tdma_tick_instructions);
 }
 
-sim::Duration OverheadModel::effective_bottom_cost(sim::Duration c_bottom) const {
-  return c_bottom + c_sched_ + 2 * c_ctx_;
-}
-
-sim::Duration OverheadModel::effective_top_cost(sim::Duration c_top) const {
-  return c_top + c_mon_;
-}
-
 }  // namespace rthv::hv

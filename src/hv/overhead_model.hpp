@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "analysis/irq_latency.hpp"
 #include "hw/cpu_model.hpp"
 #include "hw/memory_system.hpp"
 #include "sim/time.hpp"
@@ -37,11 +38,9 @@ class OverheadModel {
   [[nodiscard]] sim::Duration context_switch_cost() const { return c_ctx_; }     // C_ctx
   [[nodiscard]] sim::Duration tdma_tick_cost() const { return c_tick_; }
 
-  /// Eq. 13: C'_BH = C_BH + C_sched + 2 * C_ctx.
-  [[nodiscard]] sim::Duration effective_bottom_cost(sim::Duration c_bottom) const;
-
-  /// Eq. 15: C'_TH = C_TH + C_Mon.
-  [[nodiscard]] sim::Duration effective_top_cost(sim::Duration c_top) const;
+  /// The constants Eqs. 13-16 read (analysis::effective_bottom_cost and
+  /// analysis::effective_top_cost turn them into C'_BH and C'_TH).
+  [[nodiscard]] analysis::OverheadTimes times() const { return {c_mon_, c_sched_, c_ctx_}; }
 
   [[nodiscard]] const OverheadConfig& config() const { return cfg_; }
   [[nodiscard]] hw::ContextSwitchCost raw_context_switch_cost() const { return ctx_raw_; }

@@ -45,14 +45,4 @@ bool TokenBucketMonitor::record_and_check(sim::TimePoint now) {
   return admit;
 }
 
-sim::Duration token_bucket_interference(sim::Duration dt, sim::Duration fill_interval,
-                                        std::uint32_t depth,
-                                        sim::Duration effective_bottom) {
-  assert(fill_interval.is_positive());
-  if (!dt.is_positive()) return sim::Duration::zero();
-  const std::int64_t admissions =
-      depth + sim::Duration::ceil_div(dt, fill_interval);
-  return effective_bottom * admissions;
-}
-
 }  // namespace rthv::mon

@@ -9,8 +9,8 @@
 // which the delta^- monitor never does -- at the price of a weaker
 // short-window interference bound:
 //     I_bucket(dt) = (b + ceil(dt / fill_interval)) * C'_BH
-// versus Eq. 14's ceil(dt/d_min) * C'_BH. The ablation bench compares the
-// two under identical workloads.
+// (analysis::token_bucket_interference) versus Eq. 14's ceil(dt/d_min) * C'_BH.
+// The ablation bench compares the two under identical workloads.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +57,5 @@ class TokenBucketMonitor final : public ActivationMonitor {
   sim::TimePoint last_refill_;
   bool started_ = false;
 };
-
-/// Worst-case interference of token-bucket-admitted interposing on other
-/// partitions in a window dt (the bucket analogue of Eq. 14).
-[[nodiscard]] sim::Duration token_bucket_interference(sim::Duration dt,
-                                                      sim::Duration fill_interval,
-                                                      std::uint32_t depth,
-                                                      sim::Duration effective_bottom);
 
 }  // namespace rthv::mon

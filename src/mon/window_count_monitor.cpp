@@ -1,6 +1,5 @@
 #include "mon/window_count_monitor.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace rthv::mon {
@@ -39,15 +38,6 @@ std::uint32_t WindowCountMonitor::in_window(sim::TimePoint now) const {
     if (now - admissions_[i] < window_) ++n;
   }
   return n;
-}
-
-sim::Duration window_count_interference(sim::Duration dt, sim::Duration window,
-                                        std::uint32_t max_events,
-                                        sim::Duration effective_bottom) {
-  assert(window.is_positive());
-  if (!dt.is_positive()) return sim::Duration::zero();
-  const std::int64_t windows = sim::Duration::ceil_div(dt, window) + 1;
-  return effective_bottom * (windows * max_events);
 }
 
 }  // namespace rthv::mon

@@ -5,8 +5,9 @@
 // bucket: it permits arbitrarily dense bursts up to max_events and then
 // blocks until the window slides past. Its interference bound is
 //     I(dt) = (ceil(dt / window) + 1) * max_events * C'_BH
-// (a window-aligned burst can straddle each boundary), which sits between
-// the token bucket's and Eq. 14's bounds for comparable configurations.
+// (a window-aligned burst can straddle each boundary; computed by
+// analysis::window_count_interference), which sits between the token
+// bucket's and Eq. 14's bounds for comparable configurations.
 // Equivalent to the delta^- vector [0, ..., 0, window] with l = max_events
 // -- implemented directly with a ring of admission timestamps, matching how
 // such limiters are built in practice.
@@ -55,12 +56,5 @@ class WindowCountMonitor final : public ActivationMonitor {
   std::size_t next_ = 0;
   std::uint32_t stored_ = 0;
 };
-
-/// Worst-case interference of window-count-admitted interposing on other
-/// partitions within dt.
-[[nodiscard]] sim::Duration window_count_interference(sim::Duration dt,
-                                                      sim::Duration window,
-                                                      std::uint32_t max_events,
-                                                      sim::Duration effective_bottom);
 
 }  // namespace rthv::mon

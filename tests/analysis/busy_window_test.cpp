@@ -57,6 +57,27 @@ TEST(BusyWindowSolverTest, MultipleQScaleSuperlinearlyUnderInterference) {
   EXPECT_GE(*w2, *w1 + Duration::us(10));
 }
 
+TEST(ResponseTimeTest, WarmStartedBusyTimesEqualColdSolves) {
+  // response_time starts W(q) at W(q - 1); each W(q) must still be the
+  // least fixed point a cold solve from q * C finds. A TDMA-like step term
+  // and own top-handler load keep the busy period open for many q.
+  BusyWindowProblem p;
+  p.per_event_cost = Duration::us(40);
+  p.interference.push_back(load_interference(
+      ArrivalCurve(make_sporadic(Duration::us(200))), Duration::us(5)));
+  p.interference.push_back([](Duration w) {
+    return Duration::us(8050) * Duration::ceil_div(w, Duration::us(14000));
+  });
+  const SporadicModel own(Duration::us(200));
+  const auto r = response_time(p, own);
+  ASSERT_TRUE(r.has_value());
+  ASSERT_GT(r->q_max, 10u);
+  const BusyWindowSolver cold(p);
+  for (std::uint64_t q = 1; q <= r->q_max; ++q) {
+    EXPECT_EQ(r->busy_times[q - 1], cold.busy_time(q)) << "q = " << q;
+  }
+}
+
 TEST(ResponseTimeTest, SingleActivationBusyPeriod) {
   // Own stream sparse enough that the busy period holds one activation.
   BusyWindowProblem p;

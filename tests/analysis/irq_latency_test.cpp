@@ -64,6 +64,30 @@ TEST(InterposedInterferenceTest, VectorGeneralization) {
             interposed_interference(Duration::us(1000), Duration::us(100), c));
 }
 
+TEST(TokenBucketInterferenceTest, FormulaMatchesDefinition) {
+  const Duration c = Duration::us(50);
+  EXPECT_EQ(token_bucket_interference(Duration::us(1), Duration::us(100), 3, c),
+            c * 4);  // depth + 1
+  EXPECT_EQ(token_bucket_interference(Duration::us(1000), Duration::us(100), 3, c),
+            c * 13);
+  EXPECT_EQ(token_bucket_interference(Duration::zero(), Duration::us(100), 3, c),
+            Duration::zero());
+  // The bucket bound is always weaker than Eq. 14 for equal rate.
+  EXPECT_GT(token_bucket_interference(Duration::us(1000), Duration::us(100), 3, c),
+            c * 10);
+}
+
+TEST(WindowCountInterferenceTest, FormulaMatchesDefinition) {
+  const Duration c = Duration::us(50);
+  // One window fits twice (straddling): (ceil(1/1000)+1) * 2 admissions.
+  EXPECT_EQ(window_count_interference(Duration::us(1), Duration::us(1000), 2, c),
+            c * 4);
+  EXPECT_EQ(window_count_interference(Duration::us(2000), Duration::us(1000), 2, c),
+            c * 6);
+  EXPECT_EQ(window_count_interference(Duration::zero(), Duration::us(1000), 2, c),
+            Duration::zero());
+}
+
 TEST(TdmaLatencyTest, DominatedByTdmaCycle) {
   // Paper Section 4: with C_TH, C_BH << T_TDMA - T_i the worst-case latency
   // is dominated by the TDMA blocking term.

@@ -71,6 +71,44 @@ TEST(OverflowRegression, InterposedInterferenceTinyDminHugeWindow) {
                core::TickOverflow);
 }
 
+TEST(OverflowRegression, TokenBucketInterferenceOverflowsLoudly) {
+  // A 1 ns fill interval over 100 s admits 1e11 + depth interpositions; at
+  // 1 s each the product leaves the tick range. So does the admission
+  // count itself when depth is added to a count near INT64_MAX.
+  EXPECT_THROW((void)token_bucket_interference(Duration::s(100), Duration::ns(1), 3,
+                                               Duration::s(1)),
+               core::TickOverflow);
+  EXPECT_THROW((void)token_bucket_interference(Duration::ns(kMaxNs), Duration::ns(1),
+                                               std::numeric_limits<std::uint32_t>::max(),
+                                               Duration::ns(1)),
+               core::TickOverflow);
+}
+
+TEST(OverflowRegression, WindowCountInterferenceOverflowsLoudly) {
+  // (ceil(dt / window) + 1) * max_events: the window count, the event count
+  // and the cost multiply each have to be checked.
+  EXPECT_THROW((void)window_count_interference(Duration::s(100), Duration::ns(1), 2,
+                                               Duration::s(1)),
+               core::TickOverflow);
+  EXPECT_THROW((void)window_count_interference(Duration::ns(kMaxNs), Duration::ns(1), 1,
+                                               Duration::ns(1)),
+               core::TickOverflow);
+  EXPECT_THROW((void)window_count_interference(Duration::ns(kMaxNs), Duration::ns(2),
+                                               std::numeric_limits<std::uint32_t>::max(),
+                                               Duration::ns(1)),
+               core::TickOverflow);
+}
+
+TEST(OverflowRegression, ShaperCurvesRejectNonPositiveIntervals) {
+  // Release and Debug alike: a zero or negative fill interval / window is a
+  // domain error, never a division by zero.
+  const Duration c = Duration::us(1);
+  EXPECT_THROW((void)token_bucket_interference(Duration::us(1), Duration::zero(), 1, c),
+               core::TickDomainError);
+  EXPECT_THROW((void)window_count_interference(Duration::us(1), Duration::us(-1), 1, c),
+               core::TickDomainError);
+}
+
 TEST(OverflowRegression, EffectiveCostsNearMaxOverflow) {
   OverheadTimes oh;
   oh.c_mon = Duration::ns(kMaxNs);

@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/analysis_facade.hpp"
+#include "core/config_loader.hpp"
+#include "core/multicore_system.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
 
@@ -230,6 +234,31 @@ TEST(InterferenceOracleTest, RingReplayMatchesSnapshotAcrossWrap) {
   EXPECT_EQ(in_place.max_interposition_ns, copied.max_interposition_ns);
   EXPECT_EQ(in_place.violations.size(), copied.violations.size());
   EXPECT_DOUBLE_EQ(in_place.worst_ratio, copied.worst_ratio);
+}
+
+// params_from reads C'_BH and the pre-entry cost from the analysis facade
+// of each core's own config; they must equal what that core's hypervisor
+// charges an interposition (its OverheadModel on the core's platform).
+TEST(InterferenceOracleTest, ParamsMatchFacadeOnEveryCore) {
+  const auto cfg =
+      core::load_config_file(std::string(RTHV_CONFIG_DIR) + "/multicore_mixed_crit.ini");
+  const core::MulticoreSystem mc(cfg);
+  std::size_t monitored = 0;
+  for (std::uint32_t c = 0; c < mc.num_cores(); ++c) {
+    const auto& system = mc.core(c);
+    const core::AnalysisFacade facade(system.config());
+    const auto& oh = system.hypervisor().overheads();
+    for (const auto& p : InterferenceOracle::params_from(system)) {
+      const auto& spec = system.config().sources.at(p.source);
+      EXPECT_EQ(p.d_min, spec.enforced_deltas().at(0)) << "core " << c;
+      EXPECT_EQ(p.c_bh_eff, facade.effective_bottom_cost(p.source)) << "core " << c;
+      EXPECT_EQ(p.pre_cost, facade.interposition_pre_cost()) << "core " << c;
+      EXPECT_EQ(p.c_bh_eff, analysis::effective_bottom_cost(spec.c_bottom, oh.times()));
+      EXPECT_EQ(p.pre_cost, oh.sched_manipulation_cost() + oh.context_switch_cost());
+      ++monitored;
+    }
+  }
+  EXPECT_EQ(monitored, 1u);  // the one delta^- source, on core 0
 }
 
 }  // namespace

@@ -22,14 +22,15 @@ TEST(OverheadModelTest, EffectiveBottomCostEq13) {
   const hw::MemorySystem mem;
   const OverheadModel oh(cpu, mem);
   // C'_BH = C_BH + C_sched + 2*C_ctx = 40 + 4.385 + 100 us.
-  EXPECT_EQ(oh.effective_bottom_cost(Duration::us(40)), Duration::ns(144'385));
+  EXPECT_EQ(analysis::effective_bottom_cost(Duration::us(40), oh.times()),
+            Duration::ns(144'385));
 }
 
 TEST(OverheadModelTest, EffectiveTopCostEq15) {
   const hw::CpuModel cpu;
   const hw::MemorySystem mem;
   const OverheadModel oh(cpu, mem);
-  EXPECT_EQ(oh.effective_top_cost(Duration::us(5)), Duration::ns(5'640));
+  EXPECT_EQ(analysis::effective_top_cost(Duration::us(5), oh.times()), Duration::ns(5'640));
 }
 
 TEST(OverheadModelTest, CustomBudgetsAndPlatform) {

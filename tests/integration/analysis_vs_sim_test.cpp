@@ -16,10 +16,8 @@ using sim::Duration;
 TEST(AnalysisVsSimTest, DelayedBoundHoldsForUnmonitoredRun) {
   auto cfg = SystemConfig::paper_baseline();
   const Duration d_min = Duration::us(2000);
-  const AnalysisFacade facade(cfg);
   const auto bound =
-      analysis::tdma_latency(facade.source_model(0, analysis::make_sporadic(d_min)),
-                             {}, facade.tdma_model(0), facade.overhead_times(), false);
+      AnalysisFacade(cfg).compare(0, analysis::make_sporadic(d_min), false).tdma_delayed;
   ASSERT_TRUE(bound.has_value());
 
   HypervisorSystem system(cfg);
@@ -42,13 +40,8 @@ TEST(AnalysisVsSimTest, InterposedBoundHoldsForConformingRun) {
   cfg.sources[0].monitor = MonitorKind::kDeltaMin;
   cfg.sources[0].d_min = d_min;
 
-  const AnalysisFacade facade(cfg);
-  const auto interposed_bound = analysis::interposed_latency(
-      facade.source_model(0, analysis::make_sporadic(d_min)), {},
-      facade.overhead_times());
-  const auto delayed_bound =
-      analysis::tdma_latency(facade.source_model(0, analysis::make_sporadic(d_min)),
-                             {}, facade.tdma_model(0), facade.overhead_times(), true);
+  const auto [delayed_bound, interposed_bound] =
+      AnalysisFacade(cfg).compare(0, analysis::make_sporadic(d_min), true);
   ASSERT_TRUE(interposed_bound && delayed_bound);
 
   HypervisorSystem system(cfg);
@@ -79,10 +72,8 @@ TEST(AnalysisVsSimTest, AnalysisIsConservativeNotWildlyLoose) {
   // delayed scenario, evidence that the analysis models the right effects.
   auto cfg = SystemConfig::paper_baseline();
   const Duration d_min = Duration::us(2000);
-  const AnalysisFacade facade(cfg);
   const auto bound =
-      analysis::tdma_latency(facade.source_model(0, analysis::make_sporadic(d_min)),
-                             {}, facade.tdma_model(0), facade.overhead_times(), false);
+      AnalysisFacade(cfg).compare(0, analysis::make_sporadic(d_min), false).tdma_delayed;
   ASSERT_TRUE(bound.has_value());
 
   HypervisorSystem system(cfg);
@@ -102,20 +93,36 @@ TEST(AnalysisVsSimTest, TdmaCycleSweepMatchesAnalyticTrend) {
     for (auto& p : cfg.partitions) {
       p.slot_length = p.slot_length * scale;
     }
-    const AnalysisFacade facade(cfg);
-    const auto bound = analysis::tdma_latency(
-        facade.source_model(0, analysis::make_sporadic(d_min)), {},
-        facade.tdma_model(0), facade.overhead_times(), false);
+    const auto [bound, interposed] =
+        AnalysisFacade(cfg).compare(0, analysis::make_sporadic(d_min), false);
     ASSERT_TRUE(bound.has_value());
     (scale == 1 ? delayed_small : delayed_large) = bound->worst_case;
-
-    const auto interposed = analysis::interposed_latency(
-        facade.source_model(0, analysis::make_sporadic(d_min)), {},
-        facade.overhead_times());
     ASSERT_TRUE(interposed.has_value());
     EXPECT_EQ(interposed->worst_case, Duration::ns(150'025)) << "scale " << scale;
   }
   EXPECT_GT(delayed_large, delayed_small + Duration::us(7000));
+}
+
+TEST(AnalysisVsSimTest, DelayedBoundFollowsTheRunSchedule) {
+  // With [slot] entries the hypervisor ignores PartitionSpec::slot_length:
+  // the subscriber declares 12000us but runs one 2000us slot per 14000us
+  // cycle, so its delayed IRQs wait up to ~12ms. The Eq. 11 bound must
+  // take T_i from that schedule, not from the declared slot length.
+  auto cfg = SystemConfig::paper_baseline();
+  cfg.partitions[1].slot_length = Duration::us(12000);
+  cfg.schedule = {{0, Duration::us(6000)}, {1, Duration::us(2000)}, {2, Duration::us(6000)}};
+  const Duration d_min = Duration::us(3000);
+  const auto bound =
+      AnalysisFacade(cfg).compare(0, analysis::make_sporadic(d_min), false).tdma_delayed;
+  ASSERT_TRUE(bound.has_value());
+
+  HypervisorSystem system(cfg);
+  workload::ExponentialTraceGenerator gen(d_min, 8, d_min);
+  system.attach_trace(0, gen.generate(3000));
+  system.run(Duration::s(120));
+  ASSERT_EQ(system.recorder().total(), 3000u);
+  EXPECT_GT(system.recorder().all().max(), Duration::us(11000));
+  EXPECT_GE(bound->worst_case, system.recorder().all().max());
 }
 
 }  // namespace

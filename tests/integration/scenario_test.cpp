@@ -3,7 +3,6 @@
 // ordering, worst-case behaviour) must match Fig. 6.
 #include <gtest/gtest.h>
 
-#include "analysis/irq_latency.hpp"
 #include "core/analysis_facade.hpp"
 #include "core/hypervisor_system.hpp"
 #include "workload/generators.hpp"
@@ -25,8 +24,7 @@ struct ScenarioResult {
 ScenarioResult run_scenario(bool monitored, bool conforming, std::size_t irqs,
                             std::uint64_t seed) {
   auto cfg = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      cfg.sources[0].c_bottom, AnalysisFacade(cfg).overhead_times());
+  const Duration c_bh_eff = AnalysisFacade(cfg).effective_bottom_cost(0);
   const auto lambda = sim::Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
   if (monitored) {
     cfg.mode = hv::TopHandlerMode::kInterposing;
@@ -93,8 +91,7 @@ TEST(ScenarioTest, SixteenFoldImprovementOrder) {
 TEST(ScenarioTest, LowerLoadsKeepDirectFraction) {
   // The direct fraction is a TDMA-geometry property, independent of load.
   auto cfg = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      cfg.sources[0].c_bottom, AnalysisFacade(cfg).overhead_times());
+  const Duration c_bh_eff = AnalysisFacade(cfg).effective_bottom_cost(0);
   for (const int load_pct : {1, 5}) {
     HypervisorSystem system(cfg);
     const auto lambda =
@@ -116,8 +113,7 @@ struct CumulativeResult {
 
 CumulativeResult run_cumulative(bool monitored, bool floor) {
   auto base = SystemConfig::paper_baseline();
-  const Duration c_bh_eff = analysis::effective_bottom_cost(
-      base.sources[0].c_bottom, AnalysisFacade(base).overhead_times());
+  const Duration c_bh_eff = AnalysisFacade(base).effective_bottom_cost(0);
   const auto d_min = Duration::ns(c_bh_eff.count_ns() * 10);
   if (monitored) {
     base.mode = hv::TopHandlerMode::kInterposing;

@@ -118,19 +118,6 @@ TEST_P(BucketInterferenceBoundTest, AdmissionsPerWindowWithinBound) {
 INSTANTIATE_TEST_SUITE_P(Depths, BucketInterferenceBoundTest,
                          ::testing::Values(1u, 3u, 8u));
 
-TEST(TokenBucketInterferenceTest, FormulaMatchesDefinition) {
-  const Duration c = Duration::us(50);
-  EXPECT_EQ(token_bucket_interference(Duration::us(1), Duration::us(100), 3, c),
-            c * 4);  // depth + 1
-  EXPECT_EQ(token_bucket_interference(Duration::us(1000), Duration::us(100), 3, c),
-            c * 13);
-  EXPECT_EQ(token_bucket_interference(Duration::zero(), Duration::us(100), 3, c),
-            Duration::zero());
-  // The bucket bound is always weaker than Eq. 14 for equal rate.
-  EXPECT_GT(token_bucket_interference(Duration::us(1000), Duration::us(100), 3, c),
-            c * 10);
-}
-
 TEST(TokenBucketMonitorTest, RejectsZeroDepthAndInterval) {
   EXPECT_THROW(TokenBucketMonitor(Duration::us(100), 0), std::invalid_argument);
   EXPECT_THROW(TokenBucketMonitor(Duration::zero(), 1), std::invalid_argument);

@@ -88,17 +88,6 @@ TEST_P(WindowBoundTest, AdmissionsPerWindowNeverExceedMax) {
 
 INSTANTIATE_TEST_SUITE_P(Maxima, WindowBoundTest, ::testing::Values(1u, 3u, 8u));
 
-TEST(WindowCountInterferenceTest, FormulaMatchesDefinition) {
-  const Duration c = Duration::us(50);
-  // One window fits twice (straddling): (ceil(1/1000)+1) * 2 admissions.
-  EXPECT_EQ(window_count_interference(Duration::us(1), Duration::us(1000), 2, c),
-            c * 4);
-  EXPECT_EQ(window_count_interference(Duration::us(2000), Duration::us(1000), 2, c),
-            c * 6);
-  EXPECT_EQ(window_count_interference(Duration::zero(), Duration::us(1000), 2, c),
-            Duration::zero());
-}
-
 TEST(WindowCountMonitorTest, RejectsZeroMaxEventsAndWindow) {
   EXPECT_THROW(WindowCountMonitor(Duration::us(100), 0), std::invalid_argument);
   EXPECT_THROW(WindowCountMonitor(Duration::zero(), 1), std::invalid_argument);
